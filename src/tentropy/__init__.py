@@ -80,13 +80,14 @@ from .system import (
     alpha_power,
     atomic_partition,
     birkhoff,
-    cycles,
     effective_weights,
     functional,
     invariant_vertices,
     is_invariant,
+    log_preimage_mass,
     make_system,
     pair,
+    preimage_mass,
     require_valid,
     restrict_to_support,
     trivial_partition,
@@ -107,5 +108,3 @@ from .varprin import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

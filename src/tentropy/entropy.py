@@ -33,9 +33,11 @@ from .system import (
     invariant_vertices,
     is_invariant,
     pair,
+    preimage_mass,
     require_valid,
     trivial_partition,
 )
+from .sampling import random_partition
 from .varprin import DivergenceWitness, NoDefectError, divergence_witness
 
 
@@ -84,7 +86,7 @@ def inner_problem(
     sup = system.supported_indices
     rows = []
     for g in members:
-        push = np.bincount(an, weights=g * system.m, minlength=system.n)
+        push = preimage_mass(system, g * system.m, an)
         rows.append(push[sup] / system.m[sup])
     return InnerProblem(
         c=np.array(rows),
@@ -326,9 +328,7 @@ def tau_direct(
                 candidates.append(oscillation_partition(system, phi, n, width))
         if "random" in strategies:
             for _ in range(budget):
-                k = int(rng.integers(2, system.n + 2))
-                raw = rng.uniform(size=(k, system.n)) + 0.05
-                candidates.append(PartitionOfUnity(raw / raw.sum(axis=0)))
+                candidates.append(random_partition(rng, system))
         for partition in candidates:
             sol = tau_n(system, mu, partition, n, tol=tol)
             if sol.value == -np.inf:

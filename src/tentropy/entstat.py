@@ -25,6 +25,7 @@ from .system import (
     alpha_power,
     birkhoff,
     pair,
+    preimage_mass,
     require_valid,
 )
 
@@ -211,9 +212,8 @@ def estimate_lhs(
 ) -> float:
     """Relative mass that the hitting set drops on the n-step preimage of y."""
     hits = hitting_set(system, nbhd, n)
-    an = alpha_power(system, n)
-    inside = hits[an[hits] == y]
-    return float(system.m[inside].sum() / system.m[y])
+    mass = preimage_mass(system, system.m[hits], alpha_power(system, n)[hits])
+    return float(mass[y] / system.m[y])
 
 
 def estimate_lhs_general(
@@ -242,13 +242,12 @@ def verify_estimate(
     rows = []
     worst = (-np.inf, None)
     all_hold = True
+    sup = system.supported_indices
     for n in n_range:
         hits = hitting_set(system, nbhd, n)
-        an = alpha_power(system, n)
-        landed = an[hits]
-        for y in system.supported_indices:
-            lhs = float(system.m[hits[landed == y]].sum() / system.m[y])
-            rhs = float(np.exp(c.log_value + n * rate))
+        mass = preimage_mass(system, system.m[hits], alpha_power(system, n)[hits])
+        rhs = float(np.exp(c.log_value + n * rate))
+        for y, lhs in zip(sup, (mass[sup] / system.m[sup]).tolist()):
             if lhs > rhs * (1.0 + 1e-9):
                 all_hold = False
             ratio = lhs / rhs

@@ -7,7 +7,9 @@ the exponential growth rate of the norms, the spectral potential, is a
 maximum of plain averages of phi over cycles inside the support.
 
 All norms are handled in log space so that potentials of size 10 and horizons
-in the hundreds stay finite.
+in the hundreds stay finite.  A direct norm is one call to
+``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
+pushes the e^(Birkhoff sum)-weighted masses forward along alpha^n in linear time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .system import (
     FiniteSystem,
     alpha_power,
     birkhoff,
+    log_preimage_mass,
     require_valid,
     restrict_to_support,
 )
@@ -79,17 +82,14 @@ def op_norm_log(system: FiniteSystem, phi, n: int) -> float:
     """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    s = birkhoff(system, phi, n)
-    an = alpha_power(system, n)
-    logm = system.log_m
-    best = -np.inf
-    weight = s + logm
-    for y in system.supported_indices:
-        hits = weight[an == y]
-        hits = hits[hits > -np.inf]
-        if hits.size:
-            best = max(best, float(np.logaddexp.reduce(hits)) - float(logm[y]))
-    return best
+    return _norm_log(system, birkhoff(system, phi, n), alpha_power(system, n))
+
+
+def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray) -> float:
+    """Largest log ratio of e^s-weighted preimage mass under an to atom mass."""
+    sup = system.supported_indices
+    mass = log_preimage_mass(system, s + system.log_m, an)
+    return float(np.max(mass[sup] - system.log_m[sup]))
 
 
 def op_norm(system: FiniteSystem, phi, n: int) -> float:
@@ -178,19 +178,11 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
             best_cycle = tuple(int(i) for i in idx)
             break
 
-    logm = system.log_m
     seq = np.empty(n_max)
     s = phi.astype(float, copy=True)
     an = system.alpha
     for k in range(1, n_max + 1):
-        weight = s + logm
-        best = -np.inf
-        for y in system.supported_indices:
-            hits = weight[an == y]
-            hits = hits[hits > -np.inf]
-            if hits.size:
-                best = max(best, float(np.logaddexp.reduce(hits)) - float(logm[y]))
-        seq[k - 1] = best / k
+        seq[k - 1] = _norm_log(system, s, an) / k
         if k < n_max:
             s = phi + s[system.alpha]
             an = system.alpha[an]

@@ -82,14 +82,6 @@ class FiniteSystem:
         return lm
 
     @cached_property
-    def preimages(self) -> tuple[np.ndarray, ...]:
-        """Index arrays of the full preimage of each atom."""
-        buckets = [[] for _ in range(self.n)]
-        for x, y in enumerate(self.alpha):
-            buckets[y].append(x)
-        return tuple(_frozen(b, dtype=np.intp) for b in buckets)
-
-    @cached_property
     def decomposition(self) -> "CycleDecomposition":
         return _decompose(self)
 
@@ -248,17 +240,11 @@ def validate(system: FiniteSystem) -> ValidationReport:
     A violation (x, y) is a supported atom x mapping onto a null atom y;
     systems with violations carry no bounded shift on L1 at all.
     """
-    best = 0.0
-    for y in system.supported_indices:
-        pre = system.preimages[y]
-        if pre.size:
-            best = max(best, float(system.m[pre].sum() / system.m[y]))
-    violations = [
-        (x, int(system.alpha[x]))
-        for x in range(system.n)
-        if system.support[x] and not system.support[system.alpha[x]]
-    ]
-    return ValidationReport(constant=best, violations=tuple(violations))
+    sup = system.supported_indices
+    ratios = preimage_mass(system, system.m)[sup] / system.m[sup]
+    feeding = np.flatnonzero(system.support & ~system.support[system.alpha])
+    violations = tuple((int(x), int(system.alpha[x])) for x in feeding)
+    return ValidationReport(constant=float(ratios.max()), violations=violations)
 
 
 def require_valid(system: FiniteSystem) -> None:
@@ -267,10 +253,6 @@ def require_valid(system: FiniteSystem) -> None:
         raise InvalidSystemError(
             f"null atoms have supported preimages: {list(rep.violations)}"
         )
-
-
-def cycles(system: FiniteSystem) -> CycleDecomposition:
-    return system.decomposition
 
 
 def alpha_power(system: FiniteSystem, n: int) -> np.ndarray:
@@ -286,6 +268,32 @@ def alpha_power(system: FiniteSystem, n: int) -> np.ndarray:
         if n:
             base = base[base]
     return result
+
+
+def preimage_mass(system: FiniteSystem, weights, an=None) -> np.ndarray:
+    """Weight landing on each atom when weights[i] moves to atom an[i].
+
+    ``an`` defaults to the map, giving the weight of every atom's preimage;
+    ``alpha_power(system, n)`` gives n-step preimages.
+    """
+    an = system.alpha if an is None else an
+    return np.bincount(an, weights=weights, minlength=system.n)
+
+
+def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
+    """``preimage_mass`` of e^log_weights in log form, -inf where nothing lands.
+
+    Each atom's terms are shifted by their maximum before exponentiating, so
+    Birkhoff sums in the thousands neither overflow nor underflow.
+    """
+    top = np.full(system.n, -np.inf)
+    np.maximum.at(top, an, log_weights)
+    hit = np.isfinite(top)
+    shift = np.where(hit, top, 0.0)
+    total = preimage_mass(system, np.exp(log_weights - shift[an]), an)
+    out = np.full(system.n, -np.inf)
+    out[hit] = shift[hit] + np.log(total[hit])
+    return out
 
 
 def birkhoff(system: FiniteSystem, phi, n: int) -> np.ndarray:
@@ -308,11 +316,7 @@ def is_invariant(system: FiniteSystem, mu: Functional) -> tuple[bool, float]:
     mu(preimage of y) = mu(y).
     """
     w = effective_weights(system, mu)
-    worst = 0.0
-    for y in range(system.n):
-        pre = system.preimages[y]
-        gap = abs(float(w[pre].sum()) - float(w[y]))
-        worst = max(worst, gap)
+    worst = float(np.max(np.abs(preimage_mass(system, w) - w)))
     ok = (
         worst <= EXACT_TOL
         and w.min() >= -EXACT_TOL

@@ -25,6 +25,7 @@ from .system import (
     invariant_vertices,
     is_invariant,
     pair,
+    preimage_mass,
     require_valid,
 )
 
@@ -101,14 +102,12 @@ def divergence_witness(
             )
 
     if witness is None:
-        v = np.array(
-            [float(w[system.preimages[y]].sum()) - float(w[y]) for y in range(system.n)]
-        )
+        v = preimage_mass(system, w) - w
         if np.any(np.abs(v) > tol):
-            order = sorted(range(system.n), key=lambda y: (-abs(v[y]), -v[y], y))
-            at = order[0]
+            # largest |v|, then positive before negative, then lowest index
+            at = int(np.lexsort((-v, -np.abs(v)))[0])
             direction = np.zeros(system.n)
-            direction[system.preimages[at]] += 1.0
+            direction[system.alpha == at] += 1.0
             direction[at] -= 1.0
             direction *= np.sign(v[at])
             witness = DivergenceWitness(NON_INVARIANCE, direction, abs(v[at]), at)

@@ -74,7 +74,12 @@ def test_make_system_rejects_bad_input():
         make_system([np.inf, 1.0], [0, 1])
 
 
-def test_validate_frozen_constants():
+def preimage_reference(system, w):
+    """Per-atom oracle: total weight of each atom's full preimage."""
+    return np.array([w[system.alpha == y].sum() for y in range(system.n)])
+
+
+def test_validate_frozen_constants(large_pool):
     # tail: two atoms map onto the fixed point, so mass doubles there.
     assert validate(tail()).constant == pytest.approx(2.0, abs=1e-12)
     # permutations move each atom's mass bijectively.
@@ -83,6 +88,10 @@ def test_validate_frozen_constants():
     # null atom contributes no preimage mass.
     assert validate(null_pair()).valid
     assert validate(null_pair()).violations == ()
+    for s in large_pool:
+        sup = s.supported_indices
+        want = np.max(preimage_reference(s, s.m)[sup] / s.m[sup])
+        assert validate(s).constant == pytest.approx(want, rel=1e-12)
 
 
 def test_validate_flags_supported_atom_feeding_null():
@@ -238,17 +247,26 @@ def test_invariant_vertices_small_rational_grid_oracle():
                     assert np.allclose(coef @ verts, w, atol=1e-9)
 
 
-def test_is_invariant_reports_worst_atom():
+def test_is_invariant_reports_worst_atom(large_pool):
     s = cycle3()
     mu = functional(s, np.array([1.0, 0.0, 0.0]))
     ok, worst = is_invariant(s, mu)
     assert not ok
     assert worst in (0, 1)
+    gen = np.random.default_rng(8)
+    for s in large_pool:
+        for mode in (ESSENTIAL, FULL):
+            mu = functional(s, gen.dirichlet(np.ones(s.n)), mode=mode)
+            w = mu.weights
+            want = np.max(np.abs(preimage_reference(s, w) - w))
+            ok, worst = is_invariant(s, mu)
+            assert not ok
+            assert worst == pytest.approx(want, rel=1e-12)
 
 
-def test_random_invariant_is_invariant(system_pool):
+def test_random_invariant_is_invariant(system_pool, large_pool):
     gen = np.random.default_rng(5)
-    for s in system_pool:
+    for s in system_pool + large_pool:
         mu = random_invariant(gen, s)
         ok, _ = is_invariant(s, mu)
         assert ok

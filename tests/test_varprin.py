@@ -51,7 +51,7 @@ def test_witness_negativity_frozen():
     assert ray_decays(s, mu, w)
 
 
-def test_witness_non_invariance_frozen():
+def test_witness_non_invariance_frozen(large_pool):
     s = cycle3()
     mu = functional(s, np.array([1.0, 0.0, 0.0]))
     w = divergence_witness(s, mu)
@@ -60,6 +60,22 @@ def test_witness_non_invariance_frozen():
     assert w.rate == pytest.approx(1.0)
     assert np.allclose(w.direction, [1.0, -1.0, 0.0], atol=0)
     assert ray_decays(s, mu, w)
+    gen = np.random.default_rng(3)
+    for s in large_pool:
+        weights = np.zeros(s.n)
+        weights[s.supported_indices] = gen.dirichlet(np.ones(s.supported_indices.size))
+        mu = functional(s, weights)
+        # per-atom oracle: defect mu(preimage of y) - mu(y) and its ray
+        v = np.array([weights[s.alpha == y].sum() - weights[y] for y in range(s.n)])
+        at = max(range(s.n), key=lambda y: (abs(v[y]), v[y], -y))
+        ray = np.array([float(s.alpha[x] == at) for x in range(s.n)])
+        ray[at] -= 1.0
+        w = divergence_witness(s, mu)
+        assert w.defect == NON_INVARIANCE
+        assert w.atom == at
+        assert w.rate == pytest.approx(abs(v[at]), rel=1e-12)
+        assert np.array_equal(w.direction, np.sign(v[at]) * ray)
+        assert ray_decays(s, mu, w)
 
 
 def test_witness_normalization_frozen():
