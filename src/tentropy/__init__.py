@@ -80,6 +80,8 @@ from .system import (
     alpha_power,
     atomic_partition,
     birkhoff,
+    cycle_means,
+    cycle_measure,
     effective_weights,
     functional,
     invariant_vertices,

@@ -29,8 +29,8 @@ from .system import (
     alpha_power,
     atomic_partition,
     birkhoff,
+    cycle_means,
     effective_weights,
-    invariant_vertices,
     is_invariant,
     pair,
     preimage_mass,
@@ -357,20 +357,27 @@ def _dual_descent(system: FiniteSystem, mu: Functional, iters: int = 500) -> flo
     Positive homogeneity means one strictly negative value certifies
     divergence, in which case a far scaled-out value is returned;
     otherwise this is a best-effort probe of the infimum.
+
+    lambda(phi) is the largest of the cycle means of phi, and the
+    subgradient averages the uniform measures of the tied cycles, so a
+    step costs O(cycle atoms + N) and no vertex is ever written out
+    over all N atoms.
     """
     w = effective_weights(system, mu)
-    vmat = np.stack([v.weights for v in invariant_vertices(system)])
     phi = np.zeros(system.n)
     best = 0.0
     for k in range(iters):
-        vals = vmat @ phi
+        vals = cycle_means(system, phi)
         lam = float(vals.max())
         h = lam - float(w @ phi)
         best = min(best, h)
         if h < -1e-9:
             return min(best, h * 2e12)
         tied = vals >= lam - 1e-12
-        grad = vmat[tied].mean(axis=0) - w
+        count = int(tied.sum())
+        grad = -w
+        for pos, rows in system.cycle_groups:
+            grad[rows[tied[pos]]] += (1.0 / rows.shape[1]) / count
         phi = phi - grad / (k + 1.0)
     return best
 
@@ -393,9 +400,10 @@ def tau_dual(
         witness = None
     if witness is None:
         w = effective_weights(system, mu)
+        means = cycle_means(system, w)
         rebuilt = np.zeros(system.n)
-        for idx in system.supported_cycle_arrays:
-            rebuilt[idx] = w[idx].sum() / idx.size
+        for pos, rows in system.cycle_groups:
+            rebuilt[rows] = means[pos, None]
         residual = float(np.max(np.abs(w - rebuilt)))
         if residual > 1e-9:
             raise RuntimeError(

@@ -44,11 +44,20 @@ def _read_json(path):
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_number_array(data) -> bool:
+    """True for a JSON array of numbers; strings and booleans do not count."""
+    return isinstance(data, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+    )
+
+
 def _as_float_array(data, n: int, what: str) -> np.ndarray:
+    if not _is_number_array(data):
+        raise FormatError(f"{what} must be an array of numbers")
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what} must be an array of numbers") from exc
+        arr = np.array(data, dtype=float)
+    except OverflowError as exc:
+        raise FormatError(f"{what} entries must be finite numbers") from exc
     if arr.shape != (n,):
         raise FormatError(f"{what} must have exactly {n} entries")
     if not np.all(np.isfinite(arr)):
@@ -80,9 +89,11 @@ def load_system(path) -> FiniteSystem:
         isinstance(k, int) and not isinstance(k, bool) for k in raw_map
     ):
         raise FormatError('"map" must be an array of integer atom indices')
+    if not _is_number_array(obj["measure"]):
+        raise FormatError('"measure" must be an array of numbers')
     try:
         return make_system(obj["measure"], raw_map, atoms=atoms)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad system data: {exc}") from exc
 
 

@@ -16,8 +16,8 @@ from .system import (
     PartitionOfUnity,
     effective_weights,
     functional,
-    invariant_vertices,
     make_system,
+    require_valid,
 )
 
 
@@ -63,11 +63,11 @@ def random_unit_function(rng, system: FiniteSystem) -> L1Vector:
 
 def random_invariant(rng, system: FiniteSystem) -> Functional:
     """A point of the invariant polytope, Dirichlet-mixed over its vertices."""
-    verts = invariant_vertices(system)
-    coef = rng.dirichlet(np.ones(len(verts)))
+    require_valid(system)
+    coef = rng.dirichlet(np.ones(len(system.supported_cycle_arrays)))
     weights = np.zeros(system.n)
-    for c, vert in zip(coef, verts):
-        weights += c * vert.weights
+    for pos, rows in system.cycle_groups:
+        weights[rows] = coef[pos, None] * (1.0 / rows.shape[1])
     return functional(system, weights)
 
 

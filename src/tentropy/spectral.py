@@ -10,6 +10,8 @@ All norms are handled in log space so that potentials of size 10 and horizons
 in the hundreds stay finite.  A direct norm is one call to
 ``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
 pushes the e^(Birkhoff sum)-weighted masses forward along alpha^n in linear time.
+The spectral potential itself is the largest of ``system.cycle_means``, one
+gather over the cycle atoms per distinct cycle length.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .system import (
     FiniteSystem,
     alpha_power,
     birkhoff,
+    cycle_means,
     log_preimage_mass,
     require_valid,
     restrict_to_support,
@@ -143,22 +146,13 @@ class SpectralResult:
 def log_spectral_radius(system: FiniteSystem, phi) -> float:
     """Spectral potential: the best average of phi over supported cycles."""
     require_valid(system)
-    phi = np.asarray(phi, dtype=float)
-    best = -np.inf
-    for idx in system.supported_cycle_arrays:
-        best = max(best, float(phi[idx].mean()))
-    return best
+    return float(cycle_means(system, phi).max())
 
 
 def log_spectral_radius_batch(system: FiniteSystem, phis: np.ndarray) -> np.ndarray:
     """Spectral potential of each row of a (k, n_atoms) array of potentials."""
     require_valid(system)
-    phis = np.asarray(phis, dtype=float)
-    means = np.stack(
-        [phis[:, idx].mean(axis=1) for idx in system.supported_cycle_arrays],
-        axis=1,
-    )
-    return means.max(axis=1)
+    return cycle_means(system, phis).max(axis=1)
 
 
 def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralResult:
@@ -171,12 +165,10 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    value = log_spectral_radius(system, phi)
-    best_cycle: tuple[int, ...] = ()
-    for idx in system.supported_cycle_arrays:
-        if abs(float(phi[idx].mean()) - value) <= 1e-12:
-            best_cycle = tuple(int(i) for i in idx)
-            break
+    means = cycle_means(system, phi)
+    value = float(means.max())
+    first = int(np.argmax(means >= value - 1e-12))
+    best_cycle = tuple(int(i) for i in system.supported_cycle_arrays[first])
 
     seq = np.empty(n_max)
     s = phi.astype(float, copy=True)

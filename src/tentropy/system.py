@@ -52,7 +52,11 @@ class FiniteSystem:
             raise ValueError("a system needs at least one atom")
         if not np.all(np.isfinite(m)) or m.min() < 0.0:
             raise ValueError("masses must be finite and nonnegative")
-        if m.sum() <= 0.0:
+        with np.errstate(over="ignore"):
+            total = m.sum()
+        if not np.isfinite(total):
+            raise ValueError("total mass must be finite")
+        if total <= 0.0:
             raise ValueError("total mass must be positive")
         if alpha.min() < 0 or alpha.max() >= n:
             raise ValueError("map indices out of range")
@@ -92,6 +96,23 @@ class FiniteSystem:
             _frozen(c, dtype=np.intp)
             for c, ok in zip(dec.cycles, dec.supported)
             if ok
+        )
+
+    @cached_property
+    def cycle_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Supported cycles grouped by length, shortest first.
+
+        Each group is a pair: the positions of its cycles in
+        ``supported_cycle_arrays`` and a (cycles, length) matrix whose rows
+        are those cycles' atoms.
+        """
+        arrays = self.supported_cycle_arrays
+        by_size: dict[int, list[int]] = {}
+        for i, c in enumerate(arrays):
+            by_size.setdefault(c.size, []).append(i)
+        return tuple(
+            (_frozen(pos, dtype=np.intp), _frozen([arrays[i] for i in pos], dtype=np.intp))
+            for _, pos in sorted(by_size.items())
         )
 
     @cached_property
@@ -325,15 +346,34 @@ def is_invariant(system: FiniteSystem, mu: Functional) -> tuple[bool, float]:
     return ok, worst
 
 
+def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
+    """Mean of phi over each supported cycle, in ``supported_cycle_arrays`` order.
+
+    ``phi`` is one potential or a (k, n_atoms) batch; the means fill the
+    last axis.  Pairing phi with a vertex of the invariant polytope is one
+    such mean, so this costs one gather over the cycle atoms per distinct
+    cycle length.  Each mean adds its cycle's terms in the order of
+    ``phi[idx].mean()`` (``phis[:, idx].mean(axis=1)`` for a batch) and
+    gives the same bits.
+    """
+    phi = np.asarray(phi, dtype=float)
+    out = np.empty(phi.shape[:-1] + (len(system.supported_cycle_arrays),))
+    for pos, rows in system.cycle_groups:
+        out[..., pos] = phi[..., rows].sum(axis=-1) / rows.shape[1]
+    return out
+
+
+def cycle_measure(system: FiniteSystem, idx) -> Functional:
+    """Uniform probability functional on the atoms of one cycle."""
+    w = np.zeros(system.n)
+    w[idx] = 1.0 / len(idx)
+    return Functional(w, ESSENTIAL)
+
+
 def invariant_vertices(system: FiniteSystem) -> list[Functional]:
     """Uniform measures on supported cycles: the extreme invariant functionals."""
     require_valid(system)
-    verts = []
-    for idx in system.supported_cycle_arrays:
-        w = np.zeros(system.n)
-        w[idx] = 1.0 / idx.size
-        verts.append(Functional(w, ESSENTIAL))
-    return verts
+    return [cycle_measure(system, idx) for idx in system.supported_cycle_arrays]
 
 
 def restrict_to_support(system: FiniteSystem) -> FiniteSystem:

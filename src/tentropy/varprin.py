@@ -21,8 +21,9 @@ from .system import (
     FiniteSystem,
     Functional,
     PartitionOfUnity,
+    cycle_means,
+    cycle_measure,
     effective_weights,
-    invariant_vertices,
     is_invariant,
     pair,
     preimage_mass,
@@ -166,10 +167,12 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
 
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    verts = invariant_vertices(system)
-    vals = np.array([pair(system, v, phi) for v in verts])
+    vals = cycle_means(system, phi)
     top = float(vals.max())
-    face = tuple(v for v, val in zip(verts, vals) if val >= top - 1e-12)
+    cycles = system.supported_cycle_arrays
+    face = tuple(
+        cycle_measure(system, cycles[i]) for i in np.flatnonzero(vals >= top - 1e-12)
+    )
     maximizer = face[0]
     tau = tau_dual(system, maximizer, cross_check=False).value
     lam = log_spectral_radius(system, phi)

@@ -1,6 +1,7 @@
 """Inner maximization, t-entropy routes, and the near-minimizing potential."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from tentropy.entropy import (
 )
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import (
+    perturbed_invariant,
+    random_functional,
     random_invariant,
     random_partition,
     random_potential,
@@ -33,7 +36,10 @@ from tentropy.system import (
     FULL,
     atomic_partition,
     birkhoff,
+    effective_weights,
     functional,
+    invariant_vertices,
+    make_system,
     pair,
     trivial_partition,
 )
@@ -203,7 +209,25 @@ def test_tau_direct_diverges_on_null_charge():
     assert r.value == -np.inf
 
 
-def test_tau_dual_dichotomy_and_witnesses():
+def dense_descent(system, mu, iters=500):
+    """Reference descent on the dense (cycles, atoms) matrix of vertices."""
+    w = effective_weights(system, mu)
+    vmat = np.stack([v.weights for v in invariant_vertices(system)])
+    phi = np.zeros(system.n)
+    best = 0.0
+    for k in range(iters):
+        vals = vmat @ phi
+        lam = float(vals.max())
+        h = lam - float(w @ phi)
+        best = min(best, h)
+        if h < -1e-9:
+            return min(best, h * 2e12)
+        tied = vals >= lam - 1e-12
+        phi = phi - (vmat[tied].mean(axis=0) - w) / (k + 1.0)
+    return best
+
+
+def test_tau_dual_dichotomy_and_witnesses(system_pool, large_pool):
     s = cycle3()
     hull = functional(s, np.full(3, 1 / 3))
     r0 = tau_dual(s, hull)
@@ -216,6 +240,43 @@ def test_tau_dual_dichotomy_and_witnesses():
     assert r1.value == -np.inf
     assert r1.divergence is not None
     assert r1.descent_best is not None and r1.descent_best < -1e3
+
+    gen = np.random.default_rng(41)
+    for s in system_pool + large_pool:
+        for draw in (random_invariant, perturbed_invariant, random_functional):
+            mu = draw(gen, s)
+            ref = dense_descent(s, mu)
+            got = tau_dual(s, mu).descent_best
+            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+            assert (got < -1e-9) == (ref < -1e-9)
+
+
+def test_tau_dual_builds_no_dense_vertex_matrix():
+    """The descent cross-check stays far below one cycles x atoms array."""
+    gen = np.random.default_rng(8)
+    n, count = 4000, 300
+    lengths = gen.integers(1, 9, size=count)
+    order = gen.permutation(n)
+    on = int(lengths.sum())
+    alpha = np.empty(n, dtype=np.intp)
+    start = 0
+    for size in lengths:
+        cyc = order[start : start + size]
+        alpha[cyc] = np.roll(cyc, -1)
+        start += size
+    for i in range(on, n):
+        alpha[order[i]] = order[gen.integers(0, i)]
+    s = make_system(gen.uniform(0.5, 2.0, n), alpha)
+    assert len(s.supported_cycle_arrays) == count
+    mu = random_invariant(gen, s)
+    tracemalloc.start()
+    try:
+        r = tau_dual(s, mu, cross_check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.value == 0.0
+    assert peak < count * n * 8 / 4
 
 
 def test_tau_dual_vertex_mixtures_are_zero():

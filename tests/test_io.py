@@ -55,6 +55,13 @@ def test_load_system_rejects_malformed(tmp_path):
         '{"measure": [1, 1], "map": [0, true]}',
         '{"measure": [1, "x"], "map": [0, 1]}',
         '{"measure": [-1, 1], "map": [0, 1]}',
+        '{"measure": ["1", "2"], "map": [0, 1]}',
+        '{"measure": [true, 1], "map": [0, 1]}',
+        '{"measure": 2, "map": [0, 1]}',
+        '{"measure": [[1], [1]], "map": [0, 1]}',
+        '{"measure": [1e308, 1e308], "map": [0, 1]}',
+        '{"measure": [1e400, 1], "map": [0, 1]}',
+        '{"measure": [1, 1], "map": [0, 100000000000000000000000000000]}',
         '{"measure": [1, 1], "map": [0, 1], "atoms": ["a"]}',
         '{"measure": [1, 1], "map": [0, 1], "atoms": ["a", "a"]}',
     ]
@@ -79,9 +86,10 @@ def test_potential_round_trip(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(FormatError):
         load_potential(p, s)
-    p.write_text('[1, 2, "Infinity"]')
-    with pytest.raises(FormatError):
-        load_potential(p, s)
+    for text in ('[1, 2, "Infinity"]', '[1, 2, "3"]', "[1, true, 0]", "[1, 2, 1e400]"):
+        p.write_text(text)
+        with pytest.raises(FormatError):
+            load_potential(p, s)
 
 
 def test_functional_round_trip_both_modes(tmp_path):
@@ -113,6 +121,10 @@ def test_load_functional_rejects_unknown_mode(tmp_path):
     p.write_text('{"mode": "full"}')
     with pytest.raises(FormatError):
         load_functional(p, s)
+    for text in ('["1", 0, 0]', "[false, 1, 0]", '{"weights": [1, 0, null]}'):
+        p.write_text(text)
+        with pytest.raises(FormatError):
+            load_functional(p, s)
 
 
 def test_partition_round_trip(tmp_path, rng):
@@ -126,6 +138,9 @@ def test_partition_round_trip(tmp_path, rng):
     with pytest.raises(FormatError):
         load_partition(p, s)
     p.write_text("[]")
+    with pytest.raises(FormatError):
+        load_partition(p, s)
+    p.write_text('[["0.5", 0.5, 1], [0.5, 0.5, 0]]')
     with pytest.raises(FormatError):
         load_partition(p, s)
 

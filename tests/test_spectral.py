@@ -24,7 +24,7 @@ from tentropy.spectral import (
     property_residuals,
     spectral_potential,
 )
-from tentropy.system import alpha_power, birkhoff, make_system
+from tentropy.system import alpha_power, birkhoff, cycle_means, make_system
 
 LN2 = math.log(2.0)
 
@@ -164,10 +164,13 @@ def test_log_spectral_radius_constant_potential(any_system):
         assert got == pytest.approx(c, abs=1e-12)
 
 
-def test_log_spectral_radius_is_max_cycle_mean(system_pool, potential_pool):
+def test_log_spectral_radius_is_max_cycle_mean(system_pool, potential_pool, large_pool):
     """Oracle: enumerate supported cycles directly and average the
-    potential along each one."""
-    for s, phi in zip(system_pool, potential_pool):
+    potential along each one.  cycle_means gives the bits of the
+    per-cycle numpy mean."""
+    gen = np.random.default_rng(17)
+    large_phis = [random_potential(gen, s) for s in large_pool]
+    for s, phi in zip(system_pool + large_pool, potential_pool + large_phis):
         dec = s.decomposition
         means = [
             sum(phi[a] for a in cyc) / len(cyc)
@@ -175,6 +178,8 @@ def test_log_spectral_radius_is_max_cycle_mean(system_pool, potential_pool):
             if ok
         ]
         assert log_spectral_radius(s, phi) == pytest.approx(max(means), abs=1e-12)
+        exact = [phi[idx].mean() for idx in s.supported_cycle_arrays]
+        assert np.array_equal(cycle_means(s, phi), exact)
 
 
 def test_spectral_potential_sequence_approaches_from_above(system_pool):
@@ -187,13 +192,17 @@ def test_spectral_potential_sequence_approaches_from_above(system_pool):
         assert np.all(seq >= r.value - 1e-9), "Gelfand sequence dipped below limit"
 
 
-def test_batch_matches_scalar(system_pool):
+def test_batch_matches_scalar(system_pool, large_pool):
     gen = np.random.default_rng(29)
-    for s in system_pool[:6]:
+    for s in system_pool[:6] + large_pool:
         phis = gen.uniform(-3, 3, size=(40, s.n))
         batch = log_spectral_radius_batch(s, phis)
         single = np.array([log_spectral_radius(s, p) for p in phis])
         assert np.allclose(batch, single, atol=1e-12)
+        exact = np.stack(
+            [phis[:, idx].mean(axis=1) for idx in s.supported_cycle_arrays], axis=1
+        )
+        assert np.array_equal(cycle_means(s, phis), exact)
 
 
 def test_power_system_frozen_examples():

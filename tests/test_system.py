@@ -72,6 +72,9 @@ def test_make_system_rejects_bad_input():
         make_system([1.0, 1.0], [0, 1], atoms=["a", "a"])
     with pytest.raises(ValueError):
         make_system([np.inf, 1.0], [0, 1])
+    # finite masses whose total overflows, rejected without a RuntimeWarning
+    with pytest.raises(ValueError):
+        make_system([1e308, 1e308], [0, 1])
 
 
 def preimage_reference(system, w):
@@ -266,11 +269,18 @@ def test_is_invariant_reports_worst_atom(large_pool):
 
 def test_random_invariant_is_invariant(system_pool, large_pool):
     gen = np.random.default_rng(5)
+    ref_gen = np.random.default_rng(5)
     for s in system_pool + large_pool:
         mu = random_invariant(gen, s)
         ok, _ = is_invariant(s, mu)
         assert ok
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        # reference: the same Dirichlet draw summed over the vertices
+        verts = invariant_vertices(s)
+        ref = np.zeros(s.n)
+        for c, v in zip(ref_gen.dirichlet(np.ones(len(verts))), verts):
+            ref += c * v.weights
+        assert np.array_equal(mu.weights, functional(s, ref).weights)
 
 
 def test_functional_modes_and_pair():
