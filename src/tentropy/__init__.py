@@ -60,6 +60,7 @@ from .spectral import (
     l1_vector,
     log_spectral_radius,
     log_spectral_radius_batch,
+    norm_log_sequence,
     op_norm,
     op_norm_log,
     op_norm_log_pow,
@@ -88,6 +89,7 @@ from .system import (
     is_invariant,
     log_preimage_mass,
     make_system,
+    orbit_sums,
     pair,
     preimage_mass,
     require_valid,

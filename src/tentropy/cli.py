@@ -61,6 +61,12 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _parse_n_max(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"n-max must be a positive integer: {text!r}")
+    return int(text)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-max", type=int, default=12, dest="n_max")
+    common.add_argument("--n-max", type=_parse_n_max, default=12, dest="n_max")
     common.add_argument(
         "--eps", type=_parse_eps, default=(1.0, 0.5, 0.1), metavar="E1,E2,..."
     )
@@ -245,7 +251,7 @@ def cmd_tau(args) -> int:
     if args.route in ("direct", "both"):
         try:
             direct = tau_direct(
-                system, mu, n_max=max(1, min(args.n_max, 12)), seed=seed
+                system, mu, n_max=min(args.n_max, 12), seed=seed
             )
         except ValueError as exc:
             if args.route == "direct":
@@ -327,17 +333,15 @@ def cmd_certify(args) -> int:
         suite=args.suite,
         system_label=args.system,
     )
-    checks, summary = run_suite(system, args.suite, cfg)
     config = _config(
         args,
         "certify",
         seed,
         {"system": args.system, "suite": args.suite, "draws": cfg.draws},
     )
-    report = _assemble(config, checks)
-    report["summary"] = summary
+    report = _assemble(config, run_suite(system, args.suite, cfg))
     _emit(report, args)
-    return 0 if summary["failed"] == 0 else 3
+    return 0 if report["summary"]["failed"] == 0 else 3
 
 
 def cmd_random_systems(args) -> int:

@@ -17,7 +17,7 @@ systems leaves only the values 0 and -inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +96,25 @@ def inner_problem(
     )
 
 
+def _active_rows(problem: InnerProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of c and weights of the members that mu charges."""
+    active = problem.mu_weights > 0.0
+    return problem.c[active], problem.mu_weights[active]
+
+
+def _ratio_field(ca: np.ndarray, wa: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Optimality ratio field sum_g mu[g] c[g, .] / (c q)_g over charged rows."""
+    return (wa / (ca @ q)) @ ca
+
+
+def _objective(ca: np.ndarray, wa: np.ndarray, q: np.ndarray) -> float:
+    """Inner objective over charged rows, -inf once a member integral vanishes."""
+    cq = ca @ q
+    if cq.size and cq.min() <= 0.0:
+        return -np.inf
+    return float(wa @ np.log(cq / wa))
+
+
 def maximize_inner(
     problem: InnerProblem, tol: float = 1e-8, max_iter: int = 200000
 ) -> InnerSolution:
@@ -111,26 +130,17 @@ def maximize_inner(
     point alone and does not depend on the path taken.
     """
     c = problem.c
-    w = problem.mu_weights
-    active = w > 0.0
     s = c.shape[1]
     p = np.full(s, 1.0 / s)
-    if not active.any():
+    ca, wa = _active_rows(problem)
+    if not wa.size:
         return InnerSolution(0.0, p, c @ p, 0.0, 0)
-    ca = c[active]
-    wa = w[active]
     if np.any(ca.sum(axis=1) == 0.0):
         return InnerSolution(-np.inf, None, None, 0.0, 0)
     total = wa.sum()
 
-    def objective(q):
-        cq = ca @ q
-        if cq.min() <= 0.0:
-            return -np.inf
-        return float(wa @ np.log(cq / wa))
-
     def step(q):
-        q = q * ((wa / (ca @ q)) @ ca)
+        q = q * _ratio_field(ca, wa, q)
         return q / q.sum()
 
     def polish(q, ratio):
@@ -155,14 +165,14 @@ def maximize_inner(
             if cand.min() <= 0.0:
                 continue
             cand = cand / cand.sum()
-            new_ratio = (wa / (ca @ cand)) @ ca
+            new_ratio = _ratio_field(ca, wa, cand)
             if new_ratio.max() < ratio.max():
                 return cand, new_ratio, True
         return q, ratio, False
 
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        ratio = (wa / (ca @ p)) @ ca
+        ratio = _ratio_field(ca, wa, p)
         if total * np.log(ratio.max() / total) <= tol:
             break
         if total * np.log(ratio.max() / total) <= 1e-2:
@@ -181,26 +191,19 @@ def maximize_inner(
             alpha = -np.sqrt(float(r @ r) / vv)
             cand = np.maximum(p - 2.0 * alpha * r + alpha * alpha * v, 1e-16)
             cand /= cand.sum()
-            if objective(cand) >= objective(p2):
+            if _objective(ca, wa, cand) >= _objective(ca, wa, p2):
                 p2 = cand
         p = p2
     cp = ca @ p
     if not np.all(np.isfinite(cp)) or cp.min() <= 0.0:
         raise RuntimeError("inner ascent lost positivity")
-    gap = float(total * np.log(((wa / cp) @ ca).max() / total))
-    value = float(wa @ np.log(cp / wa))
-    return InnerSolution(value, p, c @ p, gap, iterations)
+    gap = float(total * np.log(_ratio_field(ca, wa, p).max() / total))
+    return InnerSolution(_objective(ca, wa, p), p, c @ p, gap, iterations)
 
 
 def inner_objective(problem: InnerProblem, p) -> float:
     """Value of the concave inner objective at an arbitrary simplex point."""
-    p = np.asarray(p, dtype=float)
-    active = problem.mu_weights > 0.0
-    wa = problem.mu_weights[active]
-    cp = problem.c[active] @ p
-    if np.any(cp <= 0.0):
-        return -np.inf
-    return float(wa @ np.log(cp / wa))
+    return _objective(*_active_rows(problem), np.asarray(p, dtype=float))
 
 
 def certificate_sup(
@@ -214,13 +217,11 @@ def certificate_sup(
     """
     if solution.p_star is None:
         raise ValueError("certificate undefined for a divergent problem")
-    active = problem.mu_weights > 0.0
-    if not active.any():
+    ca, wa = _active_rows(problem)
+    if not wa.size:
         return 1.0
-    ca = problem.c[active]
-    wa = problem.mu_weights[active]
     p = solution.p_star
-    ratio = (wa / (ca @ p)) @ ca
+    ratio = _ratio_field(ca, wa, p)
     mean = float(p @ ratio)
     if abs(mean - wa.sum()) > 1e-9:
         raise RuntimeError("ratio field lost its normalization identity")
@@ -255,20 +256,12 @@ def oscillation_partition(
     """
     if width <= 0.0:
         raise ValueError("bucket width must be positive")
-    s = birkhoff(system, phi, n)
-    buckets: dict[int, list[int]] = {}
-    for x in system.supported_indices:
-        buckets.setdefault(int(np.floor(s[x] / width)), []).append(int(x))
-    rows = []
-    for key in sorted(buckets):
-        row = np.zeros(system.n)
-        row[buckets[key]] = 1.0
-        rows.append(row)
+    level = np.floor(birkhoff(system, phi, n) / width)
+    keys = sorted(set(level[system.support].tolist()))
+    rows = [system.support & (level == key) for key in keys]
     if not bool(system.support.all()):
-        row = np.zeros(system.n)
-        row[~system.support] = 1.0
-        rows.append(row)
-    return PartitionOfUnity(np.array(rows))
+        rows.append(~system.support)
+    return PartitionOfUnity(np.array(rows, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +299,8 @@ def tau_direct(
     never below the infimum over the candidate set.
     """
     require_valid(system)
+    if n_max < 1:
+        raise ValueError("need at least one horizon")
     known = {"atomic", "trivial", "oscillation", "random"}
     bad = set(strategies) - known
     if bad:
@@ -425,13 +420,7 @@ def tau_dual(
             raise RuntimeError(
                 "descent found a negative variational value for a hull point"
             )
-        result = TauResult(
-            value=result.value,
-            route=result.route,
-            dual_witness=result.dual_witness,
-            divergence=result.divergence,
-            descent_best=best,
-        )
+        result = replace(result, descent_best=best)
     return result
 
 
@@ -511,8 +500,6 @@ def near_minimizer_bounds(
     eps: float,
 ) -> NearMinimizerBounds:
     solution = tau_n(system, mu, partition, n, tol=1e-9)
-    if solution.p_star is None or solution.value == -np.inf:
-        raise ValueError("near-minimizer needs a finite inner value")
     phi = near_minimizer(system, mu, partition, n, eps, solution=solution)
     growth = eps * op_norm(system, np.zeros(system.n), n) - n * log_spectral_radius(
         system, phi

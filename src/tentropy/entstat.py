@@ -7,7 +7,9 @@ when tau diverges).  The atoms whose horizon-n empirical measures land in
 O(mu) form the hitting set X_n, and the mass that X_n contributes to n-step
 preimages obeys an exponential bound with the t-entropy in the exponent.
 Everything here is exact enumeration; the only analytic input is the growth
-constant of the shift norms.
+constant of the shift norms.  Horizon sweeps (the growth constant and the
+estimate grid) read one ``system.orbit_sums`` walk, and the grid comes back
+as one NumPy record (structured) array with a row per (horizon, atom).
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import tau_dual
-from .spectral import log_spectral_radius, op_norm_log
+# op_norm_log is no longer called here; it stays bound in this module
+# because perfbench's tracer test checks that tracing rebinds it here too.
+from .spectral import log_spectral_radius, norm_log_sequence, op_norm_log  # noqa: F401
 from .system import (
     FULL,
     FiniteSystem,
     Functional,
     alpha_power,
     birkhoff,
+    orbit_sums,
     pair,
     preimage_mass,
     require_valid,
@@ -98,16 +103,12 @@ def build_neighborhood(
     else:
         target = -1.0 / eps - eps / 2.0
         direction = res.divergence.direction
-        phi = None
         for t in _T_GRID + _T_RETRY:
-            cand = t * direction
-            if log_spectral_radius(system, cand) - pair(system, mu, cand) < target:
-                phi = cand
+            phi = t * direction
+            if log_spectral_radius(system, phi) - pair(system, mu, phi) < target:
                 break
-        if phi is None:
-            raise RuntimeError(
-                "no tested ray scale reached the divergent threshold"
-            )
+        else:
+            raise RuntimeError("no tested ray scale reached the divergent threshold")
         nbhd = HalfspaceNeighborhood(
             phi=phi,
             lambda_phi=log_spectral_radius(system, phi),
@@ -119,16 +120,23 @@ def build_neighborhood(
     return nbhd
 
 
+def _hitting_mass(system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int, s, an):
+    """Hitting set X_n for the walk item (n, s, an) of the neighborhood
+    potential, and the mass of X_n in the n-step preimage of each supported
+    atom relative to that atom's mass."""
+    hits = np.flatnonzero(s > n * (nbhd.lambda_phi - nbhd.threshold))
+    mass = preimage_mass(system, system.m[hits], an[hits])
+    sup = system.supported_indices
+    return hits, mass[sup] / system.m[sup]
+
+
 def hitting_set(
     system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int
 ) -> np.ndarray:
     """Atoms whose n-step Birkhoff sum of the neighborhood potential clears
     the halfspace cut, i.e. whose empirical measures land in the neighborhood."""
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
     s = birkhoff(system, nbhd.phi, n)
-    cutoff = n * (nbhd.lambda_phi - nbhd.threshold)
-    return np.flatnonzero(s > cutoff)
+    return _hitting_mass(system, nbhd, n, s, alpha_power(system, n))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +166,8 @@ def growth_constant(
     phi = np.asarray(phi, dtype=float)
     lam = log_spectral_radius(system, phi)
     for horizon in (n_max, 2 * n_max):
-        log_ratios = np.array(
-            [
-                op_norm_log(system, phi, n) - n * (lam + eps / 2.0)
-                for n in range(1, horizon + 1)
-            ]
-        )
+        n = np.arange(1, horizon + 1)
+        log_ratios = norm_log_sequence(system, phi, horizon) - n * (lam + eps / 2.0)
         tail = log_ratios[-5:]
         settled = bool(np.all(np.diff(tail) <= 1e-12)) or bool(
             tail.max() <= log_ratios[:-5].max() + 1e-12
@@ -180,27 +184,19 @@ def growth_constant(
 
 
 @dataclass(frozen=True, eq=False)
-class EstimateRow:
-    n: int
-    atom: int
-    lhs: float
-    rhs: float
-    ratio: float
-    x_n_size: int
-
-
-@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Grid verification of the hitting-mass bound.
 
+    rows is a record array (n, atom, lhs, rhs, ratio, x_n_size) with one
+    record per horizon in n_range order, then per supported atom.
     branch is "finite" for polytope members (exponent tau + eps) and
     "divergent" otherwise (exponent -1/eps).  all_hold asserts every row
     satisfied lhs <= rhs up to a 1e-9 relative allowance.
     """
 
-    rows: tuple[EstimateRow, ...]
+    rows: np.ndarray
     worst_ratio: float
-    worst_at: tuple[int, int] | None
+    worst_at: tuple[int, int]
     all_hold: bool
     c: GrowthConstant
     branch: str
@@ -211,9 +207,11 @@ def estimate_lhs(
     system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int, y: int
 ) -> float:
     """Relative mass that the hitting set drops on the n-step preimage of y."""
-    hits = hitting_set(system, nbhd, n)
-    mass = preimage_mass(system, system.m[hits], alpha_power(system, n)[hits])
-    return float(mass[y] / system.m[y])
+    if not (0 <= y < system.n and system.support[y]):
+        raise ValueError("target atom must be a supported atom")
+    s = birkhoff(system, nbhd.phi, n)
+    _, rel = _hitting_mass(system, nbhd, n, s, alpha_power(system, n))
+    return float(rel[np.searchsorted(system.supported_indices, y)])
 
 
 def estimate_lhs_general(
@@ -222,6 +220,8 @@ def estimate_lhs_general(
     """Hitting-set integral of |f o alpha^n|, the quantity the atomwise rows
     dominate: for unit-norm f it never exceeds the largest row lhs."""
     f = np.asarray(f, dtype=float)
+    if f.shape != (system.n,):
+        raise ValueError("f needs one value per atom")
     hits = hitting_set(system, nbhd, n)
     an = alpha_power(system, n)
     return float(np.abs(f[an[hits]]) @ system.m[hits])
@@ -233,41 +233,34 @@ def verify_estimate(
     eps: float,
     n_range=range(1, 13),
 ) -> EstimateReport:
-    """Check the hitting-mass estimate on the full (horizon, atom) grid."""
+    """Check the hitting-mass estimate on the full (horizon, atom) grid,
+    read from one orbit walk up to the largest horizon."""
+    horizons = np.array(n_range, dtype=np.intp)
+    if horizons.size == 0 or horizons.min() < 1:
+        raise ValueError("n_range must list horizons, each at least 1")
     nbhd = build_neighborhood(system, mu, eps)
-    n_top = max(n_range)
+    n_top = int(horizons.max())
     c = growth_constant(system, nbhd.phi, eps, n_max=max(16, n_top))
     divergent = nbhd.tau_value == -np.inf
     rate = (-1.0 / eps) if divergent else (nbhd.tau_value + eps)
-    rows = []
-    worst = (-np.inf, None)
-    all_hold = True
+    walk = orbit_sums(system, nbhd.phi, n_top)
+    cells = [_hitting_mass(system, nbhd, *item) for item in walk]
+    hit_sets, rels = zip(*(cells[n - 1] for n in horizons))
     sup = system.supported_indices
-    for n in n_range:
-        hits = hitting_set(system, nbhd, n)
-        mass = preimage_mass(system, system.m[hits], alpha_power(system, n)[hits])
-        rhs = float(np.exp(c.log_value + n * rate))
-        for y, lhs in zip(sup, (mass[sup] / system.m[sup]).tolist()):
-            if lhs > rhs * (1.0 + 1e-9):
-                all_hold = False
-            ratio = lhs / rhs
-            if ratio > worst[0]:
-                worst = (ratio, (n, int(y)))
-            rows.append(
-                EstimateRow(
-                    n=n,
-                    atom=int(y),
-                    lhs=lhs,
-                    rhs=rhs,
-                    ratio=ratio,
-                    x_n_size=int(hits.size),
-                )
-            )
+    n = np.repeat(horizons, sup.size)
+    lhs = np.concatenate(rels)
+    rhs = np.exp(c.log_value + n * rate)
+    x_n_size = np.repeat([hits.size for hits in hit_sets], sup.size)
+    rows = np.rec.fromarrays(
+        [n, np.tile(sup, horizons.size), lhs, rhs, lhs / rhs, x_n_size],
+        names="n,atom,lhs,rhs,ratio,x_n_size",
+    )
+    worst = int(np.argmax(rows.ratio))
     return EstimateReport(
-        rows=tuple(rows),
-        worst_ratio=float(worst[0]),
-        worst_at=worst[1],
-        all_hold=all_hold,
+        rows=rows,
+        worst_ratio=float(rows.ratio[worst]),
+        worst_at=(int(n[worst]), int(rows.atom[worst])),
+        all_hold=bool(np.all(lhs <= rhs * (1.0 + 1e-9))),
         c=c,
         branch="divergent" if divergent else "finite",
         neighborhood=nbhd,

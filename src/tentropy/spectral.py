@@ -10,6 +10,8 @@ All norms are handled in log space so that potentials of size 10 and horizons
 in the hundreds stay finite.  A direct norm is one call to
 ``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
 pushes the e^(Birkhoff sum)-weighted masses forward along alpha^n in linear time.
+``norm_log_sequence`` gives the norms at every horizon up to n_max from one
+``system.orbit_sums`` walk, at one map step per horizon.
 The spectral potential itself is the largest of ``system.cycle_means``, one
 gather over the cycle atoms per distinct cycle length.
 """
@@ -26,6 +28,7 @@ from .system import (
     birkhoff,
     cycle_means,
     log_preimage_mass,
+    orbit_sums,
     require_valid,
     restrict_to_support,
 )
@@ -93,6 +96,13 @@ def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray) -> float:
     sup = system.supported_indices
     mass = log_preimage_mass(system, s + system.log_m, an)
     return float(np.max(mass[sup] - system.log_m[sup]))
+
+
+def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:
+    """``op_norm_log`` at n = 1..n_max, with its bits, from one orbit walk."""
+    require_valid(system)
+    walk = orbit_sums(system, phi, n_max)
+    return np.array([_norm_log(system, s, an) for _, s, an in walk])
 
 
 def op_norm(system: FiniteSystem, phi, n: int) -> float:
@@ -170,15 +180,7 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     first = int(np.argmax(means >= value - 1e-12))
     best_cycle = tuple(int(i) for i in system.supported_cycle_arrays[first])
 
-    seq = np.empty(n_max)
-    s = phi.astype(float, copy=True)
-    an = system.alpha
-    for k in range(1, n_max + 1):
-        seq[k - 1] = _norm_log(system, s, an) / k
-        if k < n_max:
-            s = phi + s[system.alpha]
-            an = system.alpha[an]
-
+    seq = norm_log_sequence(system, phi, n_max) / np.arange(1, n_max + 1)
     span = float(np.max(phi) - np.min(phi))
     sup_m = system.m[system.support]
     mass_ratio = float(np.log(sup_m.max() / sup_m.min()))

@@ -6,10 +6,13 @@ operators to entropy functionals, runs on these systems, so this module also
 exposes the functional-graph structure of the map: every atom falls onto a
 unique terminal cycle, and the invariant probability functionals form the
 convex hull of the uniform measures sitting on cycles inside the support.
+Sweeps over consecutive horizons read the Birkhoff sums and the powers of
+the map from one walk, ``orbit_sums``, which takes one step per horizon.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -317,17 +320,28 @@ def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
     return out
 
 
+def orbit_sums(system: FiniteSystem, phi, n_max: int):
+    """Yield (n, S_n phi, alpha^n) for n = 1..n_max, one map step per horizon.
+
+    S_n phi is summed along the orbit in ``birkhoff``'s order and bits; the
+    yielded arrays are never written to afterwards, so callers may keep them.
+    """
+    phi = np.asarray(phi, dtype=float)
+    s = phi.astype(float, copy=True)
+    an = system.alpha
+    for n in range(1, n_max + 1):
+        yield n, s, an
+        if n < n_max:
+            s = s + phi[an]
+            an = system.alpha[an]
+
+
 def birkhoff(system: FiniteSystem, phi, n: int) -> np.ndarray:
-    """Sum of the potential along the first n orbit points of each atom."""
+    """Sum of the potential along the first n orbit points of each atom,
+    the last Birkhoff sum of ``orbit_sums``."""
     if n < 1:
         raise ValueError("horizon must be at least 1")
-    phi = np.asarray(phi, dtype=float)
-    total = phi.astype(float, copy=True)
-    pos = system.alpha
-    for _ in range(n - 1):
-        total += phi[pos]
-        pos = system.alpha[pos]
-    return total
+    return deque(orbit_sums(system, phi, n), maxlen=1)[0][1]
 
 
 def is_invariant(system: FiniteSystem, mu: Functional) -> tuple[bool, float]:

@@ -220,6 +220,18 @@ def test_bad_eps_exits_1(files, capsys):
         ["certify", str(files / "c3.json"), "--eps", "1.0,-0.5"]
     )
     assert code == 1
+    # --n-max must be a positive integer; argparse rejects it before any work
+    two, c3, phi = (str(files / name) for name in ("two.json", "c3.json", "phi.json"))
+    for argv in (
+        ["certify", two, "--n-max", "0"],
+        ["lambda", c3, phi, "--n-max", "-5"],
+        ["tau", c3, str(files / "mu.json"), "--n-max", "0"],
+        ["certify", two, "--n-max", "1.5"],
+        ["certify", two, "--n-max", "x"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1, argv
+        assert "--n-max" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):

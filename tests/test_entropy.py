@@ -177,11 +177,25 @@ def test_oscillation_partition_shapes():
         oscillation_partition(s, phi, 2, 0.0)
 
 
-def test_oscillation_partition_covers(any_system):
+def test_oscillation_partition_covers(any_system, system_pool):
     gen = np.random.default_rng(43)
     phi = random_potential(gen, any_system)
     part = oscillation_partition(any_system, phi, 3, 0.7)
     assert np.allclose(part.members.sum(axis=0), 1.0, atol=1e-12)
+    # members are the supported atoms bucketed by floor(S_n phi / width), in
+    # increasing bucket order, then the null atoms
+    for s in [any_system] + system_pool:
+        phi = random_potential(gen, s)
+        for n, width in ((1, 0.5), (3, 0.7), (6, 2.0)):
+            level = birkhoff(s, phi, n) / width
+            buckets = {}
+            for x in s.supported_indices:
+                buckets.setdefault(int(np.floor(level[x])), []).append(x)
+            want = [np.isin(np.arange(s.n), buckets[k]) for k in sorted(buckets)]
+            if not s.support.all():
+                want.append(~s.support)
+            got = oscillation_partition(s, phi, n, width).members
+            assert np.array_equal(got, np.array(want, dtype=float))
 
 
 def test_tau_direct_invariant_is_zero_within_band(any_system):
@@ -200,6 +214,9 @@ def test_tau_direct_rejects_unknown_strategy():
     mu = functional(s, np.full(3, 1 / 3))
     with pytest.raises(ValueError):
         tau_direct(s, mu, strategies=("atomic", "bogus"))
+    for n_max in (0, -3):
+        with pytest.raises(ValueError):
+            tau_direct(s, mu, n_max=n_max)
 
 
 def test_tau_direct_diverges_on_null_charge():

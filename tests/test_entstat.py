@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentropy.entstat import (
+    HalfspaceNeighborhood,
     build_neighborhood,
     empirical,
     estimate_lhs,
@@ -24,6 +25,39 @@ from tentropy.sampling import (
     random_system,
 )
 from tentropy.system import FULL, birkhoff, functional, pair
+
+
+def checked_estimate(s, mu, eps, n_range=range(1, 13)):
+    """verify_estimate, compared field by field and bit for bit with the
+    grid replayed by plain loops: Birkhoff sums and orbit positions one step
+    at a time, preimage mass added atom by atom, the worst row taken by
+    strict improvement and all_hold decided row by row."""
+    rep = verify_estimate(s, mu, eps, n_range)
+    nbhd, rate = rep.neighborhood, rep.neighborhood.tau_value + eps
+    if rep.branch == "divergent":
+        rate = -1.0 / eps
+    rows, worst, worst_at, all_hold = [], -np.inf, None, True
+    for n in n_range:
+        total, pos = nbhd.phi.copy(), s.alpha
+        for _ in range(n - 1):
+            total += nbhd.phi[pos]
+            pos = s.alpha[pos]
+        hits = np.flatnonzero(total > n * (nbhd.lambda_phi - nbhd.threshold))
+        mass = np.zeros(s.n)
+        for x in hits:
+            mass[pos[x]] += s.m[x]
+        rhs = float(np.exp(rep.c.log_value + n * rate))
+        for y in s.supported_indices:
+            lhs = float(mass[y] / s.m[y])
+            all_hold = all_hold and not lhs > rhs * (1.0 + 1e-9)
+            if lhs / rhs > worst:
+                worst, worst_at = lhs / rhs, (n, int(y))
+            rows.append((n, int(y), lhs, rhs, lhs / rhs, hits.size))
+    assert rep.rows.dtype.names == ("n", "atom", "lhs", "rhs", "ratio", "x_n_size")
+    for name, column in zip(rep.rows.dtype.names, zip(*rows)):
+        assert np.array_equal(rep.rows[name], column), name
+    assert (rep.worst_ratio, rep.worst_at, rep.all_hold) == (worst, worst_at, all_hold)
+    return rep
 
 
 def test_empirical_frozen_examples():
@@ -116,8 +150,11 @@ def test_hitting_set_membership_matches_empirical(any_system):
     gen = np.random.default_rng(67)
     s = any_system
     mu = random_invariant(gen, s)
-    for eps in (1.0, 0.3):
-        nbhd = build_neighborhood(s, mu, eps)
+    # the zero potential with threshold 0 puts every empirical measure on
+    # the boundary of the halfspace, which the strict cut leaves outside
+    boundary = HalfspaceNeighborhood(np.zeros(s.n), 0.0, 0.0, 0.0)
+    nbhds = [build_neighborhood(s, mu, eps) for eps in (1.0, 0.3)] + [boundary]
+    for nbhd in nbhds:
         for n in (1, 2, 5, 9):
             hits = set(int(i) for i in hitting_set(s, nbhd, n))
             for x in range(s.n):
@@ -156,35 +193,54 @@ def test_growth_constant_frozen_examples():
         growth_constant(s, np.zeros(3), 0.5, n_max=4)
 
 
-def test_growth_constant_dominates_norms(system_pool, potential_pool):
+def test_growth_constant_dominates_norms(system_pool, potential_pool, large_pool):
+    from tentropy.sampling import random_potential
     from tentropy.spectral import log_spectral_radius, op_norm_log
 
-    for s, phi in zip(system_pool[:8], potential_pool[:8]):
+    gen = np.random.default_rng(61)
+    cases = list(zip(system_pool[:8], potential_pool[:8]))
+    cases += [(s, random_potential(gen, s)) for s in large_pool]
+    for s, phi in cases:
         eps = 0.4
         c = growth_constant(s, phi, eps)
         lam = log_spectral_radius(s, phi)
         for n in range(1, c.n_checked + 1):
             assert op_norm_log(s, phi, n) <= c.log_value + n * (lam + eps / 2) + 1e-9
+        # the log ratios are exactly op_norm_log(n) - n (lam + eps/2)
+        ratios = [
+            op_norm_log(s, phi, n) - n * (lam + eps / 2.0)
+            for n in range(1, c.n_checked + 1)
+        ]
+        assert c.log_value == max(ratios)
+        assert c.achieved_n == ratios.index(max(ratios)) + 1
+        assert c.value == float(np.exp(max(ratios)))
 
 
-def test_verify_estimate_invariant_branch(any_system):
+def test_verify_estimate_invariant_branch(any_system, system_pool, large_pool):
     gen = np.random.default_rng(71)
     mu = random_invariant(gen, any_system)
-    rep = verify_estimate(any_system, mu, 0.5)
+    rep = checked_estimate(any_system, mu, 0.5)
     assert rep.branch == "finite"
     assert rep.all_hold
     assert rep.worst_ratio <= 1.0 + 1e-9
     assert len(rep.rows) == 12 * len(any_system.supported_indices)
+    for s in system_pool + large_pool:
+        rep = checked_estimate(s, random_invariant(gen, s), 0.5, [3, 1, 7, 7, 12])
+        assert rep.branch == "finite" and rep.all_hold
 
 
-def test_verify_estimate_divergent_branch(any_system):
+def test_verify_estimate_divergent_branch(any_system, system_pool, large_pool):
     gen = np.random.default_rng(73)
     mu = perturbed_invariant(gen, any_system)
-    rep = verify_estimate(any_system, mu, 0.5)
+    rep = checked_estimate(any_system, mu, 0.5)
     assert rep.all_hold
     # a perturbed functional leaves the polytope almost surely
     assert rep.branch == "divergent"
     assert rep.neighborhood.tau_value == -np.inf
+    for s in system_pool + large_pool:
+        for eps in (1.0, 0.1):
+            rep = checked_estimate(s, perturbed_invariant(gen, s), eps)
+            assert rep.branch == "divergent" and rep.all_hold
 
 
 def test_verify_estimate_null_charging():
@@ -192,9 +248,13 @@ def test_verify_estimate_null_charging():
     gen = np.random.default_rng(79)
     mu = random_null_charging(gen, s)
     for eps in (1.0, 0.5, 0.1):
-        rep = verify_estimate(s, mu, eps)
+        rep = checked_estimate(s, mu, eps)
         assert rep.all_hold
         assert rep.branch == "divergent"
+    # horizons are checked before any work; none, or one below 1, is an error
+    for bad in ([], [3, 0], range(0, 4)):
+        with pytest.raises(ValueError, match="horizon"):
+            verify_estimate(s, mu, 0.5, bad)
 
 
 def test_estimate_general_function_reduction(any_system):
@@ -227,6 +287,13 @@ def test_estimate_lhs_matches_general_at_indicators(any_system):
         a = estimate_lhs(s, nbhd, 3, int(y))
         b = estimate_lhs_general(s, nbhd, 3, f)
         assert a == pytest.approx(b, abs=1e-12)
+    # only supported atoms have a relative mass; f needs one value per atom
+    for y in [-1, s.n, s.n + 5] + np.flatnonzero(~s.support).tolist():
+        with pytest.raises(ValueError):
+            estimate_lhs(s, nbhd, 3, y)
+    for f in (np.ones(s.n - 1), np.ones(s.n + 1), np.ones((s.n, 1))):
+        with pytest.raises(ValueError):
+            estimate_lhs_general(s, nbhd, 3, f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from tentropy.spectral import (
     l1_vector,
     log_spectral_radius,
     log_spectral_radius_batch,
+    norm_log_sequence,
     op_norm,
     op_norm_log,
     op_norm_log_pow,
@@ -24,7 +25,7 @@ from tentropy.spectral import (
     property_residuals,
     spectral_potential,
 )
-from tentropy.system import alpha_power, birkhoff, cycle_means, make_system
+from tentropy.system import alpha_power, birkhoff, cycle_means, make_system, orbit_sums
 
 LN2 = math.log(2.0)
 
@@ -182,14 +183,27 @@ def test_log_spectral_radius_is_max_cycle_mean(system_pool, potential_pool, larg
         assert np.array_equal(cycle_means(s, phi), exact)
 
 
-def test_spectral_potential_sequence_approaches_from_above(system_pool):
+def test_spectral_potential_sequence_approaches_from_above(system_pool, large_pool):
     gen = np.random.default_rng(11)
-    for s in system_pool[:10]:
+    for s in system_pool + large_pool:
         phi = gen.uniform(-2, 2, s.n)
         r = spectral_potential(s, phi, n_max=20)
         assert not r.flagged
         seq = np.asarray(r.norm_sequence)
         assert np.all(seq >= r.value - 1e-9), "Gelfand sequence dipped below limit"
+        # one orbit walk gives the bits of the one-horizon routes, and its
+        # sums add the orbit terms left to right
+        walk = list(orbit_sums(s, phi, 20))
+        assert [n for n, _, _ in walk] == list(range(1, 21))
+        total, pos = phi.copy(), s.alpha
+        for n, sums, an in walk:
+            assert np.array_equal(sums, total) and np.array_equal(an, pos)
+            assert np.array_equal(sums, birkhoff(s, phi, n))
+            assert np.array_equal(an, alpha_power(s, n))
+            assert seq[n - 1] == op_norm_log(s, phi, n) / n
+            total = total + phi[pos]
+            pos = s.alpha[pos]
+        assert np.array_equal(norm_log_sequence(s, phi, 20) / np.arange(1, 21), seq)
 
 
 def test_batch_matches_scalar(system_pool, large_pool):
