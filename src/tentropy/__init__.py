@@ -15,7 +15,9 @@ from .entropy import (
     inner_objective,
     inner_problem,
     local_young_check,
+    local_young_checks,
     maximize_inner,
+    maximize_inner_batch,
     near_minimizer,
     near_minimizer_bounds,
     oscillation_partition,

@@ -193,12 +193,21 @@ def cmd_validate(args) -> int:
     return 0 if rep.valid else 2
 
 
+def _require_n_max(args, low: int, high: int | None = None) -> None:
+    if args.n_max < low or (high is not None and args.n_max > high):
+        allowed = f"at least {low}" if high is None else f"from {low} to {high}"
+        raise FormatError(
+            f"--n-max for {args.command} must be {allowed}, got {args.n_max}"
+        )
+
+
 def cmd_lambda(args) -> int:
+    _require_n_max(args, 2)
     seed = _resolve_seed(args)
     system = load_system(args.system)
     require_valid(system)
     phi = load_potential(args.potential, system)
-    res = spectral_potential(system, phi, n_max=max(2, args.n_max))
+    res = spectral_potential(system, phi, n_max=args.n_max)
     gap = abs(float(res.norm_sequence[-1]) - res.value)
     record = {
         "name": "lambda",
@@ -236,6 +245,7 @@ def _divergence_values(res) -> dict:
 
 
 def cmd_tau(args) -> int:
+    _require_n_max(args, 1, 12)
     seed = _resolve_seed(args)
     system = load_system(args.system)
     require_valid(system)
@@ -250,9 +260,7 @@ def cmd_tau(args) -> int:
     direct = None
     if args.route in ("direct", "both"):
         try:
-            direct = tau_direct(
-                system, mu, n_max=min(args.n_max, 12), seed=seed
-            )
+            direct = tau_direct(system, mu, n_max=args.n_max, seed=seed)
         except ValueError as exc:
             if args.route == "direct":
                 raise FormatError(

@@ -8,11 +8,15 @@ down to -inf.  The t-entropy itself is the infimum of these values over n
 and D, divided by n.
 
 Restricting f to the support turns the inner problem into maximizing a
-concave mixture log-likelihood over the simplex, which a multiplicative
-ascent solves with a one-line optimality certificate.  Two independent
-routes compute the infimum: a direct search over partition families, and a
-dual route through the geometry of invariant functionals, which on finite
-systems leaves only the values 0 and -inf.
+concave mixture log-likelihood over the simplex.  ``maximize_inner_batch``
+solves a batch of them with one primal-dual interior-point method
+(Mehrotra's predictor-corrector, stepping all problems together with one
+batched linear solve per predictor and per corrector) and stops each on a
+one-line optimality certificate computed from its final point alone;
+``maximize_inner`` is the batch of one.  Two independent routes compute the
+infimum: a direct search over partition families, whose candidates are
+solved as one batch, and a dual route through the geometry of invariant
+functionals, which on finite systems leaves only the values 0 and -inf.
 """
 
 from __future__ import annotations
@@ -61,8 +65,10 @@ class InnerSolution:
     """Near-optimal simplex point with a certified optimality gap.
 
     ``value`` is the objective at ``p_star`` and never overshoots the true
-    supremum; the supremum is at most value + optimality_gap.  A divergent
-    problem is reported as value -inf with p_star None.
+    supremum; the supremum is at most value + optimality_gap, and the gap
+    never exceeds the tolerance the solve was given.  ``iterations`` counts
+    Newton steps.  A divergent problem is reported as value -inf with
+    p_star None.
     """
 
     value: float
@@ -115,90 +121,159 @@ def _objective(ca: np.ndarray, wa: np.ndarray, q: np.ndarray) -> float:
     return float(wa @ np.log(cq / wa))
 
 
-def maximize_inner(
-    problem: InnerProblem, tol: float = 1e-8, max_iter: int = 200000
-) -> InnerSolution:
-    """Multiplicative ascent for the inner problem.
+# Newton steps after which a problem still above its tolerance is a failed
+# claim; the problems of a certify run certify in at most ten.
+_MAX_STEPS = 60
+# Fraction of the distance to the boundary of x, z, v > 0 that a step may cover.
+_TO_BOUNDARY = 0.99
 
-    Each step rescales p by the ratio field sum_g mu[g] c[g, .] / (c p)_g;
-    the objective never decreases, and ln of the largest ratio bounds the
-    remaining gap to the supremum, so iteration stops once that bound
-    drops below ``tol``.  Plain rescaling crawls when the optimum sits on a
-    face of the simplex, so each round takes two steps and tries the
-    standard squared-extrapolation point, keeping it only when it does not
-    lower the objective; the final certificate is computed from the final
-    point alone and does not depend on the path taken.
+
+def maximize_inner(problem: InnerProblem, tol: float = 1e-8) -> InnerSolution:
+    """Solve one inner problem: ``maximize_inner_batch`` on a batch of one.
+
+    Stops once the certificate total * ln(max ratio / total) drops to
+    ``tol``, where ratio is the optimality field sum_g mu[g] c[g, .] / (c p)_g
+    at the returned point p and total the charged weight: the supremum is at
+    most value + that gap.  A problem that does not certify within the step
+    cap raises ``RuntimeError``; no point above its tolerance is returned.
     """
-    c = problem.c
-    s = c.shape[1]
-    p = np.full(s, 1.0 / s)
-    ca, wa = _active_rows(problem)
-    if not wa.size:
-        return InnerSolution(0.0, p, c @ p, 0.0, 0)
-    if np.any(ca.sum(axis=1) == 0.0):
-        return InnerSolution(-np.inf, None, None, 0.0, 0)
-    total = wa.sum()
+    return maximize_inner_batch([problem], tol)[0]
 
-    def step(q):
-        q = q * _ratio_field(ca, wa, q)
-        return q / q.sum()
 
-    def polish(q, ratio):
-        # Newton step on the stationarity conditions over the working face:
-        # ratio must equal the weight total wherever q is positive.  Feeds
-        # on a nearly singular c where the multiplicative rate tends to 1.
-        work = np.flatnonzero(q > 1e-12)
-        k = work.size
-        if k < 2:
-            return q, ratio, False
-        a = ca[:, work] / (ca @ q)[:, None]
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = -(a * wa[:, None]).T @ a
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.append(total - ratio[work], 0.0)
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        delta = np.zeros_like(q)
-        delta[work] = sol[:k]
-        for beta in 2.0 ** -np.arange(11.0):
-            cand = q + beta * delta
-            if cand.min() <= 0.0:
-                continue
-            cand = cand / cand.sum()
-            new_ratio = _ratio_field(ca, wa, cand)
-            if new_ratio.max() < ratio.max():
-                return cand, new_ratio, True
-        return q, ratio, False
+def maximize_inner_batch(problems, tol=1e-8) -> list[InnerSolution]:
+    """Solve a batch of inner problems with one primal-dual interior-point run.
 
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        ratio = _ratio_field(ca, wa, p)
-        if total * np.log(ratio.max() / total) <= tol:
-            break
-        if total * np.log(ratio.max() / total) <= 1e-2:
-            p, ratio, improved = polish(p, ratio)
-            if total * np.log(ratio.max() / total) <= tol:
-                break
-            if improved:
-                continue
-        p1 = p * ratio
-        p1 /= p1.sum()
-        p2 = step(p1)
-        r = p1 - p
-        v = p2 - 2.0 * p1 + p
-        vv = float(v @ v)
-        if vv > 0.0:
-            alpha = -np.sqrt(float(r @ r) / vv)
-            cand = np.maximum(p - 2.0 * alpha * r + alpha * alpha * v, 1e-16)
-            cand /= cand.sum()
-            if _objective(ca, wa, cand) >= _objective(ca, wa, p2):
-                p2 = cand
-        p = p2
-    cp = ca @ p
-    if not np.all(np.isfinite(cp)) or cp.min() <= 0.0:
-        raise RuntimeError("inner ascent lost positivity")
-    gap = float(total * np.log(_ratio_field(ca, wa, p).max() / total))
-    return InnerSolution(_objective(ca, wa, p), p, c @ p, gap, iterations)
+    Each problem is min over x >= 0 of -sum_g mu[g] ln (c x)_g + sum_j x_j,
+    whose minimizer is total times the simplex maximizer; without the
+    equality constraint every Newton step is one symmetric positive
+    definite system (c^T D c + diag(z / x)) dx = rhs.  Problems of the same
+    width are stacked, padded to a common row count with uncharged rows,
+    and stepped together by Mehrotra's predictor-corrector method, one
+    batched solve per predictor and per corrector; each leaves the stack
+    once its certificate, computed from its current point alone, meets its
+    own ``tol`` (a scalar or one value per problem).  Uncharged problems
+    are 0 at the uniform point, and a charged member with a zero row is -inf.
+    """
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), (len(problems),))
+    out: list[InnerSolution | None] = [None] * len(problems)
+    stacks: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for i, problem in enumerate(problems):
+        ca, wa = _active_rows(problem)
+        s = problem.c.shape[1]
+        if not wa.size:
+            p = np.full(s, 1.0 / s)
+            out[i] = InnerSolution(0.0, p, problem.c @ p, 0.0, 0)
+        elif np.any(ca.sum(axis=1) == 0.0):
+            out[i] = InnerSolution(-np.inf, None, None, 0.0, 0)
+        else:
+            stacks.setdefault(s, []).append((i, ca, wa))
+    for s, stack in stacks.items():
+        rows = max(wa.size for _, _, wa in stack)
+        c = np.ones((len(stack), rows, s))
+        w = np.zeros((len(stack), rows))
+        for b, (_, ca, wa) in enumerate(stack):
+            c[b, : wa.size] = ca
+            w[b, : wa.size] = wa
+        index = [i for i, _, _ in stack]
+        solved = _interior_point(c, w, tols[index])
+        for (i, ca, wa), (q, gap, steps) in zip(stack, solved):
+            value = _objective(ca, wa, q)
+            out[i] = InnerSolution(value, q, problems[i].c @ q, gap, steps)
+    return out
+
+
+def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
+    """(q, gap, steps) for each problem of a padded stack.
+
+    The optimality conditions are bilinear, as for a linear program:
+    c^T v + z = 1, v (c x) = w and x z = 0 with x, z, v > 0, where v is the
+    multiplier of the member integrals (v = w / (c x) at the optimum) and z
+    that of x >= 0.  Eliminating dz and dv leaves
+    (c^T diag(v / c x) c + diag(z / x)) dx = rhs, and the primal (x) and dual
+    (z, v) steps are cut separately at the boundary.  Mehrotra's corrector
+    is replaced by the predictor when it would allow a shorter step, a
+    safeguard against its second-order term stalling the iteration.  x
+    starts at total / width, v at w / (c x) and z at 1.
+    Raises ``RuntimeError`` when a problem is still above its tolerance
+    after ``_MAX_STEPS`` Newton steps.
+    """
+    count, _, s = c.shape
+    total = w.sum(axis=1)
+    x = np.repeat(total[:, None] / s, s, axis=1)
+    v = w / _stack_apply(c, x)
+    z = np.ones((count, s))
+    live = np.arange(count)
+    results: list = [None] * count
+    diag = np.arange(s)
+    steps = 0
+    while True:
+        q = x / x.sum(axis=1, keepdims=True)
+        # ``_ratio_field`` of each problem; padded rows add zeros
+        ratio = _stack_apply_t(c, w / _stack_apply(c, q))
+        gap = total * np.log(ratio.max(axis=1) / total)
+        done = gap <= tols
+        for b in np.flatnonzero(done):
+            results[live[b]] = (q[b], float(gap[b]), steps)
+        keep = ~done
+        if not keep.any():
+            return results
+        if steps == _MAX_STEPS:
+            raise RuntimeError(
+                f"{int(keep.sum())} inner problem(s) missed their certificate"
+                f" after {_MAX_STEPS} Newton steps (worst gap {gap.max():.3g})"
+            )
+        steps += 1
+        live, c, w, total, tols = live[keep], c[keep], w[keep], total[keep], tols[keep]
+        x, z, v = x[keep], z[keep], v[keep]
+        y = _stack_apply(c, x)
+        hess = np.swapaxes(c * (v / y)[:, :, None], 1, 2) @ c
+        hess[:, diag, diag] += z / x
+
+        def direction(target, xz, vy):
+            # Newton step towards x z = target and v y = w, less the
+            # second-order terms xz and vy: (dx, dz, dv, dy)
+            rhs = _stack_apply_t(c, (w - vy) / y) - 1.0 + (target - xz) / x
+            dx = np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+            dy = _stack_apply(c, dx)
+            return dx, (target - xz - z * dx) / x - z, (w - vy - v * dy) / y - v, dy
+
+        def lengths(d, fraction):
+            dual = np.minimum(
+                _step_to_boundary(z, d[1], fraction), _step_to_boundary(v, d[2], fraction)
+            )
+            return _step_to_boundary(x, d[0], fraction), dual
+
+        pred = direction(0.0, 0.0, 0.0)
+        dx, dz, dv, dy = pred
+        a_p, a_d = lengths(pred, 1.0)
+        mu = (x * z).sum(axis=1, keepdims=True) / s
+        mu_aff = ((x + a_p * dx) * (z + a_d * dz)).sum(axis=1, keepdims=True) / s
+        corr = direction((mu_aff / mu) ** 3 * mu, dx * dz, dv * dy)
+        p_pred, d_pred = lengths(pred, _TO_BOUNDARY)
+        p_corr, d_corr = lengths(corr, _TO_BOUNDARY)
+        # keep the corrector unless it allows a shorter step than the predictor
+        back = np.minimum(p_corr, d_corr) < np.minimum(p_pred, d_pred)
+        dx, dz, dv, _ = (np.where(back, a, b) for a, b in zip(pred, corr))
+        a_d = np.where(back, d_pred, d_corr)
+        x = x + np.where(back, p_pred, p_corr) * dx
+        z = z + a_d * dz
+        v = v + a_d * dv
+
+
+def _stack_apply(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row products (c x)_g of each problem of a stack."""
+    return (c @ x[:, :, None])[:, :, 0]
+
+
+def _stack_apply_t(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Transposed row products sum_g u_g c[g, .] of each problem of a stack."""
+    return (u[:, None, :] @ c)[:, 0, :]
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> np.ndarray:
+    """Largest step in (0, 1] keeping v + step * dv positive, times fraction."""
+    room = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0.0)
+    return np.minimum(1.0, fraction * room.min(axis=1, keepdims=True))
 
 
 def inner_objective(problem: InnerProblem, p) -> float:
@@ -239,10 +314,14 @@ def tau_n(
     tol: float = 1e-8,
 ) -> InnerSolution:
     """t-entropy at a fixed horizon and partition (not divided by n)."""
+    _require_normalized(system, mu)
+    return maximize_inner(inner_problem(system, mu, partition, n), tol=tol)
+
+
+def _require_normalized(system: FiniteSystem, mu: Functional) -> None:
     w = effective_weights(system, mu)
     if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("functional must be positive and normalized")
-    return maximize_inner(inner_problem(system, mu, partition, n), tol=tol)
 
 
 def oscillation_partition(
@@ -305,39 +384,40 @@ def tau_direct(
     bad = set(strategies) - known
     if bad:
         raise ValueError(f"unknown strategies: {sorted(bad)}")
+    _require_normalized(system, mu)
     rng = np.random.default_rng(seed)
-    best = np.inf
-    best_n: int | None = None
-    best_partition: PartitionOfUnity | None = None
+    candidates: list[tuple[int, PartitionOfUnity]] = []
     for n in range(1, n_max + 1):
-        candidates: list[PartitionOfUnity] = []
         if "atomic" in strategies:
-            candidates.append(atomic_partition(system))
+            candidates.append((n, atomic_partition(system)))
         if "trivial" in strategies:
-            candidates.append(trivial_partition(system))
+            candidates.append((n, trivial_partition(system)))
         if "oscillation" in strategies:
             for _ in range(3):
                 phi = rng.uniform(-2.0, 2.0, system.n)
                 s = birkhoff(system, phi, n)
                 width = (float(s.max() - s.min())) / 3.0 + 1e-9
-                candidates.append(oscillation_partition(system, phi, n, width))
+                candidates.append((n, oscillation_partition(system, phi, n, width)))
         if "random" in strategies:
             for _ in range(budget):
-                candidates.append(random_partition(rng, system))
-        for partition in candidates:
-            sol = tau_n(system, mu, partition, n, tol=tol)
-            if sol.value == -np.inf:
-                return TauResult(
-                    value=-np.inf,
-                    route="direct",
-                    achieving_n=n,
-                    achieving_partition=partition,
-                )
-            bound = (sol.value + sol.optimality_gap) / n + 1e-12
-            if bound < best:
-                best = bound
-                best_n = n
-                best_partition = partition
+                candidates.append((n, random_partition(rng, system)))
+    problems = [inner_problem(system, mu, part, n) for n, part in candidates]
+    best = np.inf
+    best_n: int | None = None
+    best_partition: PartitionOfUnity | None = None
+    for (n, partition), sol in zip(candidates, maximize_inner_batch(problems, tol)):
+        if sol.value == -np.inf:
+            return TauResult(
+                value=-np.inf,
+                route="direct",
+                achieving_n=n,
+                achieving_partition=partition,
+            )
+        bound = (sol.value + sol.optimality_gap) / n + 1e-12
+        if bound < best:
+            best = bound
+            best_n = n
+            best_partition = partition
     return TauResult(
         value=float(best),
         route="direct",
@@ -433,19 +513,31 @@ def local_young_check(
     eps + (1/n) ln ||A^n|| must dominate mu[phi] + tau_n / n.  Returns the
     two sides.
     """
-    ok, worst = is_invariant(system, mu)
-    if not ok:
-        raise ValueError(f"functional must be invariant (defect {worst:g})")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    phi = np.asarray(phi, dtype=float)
-    partition = oscillation_partition(system, phi, n, eps * n)
-    sol = tau_n(system, mu, partition, n)
-    lhs = eps + op_norm_log(system, phi, n) / n
-    rhs = pair(system, mu, phi) + sol.value / n
-    if lhs < rhs - 1e-8:
-        raise RuntimeError("fixed-horizon entropy inequality failed")
-    return lhs, rhs
+    return local_young_checks(system, [(phi, mu, n, eps)])[0]
+
+
+def local_young_checks(system: FiniteSystem, draws) -> list[tuple[float, float]]:
+    """``local_young_check`` on each (phi, mu, n, eps) of ``draws``, with the
+    inner problems of all draws solved as one batch."""
+    problems = []
+    for phi, mu, n, eps in draws:
+        ok, worst = is_invariant(system, mu)
+        if not ok:
+            raise ValueError(f"functional must be invariant (defect {worst:g})")
+        if eps <= 0.0:
+            raise ValueError("eps must be positive")
+        _require_normalized(system, mu)
+        partition = oscillation_partition(system, phi, n, eps * n)
+        problems.append(inner_problem(system, mu, partition, n))
+    sides = []
+    for (phi, mu, n, eps), sol in zip(draws, maximize_inner_batch(problems)):
+        phi = np.asarray(phi, dtype=float)
+        lhs = eps + op_norm_log(system, phi, n) / n
+        rhs = pair(system, mu, phi) + sol.value / n
+        if lhs < rhs - 1e-8:
+            raise RuntimeError("fixed-horizon entropy inequality failed")
+        sides.append((lhs, rhs))
+    return sides
 
 
 def near_minimizer(

@@ -216,15 +216,20 @@ def estimate_lhs(
 
 def estimate_lhs_general(
     system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int, f
-) -> float:
+) -> float | np.ndarray:
     """Hitting-set integral of |f o alpha^n|, the quantity the atomwise rows
-    dominate: for unit-norm f it never exceeds the largest row lhs."""
+    dominate: for unit-norm f it never exceeds the largest row lhs.
+
+    ``f`` is one function (a float comes back) or a (k, N) stack of them
+    (one value per row comes back), read against one hitting set.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (system.n,):
+    if f.ndim not in (1, 2) or f.shape[-1] != system.n:
         raise ValueError("f needs one value per atom")
     hits = hitting_set(system, nbhd, n)
     an = alpha_power(system, n)
-    return float(np.abs(f[an[hits]]) @ system.m[hits])
+    out = np.abs(f[..., an[hits]]) @ system.m[hits]
+    return float(out) if f.ndim == 1 else out
 
 
 def verify_estimate(

@@ -18,6 +18,7 @@ gather over the cycle atoms per distinct cycle length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,14 +219,38 @@ def power_gap(system: FiniteSystem, phi, k: int) -> PowerGap:
     Cycles of the map split into shorter orbits of its k-th power, whose
     averages of phi can only improve on the full-cycle average, so the
     power side dominates; the gap is strict whenever the splitting
-    isolates above-average stretches of a cycle.
+    isolates above-average stretches of a cycle.  The power side is read
+    from the cycles of the map itself (``power_system`` is not built).
     """
+    if k < 1:
+        raise ValueError("power must be at least 1")
     phi = np.asarray(phi, dtype=float)
     scaled = k * log_spectral_radius(system, phi)
-    power = log_spectral_radius(power_system(system, k), k * phi)
+    power = _power_rate(system, k * phi, k)
     if scaled > power + 1e-12:
         raise RuntimeError("power-map rate fell below the scaled rate")
     return PowerGap(scaled=scaled, power=power)
+
+
+def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> float:
+    """Spectral potential of psi under alpha^k, from the cycles of alpha.
+
+    A supported cycle of length L splits into d = gcd(L, k) cycles of
+    alpha^k, the atoms at positions r, r + k, r + 2k, ... (mod L) for
+    r < d.  Each is summed from its smallest atom on, in alpha^k order, as
+    the decomposition of ``power_system`` lists it, so the means carry the
+    bits of ``log_spectral_radius(power_system(system, k), psi)``.
+    """
+    best = -np.inf
+    for _, rows in system.cycle_groups:
+        length = rows.shape[1]
+        d = math.gcd(length, k)
+        size = length // d
+        orbits = rows[:, (np.arange(d)[:, None] + k * np.arange(size)) % length]
+        start = orbits.argmin(axis=-1)[..., None]
+        orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
+        best = max(best, float((psi[orbits].sum(axis=-1) / size).max()))
+    return best
 
 
 @dataclass(frozen=True, eq=False)

@@ -232,6 +232,19 @@ def test_bad_eps_exits_1(files, capsys):
         capsys.readouterr()
         assert cli.main(argv) == 1, argv
         assert "--n-max" in capsys.readouterr().err
+    # in range for the parser but not for the command: rejected, not clamped,
+    # with the allowed range named
+    mu = str(files / "mu.json")
+    for argv, allowed in (
+        (["lambda", c3, phi, "--n-max", "1"], "at least 2"),
+        (["tau", c3, mu, "--n-max", "13"], "from 1 to 12"),
+        (["tau", c3, mu, "--n-max", "13", "--route", "dual"], "from 1 to 12"),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr()
+        assert "--n-max" in err.err and allowed in err.err
+        assert err.out == ""
 
 
 def test_usage_errors_exit_1(capsys):

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentropy import entropy
 from tentropy.entropy import (
+    InnerProblem,
     certificate_sup,
     inner_objective,
     inner_problem,
     local_young_check,
     maximize_inner,
+    maximize_inner_batch,
     near_minimizer,
     near_minimizer_bounds,
     oscillation_partition,
@@ -34,6 +37,7 @@ from tentropy.sampling import (
 from tentropy.spectral import op_norm_log
 from tentropy.system import (
     FULL,
+    PartitionOfUnity,
     atomic_partition,
     birkhoff,
     effective_weights,
@@ -45,6 +49,42 @@ from tentropy.system import (
 )
 
 LN2 = math.log(2.0)
+
+
+# The transport matrix and weights of a 4 x 4 inner problem met by
+# `certify twocyc --suite all --seed 131` (lemma.tau_routes), stored
+# exactly: its smallest singular value is 9.6e-5 and the optimum is interior.
+# Multiplicative ascent stalled on it at gap 1.4e-7 after 200000 steps.
+STALL_C = (
+    ("0x1.20192026424b7p-3", "0x1.e0e0d255456e2p-3", "0x1.86283992edcf2p-4", "0x1.2cc967c249488p-2"),
+    ("0x1.6ef4b8e8be061p-3", "0x1.897bc11dc83a2p-2", "0x1.a831c60d81fdcp-5", "0x1.a87d09c50aacep-2"),
+    ("0x1.810b964dbd811p-2", "0x1.e4b1ec24323bcp-3", "0x1.b44ae3efeaa63p-2", "0x1.78969a26569b2p-4"),
+    ("0x1.376d7d2ac2566p-2", "0x1.2775bf4af7e1ap-3", "0x1.b524d4e9a9a66p-2", "0x1.9927cfde2cc7bp-3"),
+)
+STALL_W = (
+    "0x1.821d982e13e4cp-3",
+    "0x1.1aa1fd64eb004p-2",
+    "0x1.33fec5cf8e7b3p-2",
+    "0x1.e0a0e168f9244p-3",
+)
+
+
+def stall_problem():
+    c = np.array([[float.fromhex(v) for v in row] for row in STALL_C])
+    w = np.array([float.fromhex(v) for v in STALL_W])
+    return InnerProblem(c=c, mu_weights=w, n=1, support_atoms=(0, 1, 2, 3))
+
+
+def jam_problem():
+    """A 2 x 12 input met by certify on a 12-atom system on which Mehrotra's
+    corrector, taken at every step, drives the dual step length to zero."""
+    c = np.zeros((2, 12))
+    c[0, [0, 7]] = 1.0
+    c[0, 10] = float.fromhex("0x1.db651e9fef7e1p+0")
+    c[1, 10] = 1.0
+    w = np.array([float.fromhex("0x1.89af882e3f073p-1"),
+                  float.fromhex("0x1.d941df4703e30p-3")])
+    return InnerProblem(c=c, mu_weights=w, n=1, support_atoms=tuple(range(12)))
 
 
 def simplex_grid(k, step):
@@ -89,17 +129,20 @@ def test_inner_uniform_cycle_has_value_zero():
 
 def test_inner_value_beats_grid_oracle():
     """A brute scan of the simplex cannot exceed value + certified gap,
-    and the solver cannot sit below the best grid point."""
+    and the solver cannot sit below the best grid point; the certified gap
+    meets the tolerance asked for, also on the nearly singular stall input."""
     s = cycle3()
     mu = functional(s, np.array([0.5, 0.3, 0.2]))
-    prob = inner_problem(s, mu, atomic_partition(s), 2)
-    sol = maximize_inner(prob, tol=1e-10)
-    best_grid = -np.inf
-    for p in simplex_grid(3, 0.02):
-        val = inner_objective(prob, p)
-        assert val <= sol.value + sol.optimality_gap + 1e-12
-        best_grid = max(best_grid, val)
-    assert sol.value >= best_grid - 1e-12
+    for prob, tol in ((inner_problem(s, mu, atomic_partition(s), 2), 1e-10),
+                      (stall_problem(), 1e-8)):
+        sol = maximize_inner(prob, tol=tol)
+        assert 0.0 <= sol.optimality_gap <= tol
+        best_grid = -np.inf
+        for p in simplex_grid(prob.c.shape[1], 0.02):
+            val = inner_objective(prob, p)
+            assert val <= sol.value + sol.optimality_gap + 1e-12
+            best_grid = max(best_grid, val)
+        assert sol.value >= best_grid - 1e-12
 
 
 def test_trivial_partition_value_is_log_norm():
@@ -358,13 +401,61 @@ def test_maximize_inner_empty_active_rows():
     s = null_pair()
     mu = functional(s, np.array([1.0, 0.0]))
     members = np.array([[0.0, 1.0], [1.0, 0.0]])
-    from tentropy.system import PartitionOfUnity
-
     prob = inner_problem(s, mu, PartitionOfUnity(members), 1)
     # member 0 sits on the null atom, so only member 1 is charged
     assert prob.mu_weights[0] == 0.0
     sol = maximize_inner(prob)
     assert np.isfinite(sol.value)
+
+
+def test_maximize_inner_batch_matches_single(monkeypatch):
+    """One batch mixing an uncharged problem, a divergent one, widths and
+    row counts that differ, and two tolerances gives every problem its own
+    certificate and the value it has when solved alone."""
+    gen = np.random.default_rng(61)
+    pair_sys = null_pair()
+    problems = [
+        inner_problem(pair_sys, functional(pair_sys, np.array([1.0, 0.0])),
+                      PartitionOfUnity(np.array([[0.0, 1.0], [1.0, 0.0]])), 1),
+        inner_problem(pair_sys, functional(pair_sys, np.array([0.0, 1.0]), mode=FULL),
+                      atomic_partition(pair_sys), 1),
+        stall_problem(),
+        jam_problem(),
+    ]
+    for s in (twocyc(), random_system(gen), random_system(gen)):
+        for members in (2, 3, 5):
+            mu = random_invariant(gen, s)
+            part = random_partition(gen, s, members=members)
+            problems.append(inner_problem(s, mu, part, int(gen.integers(1, 4))))
+        problems.append(inner_problem(s, random_simplex_functional(gen, s),
+                                      atomic_partition(s), 2))
+    assert len({p.c.shape for p in problems}) > 4
+    tols = np.where(np.arange(len(problems)) % 2, 1e-9, 1e-10)
+    # the stall input once more at a loose tolerance: it leaves the batch
+    # earlier than its tight twin
+    problems.append(stall_problem())
+    tols = np.append(tols, 1e-3)
+    batch = maximize_inner_batch(problems, tols)
+    assert batch[-1].iterations < batch[2].iterations
+    assert batch[0].value == 0.0 and batch[0].optimality_gap == 0.0
+    assert batch[1].value == -np.inf and batch[1].p_star is None
+    for prob, tol, sol in zip(problems, tols, batch):
+        alone = maximize_inner(prob, tol=tol)
+        if alone.value == -np.inf:
+            assert sol.value == -np.inf
+            continue
+        assert sol.optimality_gap <= tol
+        assert abs(sol.value - alone.value) <= tol
+        assert abs(sol.p_star.sum() - 1.0) <= 1e-12
+        assert np.array_equal(sol.c_limits, prob.c @ sol.p_star)
+
+    # a problem still above its tolerance at the step cap is an error,
+    # never a returned point
+    monkeypatch.setattr(entropy, "_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="certificate"):
+        maximize_inner(stall_problem())
+    with pytest.raises(RuntimeError, match="certificate"):
+        maximize_inner_batch(problems, tols)
 
 
 @settings(max_examples=60, deadline=None)

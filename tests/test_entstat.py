@@ -267,6 +267,7 @@ def test_estimate_general_function_reduction(any_system):
     sup = s.supported_indices
     for n in (1, 2, 4, 8):
         rows = [estimate_lhs(s, nbhd, n, int(y)) for y in sup]
+        fs = []
         for _ in range(25):
             f = gen.normal(size=s.n)
             norm = float(np.abs(f) @ s.m)
@@ -274,6 +275,13 @@ def test_estimate_general_function_reduction(any_system):
                 continue
             general = estimate_lhs_general(s, nbhd, n, f / norm)
             assert general <= max(rows) + 1e-9
+            fs.append(f / norm)
+        # a (k, N) stack gives the per-row values up to the summation order
+        # of a sum of positive terms
+        stacked = estimate_lhs_general(s, nbhd, n, np.array(fs))
+        single = [estimate_lhs_general(s, nbhd, n, f) for f in fs]
+        assert stacked.shape == (len(fs),)
+        assert np.allclose(stacked, single, rtol=1e-14, atol=0.0)
 
 
 def test_estimate_lhs_matches_general_at_indicators(any_system):
@@ -291,7 +299,8 @@ def test_estimate_lhs_matches_general_at_indicators(any_system):
     for y in [-1, s.n, s.n + 5] + np.flatnonzero(~s.support).tolist():
         with pytest.raises(ValueError):
             estimate_lhs(s, nbhd, 3, y)
-    for f in (np.ones(s.n - 1), np.ones(s.n + 1), np.ones((s.n, 1))):
+    for f in (np.ones(s.n - 1), np.ones(s.n + 1), np.ones((s.n, 1)),
+              np.ones((2, s.n + 1)), np.ones((2, 2, s.n))):
         with pytest.raises(ValueError):
             estimate_lhs_general(s, nbhd, 3, f)
 

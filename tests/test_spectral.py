@@ -229,7 +229,7 @@ def test_power_system_frozen_examples():
     assert np.array_equal(power_system(tail(), 2).alpha, alpha_power(tail(), 2))
 
 
-def test_power_gap_frozen_examples():
+def test_power_gap_frozen_examples(system_pool, large_pool):
     g = power_gap(cycle3(), np.array([LN2, 0, 0]), 3)
     assert g.scaled == pytest.approx(LN2, abs=1e-15)
     assert g.power == pytest.approx(3 * LN2, abs=1e-15)
@@ -242,6 +242,16 @@ def test_power_gap_frozen_examples():
     # constant potentials close the gap exactly
     g = power_gap(tail(), np.full(3, 0.4), 5)
     assert g.gap == pytest.approx(0.0, abs=1e-14)
+
+    # the power side read from the map's own cycles agrees with the rate on
+    # the k-step system built atom by atom
+    gen = np.random.default_rng(59)
+    for s in system_pool + large_pool:
+        phi = random_potential(gen, s)
+        for k in range(1, 7):
+            want = log_spectral_radius(power_system(s, k), k * phi)
+            got = power_gap(s, phi, k).power
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (s.n, k)
 
 
 @settings(max_examples=300, deadline=None)
