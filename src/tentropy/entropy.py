@@ -375,7 +375,9 @@ def tau_direct(
 
     Every candidate contributes a certified upper bound (value plus
     optimality gap), so the reported number can sit slightly above but
-    never below the infimum over the candidate set.
+    never below the infimum over the candidate set.  The achieving horizon
+    and partition are those of the first candidate, in search order, whose
+    bound lies within ``tol`` of that minimum.
     """
     require_valid(system)
     if n_max < 1:
@@ -401,10 +403,10 @@ def tau_direct(
         if "random" in strategies:
             for _ in range(budget):
                 candidates.append((n, random_partition(rng, system)))
+    if not candidates:
+        raise ValueError("no candidate partitions: need a strategy and a positive budget")
     problems = [inner_problem(system, mu, part, n) for n, part in candidates]
-    best = np.inf
-    best_n: int | None = None
-    best_partition: PartitionOfUnity | None = None
+    bounds = []
     for (n, partition), sol in zip(candidates, maximize_inner_batch(problems, tol)):
         if sol.value == -np.inf:
             return TauResult(
@@ -413,16 +415,17 @@ def tau_direct(
                 achieving_n=n,
                 achieving_partition=partition,
             )
-        bound = (sol.value + sol.optimality_gap) / n + 1e-12
-        if bound < best:
-            best = bound
-            best_n = n
-            best_partition = partition
+        bounds.append((sol.value + sol.optimality_gap) / n + 1e-12)
+    best = min(bounds)
+    # Bounds closer than the solver tolerance are ties, so report the first
+    # of them rather than whichever one sub-tolerance noise put lowest.
+    first = next(i for i, bound in enumerate(bounds) if bound <= best + tol)
+    n, partition = candidates[first]
     return TauResult(
         value=float(best),
         route="direct",
-        achieving_n=best_n,
-        achieving_partition=best_partition,
+        achieving_n=n,
+        achieving_partition=partition,
     )
 
 
@@ -434,26 +437,34 @@ def _dual_descent(system: FiniteSystem, mu: Functional, iters: int = 500) -> flo
     otherwise this is a best-effort probe of the infimum.
 
     lambda(phi) is the largest of the cycle means of phi, and the
-    subgradient averages the uniform measures of the tied cycles, so a
-    step costs O(cycle atoms + N) and no vertex is ever written out
-    over all N atoms.
+    subgradient g_k averages the uniform measures of the cycles tied at
+    step k.  From phi_0 = 0 the step phi_{k+1} = phi_k + (w - g_k)/(k+1)
+    keeps phi_k = H_k w - E_c / L_c on the atoms of each supported cycle
+    c of length L_c and phi_k = H_k w elsewhere, where H_k is the harmonic
+    sum of 1/(j+1) over j < k and E_c sums 1/((j+1) count_j) over the
+    steps j < k at which c was one of the count_j tied cycles.  With a_c
+    the cycle means of w, the cycle means of phi_k are H_k a - E / L and
+    w . phi_k = H_k (w . w) - E . a.  So one ``cycle_means`` call and one
+    dot product over the N atoms start the descent, each step costs
+    O(supported cycles), and phi is never written out.
     """
     w = effective_weights(system, mu)
-    phi = np.zeros(system.n)
+    a = cycle_means(system, w)
+    lengths = np.array([c.size for c in system.supported_cycle_arrays], dtype=float)
+    ww = float(w @ w)
+    e = np.zeros(a.size)
+    harmonic = 0.0
     best = 0.0
     for k in range(iters):
-        vals = cycle_means(system, phi)
+        vals = harmonic * a - e / lengths
         lam = float(vals.max())
-        h = lam - float(w @ phi)
+        h = lam - (harmonic * ww - float(e @ a))
         best = min(best, h)
         if h < -1e-9:
             return min(best, h * 2e12)
         tied = vals >= lam - 1e-12
-        count = int(tied.sum())
-        grad = -w
-        for pos, rows in system.cycle_groups:
-            grad[rows[tied[pos]]] += (1.0 / rows.shape[1]) / count
-        phi = phi - grad / (k + 1.0)
+        e[tied] += 1.0 / ((k + 1.0) * int(tied.sum()))
+        harmonic += 1.0 / (k + 1.0)
     return best
 
 
@@ -466,7 +477,9 @@ def tau_dual(
     polytope has value 0 (witnessed by writing it as a hull point of the
     uniform cycle measures), anything else diverges to -inf along an
     explicit ray.  The optional descent cross-check hunts for a negative
-    variational value and errors out if it contradicts a membership claim.
+    variational value and errors out if it contradicts a membership claim;
+    it reads one ``cycle_means`` call and then steps on per-cycle scalars,
+    so it costs O(N) once plus O(supported cycles) per step.
     """
     require_valid(system)
     try:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tentropy import entropy
@@ -260,6 +260,45 @@ def test_tau_direct_rejects_unknown_strategy():
     for n_max in (0, -3):
         with pytest.raises(ValueError):
             tau_direct(s, mu, n_max=n_max)
+    for kwargs in ({"strategies": ()}, {"strategies": ("random",), "budget": 0}):
+        with pytest.raises(ValueError, match="no candidate"):
+            tau_direct(s, mu, **kwargs)
+
+
+def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool):
+    """Candidate bounds closer than the solver tolerance are ties: the
+    achieving candidate is the first of them, and no earlier candidate
+    lies within ``tol`` of the reported minimum."""
+    seen = {}
+    make_problem, solve = entropy.inner_problem, entropy.maximize_inner_batch
+
+    def recording_problem(system, mu, partition, n):
+        seen["candidates"].append((n, partition))
+        return make_problem(system, mu, partition, n)
+
+    def recording_solve(problems, tol=1e-8):
+        seen["solutions"] = solve(problems, tol)
+        return seen["solutions"]
+
+    monkeypatch.setattr(entropy, "inner_problem", recording_problem)
+    monkeypatch.setattr(entropy, "maximize_inner_batch", recording_solve)
+    gen = np.random.default_rng(61)
+    tol = 1e-8
+    for s in [twocyc()] + system_pool[:10]:
+        seen["candidates"] = []
+        r = tau_direct(s, random_invariant(gen, s), seed=4, tol=tol)
+        bounds = [
+            (sol.value + sol.optimality_gap) / n + 1e-12
+            for (n, _), sol in zip(seen["candidates"], seen["solutions"])
+        ]
+        assert r.value == min(bounds)
+        first = next(
+            i
+            for i, (n, part) in enumerate(seen["candidates"])
+            if n == r.achieving_n and part is r.achieving_partition
+        )
+        assert bounds[first] <= r.value + tol
+        assert all(bound > r.value + tol for bound in bounds[:first])
 
 
 def test_tau_direct_diverges_on_null_charge():
@@ -311,13 +350,30 @@ def test_tau_dual_dichotomy_and_witnesses(system_pool, large_pool):
             assert (got < -1e-9) == (ref < -1e-9)
 
 
-def test_tau_dual_builds_no_dense_vertex_matrix():
-    """The descent cross-check stays far below one cycles x atoms array."""
-    gen = np.random.default_rng(8)
-    n, count = 4000, 300
-    lengths = gen.integers(1, 9, size=count)
+def assert_descent_matches_oracle(s, mu):
+    """The descent agrees with ``dense_descent`` and takes the same path.
+
+    An early exit returns h * 2e12 for the first h below -1e-9, where
+    h = lambda(phi) - w . phi cancels terms of size H w . w with H the
+    harmonic sum (below 7 at 500 steps), so h is compared after unscaling
+    within a few ulps of those terms rather than relative to itself.
+    """
+    ref = dense_descent(s, mu)
+    got = tau_dual(s, mu).descent_best
+    assert (got < -1e-9) == (ref < -1e-9)
+    if ref < -1e-9:
+        w = effective_weights(s, mu)
+        assert abs(got - ref) / 2e12 <= 1e-13 * max(1.0, float(w @ w))
+    else:
+        assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+    return got
+
+
+def cycles_and_tails(gen, n, lengths):
+    """A fully supported map with cycles of the given lengths and random
+    tails on the remaining atoms."""
     order = gen.permutation(n)
-    on = int(lengths.sum())
+    on = int(np.sum(lengths))
     alpha = np.empty(n, dtype=np.intp)
     start = 0
     for size in lengths:
@@ -326,7 +382,80 @@ def test_tau_dual_builds_no_dense_vertex_matrix():
         start += size
     for i in range(on, n):
         alpha[order[i]] = order[gen.integers(0, i)]
-    s = make_system(gen.uniform(0.5, 2.0, n), alpha)
+    return make_system(gen.uniform(0.5, 2.0, n), alpha)
+
+
+def null_cycle_system():
+    """Supported cycles of lengths 1, 2 and 3 with two supported tail atoms,
+    a null 3-cycle (atoms 8-10) and null tails onto both parts."""
+    alpha = [0, 2, 1, 4, 5, 3, 0, 6, 9, 10, 8, 8, 3]
+    m = [1.0, 0.5, 1.5, 0.7, 1.2, 0.9, 1.1, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
+    s = make_system(m, alpha)
+    assert s.validation.valid and len(s.supported_cycle_arrays) == 3
+    return s
+
+
+def test_dual_descent_matches_dense_oracle_on_edge_cases(large_pool):
+    gen = np.random.default_rng(43)
+    # Equal cycle lengths and equal cycle means: every cycle ties at every
+    # step, the subgradient equals w, and phi never leaves 0.
+    for lengths in ([3] * 4, [4] * 60):
+        s = cycles_and_tails(gen, int(np.sum(lengths)) + 100, lengths)
+        on = np.concatenate(s.supported_cycle_arrays)
+        w = np.zeros(s.n)
+        w[on] = 1.0 / on.size
+        mu = functional(s, w)
+        assert tau_dual(s, mu, cross_check=False).value == 0.0
+        assert abs(assert_descent_matches_oracle(s, mu)) <= 1e-9
+
+    # FULL-mode charge on null atoms (tails and an unsupported cycle) and on
+    # the unsupported cycle alone.
+    s = null_cycle_system()
+    nulls = np.flatnonzero(~s.support)
+    for charged in (nulls, np.array([8, 9, 10])):
+        w = 0.8 * random_invariant(gen, s).weights
+        w[charged] += 0.2 * gen.dirichlet(np.ones(charged.size))
+        mu = functional(s, w, mode=FULL)
+        assert tau_dual(s, mu, cross_check=False).value == -np.inf
+        assert_descent_matches_oracle(s, mu)
+
+    # Near-invariant FULL-mode functionals take the early exit.
+    for s in [null_cycle_system()] + large_pool:
+        w = random_invariant(gen, s).weights + gen.normal(0.0, 1e-3, s.n)
+        assert assert_descent_matches_oracle(s, functional(s, w, mode=FULL)) < -1e-9
+
+
+def test_dual_descent_reads_cycle_means_once(monkeypatch):
+    """No step of the descent gathers over the cycle atoms: a 300-cycle
+    hull point runs all 500 steps on the cycle means of one call."""
+    from tentropy import spectral, system, varprin
+
+    s = cycles_and_tails(np.random.default_rng(8), 4000, np.arange(300) % 8 + 1)
+    assert len(s.supported_cycle_arrays) == 300
+    mu = random_invariant(np.random.default_rng(9), s)
+    calls = []
+    original = system.cycle_means
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (system, entropy, spectral, varprin):
+        monkeypatch.setattr(module, "cycle_means", counting)
+    r = tau_dual(s, mu, cross_check=True)
+    assert r.value == 0.0 and abs(r.descent_best) <= 1e-9
+    assert len(calls) == 2
+    for iters in (1, 50, 500):
+        calls.clear()
+        entropy._dual_descent(s, mu, iters=iters)
+        assert len(calls) == 1
+
+
+def test_tau_dual_builds_no_dense_vertex_matrix():
+    """The descent cross-check stays far below one cycles x atoms array."""
+    gen = np.random.default_rng(8)
+    n, count = 4000, 300
+    s = cycles_and_tails(gen, n, gen.integers(1, 9, size=count))
     assert len(s.supported_cycle_arrays) == count
     mu = random_invariant(gen, s)
     tracemalloc.start()
@@ -460,6 +589,7 @@ def test_maximize_inner_batch_matches_single(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(seed=778)  # the slowest of seeds 0..999
 def test_direct_route_never_undershoots_dual(seed):
     """The direct search reports a certified upper bound, so against the
     exact dual value the signed gap stays in [0, 1e-3]."""
