@@ -5,6 +5,12 @@ do not depend on which other checks run or in what order.  A check returns
 its headline values, a violation residual (0 when it passes), and optionally
 a witness of the worst case; the runner turns exceptions raised by the
 library's internal assertions into failed records instead of crashes.
+
+Checks whose draws are independent draw them in a loop that only fills
+arrays or lists, making the same generator calls in the same order as one
+evaluation per draw would, and then evaluate every draw with one batched
+call: stacked potentials for ``property_residuals`` and ``power_gap`` (one
+stack per power), one ``maximize_inner_batch`` for the inner problems.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .entropy import (
     certificate_sup,
     inner_problem,
     local_young_checks,
-    maximize_inner,
+    maximize_inner_batch,
     near_minimizer_bounds,
     tau_direct,
     tau_dual,
@@ -263,14 +269,20 @@ def _check_gelfand(system, cfg, rng):
 
 
 def _check_power(system, cfg, rng):
+    phis = np.empty((cfg.draws, system.n))
+    ks = np.empty(cfg.draws, dtype=int)
+    for i in range(cfg.draws):
+        phis[i] = random_potential(rng, system, scale=2.0)
+        ks[i] = rng.integers(1, 6)
     worst = -np.inf
     strict = 0
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, system, scale=2.0)
-        k = int(rng.integers(1, 6))
-        res = power_gap(system, phi, k)
-        worst = max(worst, res.scaled - res.power)
-        strict += res.gap > 1e-9
+    # one stacked call per power; draws keep their order inside each stack
+    for k in range(1, 6):
+        rows = ks == k
+        if rows.any():
+            res = power_gap(system, phis[rows], k)
+            worst = max(worst, float((res.scaled - res.power).max()))
+            strict += int((res.gap > 1e-9).sum())
     tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": cfg.draws, "worst_excess": worst, "strict_gaps": strict},
@@ -280,25 +292,23 @@ def _check_power(system, cfg, rng):
 
 
 def _check_properties(system, cfg, rng):
-    worst = -np.inf
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, system, scale=2.0)
-        psi = random_potential(rng, system, scale=2.0)
-        props = property_residuals(
-            system,
-            phi,
-            psi,
-            t=float(rng.uniform()),
-            shift=float(rng.uniform(-3.0, 3.0)),
-        )
-        worst = max(
-            worst,
-            props.monotonicity,
-            props.additive_homogeneity,
-            props.lipschitz,
-            props.convexity,
-            props.strong_invariance,
-        )
+    phis = np.empty((cfg.draws, system.n))
+    psis = np.empty((cfg.draws, system.n))
+    ts = np.empty(cfg.draws)
+    shifts = np.empty(cfg.draws)
+    for i in range(cfg.draws):
+        phis[i] = random_potential(rng, system, scale=2.0)
+        psis[i] = random_potential(rng, system, scale=2.0)
+        ts[i] = rng.uniform()
+        shifts[i] = rng.uniform(-3.0, 3.0)
+    props = property_residuals(system, phis, psis, t=ts, shift=shifts)
+    worst = max(
+        float(props.monotonicity.max()),
+        float(props.additive_homogeneity.max()),
+        float(props.lipschitz.max()),
+        float(props.convexity.max()),
+        float(props.strong_invariance.max()),
+    )
     tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
@@ -346,10 +356,8 @@ def _check_submultiplicative(system, cfg, rng):
 
 
 def _check_inner_certificate(system, cfg, rng):
-    worst = 0.0
-    solved = divergent = 0
-    rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
+    problems = []
+    for _ in range(max(1, cfg.draws // 20)):
         if rng.uniform() < 0.5:
             mu = random_invariant(rng, system)
         else:
@@ -359,8 +367,10 @@ def _check_inner_certificate(system, cfg, rng):
         else:
             partition = random_partition(rng, system)
         n = int(rng.integers(1, 5))
-        prob = inner_problem(system, mu, partition, n)
-        sol = maximize_inner(prob, tol=1e-9)
+        problems.append(inner_problem(system, mu, partition, n))
+    worst = 0.0
+    solved = divergent = 0
+    for prob, sol in zip(problems, maximize_inner_batch(problems, 1e-9)):
         if sol.value == -np.inf:
             divergent += 1
             continue
@@ -375,8 +385,8 @@ def _check_inner_certificate(system, cfg, rng):
 
 
 def _check_near_minimizer(system, cfg, rng):
-    worst = np.inf
     rounds = max(1, cfg.draws // 20)
+    draws = []
     for _ in range(rounds):
         mu = random_invariant(rng, system)
         if rng.uniform() < 0.5:
@@ -385,7 +395,13 @@ def _check_near_minimizer(system, cfg, rng):
             partition = random_partition(rng, system)
         n = int(rng.integers(1, 5))
         eps = float(rng.choice((1.0, 0.1, 0.01)))
-        bounds = near_minimizer_bounds(system, mu, partition, n, eps)
+        draws.append((mu, partition, n, eps))
+    problems = [inner_problem(system, mu, part, n) for mu, part, n, _ in draws]
+    worst = np.inf
+    for (mu, partition, n, eps), sol in zip(
+        draws, maximize_inner_batch(problems, 1e-9)
+    ):
+        bounds = near_minimizer_bounds(system, mu, partition, n, eps, solution=sol)
         worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
     tol = cfg.threshold(1e-8)
     return {

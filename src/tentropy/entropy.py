@@ -37,7 +37,6 @@ from .system import (
     effective_weights,
     is_invariant,
     pair,
-    preimage_mass,
     require_valid,
     trivial_partition,
 )
@@ -90,12 +89,14 @@ def inner_problem(
     w = effective_weights(system, mu)
     an = alpha_power(system, n)
     sup = system.supported_indices
-    rows = []
-    for g in members:
-        push = preimage_mass(system, g * system.m, an)
-        rows.append(push[sup] / system.m[sup])
+    # ``preimage_mass`` of every member at once: member g's mass moving to
+    # atom y lands in bin y + N g, and each bin adds its terms in atom order
+    size = members.shape[0]
+    bins = (an + system.n * np.arange(size)[:, None]).ravel()
+    weights = (members * system.m).ravel()
+    push = np.bincount(bins, weights=weights, minlength=size * system.n)
     return InnerProblem(
-        c=np.array(rows),
+        c=push.reshape(size, system.n)[:, sup] / system.m[sup],
         mu_weights=members @ w,
         n=n,
         support_atoms=tuple(int(i) for i in sup),
@@ -429,7 +430,9 @@ def tau_direct(
     )
 
 
-def _dual_descent(system: FiniteSystem, mu: Functional, iters: int = 500) -> float:
+def _dual_descent(
+    system: FiniteSystem, w: np.ndarray, a: np.ndarray, iters: int = 500
+) -> float:
     """Best value of lambda(phi) - mu[phi] seen along a subgradient descent.
 
     Positive homogeneity means one strictly negative value certifies
@@ -444,12 +447,11 @@ def _dual_descent(system: FiniteSystem, mu: Functional, iters: int = 500) -> flo
     sum of 1/(j+1) over j < k and E_c sums 1/((j+1) count_j) over the
     steps j < k at which c was one of the count_j tied cycles.  With a_c
     the cycle means of w, the cycle means of phi_k are H_k a - E / L and
-    w . phi_k = H_k (w . w) - E . a.  So one ``cycle_means`` call and one
-    dot product over the N atoms start the descent, each step costs
+    w . phi_k = H_k (w . w) - E . a.  So the effective weights w of mu,
+    their cycle means a (one ``cycle_means`` call, made by the caller) and
+    one dot product over the N atoms start the descent, each step costs
     O(supported cycles), and phi is never written out.
     """
-    w = effective_weights(system, mu)
-    a = cycle_means(system, w)
     lengths = np.array([c.size for c in system.supported_cycle_arrays], dtype=float)
     ww = float(w @ w)
     e = np.zeros(a.size)
@@ -478,8 +480,9 @@ def tau_dual(
     uniform cycle measures), anything else diverges to -inf along an
     explicit ray.  The optional descent cross-check hunts for a negative
     variational value and errors out if it contradicts a membership claim;
-    it reads one ``cycle_means`` call and then steps on per-cycle scalars,
-    so it costs O(N) once plus O(supported cycles) per step.
+    it steps on per-cycle scalars from the one ``cycle_means`` call of the
+    membership test (or of its own on a divergent functional), so it costs
+    O(N) once plus O(supported cycles) per step.
     """
     require_valid(system)
     try:
@@ -508,7 +511,11 @@ def tau_dual(
             divergence=witness,
         )
     if cross_check:
-        best = _dual_descent(system, mu)
+        # the hull branch has the weights and their cycle means already
+        if witness is not None:
+            w = effective_weights(system, mu)
+            means = cycle_means(system, w)
+        best = _dual_descent(system, w, means)
         if witness is None and best < -1e-6:
             raise RuntimeError(
                 "descent found a negative variational value for a hull point"
@@ -603,8 +610,17 @@ def near_minimizer_bounds(
     partition: PartitionOfUnity,
     n: int,
     eps: float,
+    solution: InnerSolution | None = None,
 ) -> NearMinimizerBounds:
-    solution = tau_n(system, mu, partition, n, tol=1e-9)
+    """Both slacks at the near-minimizer of (mu, partition, n, eps).
+
+    ``solution``, when given, is the inner solution of that problem (for
+    instance one member of a ``maximize_inner_batch`` call) and replaces
+    its solve at tolerance 1e-9; mu must be normalized either way.
+    """
+    _require_normalized(system, mu)
+    if solution is None:
+        solution = maximize_inner(inner_problem(system, mu, partition, n), tol=1e-9)
     phi = near_minimizer(system, mu, partition, n, eps, solution=solution)
     growth = eps * op_norm(system, np.zeros(system.n), n) - n * log_spectral_radius(
         system, phi

@@ -203,13 +203,16 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
 
 @dataclass(frozen=True, eq=False)
 class PowerGap:
-    """Growth rate of k phi under the k-step map versus k times the rate of phi."""
+    """Growth rate of k phi under the k-step map versus k times the rate of phi.
 
-    scaled: float
-    power: float
+    Both fields are floats for one potential and (rows,) arrays for a stack.
+    """
+
+    scaled: float | np.ndarray
+    power: float | np.ndarray
 
     @property
-    def gap(self) -> float:
+    def gap(self) -> float | np.ndarray:
         return self.power - self.scaled
 
 
@@ -221,27 +224,33 @@ def power_gap(system: FiniteSystem, phi, k: int) -> PowerGap:
     power side dominates; the gap is strict whenever the splitting
     isolates above-average stretches of a cycle.  The power side is read
     from the cycles of the map itself (``power_system`` is not built).
+    ``phi`` is one potential or a (rows, n_atoms) stack sharing the power
+    k; a single potential is the stack of one, and each row gets the bits
+    of its own call.
     """
     if k < 1:
         raise ValueError("power must be at least 1")
     phi = np.asarray(phi, dtype=float)
-    scaled = k * log_spectral_radius(system, phi)
-    power = _power_rate(system, k * phi, k)
-    if scaled > power + 1e-12:
+    phis = phi.reshape(-1, phi.shape[-1])
+    scaled = k * log_spectral_radius_batch(system, phis)
+    power = _power_rate(system, k * phis, k)
+    if np.any(scaled > power + 1e-12):
         raise RuntimeError("power-map rate fell below the scaled rate")
+    if phi.ndim == 1:
+        return PowerGap(scaled=float(scaled[0]), power=float(power[0]))
     return PowerGap(scaled=scaled, power=power)
 
 
-def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> float:
-    """Spectral potential of psi under alpha^k, from the cycles of alpha.
+def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> np.ndarray:
+    """Spectral potential under alpha^k of each row of a (rows, n_atoms) psi.
 
     A supported cycle of length L splits into d = gcd(L, k) cycles of
     alpha^k, the atoms at positions r, r + k, r + 2k, ... (mod L) for
     r < d.  Each is summed from its smallest atom on, in alpha^k order, as
     the decomposition of ``power_system`` lists it, so the means carry the
-    bits of ``log_spectral_radius(power_system(system, k), psi)``.
+    bits of ``log_spectral_radius(power_system(system, k), psi[i])``.
     """
-    best = -np.inf
+    best = np.full(psi.shape[0], -np.inf)
     for _, rows in system.cycle_groups:
         length = rows.shape[1]
         d = math.gcd(length, k)
@@ -249,7 +258,8 @@ def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> float:
         orbits = rows[:, (np.arange(d)[:, None] + k * np.arange(size)) % length]
         start = orbits.argmin(axis=-1)[..., None]
         orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
-        best = max(best, float((psi[orbits].sum(axis=-1) / size).max()))
+        means = psi[:, orbits].sum(axis=-1) / size
+        best = np.maximum(best, means.reshape(psi.shape[0], -1).max(axis=1))
     return best
 
 
@@ -259,51 +269,69 @@ class PotentialProperties:
 
     Every field is a signed defect that should be <= 0 (inequalities) or
     ~ 0 (identities) up to roundoff; callers assert against their own
-    tolerance.
+    tolerance.  Fields are floats for one pair of potentials and (rows,)
+    arrays for a stack of pairs.
     """
 
-    monotonicity: float
-    additive_homogeneity: float
-    lipschitz: float
-    convexity: float
-    strong_invariance: float
+    monotonicity: float | np.ndarray
+    additive_homogeneity: float | np.ndarray
+    lipschitz: float | np.ndarray
+    convexity: float | np.ndarray
+    strong_invariance: float | np.ndarray
 
 
 def property_residuals(
-    system: FiniteSystem, phi, psi, t: float = 0.5, shift: float = 1.0
+    system: FiniteSystem,
+    phi,
+    psi,
+    t: float | np.ndarray = 0.5,
+    shift: float | np.ndarray = 1.0,
 ) -> PotentialProperties:
     """Residuals of the standard laws at a pair of potentials.
 
     ``t`` is the convex-combination weight, ``shift`` the constant in the
-    additivity law.
+    additivity law.  ``phi`` and ``psi`` may be (rows, n_atoms) stacks of
+    pairs, with ``t`` and ``shift`` scalars or one value per row; each law
+    then costs one ``log_spectral_radius_batch`` call, and each row gets
+    the bits of its own call.  A single pair is the stack of one.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("convexity weight must lie in [0, 1]")
     phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    lam_phi = log_spectral_radius(system, phi)
-    lam_psi = log_spectral_radius(system, psi)
+    phis = phi.reshape(-1, phi.shape[-1])
+    psis = np.asarray(psi, dtype=float).reshape(phis.shape)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), phis.shape[:1])
+    shifts = np.broadcast_to(np.asarray(shift, dtype=float), phis.shape[:1])
+    if not np.all((0.0 <= ts) & (ts <= 1.0)):
+        raise ValueError("convexity weight must lie in [0, 1]")
 
-    lam_max = log_spectral_radius(system, np.maximum(phi, psi))
-    monotonicity = max(lam_phi, lam_psi) - lam_max
+    def lam(values):
+        return log_spectral_radius_batch(system, values)
 
-    lam_shift = log_spectral_radius(system, phi + shift)
-    additive = abs(lam_shift - lam_phi - shift)
+    lam_phi = lam(phis)
+    lam_psi = lam(psis)
 
-    sup_diff = float(np.max(np.abs(phi - psi)[system.support]))
-    lipschitz = abs(lam_phi - lam_psi) - sup_diff
+    lam_max = lam(np.maximum(phis, psis))
+    monotonicity = np.maximum(lam_phi, lam_psi) - lam_max
 
-    lam_mix = log_spectral_radius(system, (1.0 - t) * phi + t * psi)
-    convexity = lam_mix - ((1.0 - t) * lam_phi + t * lam_psi)
+    lam_shift = lam(phis + shifts[:, None])
+    additive = np.abs(lam_shift - lam_phi - shifts)
 
-    lam_twist = log_spectral_radius(system, phi + psi[system.alpha])
-    lam_plain = log_spectral_radius(system, phi + psi)
-    strong = abs(lam_twist - lam_plain)
+    sup_diff = np.abs(phis - psis)[:, system.support].max(axis=1)
+    lipschitz = np.abs(lam_phi - lam_psi) - sup_diff
 
-    return PotentialProperties(
-        monotonicity=monotonicity,
-        additive_homogeneity=additive,
-        lipschitz=lipschitz,
-        convexity=convexity,
-        strong_invariance=strong,
-    )
+    lam_mix = lam((1.0 - ts)[:, None] * phis + ts[:, None] * psis)
+    convexity = lam_mix - ((1.0 - ts) * lam_phi + ts * lam_psi)
+
+    lam_twist = lam(phis + psis[:, system.alpha])
+    lam_plain = lam(phis + psis)
+    strong = np.abs(lam_twist - lam_plain)
+
+    fields = {
+        "monotonicity": monotonicity,
+        "additive_homogeneity": additive,
+        "lipschitz": lipschitz,
+        "convexity": convexity,
+        "strong_invariance": strong,
+    }
+    if phi.ndim == 1:
+        fields = {name: float(value[0]) for name, value in fields.items()}
+    return PotentialProperties(**fields)

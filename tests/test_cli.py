@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,29 @@ def test_certify_reports_are_byte_identical(files, tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_certify_does_not_import_numpy_ma(files):
+    """A full quick certify run leaves ``numpy.ma`` unimported: importing it
+    (``np.unique`` does) raises the peak memory of every certify run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from tentropy import cli\n"
+        f"code = cli.main(['certify', {str(files / 'two.json')!r}, '--suite', 'all',"
+        " '--profile', 'quick', '--out', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(files / "report.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_seed_env_fallback_matches_flag(files, tmp_path, capsys, monkeypatch):

@@ -38,6 +38,7 @@ from tentropy.spectral import op_norm_log
 from tentropy.system import (
     FULL,
     PartitionOfUnity,
+    alpha_power,
     atomic_partition,
     birkhoff,
     effective_weights,
@@ -45,6 +46,7 @@ from tentropy.system import (
     invariant_vertices,
     make_system,
     pair,
+    preimage_mass,
     trivial_partition,
 )
 
@@ -100,6 +102,24 @@ def simplex_grid(k, step):
 
     for combo in rec([], ticks, k):
         yield np.array(combo, dtype=float) * step
+
+
+def test_inner_problem_matches_per_member_preimage_mass(system_pool, large_pool):
+    """The one offset bincount gives every row the bits of a
+    ``preimage_mass`` call on that member alone."""
+    gen = np.random.default_rng(61)
+    for s in system_pool + large_pool:
+        mu = random_invariant(gen, s)
+        sup = s.supported_indices
+        for part in (atomic_partition(s), random_partition(gen, s)):
+            for n in (1, 3):
+                an = alpha_power(s, n)
+                want = np.array(
+                    [preimage_mass(s, g * s.m, an)[sup] / s.m[sup] for g in part.members]
+                )
+                got = inner_problem(s, mu, part, n).c
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (s.n, n)
 
 
 def test_inner_problem_tail_atomic_matrix():
@@ -444,11 +464,14 @@ def test_dual_descent_reads_cycle_means_once(monkeypatch):
         monkeypatch.setattr(module, "cycle_means", counting)
     r = tau_dual(s, mu, cross_check=True)
     assert r.value == 0.0 and abs(r.descent_best) <= 1e-9
-    assert len(calls) == 2
+    # the membership test and the descent share one call
+    assert len(calls) == 1
+    w = effective_weights(s, mu)
+    a = original(s, w)
     for iters in (1, 50, 500):
         calls.clear()
-        entropy._dual_descent(s, mu, iters=iters)
-        assert len(calls) == 1
+        entropy._dual_descent(s, w, a, iters=iters)
+        assert len(calls) == 0
 
 
 def test_tau_dual_builds_no_dense_vertex_matrix():
@@ -516,6 +539,28 @@ def test_near_minimizer_bounds_nonnegative(any_system):
             b = near_minimizer_bounds(s, mu, atomic_partition(s), n, eps)
             assert b.growth_slack >= -1e-8
             assert b.pairing_slack >= -1e-8
+
+
+def test_near_minimizer_bounds_with_supplied_solution(any_system):
+    """A solution handed in, as from a batched solve, gives the bounds of
+    the call that solves its own problem."""
+    gen = np.random.default_rng(57)
+    s = any_system
+    for eps in (1.0, 0.1, 0.01):
+        mu = random_invariant(gen, s)
+        for n in (1, 2, 3):
+            part = random_partition(gen, s)
+            want = near_minimizer_bounds(s, mu, part, n, eps)
+            sol = maximize_inner(inner_problem(s, mu, part, n), tol=1e-9)
+            got = near_minimizer_bounds(s, mu, part, n, eps, solution=sol)
+            assert got.solution is sol
+            assert np.array_equal(got.phi, want.phi)
+            assert got.growth_slack == want.growth_slack
+            assert got.pairing_slack == want.pairing_slack
+    # a supplied solution does not waive the normalization check
+    bad = functional(s, np.where(s.support, 2.0, 0.0))
+    with pytest.raises(ValueError):
+        near_minimizer_bounds(s, bad, atomic_partition(s), 1, 0.1, solution=sol)
 
 
 def test_tau_n_rejects_unnormalized():

@@ -254,6 +254,22 @@ def test_power_gap_frozen_examples(system_pool, large_pool):
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (s.n, k)
 
 
+def test_stacked_power_gap_rows_match_single_calls(system_pool, large_pool):
+    """Each row of a stack gets the bits of the call on that row alone."""
+    gen = np.random.default_rng(67)
+    for s in system_pool + large_pool:
+        phis = gen.uniform(-2.0, 2.0, size=(7, s.n))
+        for k in range(1, 7):
+            stacked = power_gap(s, phis, k)
+            assert stacked.scaled.shape == stacked.power.shape == (7,)
+            for i, phi in enumerate(phis):
+                single = power_gap(s, phi, k)
+                assert isinstance(single.scaled, float)
+                assert stacked.scaled[i] == single.scaled, (s.n, k, i)
+                assert stacked.power[i] == single.power, (s.n, k, i)
+                assert stacked.gap[i] == single.gap
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -282,6 +298,48 @@ def test_property_residuals_all_within_tolerance(seed):
     res = property_residuals(s, phi, psi, t=float(gen.uniform(0, 1)), shift=1.5)
     for name, value in vars(res).items():
         assert value <= 1e-12, f"{name} defect {value} too large (seed {seed})"
+
+
+def test_stacked_property_residuals_rows_match_single_calls(system_pool, large_pool):
+    """Each row of a stack, with its own t and shift, gets the bits of the
+    call on that pair alone; scalar t and shift apply to every row."""
+    gen = np.random.default_rng(71)
+    fields = (
+        "monotonicity",
+        "additive_homogeneity",
+        "lipschitz",
+        "convexity",
+        "strong_invariance",
+    )
+    for s in system_pool + large_pool:
+        phis = gen.uniform(-2.0, 2.0, size=(6, s.n))
+        psis = gen.uniform(-2.0, 2.0, size=(6, s.n))
+        ts = gen.uniform(size=6)
+        ts[0], ts[1] = 0.0, 1.0
+        shifts = gen.uniform(-3.0, 3.0, size=6)
+        stacked = property_residuals(s, phis, psis, t=ts, shift=shifts)
+        shared = property_residuals(s, phis, psis, t=0.25, shift=-1.0)
+        for i in range(6):
+            single = property_residuals(s, phis[i], psis[i], t=ts[i], shift=shifts[i])
+            plain = property_residuals(s, phis[i], psis[i], t=0.25, shift=-1.0)
+            for name in fields:
+                assert isinstance(getattr(single, name), float)
+                assert getattr(stacked, name).shape == (6,)
+                assert getattr(stacked, name)[i] == getattr(single, name), (s.n, name)
+                assert getattr(shared, name)[i] == getattr(plain, name), (s.n, name)
+
+
+def test_stacked_property_residuals_reject_any_weight_outside_unit_interval():
+    s = twocyc()
+    gen = np.random.default_rng(73)
+    phis = gen.uniform(-2.0, 2.0, size=(3, s.n))
+    psis = gen.uniform(-2.0, 2.0, size=(3, s.n))
+    for bad in (1.5, -0.1, np.nan):
+        ts = np.array([0.2, bad, 0.7])
+        with pytest.raises(ValueError):
+            property_residuals(s, phis, psis, t=ts)
+        with pytest.raises(ValueError):
+            property_residuals(s, phis[1], psis[1], t=bad)
 
 
 def test_additive_homogeneity_exact_value():
