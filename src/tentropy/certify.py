@@ -276,7 +276,7 @@ def _check_power(system, cfg, rng):
         ks[i] = rng.integers(1, 6)
     worst = -np.inf
     strict = 0
-    # one stacked call per power; draws keep their order inside each stack
+    # one stack per power; a loop, as np.unique would import numpy.ma
     for k in range(1, 6):
         rows = ks == k
         if rows.any():
