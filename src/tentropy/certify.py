@@ -6,11 +6,11 @@ its headline values, a violation residual (0 when it passes), and optionally
 a witness of the worst case; the runner turns exceptions raised by the
 library's internal assertions into failed records instead of crashes.
 
-Checks whose draws are independent draw them in a loop that only fills
-arrays or lists, making the same generator calls in the same order as one
-evaluation per draw would, and then evaluate every draw with one batched
-call: stacked potentials for ``property_residuals`` and ``power_gap`` (one
-stack per power), one ``maximize_inner_batch`` for the inner problems.
+``lemma.properties`` and ``lemma.power`` draw in a loop that only fills
+arrays, making the same generator calls in the same order as one evaluation
+per draw would, and then evaluate every draw with one batched call: stacked
+potentials for ``property_residuals`` and ``power_gap`` (one stack per
+power).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .entropy import (
     certificate_sup,
     inner_problem,
     local_young_checks,
-    maximize_inner_batch,
+    maximize_inner,
     near_minimizer_bounds,
     tau_direct,
     tau_dual,
@@ -268,16 +268,20 @@ def _check_gelfand(system, cfg, rng):
     }
 
 
+# the powers k that lemma.power draws
+_POWERS = range(1, 6)
+
+
 def _check_power(system, cfg, rng):
     phis = np.empty((cfg.draws, system.n))
     ks = np.empty(cfg.draws, dtype=int)
     for i in range(cfg.draws):
         phis[i] = random_potential(rng, system, scale=2.0)
-        ks[i] = rng.integers(1, 6)
+        ks[i] = rng.integers(_POWERS.start, _POWERS.stop)
     worst = -np.inf
     strict = 0
     # one stack per power; a loop, as np.unique would import numpy.ma
-    for k in range(1, 6):
+    for k in _POWERS:
         rows = ks == k
         if rows.any():
             res = power_gap(system, phis[rows], k)
@@ -356,8 +360,10 @@ def _check_submultiplicative(system, cfg, rng):
 
 
 def _check_inner_certificate(system, cfg, rng):
-    problems = []
-    for _ in range(max(1, cfg.draws // 20)):
+    worst = 0.0
+    solved = divergent = 0
+    rounds = max(1, cfg.draws // 20)
+    for _ in range(rounds):
         if rng.uniform() < 0.5:
             mu = random_invariant(rng, system)
         else:
@@ -367,10 +373,8 @@ def _check_inner_certificate(system, cfg, rng):
         else:
             partition = random_partition(rng, system)
         n = int(rng.integers(1, 5))
-        problems.append(inner_problem(system, mu, partition, n))
-    worst = 0.0
-    solved = divergent = 0
-    for prob, sol in zip(problems, maximize_inner_batch(problems, 1e-9)):
+        prob = inner_problem(system, mu, partition, n)
+        sol = maximize_inner(prob, tol=1e-9)
         if sol.value == -np.inf:
             divergent += 1
             continue
@@ -385,8 +389,8 @@ def _check_inner_certificate(system, cfg, rng):
 
 
 def _check_near_minimizer(system, cfg, rng):
+    worst = np.inf
     rounds = max(1, cfg.draws // 20)
-    draws = []
     for _ in range(rounds):
         mu = random_invariant(rng, system)
         if rng.uniform() < 0.5:
@@ -395,13 +399,7 @@ def _check_near_minimizer(system, cfg, rng):
             partition = random_partition(rng, system)
         n = int(rng.integers(1, 5))
         eps = float(rng.choice((1.0, 0.1, 0.01)))
-        draws.append((mu, partition, n, eps))
-    problems = [inner_problem(system, mu, part, n) for mu, part, n, _ in draws]
-    worst = np.inf
-    for (mu, partition, n, eps), sol in zip(
-        draws, maximize_inner_batch(problems, 1e-9)
-    ):
-        bounds = near_minimizer_bounds(system, mu, partition, n, eps, solution=sol)
+        bounds = near_minimizer_bounds(system, mu, partition, n, eps)
         worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
     tol = cfg.threshold(1e-8)
     return {

@@ -90,13 +90,14 @@ def inner_problem(
     an = alpha_power(system, n)
     sup = system.supported_indices
     # ``preimage_mass`` of every member at once: member g's mass moving to
-    # atom y lands in bin y + N g, and each bin adds its terms in atom order
+    # atom y lands in bin y + N g, and each bin adds its terms in atom order;
+    # ``take`` keeps c row-major, as the solver's products read its bits
     size = members.shape[0]
     bins = (an + system.n * np.arange(size)[:, None]).ravel()
     weights = (members * system.m).ravel()
     push = np.bincount(bins, weights=weights, minlength=size * system.n)
     return InnerProblem(
-        c=push.reshape(size, system.n)[:, sup] / system.m[sup],
+        c=push.reshape(size, system.n).take(sup, axis=1) / system.m[sup],
         mu_weights=members @ w,
         n=n,
         support_atoms=tuple(int(i) for i in sup),
@@ -610,17 +611,8 @@ def near_minimizer_bounds(
     partition: PartitionOfUnity,
     n: int,
     eps: float,
-    solution: InnerSolution | None = None,
 ) -> NearMinimizerBounds:
-    """Both slacks at the near-minimizer of (mu, partition, n, eps).
-
-    ``solution``, when given, is the inner solution of that problem (for
-    instance one member of a ``maximize_inner_batch`` call) and replaces
-    its solve at tolerance 1e-9; mu must be normalized either way.
-    """
-    _require_normalized(system, mu)
-    if solution is None:
-        solution = maximize_inner(inner_problem(system, mu, partition, n), tol=1e-9)
+    solution = tau_n(system, mu, partition, n, tol=1e-9)
     phi = near_minimizer(system, mu, partition, n, eps, solution=solution)
     growth = eps * op_norm(system, np.zeros(system.n), n) - n * log_spectral_radius(
         system, phi

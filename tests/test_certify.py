@@ -4,9 +4,8 @@ import json
 import math
 
 import numpy as np
-import pytest
 
-from tentropy import entropy, spectral
+from tentropy import spectral
 from tentropy.certify import CertifyConfig, _rng_for, run_check
 from tentropy.fixtures import twocyc
 from tentropy.sampling import random_potential
@@ -119,14 +118,3 @@ def test_property_and_power_checks_make_no_scalar_lambda_calls(monkeypatch):
     assert run_check(s, "lemma.power", cfg)["verdict"] == "pass"
     assert (len(scalar), len(batch)) == (0, 5)
 
-
-@pytest.mark.parametrize("name", ["lemma.inner_certificate", "lemma.near_minimizer"])
-def test_inner_checks_solve_all_draws_in_one_run(monkeypatch, name):
-    s = twelve_atoms()
-    assert s.n == 12 and s.support.all()
-    calls = counting(monkeypatch, entropy, "_interior_point")
-    record = run_check(s, name, CertifyConfig(seed=5))
-    assert record["verdict"] == "pass", record
-    assert len(calls) == 1
-    # every draw of the check went into that one stack
-    assert calls[0][0].shape[0] == CertifyConfig().draws // 20
