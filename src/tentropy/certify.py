@@ -2,9 +2,15 @@
 
 Each check draws its own generator from (seed, check name), so the verdicts
 do not depend on which other checks run or in what order.  A check returns
-its headline values, a violation residual (0 when it passes), and optionally
-a witness of the worst case; the runner turns exceptions raised by the
-library's internal assertions into failed records instead of crashes.
+its headline values, its claims, and optionally a witness of the worst case.
+A claim is an ``(observed, bound)`` pair that holds when ``observed <= bound``;
+tolerance bounds go through ``CertifyConfig.threshold`` (so ``--tolerance``
+overrides them), structural bounds are literal.  ``make_record`` derives every
+record's verdict (pass when all claims hold), residual (the largest excess
+over a bound, 0 exactly when the record passes) and repro (failing records
+only); the CLI builds its own records with it too.  The runner turns
+exceptions raised by the library's internal assertions into failed records
+with an infinite residual instead of crashes.
 
 ``lemma.properties`` and ``lemma.power`` draw in a loop that only fills
 arrays, making the same generator calls in the same order as one evaluation
@@ -100,11 +106,9 @@ def _check_young_global(system, cfg, rng):
         res = young_check(system, phi, mu)
         worst = min(worst, res.slack)
         tight += res.tight
-    tol = cfg.threshold(1e-9)
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
-        "residual": max(0.0, -worst),
-        "passed": worst >= -tol,
+        "claims": [(-worst, cfg.threshold(1e-9))],
     }
 
 
@@ -126,11 +130,9 @@ def _check_young_local(system, cfg, rng):
             draws.append((phi, mu, n, eps))
         for lhs, rhs in local_young_checks(system, draws):
             worst = min(worst, lhs - rhs)
-    tol = cfg.threshold(1e-8)
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
-        "residual": max(0.0, -worst),
-        "passed": worst >= -tol,
+        "claims": [(-worst, cfg.threshold(1e-8))],
     }
 
 
@@ -140,11 +142,9 @@ def _check_vp_gap(system, cfg, rng):
         phi = random_potential(rng, system, scale=3.0)
         cert = variational_principle(system, phi)
         worst = max(worst, abs(cert.gap))
-    tol = cfg.threshold(1e-9)
     return {
         "values": {"draws": cfg.draws, "worst_gap": worst},
-        "residual": max(0.0, worst - tol),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-9))],
     }
 
 
@@ -167,8 +167,7 @@ def _check_vp_subgradient(system, cfg, rng):
             "worst_violation": worst,
             "tau_identity_residual": identity,
         },
-        "residual": max(0.0, worst, identity - tol),
-        "passed": worst <= tol and identity <= tol,
+        "claims": [(worst, tol), (identity, tol)],
     }
 
 
@@ -205,9 +204,8 @@ def _check_vp_dichotomy(system, cfg, rng):
                 }
     return {
         "values": {"draws": cfg.draws, "zeros": zeros, "divergent": divergent},
-        "residual": float(bad),
+        "claims": [(bad, 0)],
         "witness": witness,
-        "passed": bad == 0,
     }
 
 
@@ -232,15 +230,13 @@ def _check_op_norm_oracle(system, cfg, rng):
             f = random_unit_function(rng, system)
             grown = l1_norm(system, iterate(system, phi, f, n))
             worst_excess = max(worst_excess, grown - value * (1.0 + 1e-9))
-    tol = cfg.threshold(1e-12)
     return {
         "values": {
             "indicator_gap": worst_gap,
             "unit_ball_excess": worst_excess,
             "draws": cfg.draws,
         },
-        "residual": max(0.0, worst_gap - tol, worst_excess),
-        "passed": worst_gap <= tol and worst_excess <= 0.0,
+        "claims": [(worst_gap, cfg.threshold(1e-12)), (worst_excess, 0.0)],
     }
 
 
@@ -255,7 +251,6 @@ def _check_gelfand(system, cfg, rng):
         worst_below = min(worst_below, float((res.norm_sequence - res.value).min()))
         final_gap = max(final_gap, abs(float(res.norm_sequence[-1]) - res.value))
         flagged += res.flagged
-    tol = cfg.threshold(1e-9)
     return {
         "values": {
             "draws": rounds,
@@ -263,8 +258,7 @@ def _check_gelfand(system, cfg, rng):
             "final_gap": final_gap,
             "flagged": flagged,
         },
-        "residual": max(0.0, -worst_below, float(flagged)),
-        "passed": worst_below >= -tol and flagged == 0,
+        "claims": [(-worst_below, cfg.threshold(1e-9)), (flagged, 0)],
     }
 
 
@@ -287,11 +281,9 @@ def _check_power(system, cfg, rng):
             res = power_gap(system, phis[rows], k)
             worst = max(worst, float((res.scaled - res.power).max()))
             strict += int((res.gap > 1e-9).sum())
-    tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": cfg.draws, "worst_excess": worst, "strict_gaps": strict},
-        "residual": max(0.0, worst),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-12))],
     }
 
 
@@ -313,11 +305,9 @@ def _check_properties(system, cfg, rng):
         float(props.convexity.max()),
         float(props.strong_invariance.max()),
     )
-    tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
-        "residual": max(0.0, worst),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-12))],
     }
 
 
@@ -333,11 +323,9 @@ def _check_coboundary(system, cfg, rng):
             )
         )
     )
-    tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
-        "residual": max(0.0, worst),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-12))],
     }
 
 
@@ -351,11 +339,9 @@ def _check_submultiplicative(system, cfg, rng):
         lhs = op_norm_log(system, phi, n + k)
         rhs = op_norm_log(system, phi, n) + op_norm_log(system, phi, k)
         worst = max(worst, lhs - rhs)
-    tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": rounds, "worst_log_excess": worst},
-        "residual": max(0.0, worst),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-12))],
     }
 
 
@@ -380,11 +366,9 @@ def _check_inner_certificate(system, cfg, rng):
             continue
         worst = max(worst, abs(certificate_sup(prob, sol) - 1.0))
         solved += 1
-    tol = cfg.threshold(1e-6)
     return {
         "values": {"solved": solved, "divergent": divergent, "worst_sup_gap": worst},
-        "residual": max(0.0, worst - tol),
-        "passed": worst <= tol and solved > 0,
+        "claims": [(worst, cfg.threshold(1e-6)), (-solved, -1)],
     }
 
 
@@ -401,11 +385,9 @@ def _check_near_minimizer(system, cfg, rng):
         eps = float(rng.choice((1.0, 0.1, 0.01)))
         bounds = near_minimizer_bounds(system, mu, partition, n, eps)
         worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
-    tol = cfg.threshold(1e-8)
     return {
         "values": {"draws": rounds, "worst_slack": worst},
-        "residual": max(0.0, -worst),
-        "passed": worst >= -tol,
+        "claims": [(-worst, cfg.threshold(1e-8))],
     }
 
 
@@ -420,11 +402,9 @@ def _check_tau_routes(system, cfg, rng):
         gap = direct.value - dual.value
         low = min(low, gap)
         high = max(high, gap)
-    tol = cfg.threshold(1e-3)
     return {
         "values": {"draws": rounds, "smallest_gap": low, "largest_gap": high},
-        "residual": max(0.0, -low, high - tol),
-        "passed": low >= 0.0 and high <= tol,
+        "claims": [(-low, 0.0), (high, cfg.threshold(1e-3))],
     }
 
 
@@ -438,11 +418,9 @@ def _check_empirical(system, cfg, rng):
         lhs = pair(system, emp.functional, phi)
         rhs = float(birkhoff(system, phi, n)[x]) / n
         worst = max(worst, abs(lhs - rhs), abs(float(emp.weights.sum()) - 1.0))
-    tol = cfg.threshold(1e-12)
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
-        "residual": max(0.0, worst - tol),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-12))],
     }
 
 
@@ -466,15 +444,13 @@ def _check_tv(system, cfg, rng):
                 worst_exact, abs(tv - r * (length - r) / (n * length))
             )
         worst_bound = max(worst_bound, tv - (entry + length) / n)
-    tol = cfg.threshold(1e-12)
     return {
         "values": {
             "draws": cfg.draws,
             "worst_formula_residual": worst_exact,
             "worst_decay_excess": worst_bound,
         },
-        "residual": max(0.0, worst_exact - tol, worst_bound),
-        "passed": worst_exact <= tol and worst_bound <= 0.0,
+        "claims": [(worst_exact, cfg.threshold(1e-12)), (worst_bound, 0.0)],
     }
 
 
@@ -512,9 +488,8 @@ def _check_estimate(system, cfg, rng):
             "branches": sorted(branches),
             "measures": len(families),
         },
-        "residual": max(0.0, worst - 1.0),
+        "claims": [(0.0 if all_hold else worst, 1.0)],
         "witness": witness,
-        "passed": all_hold,
     }
 
 
@@ -529,11 +504,9 @@ def _check_reduction(system, cfg, rng):
             fs = [random_unit_function(rng, system).values for _ in range(per_cell)]
             vals = estimate_lhs_general(system, nbhd, n, np.array(fs))
             worst = max(worst, float((vals - cap).max()))
-    tol = cfg.threshold(1e-9)
     return {
         "values": {"worst_excess": worst, "per_cell": per_cell},
-        "residual": max(0.0, worst),
-        "passed": worst <= tol,
+        "claims": [(worst, cfg.threshold(1e-9))],
     }
 
 
@@ -593,29 +566,49 @@ def _digest(system: FiniteSystem, cfg: CertifyConfig, name: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def make_record(name, inputs, values, claims, witness=None, repro=None) -> dict:
+    """One report record whose verdict and residual follow from its claims.
+
+    A claim is an ``(observed, bound)`` pair that holds when
+    ``observed <= bound``; a NaN observation fails with an infinite excess.
+    The record passes when every claim holds, its residual is the largest
+    excess ``observed - bound`` floored at 0 (so it is 0 exactly when the
+    record passes), and ``repro`` is kept only on a failing record.
+    """
+    gaps = [observed - bound for observed, bound in claims]
+    excess = max((np.inf if np.isnan(gap) else gap for gap in gaps), default=0.0)
+    passed = excess <= 0.0
+    record = {
+        "name": name,
+        "inputs": inputs,
+        "values": values,
+        "verdict": "pass" if passed else "fail",
+        "residual": float(max(0.0, excess)),
+        "witness": witness,
+    }
+    if repro is not None and not passed:
+        record["repro"] = repro
+    return record
+
+
 def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    record = {"name": name, "inputs": _digest(system, cfg, name)}
+    inputs = _digest(system, cfg, name)
+    eps_text = ",".join(repr(float(e)) for e in cfg.eps)
+    repro = (
+        f"tentropy certify {cfg.system_label} --suite {cfg.suite}"
+        f" --seed {cfg.seed} --profile {cfg.profile}"
+        f" --n-max {cfg.n_max} --eps {eps_text}"
+    )
     try:
         out = CHECKS[name](system, cfg, _rng_for(cfg.seed, name))
-        record["values"] = out["values"]
-        record["verdict"] = "pass" if out["passed"] else "fail"
-        record["residual"] = float(out["residual"])
-        record["witness"] = out.get("witness")
     except (RuntimeError, ValueError) as exc:
-        record["values"] = {}
-        record["verdict"] = "fail"
-        record["residual"] = np.inf
-        record["witness"] = {"error": str(exc)}
-    if record["verdict"] == "fail":
-        eps_text = ",".join(repr(float(e)) for e in cfg.eps)
-        record["repro"] = (
-            f"tentropy certify {cfg.system_label} --suite {cfg.suite}"
-            f" --seed {cfg.seed} --profile {cfg.profile}"
-            f" --n-max {cfg.n_max} --eps {eps_text}"
-        )
-    return record
+        witness = {"error": str(exc)}
+        return make_record(name, inputs, {}, [(np.inf, 0.0)], witness, repro)
+    return make_record(
+        name, inputs, out["values"], out["claims"], out.get("witness"), repro
+    )
 
 
 def run_suite(system: FiniteSystem, suite: str, cfg: CertifyConfig):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import SUITES, CertifyConfig, run_suite
+from .certify import SUITES, CertifyConfig, make_record, run_suite
 from .entropy import tau_direct, tau_dual
 from .io import (
     FormatError,
@@ -172,10 +172,10 @@ def cmd_validate(args) -> int:
     seed = _resolve_seed(args)
     system = load_system(args.system)
     rep = validate(system)
-    record = {
-        "name": "validate",
-        "inputs": args.system,
-        "values": {
+    record = make_record(
+        "validate",
+        args.system,
+        {
             "atoms": system.n,
             "supported": int(system.support.sum()),
             "constant": rep.constant,
@@ -183,14 +183,11 @@ def cmd_validate(args) -> int:
                 [system.atoms[int(x)], system.atoms[int(y)]] for x, y in rep.violations
             ],
         },
-        "verdict": "pass" if rep.valid else "fail",
-        "residual": float(len(rep.violations)),
-        "witness": None,
-    }
-    if not rep.valid:
-        record["repro"] = f"tentropy validate {args.system}"
+        [(len(rep.violations), 0)],
+        repro=f"tentropy validate {args.system}",
+    )
     _emit(_assemble(_config(args, "validate", seed, {"system": args.system}), [record]), args)
-    return 0 if rep.valid else 2
+    return 0 if record["verdict"] == "pass" else 2
 
 
 def _require_n_max(args, low: int, high: int | None = None) -> None:
@@ -208,29 +205,23 @@ def cmd_lambda(args) -> int:
     require_valid(system)
     phi = load_potential(args.potential, system)
     res = spectral_potential(system, phi, n_max=args.n_max)
-    gap = abs(float(res.norm_sequence[-1]) - res.value)
-    record = {
-        "name": "lambda",
-        "inputs": f"{args.system} {args.potential}",
-        "values": {
+    record = make_record(
+        "lambda",
+        f"{args.system} {args.potential}",
+        {
             "lambda": res.value,
             "witness_cycle": [system.atoms[int(i)] for i in res.witness_cycle],
-            "convergence_gap": gap,
+            "convergence_gap": abs(float(res.norm_sequence[-1]) - res.value),
             "norm_sequence": [float(v) for v in res.norm_sequence],
         },
-        "verdict": "fail" if res.flagged else "pass",
-        "residual": gap if res.flagged else 0.0,
-        "witness": None,
-    }
-    if res.flagged:
-        record["repro"] = (
-            f"tentropy lambda {args.system} {args.potential} --n-max {args.n_max}"
-        )
+        [(int(res.flagged), 0)],
+        repro=f"tentropy lambda {args.system} {args.potential} --n-max {args.n_max}",
+    )
     config = _config(
         args, "lambda", seed, {"system": args.system, "potential": args.potential}
     )
     _emit(_assemble(config, [record]), args)
-    return 3 if res.flagged else 0
+    return 0 if record["verdict"] == "pass" else 3
 
 
 def _divergence_values(res) -> dict:
@@ -268,53 +259,39 @@ def cmd_tau(args) -> int:
                 ) from exc
             notes.append(f"direct route skipped: {exc}")
 
+    inputs = f"{args.system} {args.functional}"
     checks = []
     if direct is not None:
-        if dual.value == -np.inf and direct.value > -np.inf:
-            residual = np.inf
-            verdict = "pass"
+        # the direct route bounds the dual value from above, within 1e-3;
+        # any bound dominates a dual value of -inf
+        claims = []
+        if dual.value > -np.inf:
+            gap = direct.value - dual.value
+            claims = [(-gap, 0.0), (gap, 1e-3)]
+        elif direct.value > -np.inf:
             notes.append(
                 "routes are consistent: the direct route certifies finite-horizon"
                 " upper bounds while the dual route certifies divergence to -inf;"
                 " any finite bound dominates -inf."
             )
-        else:
-            residual = direct.value - dual.value
-            verdict = "pass" if 0.0 <= residual <= 1e-3 else "fail"
-        record = {
-            "name": "tau.direct",
-            "inputs": f"{args.system} {args.functional}",
-            "values": {
-                "value": direct.value,
-                "achieving_n": direct.achieving_n,
-                "achieving_members": None
-                if direct.achieving_partition is None
-                else int(direct.achieving_partition.size),
-            },
-            "verdict": verdict,
-            "residual": residual,
-            "witness": None,
+        values = {
+            "value": direct.value,
+            "achieving_n": direct.achieving_n,
+            "achieving_members": None
+            if direct.achieving_partition is None
+            else int(direct.achieving_partition.size),
         }
-        if verdict == "fail":
-            record["repro"] = repro
-        checks.append(record)
+        checks.append(make_record("tau.direct", inputs, values, claims, repro=repro))
     if args.route in ("dual", "both"):
-        checks.append(
-            {
-                "name": "tau.dual",
-                "inputs": f"{args.system} {args.functional}",
-                "values": {
-                    "value": dual.value,
-                    "divergence": _divergence_values(dual),
-                    "descent_best": dual.descent_best,
-                },
-                "verdict": "pass",
-                "residual": 0.0,
-                "witness": None
-                if dual.dual_witness is None
-                else {"ray": [float(v) for v in dual.dual_witness]},
-            }
-        )
+        values = {
+            "value": dual.value,
+            "divergence": _divergence_values(dual),
+            "descent_best": dual.descent_best,
+        }
+        witness = None
+        if dual.dual_witness is not None:
+            witness = {"ray": [float(v) for v in dual.dual_witness]}
+        checks.append(make_record("tau.dual", inputs, values, [], witness))
     checks.sort(key=lambda c: c["name"])
     config = _config(
         args,
@@ -367,19 +344,15 @@ def cmd_random_systems(args) -> int:
         path = out_dir / f"system-{i:03d}.json"
         save_system(path, system)
         rep = validate(system)
+        values = {
+            "atoms": system.n,
+            "supported": int(system.support.sum()),
+            "constant": rep.constant,
+        }
         checks.append(
-            {
-                "name": f"system-{i:03d}",
-                "inputs": str(path),
-                "values": {
-                    "atoms": system.n,
-                    "supported": int(system.support.sum()),
-                    "constant": rep.constant,
-                },
-                "verdict": "pass" if rep.valid else "fail",
-                "residual": float(len(rep.violations)),
-                "witness": None,
-            }
+            make_record(
+                f"system-{i:03d}", str(path), values, [(len(rep.violations), 0)]
+            )
         )
     config = _config(
         args,

@@ -254,10 +254,8 @@ def null_charge_divergence(system: FiniteSystem, mu: Functional) -> NullChargeRe
         raise ValueError("null charge is only visible to FULL-mode functionals")
     if bool(system.support.all()):
         raise ValueError("system has no null atoms")
-    w = mu.weights
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("functional must be positive and normalized")
-    charged = (~system.support) & (np.abs(w) > 1e-12)
+    # tau_n below rejects a functional that is not positive and normalized
+    charged = (~system.support) & (np.abs(mu.weights) > 1e-12)
     if not charged.any():
         raise ValueError("no null atom carries charge")
     g = charged.astype(float)

@@ -1,4 +1,5 @@
-"""Certify checks that evaluate all their draws with one batched call."""
+"""Certify checks: the claim contract of their records, and the checks that
+evaluate all their draws with one batched call."""
 
 import json
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 
 from tentropy import spectral
-from tentropy.certify import CertifyConfig, _rng_for, run_check
+from tentropy.certify import CertifyConfig, _rng_for, make_record, run_check, run_suite
 from tentropy.fixtures import twocyc
 from tentropy.sampling import random_potential
 from tentropy.spectral import log_spectral_radius
@@ -118,3 +119,26 @@ def test_property_and_power_checks_make_no_scalar_lambda_calls(monkeypatch):
     assert run_check(s, "lemma.power", cfg)["verdict"] == "pass"
     assert (len(scalar), len(batch)) == (0, 5)
 
+
+
+def test_make_record_derives_verdict_residual_and_repro():
+    passing = make_record("x", "in", {"a": 1}, [(0.5, 1.0), (-2.0, 0.0)], repro="r")
+    keys = ["name", "inputs", "values", "verdict", "residual", "witness"]
+    assert list(passing) == keys
+    assert (passing["verdict"], passing["residual"]) == ("pass", 0.0)
+    assert make_record("x", "in", {}, [])["verdict"] == "pass"
+    failing = make_record("x", "in", {}, [(3, 0), (1.5, 1.0)], {"w": 1}, repro="r")
+    assert list(failing) == keys + ["repro"]
+    assert failing["verdict"] == "fail"
+    assert failing["residual"] == 3.0 and isinstance(failing["residual"], float)
+    unknown = make_record("x", "in", {}, [(0.0, 1.0), (np.nan, 1.0)])
+    assert (unknown["verdict"], unknown["residual"]) == ("fail", np.inf)
+
+
+def test_certify_records_have_zero_residual_exactly_when_they_pass(system_pool):
+    for i, system in enumerate(system_pool):
+        for record in run_suite(system, "all", CertifyConfig(seed=i, draws=20)):
+            assert (record["residual"] == 0.0) == (record["verdict"] == "pass"), (
+                i,
+                record,
+            )

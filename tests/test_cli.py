@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tentropy import cli
+from tentropy import certify, cli
 from tentropy.fixtures import cycle3, null_pair, twocyc
 from tentropy.io import save_functional, save_potential, save_system
 from tentropy.system import FULL, functional
@@ -25,6 +25,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def assert_claim_contract(report):
+    """A record's residual is 0 exactly when it passes."""
+    for c in report["checks"]:
+        assert (c["residual"] == 0.0) == (c["verdict"] == "pass"), c
 
 
 @pytest.fixture
@@ -44,6 +50,10 @@ def files(tmp_path):
         functional(cycle3(), np.array([1.5, -0.5, 0.0])),
     )
     (tmp_path / "invalid.json").write_text('{"measure": [1, 0], "map": [1, 1]}')
+    (tmp_path / "fixed_null.json").write_text('{"measure": [1.0, 0.0], "map": [0, 1]}')
+    (tmp_path / "null_charge.json").write_text(
+        '{"weights": [0.25, 0.75], "mode": "full"}'
+    )
     (tmp_path / "garbage.json").write_text("{oops")
     return tmp_path
 
@@ -97,7 +107,7 @@ def test_tau_both_routes_on_invariant(files, capsys):
     assert byname["tau.dual"]["values"]["value"] == 0.0
     direct = byname["tau.direct"]
     assert direct["verdict"] == "pass"
-    assert 0.0 <= direct["residual"] <= 1e-3
+    assert direct["residual"] == 0.0
 
 
 def test_tau_dual_divergent_point_mass(files, capsys):
@@ -113,6 +123,40 @@ def test_tau_dual_divergent_point_mass(files, capsys):
     byname = {c["name"]: c for c in rep["checks"]}
     assert byname["tau.dual"]["values"]["value"] == "-inf"
     assert byname["tau.dual"]["values"]["divergence"]["defect"] == "non_invariance"
+
+
+@pytest.mark.parametrize("route", ["both", "direct"])
+def test_tau_null_charging_functional_passes_on_both_routes(files, capsys, route):
+    """Both routes give -inf on a functional charging a null atom; -inf
+    minus -inf must not turn into a NaN residual."""
+    code, rep = run_json(
+        capsys,
+        "tau",
+        str(files / "fixed_null.json"),
+        str(files / "null_charge.json"),
+        "--route",
+        route,
+    )
+    assert code == 0
+    assert rep["checks"]
+    for c in rep["checks"]:
+        assert c["verdict"] == "pass"
+        assert c["residual"] == 0.0
+        assert c["values"]["value"] == "-inf"
+
+
+def test_validate_and_tau_records_keep_the_claim_contract(files, capsys):
+    for name in ("c3.json", "null.json", "two.json", "invalid.json"):
+        _, rep = run_json(capsys, "validate", str(files / name))
+        assert_claim_contract(rep)
+    for system, mu in (
+        ("c3.json", "mu.json"),
+        ("c3.json", "point.json"),
+        ("c3.json", "signed.json"),
+        ("fixed_null.json", "null_charge.json"),
+    ):
+        _, rep = run_json(capsys, "tau", str(files / system), str(files / mu))
+        assert_claim_contract(rep)
 
 
 def test_tau_direct_rejects_signed_weights(files, capsys):
@@ -157,6 +201,7 @@ def test_certify_full_suite_twocyc(files, capsys):
     assert rep["summary"]["failed"] == 0
     assert rep["summary"]["total"] == len(rep["checks"])
     assert all(c["verdict"] == "pass" for c in rep["checks"])
+    assert_claim_contract(rep)
 
 
 def test_certify_zero_tolerance_fails_and_exits_3(files, capsys):
@@ -175,6 +220,32 @@ def test_certify_zero_tolerance_fails_and_exits_3(files, capsys):
     assert failing
     for c in failing:
         assert "repro" in c, "failing check must carry a repro command"
+        assert c["residual"] > 0.0
+    for c in rep["checks"]:
+        if c["verdict"] == "pass":
+            assert c["residual"] == 0.0
+            assert "repro" not in c
+
+
+def test_certify_check_that_raises_becomes_a_failed_record(files, capsys, monkeypatch):
+    def broken(system, cfg, rng):
+        raise RuntimeError("internal assertion failed")
+
+    monkeypatch.setitem(certify.CHECKS, "vp.gap", broken)
+    code, out = run(
+        capsys, "certify", str(files / "c3.json"), "--suite", "vp", "--seed", "5"
+    )
+    assert code == 3
+    rep = json.loads(out)
+    byname = {c["name"]: c for c in rep["checks"]}
+    record = byname["vp.gap"]
+    assert record["verdict"] == "fail"
+    assert record["residual"] == "inf"
+    assert record["values"] == {}
+    assert record["witness"] == {"error": "internal assertion failed"}
+    assert record["repro"].startswith("tentropy certify ")
+    assert rep["summary"] == {"total": 3, "passed": 2, "failed": 1}
+    assert_claim_contract(rep)
 
 
 def test_certify_reports_are_byte_identical(files, tmp_path, capsys):
