@@ -12,11 +12,19 @@ only); the CLI builds its own records with it too.  The runner turns
 exceptions raised by the library's internal assertions into failed records
 with an infinite residual instead of crashes.
 
-``lemma.properties`` and ``lemma.power`` draw in a loop that only fills
-arrays, making the same generator calls in the same order as one evaluation
-per draw would, and then evaluate every draw with one batched call: stacked
-potentials for ``property_residuals`` and ``power_gap`` (one stack per
-power).
+Five checks draw in a loop that only fills arrays, making the same
+generator calls in the same order as one evaluation per draw would, and then
+evaluate the draws with batched calls, each draw keeping the bits of its own
+evaluation:
+
+- ``lemma.properties``: one stack of potential pairs for
+  ``property_residuals``;
+- ``lemma.power``: one stack of potentials per power for ``power_gap``;
+- ``vp.gap``: one stack of all potentials for ``variational_principle``;
+- ``young.global``: ``young_checks`` on chunks of ``_YOUNG_CHUNK`` draws;
+- ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
+  draws, one orbit walk per horizon of a chunk and one batched inner solve
+  per chunk.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from .system import (
     pair,
     require_valid,
 )
-from .varprin import subgradient, variational_principle, young_check
+from .varprin import subgradient, variational_principle, young_checks
 
 
 @dataclass(frozen=True)
@@ -97,32 +105,41 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
+# Draws of young.global and young.local evaluated as one stack: large
+# enough to amortize the per-call overhead, small enough to keep the stacked
+# arrays (and young.local's Newton systems) from raising the peak memory.
+_YOUNG_CHUNK = 64
+
+
+def _chunks(draws: int):
+    """Sizes of the consecutive chunks of ``_YOUNG_CHUNK`` draws."""
+    for start in range(0, draws, _YOUNG_CHUNK):
+        yield min(_YOUNG_CHUNK, draws - start)
+
+
 def _check_young_global(system, cfg, rng):
     worst = np.inf
     tight = 0
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, system, scale=3.0)
-        mu = random_invariant(rng, system)
-        res = young_check(system, phi, mu)
-        worst = min(worst, res.slack)
-        tight += res.tight
+    for size in _chunks(cfg.draws):
+        draws = []
+        for _ in range(size):
+            phi = random_potential(rng, system, scale=3.0)
+            mu = random_invariant(rng, system)
+            draws.append((phi, mu))
+        for res in young_checks(system, draws):
+            worst = min(worst, res.slack)
+            tight += res.tight
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
         "claims": [(-worst, cfg.threshold(1e-9))],
     }
 
 
-# Draws of young.local whose inner problems are solved as one batch: large
-# enough to amortize the per-step overhead, small enough to keep the stacked
-# Newton systems from raising the peak memory.
-_YOUNG_CHUNK = 64
-
-
 def _check_young_local(system, cfg, rng):
     worst = np.inf
-    for start in range(0, cfg.draws, _YOUNG_CHUNK):
+    for size in _chunks(cfg.draws):
         draws = []
-        for _ in range(min(_YOUNG_CHUNK, cfg.draws - start)):
+        for _ in range(size):
             phi = random_potential(rng, system, scale=2.0)
             mu = random_invariant(rng, system)
             n = int(rng.integers(1, 7))
@@ -137,11 +154,11 @@ def _check_young_local(system, cfg, rng):
 
 
 def _check_vp_gap(system, cfg, rng):
-    worst = 0.0
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, system, scale=3.0)
-        cert = variational_principle(system, phi)
-        worst = max(worst, abs(cert.gap))
+    phis = np.empty((cfg.draws, system.n))
+    for i in range(cfg.draws):
+        phis[i] = random_potential(rng, system, scale=3.0)
+    gaps = variational_principle(system, phis).gap
+    worst = float(np.abs(gaps).max(initial=0.0))
     return {
         "values": {"draws": cfg.draws, "worst_gap": worst},
         "claims": [(worst, cfg.threshold(1e-9))],

@@ -9,6 +9,7 @@ inputs and the seed.  Exit codes: 0 success, 1 I/O or parse problem,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,9 +47,23 @@ def _parse_eps(text: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in text.split(",") if tok)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad eps list {text!r}")
-    if not values or any(e <= 0.0 for e in values):
-        raise argparse.ArgumentTypeError("eps values must be positive")
+    if not values or not all(math.isfinite(e) and e > 0.0 for e in values):
+        raise argparse.ArgumentTypeError(
+            f"eps values must be finite and positive: {text!r}"
+        )
     return values
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and nonnegative: {text!r}"
+        )
+    return value
 
 
 def _parse_seed(text: str) -> int:
@@ -95,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps", type=_parse_eps, default=(1.0, 0.5, 0.1), metavar="E1,E2,..."
     )
     common.add_argument("--seed", type=_parse_seed, default=None)
-    common.add_argument("--tolerance", type=float, default=None)
+    common.add_argument("--tolerance", type=_parse_tolerance, default=None)
     common.add_argument("--profile", choices=("quick", "deep"), default="quick")
     common.add_argument("--out", default=None, help="report path (default stdout)")
 

@@ -21,11 +21,12 @@ functionals, which on finite systems leaves only the values 0 and -inf.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import log_spectral_radius, op_norm, op_norm_log
+from .spectral import _norm_log, log_spectral_radius, op_norm
 from .system import (
     FiniteSystem,
     Functional,
@@ -35,8 +36,10 @@ from .system import (
     birkhoff,
     cycle_means,
     effective_weights,
-    is_invariant,
+    invariance,
+    orbit_sums,
     pair,
+    preimage_mass,
     require_valid,
     trivial_partition,
 )
@@ -80,28 +83,38 @@ class InnerSolution:
 def inner_problem(
     system: FiniteSystem, mu: Functional, partition: PartitionOfUnity, n: int
 ) -> InnerProblem:
+    """The inner problem of mu against a partition at horizon n:
+    ``inner_problems`` on one pair."""
+    return inner_problems(system, [(mu, partition)], n)[0]
+
+
+def inner_problems(system: FiniteSystem, pairs, n: int) -> list[InnerProblem]:
+    """``inner_problem`` of each (mu, partition) of ``pairs`` at one horizon.
+
+    The members of all partitions are pushed along alpha^n by one stacked
+    ``preimage_mass`` call, and each problem's c is a row-major block of its
+    result, so every problem keeps the bits of its own call.
+    """
     require_valid(system)
     if n < 1:
         raise ValueError("horizon must be at least 1")
-    members = partition.members
-    if members.shape[1] != system.n:
+    members = [partition.members for _, partition in pairs]
+    if any(m.shape[1] != system.n for m in members):
         raise ValueError("partition must live on the same atoms")
-    w = effective_weights(system, mu)
-    an = alpha_power(system, n)
+    if not members:
+        return []
     sup = system.supported_indices
-    # ``preimage_mass`` of every member at once: member g's mass moving to
-    # atom y lands in bin y + N g, and each bin adds its terms in atom order;
-    # ``take`` keeps c row-major, as the solver's products read its bits
-    size = members.shape[0]
-    bins = (an + system.n * np.arange(size)[:, None]).ravel()
-    weights = (members * system.m).ravel()
-    push = np.bincount(bins, weights=weights, minlength=size * system.n)
-    return InnerProblem(
-        c=push.reshape(size, system.n).take(sup, axis=1) / system.m[sup],
-        mu_weights=members @ w,
-        n=n,
-        support_atoms=tuple(int(i) for i in sup),
-    )
+    an = alpha_power(system, n)
+    push = preimage_mass(system, np.concatenate(members) * system.m, an)
+    # ``take`` keeps c row-major, as the solver's products read its bits;
+    # the blocks of consecutive rows stay row-major
+    c = push.take(sup, axis=1) / system.m[sup]
+    blocks = np.split(c, np.cumsum([len(m) for m in members])[:-1])
+    atoms = tuple(sup.tolist())
+    return [
+        InnerProblem(block, m @ effective_weights(system, mu), n, atoms)
+        for block, m, (mu, _) in zip(blocks, members, pairs)
+    ]
 
 
 def _active_rows(problem: InnerProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +350,16 @@ def oscillation_partition(
     """
     if width <= 0.0:
         raise ValueError("bucket width must be positive")
-    level = np.floor(birkhoff(system, phi, n) / width)
-    keys = sorted(set(level[system.support].tolist()))
-    rows = [system.support & (level == key) for key in keys]
+    return _level_partition(system, np.floor(birkhoff(system, phi, n) / width))
+
+
+def _level_partition(system: FiniteSystem, level: np.ndarray) -> PartitionOfUnity:
+    """``oscillation_partition`` of the bucket index of each atom."""
+    keys = np.array(sorted(set(level[system.support].tolist())))
+    rows = system.support & (level == keys[:, None])
     if not bool(system.support.all()):
-        rows.append(~system.support)
-    return PartitionOfUnity(np.array(rows, dtype=float))
+        rows = np.vstack([rows, ~system.support])
+    return PartitionOfUnity(rows.astype(float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,6 +488,27 @@ def _dual_descent(
     return best
 
 
+def hull_means(system: FiniteSystem, weights) -> np.ndarray:
+    """Cycle means of defect-free weights, checked to rebuild them.
+
+    A functional with no divergence defect is the mixture of the uniform
+    cycle measures whose weight on each cycle atom is its cycle mean;
+    ``RuntimeError`` when some row's rebuilt mixture misses it by more than
+    1e-9.  ``weights`` is one row or a (k, n_atoms) stack, one
+    ``cycle_means`` call for all rows, each with the bits of its own call.
+    """
+    w = np.asarray(weights, dtype=float)
+    means = cycle_means(system, w)
+    rebuilt = np.zeros(w.shape)
+    for pos, rows in system.cycle_groups:
+        rebuilt[..., rows] = means[..., pos, None]
+    if np.any(np.abs(w - rebuilt).max(axis=-1) > 1e-9):
+        raise RuntimeError(
+            "defect-free functional is not a hull point of cycle measures"
+        )
+    return means
+
+
 def tau_dual(
     system: FiniteSystem, mu: Functional, cross_check: bool = True
 ) -> TauResult:
@@ -492,15 +530,7 @@ def tau_dual(
         witness = None
     if witness is None:
         w = effective_weights(system, mu)
-        means = cycle_means(system, w)
-        rebuilt = np.zeros(system.n)
-        for pos, rows in system.cycle_groups:
-            rebuilt[rows] = means[pos, None]
-        residual = float(np.max(np.abs(w - rebuilt)))
-        if residual > 1e-9:
-            raise RuntimeError(
-                "defect-free functional is not a hull point of cycle measures"
-            )
+        means = hull_means(system, w)
         result = TauResult(
             value=0.0, route="dual", dual_witness=np.zeros(system.n)
         )
@@ -538,23 +568,48 @@ def local_young_check(
 
 
 def local_young_checks(system: FiniteSystem, draws) -> list[tuple[float, float]]:
-    """``local_young_check`` on each (phi, mu, n, eps) of ``draws``, with the
-    inner problems of all draws solved as one batch."""
-    problems = []
-    for phi, mu, n, eps in draws:
-        ok, worst = is_invariant(system, mu)
-        if not ok:
-            raise ValueError(f"functional must be invariant (defect {worst:g})")
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
-        _require_normalized(system, mu)
-        partition = oscillation_partition(system, phi, n, eps * n)
-        problems.append(inner_problem(system, mu, partition, n))
+    """``local_young_check`` on each (phi, mu, n, eps) of ``draws``.
+
+    One stacked invariance test covers every draw (it implies that mu is
+    positive and normalized).  The draws of one horizon share one stacked
+    orbit walk, whose last Birkhoff sums give both the levels of their
+    oscillation partitions and their log-norms ``op_norm_log``, and one
+    ``inner_problems`` call; the inner problems of all draws are solved as
+    one batch.  Each side keeps the bits of a call on its draw alone.
+    """
+    draws = list(draws)
+    w = np.array([effective_weights(system, mu) for _, mu, _, _ in draws])
+    w = w.reshape(len(draws), system.n)
+    ok, worst = invariance(system, w)
+    for good, defect in zip(ok, worst):
+        if not good:
+            raise ValueError(f"functional must be invariant (defect {defect:g})")
+    if any(eps <= 0.0 for _, _, _, eps in draws):
+        raise ValueError("eps must be positive")
+    phis = np.array([phi for phi, _, _, _ in draws], dtype=float)
+    horizons: dict[int, list[int]] = {}
+    for i, (_, _, n, _) in enumerate(draws):
+        horizons.setdefault(n, []).append(i)
+    norms = np.empty(len(draws))
+    problems = [None] * len(draws)
+    for n, rows in horizons.items():
+        if n < 1:
+            raise ValueError("horizon must be at least 1")
+        _, s, an = deque(orbit_sums(system, phis[rows], n), maxlen=1)[0]
+        norms[rows] = _norm_log(system, s, an)
+        widths = np.array([draws[i][3] * n for i in rows])
+        levels = np.floor(s / widths[:, None])
+        pairs = [
+            (draws[i][1], _level_partition(system, level))
+            for i, level in zip(rows, levels)
+        ]
+        for i, problem in zip(rows, inner_problems(system, pairs, n)):
+            problems[i] = problem
+    solutions = maximize_inner_batch(problems)
     sides = []
-    for (phi, mu, n, eps), sol in zip(draws, maximize_inner_batch(problems)):
-        phi = np.asarray(phi, dtype=float)
-        lhs = eps + op_norm_log(system, phi, n) / n
-        rhs = pair(system, mu, phi) + sol.value / n
+    for i, (_, _, n, eps) in enumerate(draws):
+        lhs = eps + float(norms[i]) / n
+        rhs = float(w[i] @ phis[i]) + solutions[i].value / n
         if lhs < rhs - 1e-8:
             raise RuntimeError("fixed-horizon entropy inequality failed")
         sides.append((lhs, rhs))

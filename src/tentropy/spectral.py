@@ -25,6 +25,7 @@ import numpy as np
 
 from .system import (
     FiniteSystem,
+    _columns,
     alpha_power,
     birkhoff,
     cycle_means,
@@ -89,14 +90,18 @@ def op_norm_log(system: FiniteSystem, phi, n: int) -> float:
     """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    return _norm_log(system, birkhoff(system, phi, n), alpha_power(system, n))
+    return float(_norm_log(system, birkhoff(system, phi, n), alpha_power(system, n)))
 
 
-def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray) -> float:
-    """Largest log ratio of e^s-weighted preimage mass under an to atom mass."""
+def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray):
+    """Largest log ratio of e^s-weighted preimage mass under an to atom mass.
+
+    ``s`` is one row of Birkhoff sums or a (k, n_atoms) stack sharing ``an``,
+    which gives one value per row, each with the bits of its own call.
+    """
     sup = system.supported_indices
     mass = log_preimage_mass(system, s + system.log_m, an)
-    return float(np.max(mass[sup] - system.log_m[sup]))
+    return np.max(_columns(mass, sup) - system.log_m[sup], axis=-1)
 
 
 def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:

@@ -298,26 +298,60 @@ def preimage_mass(system: FiniteSystem, weights, an=None) -> np.ndarray:
     """Weight landing on each atom when weights[i] moves to atom an[i].
 
     ``an`` defaults to the map, giving the weight of every atom's preimage;
-    ``alpha_power(system, n)`` gives n-step preimages.
+    ``alpha_power(system, n)`` gives n-step preimages.  ``weights`` is one
+    row or a (k, len(an)) stack sharing ``an``; row r's weight moving to
+    atom y lands in bin y + n_atoms r of one ``np.bincount``, and each bin
+    adds its terms in atom order, so every row gets the bits of its own
+    call.  The result has the shape of ``weights`` with n_atoms columns.
     """
     an = system.alpha if an is None else an
-    return np.bincount(an, weights=weights, minlength=system.n)
+    weights = np.asarray(weights, dtype=float)
+    bins, size = _stacked_bins(system, an, weights)
+    push = np.bincount(bins, weights=weights.ravel(), minlength=size)
+    return push.reshape(weights.shape[:-1] + (system.n,))
+
+
+def _stacked_bins(system: FiniteSystem, an, weights: np.ndarray):
+    """The bin of each term of ``weights`` flattened, and the bin count.
+
+    Row r's term moving to atom y lands in bin y + n_atoms r, so one row's
+    bins are the atoms themselves.
+    """
+    if weights.ndim == 1:
+        return an, system.n
+    rows = weights.shape[0]
+    return (an + system.n * np.arange(rows)[:, None]).ravel(), rows * system.n
 
 
 def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
     """``preimage_mass`` of e^log_weights in log form, -inf where nothing lands.
 
     Each atom's terms are shifted by their maximum before exponentiating, so
-    Birkhoff sums in the thousands neither overflow nor underflow.
+    Birkhoff sums in the thousands neither overflow nor underflow.  A
+    (k, len(an)) stack gives each row the bits of its own call, with the
+    bins of ``preimage_mass``.
     """
-    top = np.full(system.n, -np.inf)
-    np.maximum.at(top, an, log_weights)
+    log_weights = np.asarray(log_weights, dtype=float)
+    bins, size = _stacked_bins(system, an, log_weights)
+    terms = log_weights.ravel()
+    top = np.full(size, -np.inf)
+    np.maximum.at(top, bins, terms)
     hit = np.isfinite(top)
     shift = np.where(hit, top, 0.0)
-    total = preimage_mass(system, np.exp(log_weights - shift[an]), an)
-    out = np.full(system.n, -np.inf)
+    total = np.bincount(bins, weights=np.exp(terms - shift[bins]), minlength=size)
+    out = np.full(size, -np.inf)
     out[hit] = shift[hit] + np.log(total[hit])
-    return out
+    return out.reshape(log_weights.shape[:-1] + (system.n,))
+
+
+def _columns(a: np.ndarray, idx) -> np.ndarray:
+    """``a[..., idx]`` for one row or a (k, n) stack: entries idx of each row.
+
+    Plain indexing of one row costs a third of the ``...`` form, which adds
+    up over the steps of a long orbit walk and the horizons of a norm
+    sequence.
+    """
+    return a[idx] if a.ndim == 1 else a[:, idx]
 
 
 def orbit_sums(system: FiniteSystem, phi, n_max: int):
@@ -325,6 +359,8 @@ def orbit_sums(system: FiniteSystem, phi, n_max: int):
 
     S_n phi is summed along the orbit in ``birkhoff``'s order and bits; the
     yielded arrays are never written to afterwards, so callers may keep them.
+    ``phi`` is one potential or a (k, n_atoms) stack walked together, each
+    row with the bits of its own walk.
     """
     phi = np.asarray(phi, dtype=float)
     s = phi.astype(float, copy=True)
@@ -332,7 +368,7 @@ def orbit_sums(system: FiniteSystem, phi, n_max: int):
     for n in range(1, n_max + 1):
         yield n, s, an
         if n < n_max:
-            s = s + phi[an]
+            s = s + _columns(phi, an)
             an = system.alpha[an]
 
 
@@ -348,14 +384,24 @@ def is_invariant(system: FiniteSystem, mu: Functional) -> tuple[bool, float]:
     """Check mu is a positive normalized fixed point of composition with the map.
 
     Returns the verdict together with the worst per-atom defect of
-    mu(preimage of y) = mu(y).
+    mu(preimage of y) = mu(y): ``invariance`` on a stack of one.
     """
-    w = effective_weights(system, mu)
-    worst = float(np.max(np.abs(preimage_mass(system, w) - w)))
+    ok, worst = invariance(system, effective_weights(system, mu)[None])
+    return bool(ok[0]), float(worst[0])
+
+
+def invariance(system: FiniteSystem, weights) -> tuple[np.ndarray, np.ndarray]:
+    """``is_invariant`` of each row of a (k, n_atoms) stack of effective weights.
+
+    Returns the (k,) verdicts and worst defects; the defects of all rows
+    come from one stacked ``preimage_mass``, each with its own bits.
+    """
+    w = np.asarray(weights, dtype=float)
+    worst = np.abs(preimage_mass(system, w) - w).max(axis=1)
     ok = (
-        worst <= EXACT_TOL
-        and w.min() >= -EXACT_TOL
-        and abs(w.sum() - 1.0) <= EXACT_TOL
+        (worst <= EXACT_TOL)
+        & (w.min(axis=1) >= -EXACT_TOL)
+        & (np.abs(w.sum(axis=1) - 1.0) <= EXACT_TOL)
     )
     return ok, worst
 

@@ -24,7 +24,7 @@ from .system import (
     cycle_means,
     cycle_measure,
     effective_weights,
-    is_invariant,
+    invariance,
     pair,
     preimage_mass,
     require_valid,
@@ -64,6 +64,13 @@ def _verify_ray(
             )
 
 
+def _charges_null(system: FiniteSystem, mu: Functional, tol: float) -> bool:
+    """Whether a FULL-mode mu puts more than tol on some null atom."""
+    if mu.mode != FULL or bool(system.support.all()):
+        return False
+    return bool(np.any(np.abs(mu.weights[~system.support]) > tol))
+
+
 def divergence_witness(
     system: FiniteSystem, mu: Functional, tol: float = 1e-12
 ) -> DivergenceWitness:
@@ -78,15 +85,13 @@ def divergence_witness(
     w = effective_weights(system, mu)
     witness = None
 
-    if mu.mode == FULL and not bool(system.support.all()):
+    if _charges_null(system, mu, tol):
         nulls = np.flatnonzero(~system.support)
-        charges = mu.weights[nulls]
-        if np.any(np.abs(charges) > tol):
-            at = int(nulls[np.argmax(np.abs(charges))])
-            charge = float(mu.weights[at])
-            direction = np.zeros(system.n)
-            direction[at] = np.sign(charge)
-            witness = DivergenceWitness(NULL_CHARGE, direction, abs(charge), at)
+        at = int(nulls[np.argmax(np.abs(mu.weights[nulls]))])
+        charge = float(mu.weights[at])
+        direction = np.zeros(system.n)
+        direction[at] = np.sign(charge)
+        witness = DivergenceWitness(NULL_CHARGE, direction, abs(charge), at)
 
     if witness is None and float(w.min()) < -tol:
         at = int(np.argmin(w))
@@ -129,20 +134,52 @@ class YoungResult:
 
 def young_check(system: FiniteSystem, phi, mu: Functional) -> YoungResult:
     """Young-type inequality for an invariant functional, with equality flag."""
-    from .entropy import tau_dual
+    return young_checks(system, [(phi, mu)])[0]
 
-    ok, worst = is_invariant(system, mu)
-    if not ok:
-        raise ValueError(
-            f"functional must be invariant (defect {worst:g}); "
-            "use divergence_witness for the divergent case"
-        )
-    phi = np.asarray(phi, dtype=float)
-    tau = tau_dual(system, mu, cross_check=False).value
-    slack = log_spectral_radius(system, phi) - pair(system, mu, phi) - tau
-    if slack < -1e-9:
-        raise RuntimeError(f"Young-type inequality violated: slack {slack}")
-    return YoungResult(slack=float(slack), tight=bool(slack <= 1e-9))
+
+def young_checks(system: FiniteSystem, draws) -> list[YoungResult]:
+    """``young_check`` on each (phi, mu) of ``draws``.
+
+    One stacked invariance test covers every draw.  Once mu is invariant,
+    the only divergence defect left is a FULL-mode charge on a null atom,
+    so only such a draw runs ``tau_dual`` (tau = -inf, slack +inf); every
+    other draw has tau = 0, certified for all of them by one stacked
+    ``hull_means``.  The lambdas come from one ``cycle_means`` call and the
+    pairing is ``w @ phi`` per draw, so each slack keeps the bits of a call
+    on its draw alone.
+    """
+    from .entropy import hull_means, tau_dual
+
+    draws = list(draws)
+    mus = [mu for _, mu in draws]
+    w = np.array([effective_weights(system, mu) for mu in mus])
+    w = w.reshape(len(draws), system.n)
+    ok, worst = invariance(system, w)
+    for good, defect in zip(ok, worst):
+        if not good:
+            raise ValueError(
+                f"functional must be invariant (defect {defect:g}); "
+                "use divergence_witness for the divergent case"
+            )
+    require_valid(system)
+    taus = np.zeros(len(draws))
+    hull = []
+    for i, mu in enumerate(mus):
+        if _charges_null(system, mu, 1e-12):
+            taus[i] = tau_dual(system, mu, cross_check=False).value
+        else:
+            hull.append(i)
+    hull_means(system, w[hull])
+    phis = np.array([phi for phi, _ in draws], dtype=float).reshape(w.shape)
+    lams = log_spectral_radius_batch(system, phis)
+    pairs = np.array([w[i] @ phis[i] for i in range(len(draws))])
+    slacks = lams - pairs - taus
+    results = []
+    for slack in slacks.tolist():
+        if slack < -1e-9:
+            raise RuntimeError(f"Young-type inequality violated: slack {slack}")
+        results.append(YoungResult(slack=slack, tight=slack <= 1e-9))
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,36 +188,78 @@ class VPCertificate:
 
     ``face`` lists every vertex measure tying for the maximum of
     tau(mu) + mu[phi]; ``maximizer`` is its first element.  ``gap`` is
-    lambda(phi) minus the attained value and vanishes up to roundoff.
+    lambda(phi) minus the attained value and vanishes up to roundoff.  For
+    a (k, n_atoms) stack of potentials ``lambda_value`` and ``gap`` are
+    (k,) arrays and ``maximizer`` and ``face`` tuples with one entry per
+    row; rows with the same maximizing cycle share its vertex measure.
     """
 
     phi: np.ndarray
-    lambda_value: float
-    maximizer: Functional
-    face: tuple[Functional, ...]
-    gap: float
+    lambda_value: float | np.ndarray
+    maximizer: Functional | tuple[Functional, ...]
+    face: tuple[Functional, ...] | tuple[tuple[Functional, ...], ...]
+    gap: float | np.ndarray
 
 
 def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
-    """Maximize tau(mu) + mu[phi] over the invariant polytope and certify."""
+    """Maximize tau(mu) + mu[phi] over the invariant polytope and certify.
+
+    ``phi`` is one potential or a (k, n_atoms) stack; a single potential is
+    the stack of one.  One ``cycle_means`` call gives every row's lambda
+    and face, ``tau_dual`` runs once per distinct maximizing cycle (its
+    value is a function of that vertex alone), and the pairing is
+    ``w @ phi`` per row, so each gap keeps the bits of a call on its row
+    alone.
+    """
     from .entropy import tau_dual
 
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    vals = cycle_means(system, phi)
-    top = float(vals.max())
+    phis = phi.reshape(-1, phi.shape[-1])
+    vals = cycle_means(system, phis)
+    lams = vals.max(axis=1)
+    ties = vals >= (lams - 1e-12)[:, None]
     cycles = system.supported_cycle_arrays
-    face = tuple(
-        cycle_measure(system, cycles[i]) for i in np.flatnonzero(vals >= top - 1e-12)
-    )
-    maximizer = face[0]
-    tau = tau_dual(system, maximizer, cross_check=False).value
-    lam = log_spectral_radius(system, phi)
-    gap = lam - tau - pair(system, maximizer, phi)
-    if abs(gap) > 1e-9:
-        raise RuntimeError(f"variational principle failed to attain: gap {gap}")
+    vertices: dict[int, Functional] = {}
+    taus: dict[Functional, float] = {}
+
+    def vertex(c: int) -> Functional:
+        if c not in vertices:
+            vertices[c] = cycle_measure(system, cycles[c])
+        return vertices[c]
+
+    faces = []
+    tau = np.empty(len(phis))
+    pairs = np.empty(len(phis))
+    for i, row in enumerate(ties):
+        face = tuple(vertex(c) for c in np.flatnonzero(row).tolist())
+        first = face[0]
+        if first not in taus:
+            taus[first] = tau_dual(system, first, cross_check=False).value
+        tau[i] = taus[first]
+        # a cycle measure is its own effective weights
+        pairs[i] = first.weights @ phis[i]
+        faces.append(face)
+    gaps = lams - tau - pairs
+    bad = np.flatnonzero(np.abs(gaps) > 1e-9)
+    if bad.size:
+        raise RuntimeError(
+            f"variational principle failed to attain: gap {float(gaps[bad[0]])}"
+        )
+    if phi.ndim == 1:
+        return VPCertificate(
+            phi=phi,
+            lambda_value=float(lams[0]),
+            maximizer=faces[0][0],
+            face=faces[0],
+            gap=float(gaps[0]),
+        )
     return VPCertificate(
-        phi=phi, lambda_value=lam, maximizer=maximizer, face=face, gap=float(gap)
+        phi=phi,
+        lambda_value=lams,
+        maximizer=tuple(face[0] for face in faces),
+        face=tuple(faces),
+        gap=gaps,
     )
 
 

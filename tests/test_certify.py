@@ -1,17 +1,42 @@
 """Certify checks: the claim contract of their records, and the checks that
-evaluate all their draws with one batched call."""
+evaluate their draws with batched calls."""
 
 import json
 import math
 
 import numpy as np
+import pytest
 
-from tentropy import spectral
-from tentropy.certify import CertifyConfig, _rng_for, make_record, run_check, run_suite
+from tentropy import entropy, spectral, system, varprin
+from tentropy.certify import (
+    _YOUNG_CHUNK,
+    CertifyConfig,
+    _rng_for,
+    make_record,
+    run_check,
+    run_suite,
+)
+from tentropy.entropy import (
+    inner_problem,
+    local_young_check,
+    local_young_checks,
+    maximize_inner_batch,
+    tau_dual,
+)
 from tentropy.fixtures import twocyc
-from tentropy.sampling import random_potential
-from tentropy.spectral import log_spectral_radius
-from tentropy.system import make_system
+from tentropy.sampling import random_invariant, random_potential
+from tentropy.spectral import log_spectral_radius, op_norm_log
+from tentropy.system import (
+    PartitionOfUnity,
+    birkhoff,
+    cycle_means,
+    cycle_measure,
+    effective_weights,
+    functional,
+    make_system,
+    pair,
+)
+from tentropy.varprin import young_check, young_checks
 
 
 def reference_property_residuals(system, phi, psi, t, shift):
@@ -75,20 +100,147 @@ def reference_power(system, cfg):
     return {"draws": cfg.draws, "worst_excess": worst, "strict_gaps": strict}
 
 
+def reference_invariance(s, mu):
+    """``is_invariant`` as it was: one ``np.bincount`` of mu's weights."""
+    w = effective_weights(s, mu)
+    worst = float(np.max(np.abs(np.bincount(s.alpha, weights=w, minlength=s.n) - w)))
+    ok = worst <= 1e-12 and w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-12
+    return ok, worst
+
+
+def reference_young_check(s, phi, mu):
+    """``young_check`` as it was for one draw: (slack, tight)."""
+    ok, worst = reference_invariance(s, mu)
+    if not ok:
+        raise ValueError(
+            f"functional must be invariant (defect {worst:g}); "
+            "use divergence_witness for the divergent case"
+        )
+    tau = tau_dual(s, mu, cross_check=False).value
+    slack = log_spectral_radius(s, phi) - pair(s, mu, phi) - tau
+    assert slack >= -1e-9
+    return float(slack), bool(slack <= 1e-9)
+
+
+def reference_young_global(s, cfg):
+    """The per-draw loop of ``young.global``, one ``young_check`` per draw."""
+    rng = _rng_for(cfg.seed, "young.global")
+    worst = np.inf
+    tight = 0
+    for _ in range(cfg.draws):
+        phi = random_potential(rng, s, scale=3.0)
+        mu = random_invariant(rng, s)
+        slack, is_tight = reference_young_check(s, phi, mu)
+        worst = min(worst, slack)
+        tight += is_tight
+    return {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight}
+
+
+def reference_oscillation_partition(s, phi, n, width):
+    """``oscillation_partition`` as it was: one member per sorted level."""
+    level = np.floor(birkhoff(s, phi, n) / width)
+    keys = sorted(set(level[s.support].tolist()))
+    rows = [s.support & (level == key) for key in keys]
+    if not bool(s.support.all()):
+        rows.append(~s.support)
+    return PartitionOfUnity(np.array(rows, dtype=float))
+
+
+def reference_local_young_checks(s, draws):
+    """``local_young_checks`` as it was: per-draw set-up, two orbit walks per
+    draw (the partition's and the norm's), one batched solve."""
+    problems = []
+    for phi, mu, n, eps in draws:
+        assert reference_invariance(s, mu)[0]
+        partition = reference_oscillation_partition(s, phi, n, eps * n)
+        problems.append(inner_problem(s, mu, partition, n))
+    sides = []
+    for (phi, mu, n, eps), sol in zip(draws, maximize_inner_batch(problems)):
+        lhs = eps + op_norm_log(s, phi, n) / n
+        rhs = pair(s, mu, phi) + sol.value / n
+        assert lhs >= rhs - 1e-8
+        sides.append((lhs, rhs))
+    return sides
+
+
+def reference_young_local(s, cfg):
+    """The loop of ``young.local`` with the per-draw set-up it replaced."""
+    rng = _rng_for(cfg.seed, "young.local")
+    worst = np.inf
+    for start in range(0, cfg.draws, _YOUNG_CHUNK):
+        draws = []
+        for _ in range(min(_YOUNG_CHUNK, cfg.draws - start)):
+            phi = random_potential(rng, s, scale=2.0)
+            mu = random_invariant(rng, s)
+            n = int(rng.integers(1, 7))
+            eps = float(rng.choice(cfg.eps))
+            draws.append((phi, mu, n, eps))
+        for lhs, rhs in reference_local_young_checks(s, draws):
+            worst = min(worst, lhs - rhs)
+    return {"draws": cfg.draws, "worst_slack": worst}
+
+
+def reference_vp_gap(s, cfg):
+    """The per-draw loop of ``vp.gap``, one ``variational_principle`` per draw."""
+    rng = _rng_for(cfg.seed, "vp.gap")
+    worst = 0.0
+    for _ in range(cfg.draws):
+        phi = random_potential(rng, s, scale=3.0)
+        vals = cycle_means(s, phi)
+        top = float(vals.max())
+        first = int(np.flatnonzero(vals >= top - 1e-12)[0])
+        maximizer = cycle_measure(s, s.supported_cycle_arrays[first])
+        tau = tau_dual(s, maximizer, cross_check=False).value
+        gap = log_spectral_radius(s, phi) - tau - pair(s, maximizer, phi)
+        assert abs(gap) <= 1e-9
+        worst = max(worst, abs(gap))
+    return {"draws": cfg.draws, "worst_gap": worst}
+
+
+REFERENCES = {
+    "lemma.power": reference_power,
+    "lemma.properties": reference_properties,
+    "vp.gap": reference_vp_gap,
+    "young.global": reference_young_global,
+    "young.local": reference_young_local,
+}
+
+
 def test_batched_checks_replay_the_per_draw_loops(system_pool):
     """Same draws, same bits: the report values of the batched checks are
     byte-identical to those of the loops they replaced."""
     cases = [(twocyc(), CertifyConfig(seed=3))]
     cases += [(s, CertifyConfig(seed=i, draws=200)) for i, s in enumerate(system_pool)]
-    for system, cfg in cases:
-        for name, reference in (
-            ("lemma.properties", reference_properties),
-            ("lemma.power", reference_power),
-        ):
-            record = run_check(system, name, cfg)
+    for s, cfg in cases:
+        for name, reference in REFERENCES.items():
+            record = run_check(s, name, cfg)
             assert record["verdict"] == "pass", (name, record)
-            want = json.dumps(reference(system, cfg))
-            assert json.dumps(record["values"]) == want, (name, system.n)
+            want = json.dumps(reference(s, cfg))
+            assert json.dumps(record["values"]) == want, (name, s.n)
+
+
+def test_stacked_young_checks_raise_like_the_scalar_call():
+    """A stack with one non-invariant draw raises the ValueError of the
+    scalar call on that draw, in both Young checks."""
+    s = twocyc()
+    gen = np.random.default_rng(71)
+    bad = functional(s, np.array([0.7, 0.3, 0.0, 0.0]))
+    phi = random_potential(gen, s)
+    draws = [(random_potential(gen, s), random_invariant(gen, s)) for _ in range(9)]
+    draws.insert(4, (phi, bad))
+    with pytest.raises(ValueError) as scalar:
+        young_check(s, phi, bad)
+    with pytest.raises(ValueError) as stacked:
+        young_checks(s, draws)
+    assert "invariant" in str(scalar.value)
+    assert str(stacked.value) == str(scalar.value)
+    local = [(p, mu, 1 + i % 3, 0.5) for i, (p, mu) in enumerate(draws)]
+    with pytest.raises(ValueError) as scalar:
+        local_young_check(s, phi, bad, 2, 0.5)
+    with pytest.raises(ValueError) as stacked:
+        local_young_checks(s, local)
+    assert "invariant" in str(scalar.value)
+    assert str(stacked.value) == str(scalar.value)
 
 
 def twelve_atoms():
@@ -118,6 +270,41 @@ def test_property_and_power_checks_make_no_scalar_lambda_calls(monkeypatch):
     batch.clear()
     assert run_check(s, "lemma.power", cfg)["verdict"] == "pass"
     assert (len(scalar), len(batch)) == (0, 5)
+
+
+def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
+    """young.global runs no scalar tau_dual or lambda on essential draws;
+    vp.gap runs tau_dual at most once per supported cycle; and
+    local_young_checks walks once per horizon of a call, with no other
+    orbit walk, and builds that horizon's inner problems with one call."""
+    s = twelve_atoms()
+    cfg = CertifyConfig(seed=5)
+    duals = counting(monkeypatch, entropy, "tau_dual")
+    scalar = counting(monkeypatch, spectral, "log_spectral_radius")
+    monkeypatch.setattr(varprin, "log_spectral_radius", spectral.log_spectral_radius)
+    assert run_check(s, "young.global", cfg)["verdict"] == "pass"
+    assert (len(duals), len(scalar)) == (0, 0)
+    assert run_check(s, "vp.gap", cfg)["verdict"] == "pass"
+    assert 0 < len(duals) <= len(s.supported_cycle_arrays)
+    assert len({id(args[1]) for args in duals}) == len(duals)
+
+    walks = counting(monkeypatch, system, "orbit_sums")
+    monkeypatch.setattr(entropy, "orbit_sums", system.orbit_sums)
+    births = counting(monkeypatch, entropy, "birkhoff")
+    norms = counting(monkeypatch, entropy, "_norm_log")
+    stacks = counting(monkeypatch, entropy, "inner_problems")
+    gen = np.random.default_rng(73)
+    for horizons in ([1, 3, 3, 5, 1, 6, 3], [2], [4, 4]):
+        walks.clear()
+        norms.clear()
+        stacks.clear()
+        draws = [
+            (random_potential(gen, s), random_invariant(gen, s), n, 0.5) for n in horizons
+        ]
+        local_young_checks(s, draws)
+        assert sorted(args[2] for args in walks) == sorted(set(horizons))
+        assert len(norms) == len(stacks) == len(walks)
+    assert len(births) == 0
 
 
 

@@ -318,8 +318,28 @@ def test_bad_eps_exits_1(files, capsys):
         ["certify", str(files / "c3.json"), "--eps", "1.0,-0.5"]
     )
     assert code == 1
-    # --n-max must be a positive integer; argparse rejects it before any work
     two, c3, phi = (str(files / name) for name in ("two.json", "c3.json", "phi.json"))
+    # eps must be finite and positive, the tolerance finite and nonnegative:
+    # a NaN crashed the report, an infinite eps or tolerance ran to a verdict
+    for option, value in (
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--eps", "1.0,nan"),
+        ("--eps", "1e400"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "1e400"),
+        ("--tolerance", "-inf"),
+        ("--tolerance", "-0.5"),
+    ):
+        capsys.readouterr()
+        argv = ["certify", two, "--suite", "entstat", f"{option}={value}"]
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr()
+        assert option in err.err and err.out == "", argv
+    # a zero tolerance stays valid
+    assert cli.main(["validate", c3, "--tolerance", "0"]) == 0
+    # --n-max must be a positive integer; argparse rejects it before any work
     for argv in (
         ["certify", two, "--n-max", "0"],
         ["lambda", c3, phi, "--n-max", "-5"],

@@ -12,8 +12,10 @@ from tentropy import entropy
 from tentropy.entropy import (
     InnerProblem,
     certificate_sup,
+    hull_means,
     inner_objective,
     inner_problem,
+    inner_problems,
     local_young_check,
     maximize_inner,
     maximize_inner_batch,
@@ -41,6 +43,7 @@ from tentropy.system import (
     alpha_power,
     atomic_partition,
     birkhoff,
+    cycle_means,
     effective_weights,
     functional,
     invariant_vertices,
@@ -107,20 +110,29 @@ def simplex_grid(k, step):
 def test_inner_problem_matches_per_member_preimage_mass(system_pool, large_pool):
     """The one offset bincount gives every row the bits of a
     ``preimage_mass`` call on that member alone, in a row-major matrix (the
-    solver's products give other bits on a column-major one)."""
+    solver's products give other bits on a column-major one); a stack of
+    problems at one horizon gives each the c and weights of its own call."""
     gen = np.random.default_rng(61)
     for s in system_pool + large_pool:
         mu = random_invariant(gen, s)
         sup = s.supported_indices
-        for part in (atomic_partition(s), random_partition(gen, s)):
-            for n in (1, 3):
-                an = alpha_power(s, n)
+        parts = (atomic_partition(s), random_partition(gen, s), trivial_partition(s))
+        for n in (1, 3):
+            an = alpha_power(s, n)
+            pairs = [(mu, part) for part in parts]
+            pairs.append((random_simplex_functional(gen, s), parts[1]))
+            stacked = inner_problems(s, pairs, n)
+            for (nu, part), problem in zip(pairs, stacked):
                 want = np.array(
                     [preimage_mass(s, g * s.m, an)[sup] / s.m[sup] for g in part.members]
                 )
-                got = inner_problem(s, mu, part, n).c
-                assert got.shape == want.shape and got.flags.c_contiguous
-                assert np.array_equal(got, want), (s.n, n)
+                got = inner_problem(s, nu, part, n)
+                assert got.c.shape == want.shape and got.c.flags.c_contiguous
+                assert np.array_equal(got.c, want), (s.n, n)
+                assert problem.c.flags.c_contiguous
+                assert np.array_equal(problem.c, got.c)
+                assert np.array_equal(problem.mu_weights, got.mu_weights)
+                assert (problem.n, problem.support_atoms) == (n, got.support_atoms)
 
 
 def test_inner_problem_tail_atomic_matrix():
@@ -498,6 +510,32 @@ def test_tau_dual_vertex_mixtures_are_zero():
         w = a * np.array([0.5, 0.5, 0, 0]) + (1 - a) * np.array([0, 0, 0.5, 0.5])
         r = tau_dual(s, functional(s, w))
         assert r.value == 0.0
+
+
+def test_stacked_hull_test_matches_tau_dual(system_pool, large_pool):
+    """``hull_means`` certifies a stack of defect-free functionals at once:
+    each row is a point that ``tau_dual`` puts at 0, its means carry the bits
+    of its own call and of ``cycle_means``, and one row off the hull fails
+    the whole stack, as ``tau_dual`` puts that row at -inf."""
+    gen = np.random.default_rng(53)
+    for s in system_pool + large_pool:
+        mus = [random_invariant(gen, s) for _ in range(4)]
+        mus += [functional(s, v.weights, mode=FULL) for v in invariant_vertices(s)[:2]]
+        rows = np.array([effective_weights(s, mu) for mu in mus])
+        means = hull_means(s, rows)
+        for r, mu in enumerate(mus):
+            assert tau_dual(s, mu, cross_check=False).value == 0.0
+            assert np.array_equal(means[r], hull_means(s, rows[r]))
+            assert np.array_equal(means[r], cycle_means(s, rows[r]))
+        # a point mass off every fixed point is no mixture of cycle measures
+        fixed = {int(c[0]) for c in s.supported_cycle_arrays if c.size == 1}
+        off = [x for x in s.supported_indices.tolist() if x not in fixed]
+        if off:
+            point = np.zeros(s.n)
+            point[off[0]] = 1.0
+            assert tau_dual(s, functional(s, point), cross_check=False).value == -np.inf
+            with pytest.raises(RuntimeError, match="hull point"):
+                hull_means(s, np.vstack([rows, point]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,11 +15,16 @@ from tentropy.system import (
     alpha_power,
     atomic_partition,
     birkhoff,
+    effective_weights,
     functional,
+    invariance,
     invariant_vertices,
     is_invariant,
+    log_preimage_mass,
     make_system,
+    orbit_sums,
     pair,
+    preimage_mass,
     restrict_to_support,
     trivial_partition,
     validate,
@@ -265,6 +270,78 @@ def test_is_invariant_reports_worst_atom(large_pool):
             ok, worst = is_invariant(s, mu)
             assert not ok
             assert worst == pytest.approx(want, rel=1e-12)
+
+
+def reference_log_preimage_mass(system, log_weights, an):
+    """``log_preimage_mass`` as it was for one row."""
+    top = np.full(system.n, -np.inf)
+    np.maximum.at(top, an, log_weights)
+    hit = np.isfinite(top)
+    shift = np.where(hit, top, 0.0)
+    total = np.bincount(an, weights=np.exp(log_weights - shift[an]), minlength=system.n)
+    out = np.full(system.n, -np.inf)
+    out[hit] = shift[hit] + np.log(total[hit])
+    return out
+
+
+def test_stacked_transport_rows_match_their_own_calls(system_pool, large_pool):
+    """Each row of a (k, N) stack gets the bits of its own call, and a single
+    row the bits of the per-row code the stack replaced."""
+    gen = np.random.default_rng(43)
+    for s in system_pool + large_pool:
+        k = 4
+        weights = gen.uniform(-1.0, 2.0, size=(k, s.n))
+        logs = 40.0 * weights + s.log_m
+        subset = np.flatnonzero(gen.uniform(size=s.n) < 0.5)
+        for an in (None, s.alpha, alpha_power(s, 3), alpha_power(s, 7)):
+            stacked = preimage_mass(s, weights, an)
+            assert stacked.shape == (k, s.n)
+            route = s.alpha if an is None else an
+            logged = log_preimage_mass(s, logs, route)
+            for r in range(k):
+                single = preimage_mass(s, weights[r], an)
+                want = np.bincount(route, weights=weights[r], minlength=s.n)
+                assert np.array_equal(stacked[r], single)
+                assert np.array_equal(single, want)
+                single = log_preimage_mass(s, logs[r], route)
+                assert np.array_equal(logged[r], single)
+                assert np.array_equal(single, reference_log_preimage_mass(s, logs[r], route))
+            # a subset of the atoms moving, as the hitting mass passes it
+            part = preimage_mass(s, weights[:, subset], route[subset])
+            for r in range(k):
+                assert np.array_equal(part[r], preimage_mass(s, weights[r, subset], route[subset]))
+        walks = [list(orbit_sums(s, w, 9)) for w in weights]
+        for n, sums, an in orbit_sums(s, weights, 9):
+            assert sums.shape == (k, s.n)
+            for r, walk in enumerate(walks):
+                assert walk[n - 1][0] == n
+                assert np.array_equal(sums[r], walk[n - 1][1])
+                assert np.array_equal(an, walk[n - 1][2])
+
+
+def test_stacked_invariance_matches_is_invariant(system_pool, large_pool):
+    """The stacked test gives each row the verdict and the defect of
+    ``is_invariant`` on that row's functional, for invariant, non-invariant,
+    signed, unnormalized and null-charging FULL functionals."""
+    gen = np.random.default_rng(47)
+    for s in system_pool + large_pool:
+        inv = random_invariant(gen, s)
+        mus = [
+            inv,
+            functional(s, inv.weights, mode=FULL),
+            functional(s, gen.dirichlet(np.ones(s.n))),
+            functional(s, gen.dirichlet(np.ones(s.n)), mode=FULL),
+            functional(s, 1.5 * inv.weights),
+            functional(s, inv.weights - 0.01),
+        ]
+        rows = np.array([effective_weights(s, mu) for mu in mus])
+        ok, worst = invariance(s, rows)
+        for r, mu in enumerate(mus):
+            w = rows[r]
+            old = float(np.max(np.abs(np.bincount(s.alpha, weights=w, minlength=s.n) - w)))
+            old_ok = old <= 1e-12 and w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-12
+            assert (bool(ok[r]), float(worst[r])) == is_invariant(s, mu) == (old_ok, old)
+        assert ok[0] and ok[1] and not ok[4] and not ok[5]
 
 
 def test_random_invariant_is_invariant(system_pool, large_pool):

@@ -15,7 +15,7 @@ from tentropy.sampling import (
     random_system,
 )
 from tentropy.spectral import log_spectral_radius
-from tentropy.system import FULL, functional, pair
+from tentropy.system import FULL, functional, make_system, pair
 from tentropy.varprin import (
     NEGATIVITY,
     NON_INVARIANCE,
@@ -27,6 +27,7 @@ from tentropy.varprin import (
     subgradient,
     variational_principle,
     young_check,
+    young_checks,
 )
 
 
@@ -163,6 +164,60 @@ def test_young_slack_nonnegative(seed):
     phi = random_potential(gen, s)
     r = young_check(s, phi, mu)
     assert r.slack >= -1e-9
+
+
+def test_young_checks_rows_match_young_check(system_pool, large_pool):
+    """Each draw of a stack gets the slack and the flag of its own
+    ``young_check``: tight draws, and the +inf slack of a FULL functional
+    charging a null cycle, included."""
+    gen = np.random.default_rng(59)
+    charged = 0
+    # a supported 2-cycle beside a null 3-cycle
+    null_cycle = make_system([1.0, 1.0, 0.0, 0.0, 0.0], [1, 0, 3, 4, 2])
+    for s in system_pool + large_pool + [null_pair(), null_cycle]:
+        draws = [(random_potential(gen, s, 3.0), random_invariant(gen, s)) for _ in range(6)]
+        draws.append((np.zeros(s.n), random_invariant(gen, s)))
+        dec = s.decomposition
+        nulls = [c for c, ok in zip(dec.cycles, dec.supported) if not ok]
+        if nulls:
+            w = 0.5 * random_invariant(gen, s).weights
+            w[list(nulls[0])] += 0.5 / len(nulls[0])
+            draws.append((random_potential(gen, s, 3.0), functional(s, w, mode=FULL)))
+        results = young_checks(s, draws)
+        assert len(results) == len(draws)
+        for (phi, mu), res in zip(draws, results):
+            single = young_check(s, phi, mu)
+            assert (res.slack, res.tight) == (single.slack, single.tight)
+        assert results[6].tight
+        if nulls:
+            assert results[-1].slack == np.inf and not results[-1].tight
+            charged += 1
+    assert charged == 2
+
+
+def test_variational_principle_stack_rows_match_single_calls(system_pool, large_pool):
+    """A stack of potentials gives each row the lambda, gap, maximizer and
+    face of its own call; rows with the same maximizer share one vertex."""
+    gen = np.random.default_rng(61)
+    for s in system_pool + large_pool:
+        phis = gen.uniform(-3.0, 3.0, size=(8, s.n))
+        phis[1] = 0.0
+        cert = variational_principle(s, phis)
+        assert cert.gap.shape == (8,) and len(cert.face) == 8
+        for r, phi in enumerate(phis):
+            single = variational_principle(s, phi)
+            assert cert.lambda_value[r] == single.lambda_value
+            assert cert.gap[r] == single.gap
+            assert np.array_equal(cert.maximizer[r].weights, single.maximizer.weights)
+            assert [v.weights.tolist() for v in cert.face[r]] == [
+                v.weights.tolist() for v in single.face
+            ]
+            assert cert.maximizer[r] is cert.face[r][0]
+        shared = {}
+        for vertex in cert.maximizer:
+            assert shared.setdefault(vertex.weights.tobytes(), vertex) is vertex
+        # the zero potential ties every cycle
+        assert len(cert.face[1]) == len(s.supported_cycle_arrays)
 
 
 def test_variational_principle_frozen_example():
