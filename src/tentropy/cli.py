@@ -4,6 +4,11 @@ Subcommands: validate, lambda, tau, certify, random-systems.  Every command
 emits one JSON report (stdout or --out) whose bytes depend only on the
 inputs and the seed.  Exit codes: 0 success, 1 I/O or parse problem,
 2 invalid system, 3 failed certification.
+
+Each subcommand declares only the options it reads and echoes them into the
+report's ``config``, so an option another command reads is a usage error.
+``TENTROPY_SEED`` stands in for a missing ``--seed`` and is read only by the
+commands that take one: tau, certify and random-systems.
 """
 
 from __future__ import annotations
@@ -76,10 +81,19 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _parse_n_max(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"n-max must be a positive integer: {text!r}")
-    return int(text)
+def _n_max(low: int, high: int | None = None):
+    """argparse type for one command's --n-max: an integer in its range."""
+    allowed = f"at least {low}" if high is None else f"from {low} to {high}"
+
+    def parse(text: str) -> int:
+        value = int(text) if text.isdecimal() else None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(
+                f"must be an integer {allowed}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _resolve_seed(args) -> int:
@@ -104,59 +118,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-max", type=_parse_n_max, default=12, dest="n_max")
-    common.add_argument(
-        "--eps", type=_parse_eps, default=(1.0, 0.5, 0.1), metavar="E1,E2,..."
-    )
-    common.add_argument("--seed", type=_parse_seed, default=None)
-    common.add_argument("--tolerance", type=_parse_tolerance, default=None)
-    common.add_argument("--profile", choices=("quick", "deep"), default="quick")
-    common.add_argument("--out", default=None, help="report path (default stdout)")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", help="report path (default stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", parents=[common], help="check a system file")
+    p = command("validate", cmd_validate, "check a system file")
     p.add_argument("system")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("lambda", parents=[common], help="spectral potential")
+    p = command("lambda", cmd_lambda, "spectral potential")
     p.add_argument("system")
     p.add_argument("potential")
-    p.set_defaults(func=cmd_lambda)
+    p.add_argument("--n-max", type=_n_max(2), default=12)
 
-    p = sub.add_parser("tau", parents=[common], help="t-entropy of a functional")
+    p = command("tau", cmd_tau, "t-entropy of a functional")
     p.add_argument("system")
     p.add_argument("functional")
+    p.add_argument("--n-max", type=_n_max(1, 12), default=12)
+    p.add_argument("--seed", type=_parse_seed, help="default: TENTROPY_SEED, then 0")
+    p.add_argument("--tolerance", type=_parse_tolerance)
     p.add_argument("--route", choices=("direct", "dual", "both"), default="both")
-    p.set_defaults(func=cmd_tau)
 
-    p = sub.add_parser("certify", parents=[common], help="run a property suite")
+    p = command("certify", cmd_certify, "run a property suite")
     p.add_argument("system")
+    p.add_argument("--n-max", type=_n_max(1), default=12)
+    p.add_argument(
+        "--eps", type=_parse_eps, default=(1.0, 0.5, 0.1), metavar="E1,E2,..."
+    )
+    p.add_argument("--seed", type=_parse_seed, help="default: TENTROPY_SEED, then 0")
+    p.add_argument("--tolerance", type=_parse_tolerance)
+    p.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser(
-        "random-systems", parents=[common], help="emit random valid fixtures"
-    )
+    p = command("random-systems", cmd_random_systems, "emit random valid fixtures")
     p.add_argument("count", type=int)
-    p.add_argument("--max-atoms", type=int, default=8, dest="max_atoms")
+    p.add_argument("--seed", type=_parse_seed, help="default: TENTROPY_SEED, then 0")
+    p.add_argument("--max-atoms", type=int, default=8)
     p.add_argument("--dir", default=".", help="directory for the system files")
-    p.set_defaults(func=cmd_random_systems)
     return parser
-
-
-def _config(args, command: str, seed: int, inputs: dict) -> dict:
-    cfg = {"command": command}
-    cfg.update(inputs)
-    cfg.update(
-        {
-            "seed": seed,
-            "eps": [float(e) for e in args.eps],
-            "n_max": args.n_max,
-            "tolerance": args.tolerance,
-            "profile": args.profile,
-        }
-    )
-    return cfg
 
 
 def _assemble(config: dict, checks: list, notes: list | None = None) -> dict:
@@ -184,7 +184,6 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_validate(args) -> int:
-    seed = _resolve_seed(args)
     system = load_system(args.system)
     rep = validate(system)
     record = make_record(
@@ -201,21 +200,11 @@ def cmd_validate(args) -> int:
         [(len(rep.violations), 0)],
         repro=f"tentropy validate {args.system}",
     )
-    _emit(_assemble(_config(args, "validate", seed, {"system": args.system}), [record]), args)
+    _emit(_assemble({"command": "validate", "system": args.system}, [record]), args)
     return 0 if record["verdict"] == "pass" else 2
 
 
-def _require_n_max(args, low: int, high: int | None = None) -> None:
-    if args.n_max < low or (high is not None and args.n_max > high):
-        allowed = f"at least {low}" if high is None else f"from {low} to {high}"
-        raise FormatError(
-            f"--n-max for {args.command} must be {allowed}, got {args.n_max}"
-        )
-
-
 def cmd_lambda(args) -> int:
-    _require_n_max(args, 2)
-    seed = _resolve_seed(args)
     system = load_system(args.system)
     require_valid(system)
     phi = load_potential(args.potential, system)
@@ -232,9 +221,12 @@ def cmd_lambda(args) -> int:
         [(int(res.flagged), 0)],
         repro=f"tentropy lambda {args.system} {args.potential} --n-max {args.n_max}",
     )
-    config = _config(
-        args, "lambda", seed, {"system": args.system, "potential": args.potential}
-    )
+    config = {
+        "command": "lambda",
+        "system": args.system,
+        "potential": args.potential,
+        "n_max": args.n_max,
+    }
     _emit(_assemble(config, [record]), args)
     return 0 if record["verdict"] == "pass" else 3
 
@@ -251,7 +243,6 @@ def _divergence_values(res) -> dict:
 
 
 def cmd_tau(args) -> int:
-    _require_n_max(args, 1, 12)
     seed = _resolve_seed(args)
     system = load_system(args.system)
     require_valid(system)
@@ -261,6 +252,8 @@ def cmd_tau(args) -> int:
         f"tentropy tau {args.system} {args.functional}"
         f" --route {args.route} --seed {seed} --n-max {args.n_max}"
     )
+    if args.tolerance is not None:
+        repro += f" --tolerance {args.tolerance!r}"
 
     dual = tau_dual(system, mu)
     direct = None
@@ -277,12 +270,13 @@ def cmd_tau(args) -> int:
     inputs = f"{args.system} {args.functional}"
     checks = []
     if direct is not None:
-        # the direct route bounds the dual value from above, within 1e-3;
-        # any bound dominates a dual value of -inf
+        # the direct route bounds the dual value from above, within
+        # --tolerance (default 1e-3); any bound dominates a dual value of -inf
         claims = []
         if dual.value > -np.inf:
             gap = direct.value - dual.value
-            claims = [(-gap, 0.0), (gap, 1e-3)]
+            bound = 1e-3 if args.tolerance is None else args.tolerance
+            claims = [(-gap, 0.0), (gap, bound)]
         elif direct.value > -np.inf:
             notes.append(
                 "routes are consistent: the direct route certifies finite-horizon"
@@ -308,12 +302,15 @@ def cmd_tau(args) -> int:
             witness = {"ray": [float(v) for v in dual.dual_witness]}
         checks.append(make_record("tau.dual", inputs, values, [], witness))
     checks.sort(key=lambda c: c["name"])
-    config = _config(
-        args,
-        "tau",
-        seed,
-        {"system": args.system, "functional": args.functional, "route": args.route},
-    )
+    config = {
+        "command": "tau",
+        "system": args.system,
+        "functional": args.functional,
+        "route": args.route,
+        "seed": seed,
+        "n_max": args.n_max,
+        "tolerance": args.tolerance,
+    }
     report = _assemble(config, checks, notes)
     _emit(report, args)
     return 0 if all(c["verdict"] == "pass" for c in checks) else 3
@@ -333,12 +330,17 @@ def cmd_certify(args) -> int:
         suite=args.suite,
         system_label=args.system,
     )
-    config = _config(
-        args,
-        "certify",
-        seed,
-        {"system": args.system, "suite": args.suite, "draws": cfg.draws},
-    )
+    config = {
+        "command": "certify",
+        "system": args.system,
+        "suite": args.suite,
+        "draws": cfg.draws,
+        "seed": seed,
+        "eps": [float(e) for e in cfg.eps],
+        "n_max": cfg.n_max,
+        "tolerance": cfg.tolerance,
+        "profile": cfg.profile,
+    }
     report = _assemble(config, run_suite(system, args.suite, cfg))
     _emit(report, args)
     return 0 if report["summary"]["failed"] == 0 else 3
@@ -369,12 +371,13 @@ def cmd_random_systems(args) -> int:
                 f"system-{i:03d}", str(path), values, [(len(rep.violations), 0)]
             )
         )
-    config = _config(
-        args,
-        "random-systems",
-        seed,
-        {"count": args.count, "max_atoms": args.max_atoms, "dir": str(out_dir)},
-    )
+    config = {
+        "command": "random-systems",
+        "count": args.count,
+        "max_atoms": args.max_atoms,
+        "dir": str(out_dir),
+        "seed": seed,
+    }
     report = _assemble(config, checks)
     _emit(report, args)
     return 0 if all(c["verdict"] == "pass" for c in checks) else 3

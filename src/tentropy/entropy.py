@@ -28,6 +28,7 @@ import numpy as np
 
 from .spectral import _norm_log, log_spectral_radius, op_norm
 from .system import (
+    EXACT_TOL,
     FiniteSystem,
     Functional,
     PartitionOfUnity,
@@ -296,13 +297,11 @@ def inner_objective(problem: InnerProblem, p) -> float:
     return _objective(*_active_rows(problem), np.asarray(p, dtype=float))
 
 
-def certificate_sup(
-    problem: InnerProblem, solution: InnerSolution, tol: float = 1e-6
-) -> float:
+def certificate_sup(problem: InnerProblem, solution: InnerSolution) -> float:
     """Largest value of the optimality ratio field at the returned point.
 
     At an exact maximizer the field is everywhere at most 1, and its
-    p-average is exactly 1; values above 1 + tol mean the solution was
+    p-average is exactly 1; values above 1 + 1e-6 mean the solution was
     never optimal and are an error.
     """
     if solution.p_star is None:
@@ -316,7 +315,7 @@ def certificate_sup(
     if abs(mean - wa.sum()) > 1e-9:
         raise RuntimeError("ratio field lost its normalization identity")
     sup = float(ratio.max())
-    if sup > 1.0 + tol:
+    if sup > 1.0 + 1e-6:
         raise RuntimeError(f"claimed optimum fails its certificate: {sup}")
     return sup
 
@@ -335,7 +334,7 @@ def tau_n(
 
 def _require_normalized(system: FiniteSystem, mu: Functional) -> None:
     w = effective_weights(system, mu)
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
+    if w.min() < -EXACT_TOL or abs(w.sum() - 1.0) > EXACT_TOL:
         raise ValueError("functional must be positive and normalized")
 
 
@@ -381,52 +380,43 @@ class TauResult:
     descent_best: float | None = None
 
 
+# Solver tolerance of tau_direct's candidates; bounds this close are ties.
+DIRECT_TOL = 1e-8
+
+
 def tau_direct(
-    system: FiniteSystem,
-    mu: Functional,
-    n_max: int = 4,
-    strategies: tuple[str, ...] = ("atomic", "trivial", "oscillation", "random"),
-    budget: int = 8,
-    seed: int = 0,
-    tol: float = 1e-8,
+    system: FiniteSystem, mu: Functional, n_max: int = 4, seed: int = 0
 ) -> TauResult:
     """Search over horizons and partition families for the smallest tau_n / n.
 
-    Every candidate contributes a certified upper bound (value plus
-    optimality gap), so the reported number can sit slightly above but
-    never below the infimum over the candidate set.  The achieving horizon
-    and partition are those of the first candidate, in search order, whose
-    bound lies within ``tol`` of that minimum.
+    At each horizon the candidates are the atomic and trivial partitions,
+    three oscillation partitions and eight random partitions.  Every
+    candidate contributes a certified upper bound (value plus optimality
+    gap), so the reported number can sit slightly above but never below
+    the infimum over the candidate set.  The achieving horizon and
+    partition are those of the first candidate, in search order, whose
+    bound lies within ``DIRECT_TOL`` of that minimum.
     """
     require_valid(system)
     if n_max < 1:
         raise ValueError("need at least one horizon")
-    known = {"atomic", "trivial", "oscillation", "random"}
-    bad = set(strategies) - known
-    if bad:
-        raise ValueError(f"unknown strategies: {sorted(bad)}")
     _require_normalized(system, mu)
     rng = np.random.default_rng(seed)
     candidates: list[tuple[int, PartitionOfUnity]] = []
     for n in range(1, n_max + 1):
-        if "atomic" in strategies:
-            candidates.append((n, atomic_partition(system)))
-        if "trivial" in strategies:
-            candidates.append((n, trivial_partition(system)))
-        if "oscillation" in strategies:
-            for _ in range(3):
-                phi = rng.uniform(-2.0, 2.0, system.n)
-                s = birkhoff(system, phi, n)
-                width = (float(s.max() - s.min())) / 3.0 + 1e-9
-                candidates.append((n, oscillation_partition(system, phi, n, width)))
-        if "random" in strategies:
-            for _ in range(budget):
-                candidates.append((n, random_partition(rng, system)))
-    if not candidates:
-        raise ValueError("no candidate partitions: need a strategy and a positive budget")
+        candidates.append((n, atomic_partition(system)))
+        candidates.append((n, trivial_partition(system)))
+        for _ in range(3):
+            phi = rng.uniform(-2.0, 2.0, system.n)
+            s = birkhoff(system, phi, n)
+            width = (float(s.max() - s.min())) / 3.0 + 1e-9
+            candidates.append((n, oscillation_partition(system, phi, n, width)))
+        for _ in range(8):
+            candidates.append((n, random_partition(rng, system)))
     problems = [inner_problem(system, mu, part, n) for n, part in candidates]
+    solutions = maximize_inner_batch(problems, DIRECT_TOL)
     bounds = []
-    for (n, partition), sol in zip(candidates, maximize_inner_batch(problems, tol)):
+    for (n, partition), sol in zip(candidates, solutions):
         if sol.value == -np.inf:
             return TauResult(
                 value=-np.inf,
@@ -438,7 +428,7 @@ def tau_direct(
     best = min(bounds)
     # Bounds closer than the solver tolerance are ties, so report the first
     # of them rather than whichever one sub-tolerance noise put lowest.
-    first = next(i for i, bound in enumerate(bounds) if bound <= best + tol)
+    first = next(i for i, bound in enumerate(bounds) if bound <= best + DIRECT_TOL)
     n, partition = candidates[first]
     return TauResult(
         value=float(best),

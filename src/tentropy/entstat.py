@@ -105,13 +105,14 @@ def build_neighborhood(
         direction = res.divergence.direction
         for t in _T_GRID + _T_RETRY:
             phi = t * direction
-            if log_spectral_radius(system, phi) - pair(system, mu, phi) < target:
+            lam = log_spectral_radius(system, phi)
+            if lam - pair(system, mu, phi) < target:
                 break
         else:
             raise RuntimeError("no tested ray scale reached the divergent threshold")
         nbhd = HalfspaceNeighborhood(
             phi=phi,
-            lambda_phi=log_spectral_radius(system, phi),
+            lambda_phi=lam,
             threshold=target,
             tau_value=-np.inf,
         )

@@ -9,7 +9,6 @@ import numpy as np
 
 from .spectral import L1Vector, l1_norm, l1_vector
 from .system import (
-    ESSENTIAL,
     FULL,
     FiniteSystem,
     Functional,
@@ -21,7 +20,7 @@ from .system import (
 )
 
 
-def random_system(rng, max_atoms: int = 8, null_fraction: float = 0.25) -> FiniteSystem:
+def random_system(rng, max_atoms: int = 8) -> FiniteSystem:
     """Draw a valid system with 1..max_atoms atoms.
 
     Roughly a quarter of multi-atom draws carry null atoms.  Null sets are
@@ -32,7 +31,7 @@ def random_system(rng, max_atoms: int = 8, null_fraction: float = 0.25) -> Finit
     n = int(rng.integers(1, max_atoms + 1))
     alpha = rng.integers(0, n, size=n)
     m = rng.uniform(0.2, 2.0, size=n)
-    if n > 1 and rng.uniform() < null_fraction:
+    if n > 1 and rng.uniform() < 0.25:
         m = np.where(rng.uniform(size=n) < 0.35, 0.0, m)
         for _ in range(n):
             dead = (m > 0) & (m[alpha] == 0)
@@ -71,27 +70,25 @@ def random_invariant(rng, system: FiniteSystem) -> Functional:
     return functional(system, weights)
 
 
-def random_functional(
-    rng, system: FiniteSystem, scale: float = 1.0, mode: str = ESSENTIAL
-) -> Functional:
-    return functional(system, rng.normal(0.0, scale, size=system.n), mode=mode)
+def random_functional(rng, system: FiniteSystem) -> Functional:
+    """An ESSENTIAL functional with standard normal weights."""
+    return functional(system, rng.normal(0.0, 1.0, size=system.n))
 
 
-def perturbed_invariant(rng, system: FiniteSystem, scale: float = 0.25) -> Functional:
+def perturbed_invariant(rng, system: FiniteSystem) -> Functional:
     """An invariant functional pushed off the polytope by uniform noise."""
     base = random_invariant(rng, system)
-    noise = rng.uniform(-scale, scale, size=system.n)
+    noise = rng.uniform(-0.25, 0.25, size=system.n)
     return functional(system, base.weights + noise)
 
 
-def random_simplex_functional(
-    rng, system: FiniteSystem, mode: str = ESSENTIAL
-) -> Functional:
-    """A nonnegative normalized functional, Dirichlet over the visible atoms."""
-    idx = system.supported_indices if mode == ESSENTIAL else np.arange(system.n)
+def random_simplex_functional(rng, system: FiniteSystem) -> Functional:
+    """A nonnegative normalized ESSENTIAL functional, Dirichlet over the
+    supported atoms."""
+    idx = system.supported_indices
     weights = np.zeros(system.n)
     weights[idx] = rng.dirichlet(np.ones(idx.size))
-    return functional(system, weights, mode=mode)
+    return functional(system, weights)
 
 
 def random_null_charging(rng, system: FiniteSystem) -> Functional:

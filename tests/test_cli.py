@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report shape, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -308,9 +309,21 @@ def test_seed_env_fallback_matches_flag(files, tmp_path, capsys, monkeypatch):
 
 
 def test_bad_seed_env_exits_1(files, capsys, monkeypatch):
+    """Only the commands that take --seed read TENTROPY_SEED."""
     monkeypatch.setenv("TENTROPY_SEED", "not-a-seed")
-    code = cli.main(["certify", str(files / "c3.json"), "--suite", "young"])
+    c3 = str(files / "c3.json")
+    code = cli.main(["certify", c3, "--suite", "young"])
     assert code == 1
+    assert "TENTROPY_SEED" in capsys.readouterr().err
+    for argv in (
+        ["tau", c3, str(files / "mu.json")],
+        ["random-systems", "1", "--dir", str(files / "fx")],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert "TENTROPY_SEED" in capsys.readouterr().err
+    assert not (files / "fx").exists()
+    for argv in (["validate", c3], ["lambda", c3, str(files / "phi.json")]):
+        assert cli.main(argv) == 0, argv
 
 
 def test_bad_eps_exits_1(files, capsys):
@@ -337,8 +350,8 @@ def test_bad_eps_exits_1(files, capsys):
         assert cli.main(argv) == 1, argv
         err = capsys.readouterr()
         assert option in err.err and err.out == "", argv
-    # a zero tolerance stays valid
-    assert cli.main(["validate", c3, "--tolerance", "0"]) == 0
+    # a zero tolerance stays valid: it runs to a verdict instead of exiting 1
+    assert cli.main(["certify", c3, "--suite", "vp", "--tolerance", "0"]) == 3
     # --n-max must be a positive integer; argparse rejects it before any work
     for argv in (
         ["certify", two, "--n-max", "0"],
@@ -350,8 +363,8 @@ def test_bad_eps_exits_1(files, capsys):
         capsys.readouterr()
         assert cli.main(argv) == 1, argv
         assert "--n-max" in capsys.readouterr().err
-    # in range for the parser but not for the command: rejected, not clamped,
-    # with the allowed range named
+    # each command's parser holds the range that command reads: a value
+    # outside it is rejected, not clamped, with the allowed range named
     mu = str(files / "mu.json")
     for argv, allowed in (
         (["lambda", c3, phi, "--n-max", "1"], "at least 2"),
@@ -365,11 +378,97 @@ def test_bad_eps_exits_1(files, capsys):
         assert err.out == ""
 
 
-def test_usage_errors_exit_1(capsys):
+OPTIONS = {
+    "validate": {"--out"},
+    "lambda": {"--n-max", "--out"},
+    "tau": {"--n-max", "--seed", "--tolerance", "--route", "--out"},
+    "certify": {
+        "--n-max", "--eps", "--seed", "--tolerance", "--profile", "--suite", "--out",
+    },
+    "random-systems": {"--seed", "--max-atoms", "--dir", "--out"},
+}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    (commands,) = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    got = {
+        name: {
+            opt
+            for action in p._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for name, p in commands.choices.items()
+    }
+    assert got == OPTIONS
+
+
+def test_reports_echo_only_the_options_that_acted(files, capsys, tmp_path):
+    c3 = str(files / "c3.json")
+    expect = {
+        ("validate", c3): ["command", "system"],
+        ("lambda", c3, str(files / "phi.json")): [
+            "command", "system", "potential", "n_max",
+        ],
+        ("tau", c3, str(files / "mu.json")): [
+            "command", "system", "functional", "route", "seed", "n_max", "tolerance",
+        ],
+        ("certify", c3, "--suite", "vp"): [
+            "command", "system", "suite", "draws", "seed", "eps", "n_max",
+            "tolerance", "profile",
+        ],
+        ("random-systems", "1", "--dir", str(tmp_path)): [
+            "command", "count", "max_atoms", "dir", "seed",
+        ],
+    }
+    for argv, keys in expect.items():
+        code, rep = run_json(capsys, *argv)
+        assert code == 0, argv
+        assert list(rep["config"]) == keys, argv
+
+
+def test_tau_direct_gap_bound_follows_tolerance(files, capsys):
+    """The tau.direct route-gap bound is --tolerance when given, else 1e-3."""
+    c3, mu = str(files / "c3.json"), str(files / "mu.json")
+    code, default = run_json(capsys, "tau", c3, mu)
+    assert code == 0
+    before = {c["name"]: c for c in default["checks"]}
+    gap = before["tau.direct"]["values"]["value"]  # the dual value is 0
+    assert 0.0 < gap <= 1e-3
+    code, rep = run_json(capsys, "tau", c3, mu, "--tolerance", "0")
+    assert code == 3
+    assert rep["config"]["tolerance"] == 0.0
+    byname = {c["name"]: c for c in rep["checks"]}
+    assert byname["tau.direct"]["verdict"] == "fail"
+    assert byname["tau.direct"]["residual"] == gap
+    assert byname["tau.direct"]["repro"].endswith(" --tolerance 0.0")
+    assert byname["tau.dual"] == before["tau.dual"]
+    code, rep = run_json(capsys, "tau", c3, mu, "--tolerance", repr(gap))
+    assert code == 0
+    assert rep["checks"] == default["checks"]
+
+
+def test_usage_errors_exit_1(files, capsys, tmp_path):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["certify"]) == 1
-    assert cli.main(["validate", "x.json", "--route", "dual"]) == 1
+    # an option the command does not read exits 1, and stderr names it
+    c3 = str(files / "c3.json")
+    for argv, option in (
+        (["validate", "x.json", "--route", "dual"], "--route"),
+        (["validate", c3, "--tolerance", "0"], "--tolerance"),
+        (["lambda", c3, str(files / "phi.json"), "--eps", "0.5"], "--eps"),
+        (["tau", c3, str(files / "mu.json"), "--profile", "deep"], "--profile"),
+        (["random-systems", "1", "--n-max", "3", "--dir", str(tmp_path)], "--n-max"),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr()
+        assert option in err.err and err.out == "", argv
+    assert not list(tmp_path.glob("system-*.json"))
 
 
 def test_help_exits_0(capsys):

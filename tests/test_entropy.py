@@ -285,23 +285,18 @@ def test_tau_direct_invariant_is_zero_within_band(any_system):
     assert direct.route == "direct"
 
 
-def test_tau_direct_rejects_unknown_strategy():
+def test_tau_direct_rejects_no_horizon():
     s = cycle3()
     mu = functional(s, np.full(3, 1 / 3))
-    with pytest.raises(ValueError):
-        tau_direct(s, mu, strategies=("atomic", "bogus"))
     for n_max in (0, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon"):
             tau_direct(s, mu, n_max=n_max)
-    for kwargs in ({"strategies": ()}, {"strategies": ("random",), "budget": 0}):
-        with pytest.raises(ValueError, match="no candidate"):
-            tau_direct(s, mu, **kwargs)
 
 
 def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool):
     """Candidate bounds closer than the solver tolerance are ties: the
     achieving candidate is the first of them, and no earlier candidate
-    lies within ``tol`` of the reported minimum."""
+    lies within ``DIRECT_TOL`` of the reported minimum."""
     seen = {}
     make_problem, solve = entropy.inner_problem, entropy.maximize_inner_batch
 
@@ -309,17 +304,19 @@ def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool)
         seen["candidates"].append((n, partition))
         return make_problem(system, mu, partition, n)
 
-    def recording_solve(problems, tol=1e-8):
+    def recording_solve(problems, tol):
+        seen["tol"] = tol
         seen["solutions"] = solve(problems, tol)
         return seen["solutions"]
 
     monkeypatch.setattr(entropy, "inner_problem", recording_problem)
     monkeypatch.setattr(entropy, "maximize_inner_batch", recording_solve)
     gen = np.random.default_rng(61)
-    tol = 1e-8
+    tol = entropy.DIRECT_TOL
     for s in [twocyc()] + system_pool[:10]:
         seen["candidates"] = []
-        r = tau_direct(s, random_invariant(gen, s), seed=4, tol=tol)
+        r = tau_direct(s, random_invariant(gen, s), seed=4)
+        assert seen["tol"] == tol
         bounds = [
             (sol.value + sol.optimality_gap) / n + 1e-12
             for (n, _), sol in zip(seen["candidates"], seen["solutions"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentropy import entropy
 from tentropy.fixtures import cycle3, null_pair, twocyc
 from tentropy.sampling import (
     random_invariant,
@@ -260,6 +261,30 @@ def test_subgradient_verification_and_determinism():
     assert r1.tau_identity_residual <= 1e-9
     assert r1.worst_violation == r2.worst_violation
     assert np.array_equal(r1.measure.weights, r2.measure.weights)
+
+
+def test_subgradient_residual_is_the_attainment_identity(monkeypatch, system_pool):
+    """The residual is |tau(mu) - (lambda(phi) - mu[phi])| at the maximizer,
+    bit for bit, from the one tau_dual call of the variational principle."""
+    calls = []
+    tau_dual = entropy.tau_dual
+
+    def counting_tau_dual(system, mu, cross_check=True):
+        calls.append(mu)
+        return tau_dual(system, mu, cross_check=cross_check)
+
+    gen = np.random.default_rng(73)
+    for s in [twocyc()] + system_pool:
+        for _ in range(5):
+            phi = random_potential(gen, s)
+            monkeypatch.setattr(entropy, "tau_dual", counting_tau_dual)
+            calls.clear()
+            r = subgradient(s, phi, draws=20, seed=1)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            tau = tau_dual(s, r.measure, cross_check=False).value
+            want = abs(tau - (log_spectral_radius(s, phi) - pair(s, r.measure, phi)))
+            assert r.tau_identity_residual == want
 
 
 def test_null_charge_divergence_report():
