@@ -12,19 +12,25 @@ only); the CLI builds its own records with it too.  The runner turns
 exceptions raised by the library's internal assertions into failed records
 with an infinite residual instead of crashes.
 
-Five checks draw in a loop that only fills arrays, making the same
-generator calls in the same order as one evaluation per draw would, and then
-evaluate the draws with batched calls, each draw keeping the bits of its own
-evaluation:
+Seven checks draw in a loop that only fills arrays, making the same
+generator calls in the same order as one evaluation per draw would (the
+array forms of the samplers build no object), and then evaluate the draws
+with batched calls, each draw keeping the bits of its own evaluation:
 
+- ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` of the
+  indicators of all supported atoms and one of the unit-ball draws;
 - ``lemma.properties``: one stack of potential pairs for
   ``property_residuals``;
 - ``lemma.power``: one stack of potentials per power for ``power_gap``;
+- ``vp.dichotomy``: ``divergence_witnesses`` on stacks of functional
+  weights and FULL-mode flags, chunks of ``_YOUNG_CHUNK`` draws, and one
+  ``hull_means`` per chunk for the rows without a defect;
 - ``vp.gap``: one stack of all potentials for ``variational_principle``;
-- ``young.global``: ``young_checks`` on chunks of ``_YOUNG_CHUNK`` draws;
-- ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
-  draws, one orbit walk per horizon of a chunk and one batched inner solve
-  per chunk.
+- ``young.global``: the stacked core of ``young_checks`` on chunks of
+  ``_YOUNG_CHUNK`` draws;
+- ``young.local``: the stacked core of ``local_young_checks`` on chunks of
+  ``_YOUNG_CHUNK`` draws, one orbit walk per horizon of a chunk and one
+  batched inner solve per chunk.
 """
 
 from __future__ import annotations
@@ -36,35 +42,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
+    _local_young_sides,
+    _near_minimizer_bounds,
     certificate_sup,
+    hull_means,
     inner_problem,
-    local_young_checks,
     maximize_inner,
-    near_minimizer_bounds,
     tau_direct,
     tau_dual,
 )
 from .entstat import (
+    _hit_integrals,
     _hitting_mass,
     build_neighborhood,
     empirical,
-    estimate_lhs_general,
     verify_estimate,
 )
 from .sampling import (
     perturbed_invariant,
-    random_functional,
+    perturbed_invariant_weights,
+    random_functional_weights,
     random_invariant,
+    random_invariant_weights,
     random_null_charging,
+    random_null_charging_weights,
     random_partition,
     random_potential,
     random_simplex_functional,
-    random_unit_function,
+    random_unit_values,
 )
 from .spectral import (
     iterate,
-    l1_norm,
-    l1_vector,
     log_spectral_radius_batch,
     op_norm,
     op_norm_log,
@@ -73,6 +81,8 @@ from .spectral import (
     spectral_potential,
 )
 from .system import (
+    ESSENTIAL,
+    FULL,
     FiniteSystem,
     atomic_partition,
     birkhoff,
@@ -80,7 +90,12 @@ from .system import (
     pair,
     require_valid,
 )
-from .varprin import subgradient, variational_principle, young_checks
+from .varprin import (
+    _young_slacks,
+    divergence_witnesses,
+    subgradient,
+    variational_principle,
+)
 
 
 @dataclass(frozen=True)
@@ -105,9 +120,10 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
-# Draws of young.global and young.local evaluated as one stack: large
-# enough to amortize the per-call overhead, small enough to keep the stacked
-# arrays (and young.local's Newton systems) from raising the peak memory.
+# Draws of young.global, young.local and vp.dichotomy evaluated as one
+# stack: large enough to amortize the per-call overhead, small enough to keep
+# the stacked arrays (and young.local's Newton systems) from raising the peak
+# memory.
 _YOUNG_CHUNK = 64
 
 
@@ -121,14 +137,14 @@ def _check_young_global(system, cfg, rng):
     worst = np.inf
     tight = 0
     for size in _chunks(cfg.draws):
-        draws = []
-        for _ in range(size):
-            phi = random_potential(rng, system, scale=3.0)
-            mu = random_invariant(rng, system)
-            draws.append((phi, mu))
-        for res in young_checks(system, draws):
-            worst = min(worst, res.slack)
-            tight += res.tight
+        phis = np.empty((size, system.n))
+        weights = np.empty((size, system.n))
+        for i in range(size):
+            phis[i] = random_potential(rng, system, scale=3.0)
+            weights[i] = random_invariant_weights(rng, system)
+        slacks = _young_slacks(system, phis, weights, {})
+        worst = min(worst, min(slacks))
+        tight += sum(slack <= 1e-9 for slack in slacks)
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
         "claims": [(-worst, cfg.threshold(1e-9))],
@@ -138,15 +154,17 @@ def _check_young_global(system, cfg, rng):
 def _check_young_local(system, cfg, rng):
     worst = np.inf
     for size in _chunks(cfg.draws):
-        draws = []
-        for _ in range(size):
-            phi = random_potential(rng, system, scale=2.0)
-            mu = random_invariant(rng, system)
-            n = int(rng.integers(1, 7))
-            eps = float(rng.choice(cfg.eps))
-            draws.append((phi, mu, n, eps))
-        for lhs, rhs in local_young_checks(system, draws):
-            worst = min(worst, lhs - rhs)
+        phis = np.empty((size, system.n))
+        weights = np.empty((size, system.n))
+        ns = np.empty(size, dtype=int)
+        epss = np.empty(size)
+        for i in range(size):
+            phis[i] = random_potential(rng, system, scale=2.0)
+            weights[i] = random_invariant_weights(rng, system)
+            ns[i] = rng.integers(1, 7)
+            epss[i] = rng.choice(cfg.eps)
+        lhs, rhs = _local_young_sides(system, phis, weights, ns, epss)
+        worst = min(worst, min((lhs - rhs).tolist()))
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
         "claims": [(-worst, cfg.threshold(1e-8))],
@@ -189,36 +207,40 @@ def _check_vp_subgradient(system, cfg, rng):
 
 
 def _check_vp_dichotomy(system, cfg, rng):
+    has_nulls = bool((~system.support).any())
     zeros = divergent = bad = 0
     witness = None
-    has_nulls = bool((~system.support).any())
-    for _ in range(cfg.draws):
-        pick = int(rng.integers(0, 3))
-        if pick == 0:
-            mu = random_invariant(rng, system)
-        elif pick == 1:
-            mu = random_functional(rng, system)
-        elif has_nulls and rng.uniform() < 0.3:
-            mu = random_null_charging(rng, system)
-        else:
-            mu = perturbed_invariant(rng, system)
-        res = tau_dual(system, mu, cross_check=False)
-        if res.value == 0.0:
-            zeros += 1
-            ok = True
-        elif res.value == -np.inf:
-            divergent += 1
-            ok = pick != 0
-        else:
-            ok = False
-        if not ok:
-            bad += 1
-            if witness is None:
-                witness = {
-                    "weights": [float(v) for v in mu.weights],
-                    "mode": mu.mode,
-                    "value": res.value,
-                }
+    for size in _chunks(cfg.draws):
+        weights = np.empty((size, system.n))
+        invariant = np.zeros(size, dtype=bool)
+        full = np.zeros(size, dtype=bool)
+        for i in range(size):
+            pick = int(rng.integers(0, 3))
+            invariant[i] = pick == 0
+            if pick == 0:
+                weights[i] = random_invariant_weights(rng, system)
+            elif pick == 1:
+                weights[i] = random_functional_weights(rng, system)
+            elif has_nulls and rng.uniform() < 0.3:
+                weights[i] = random_null_charging_weights(rng, system)
+                full[i] = True
+            else:
+                weights[i] = perturbed_invariant_weights(rng, system)
+        # tau is 0 on a row without a defect, certified by one stacked
+        # hull_means, and -inf on a row with a witness ray
+        rays = divergence_witnesses(system, weights, full)
+        diverges = np.array([ray is not None for ray in rays], dtype=bool)
+        hull_means(system, weights[~diverges])
+        zeros += int((~diverges).sum())
+        divergent += int(diverges.sum())
+        wrong = np.flatnonzero(invariant & diverges)
+        if wrong.size and witness is None:
+            witness = {
+                "weights": [float(v) for v in weights[wrong[0]]],
+                "mode": FULL if full[wrong[0]] else ESSENTIAL,
+                "value": -np.inf,
+            }
+        bad += int(wrong.size)
     return {
         "values": {"draws": cfg.draws, "zeros": zeros, "divergent": divergent},
         "claims": [(bad, 0)],
@@ -226,26 +248,31 @@ def _check_vp_dichotomy(system, cfg, rng):
     }
 
 
+def _l1_norms(system, values) -> list[float]:
+    """``l1_norm`` of each row of a stack, one dot product per row."""
+    return [float(np.abs(row) @ system.m) for row in values]
+
+
 def _check_op_norm_oracle(system, cfg, rng):
     worst_gap = 0.0
     worst_excess = -np.inf
+    sup = system.supported_indices
+    indicators = np.zeros((sup.size, system.n))
+    indicators[np.arange(sup.size), sup] = 1.0 / system.m[sup]
     for n in range(1, 6):
         phi = random_potential(rng, system, scale=2.0)
         norm_log = op_norm_log(system, phi, n)
         best = -np.inf
-        for y in system.supported_indices:
-            f = np.zeros(system.n)
-            f[y] = 1.0 / system.m[y]
-            out = iterate(system, phi, l1_vector(system, f), n)
-            grown = l1_norm(system, out)
+        for grown in _l1_norms(system, iterate(system, phi, indicators, n)):
             # an atom with no n-step preimage grows an indicator to zero
             if grown > 0.0:
                 best = max(best, np.log(grown))
         worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = op_norm(system, phi, n)
-        for _ in range(max(1, cfg.draws // 5)):
-            f = random_unit_function(rng, system)
-            grown = l1_norm(system, iterate(system, phi, f, n))
+        units = np.array(
+            [random_unit_values(rng, system) for _ in range(max(1, cfg.draws // 5))]
+        )
+        for grown in _l1_norms(system, iterate(system, phi, units, n)):
             worst_excess = max(worst_excess, grown - value * (1.0 + 1e-9))
     return {
         "values": {
@@ -392,6 +419,8 @@ def _check_inner_certificate(system, cfg, rng):
 def _check_near_minimizer(system, cfg, rng):
     worst = np.inf
     rounds = max(1, cfg.draws // 20)
+    # ||A0^n|| depends on the system and the horizon alone
+    norms = {}
     for _ in range(rounds):
         mu = random_invariant(rng, system)
         if rng.uniform() < 0.5:
@@ -400,7 +429,9 @@ def _check_near_minimizer(system, cfg, rng):
             partition = random_partition(rng, system)
         n = int(rng.integers(1, 5))
         eps = float(rng.choice((1.0, 0.1, 0.01)))
-        bounds = near_minimizer_bounds(system, mu, partition, n, eps)
+        if n not in norms:
+            norms[n] = op_norm(system, np.zeros(system.n), n)
+        bounds = _near_minimizer_bounds(system, mu, partition, n, eps, norms[n])
         worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
     return {
         "values": {"draws": rounds, "worst_slack": worst},
@@ -517,9 +548,10 @@ def _check_reduction(system, cfg, rng):
     for eps in cfg.eps:
         nbhd = build_neighborhood(system, mu, float(eps))
         for n, s, an in orbit_sums(system, nbhd.phi, cfg.n_max):
-            cap = float(_hitting_mass(system, nbhd, n, s, an)[1].max())
-            fs = [random_unit_function(rng, system).values for _ in range(per_cell)]
-            vals = estimate_lhs_general(system, nbhd, n, np.array(fs))
+            hits, rel = _hitting_mass(system, nbhd, n, s, an)
+            cap = float(rel.max())
+            fs = [random_unit_values(rng, system) for _ in range(per_cell)]
+            vals = _hit_integrals(system, hits, an, np.array(fs))
             worst = max(worst, float((vals - cap).max()))
     return {
         "values": {"worst_excess": worst, "per_cell": per_cell},
@@ -618,6 +650,8 @@ def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
         f" --seed {cfg.seed} --profile {cfg.profile}"
         f" --n-max {cfg.n_max} --eps {eps_text}"
     )
+    if cfg.tolerance is not None:
+        repro += f" --tolerance {cfg.tolerance!r}"
     try:
         out = CHECKS[name](system, cfg, _rng_for(cfg.seed, name))
     except (RuntimeError, ValueError) as exc:

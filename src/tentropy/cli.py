@@ -7,8 +7,10 @@ inputs and the seed.  Exit codes: 0 success, 1 I/O or parse problem,
 
 Each subcommand declares only the options it reads and echoes them into the
 report's ``config``, so an option another command reads is a usage error.
-``TENTROPY_SEED`` stands in for a missing ``--seed`` and is read only by the
-commands that take one: tau, certify and random-systems.
+``tau --route dual`` reads and echoes none of ``--seed``, ``--n-max`` and
+``--tolerance``, which only the direct route reads.  ``TENTROPY_SEED``
+stands in for a missing ``--seed`` and is read only where a seed is used:
+by certify, random-systems and tau's direct route.
 """
 
 from __future__ import annotations
@@ -243,21 +245,17 @@ def _divergence_values(res) -> dict:
 
 
 def cmd_tau(args) -> int:
-    seed = _resolve_seed(args)
+    # only the direct route reads --seed, --n-max and --tolerance
+    with_direct = args.route in ("direct", "both")
+    seed = _resolve_seed(args) if with_direct else None
     system = load_system(args.system)
     require_valid(system)
     mu = load_functional(args.functional, system)
     notes = [_TAU_NOTE]
-    repro = (
-        f"tentropy tau {args.system} {args.functional}"
-        f" --route {args.route} --seed {seed} --n-max {args.n_max}"
-    )
-    if args.tolerance is not None:
-        repro += f" --tolerance {args.tolerance!r}"
 
     dual = tau_dual(system, mu)
     direct = None
-    if args.route in ("direct", "both"):
+    if with_direct:
         try:
             direct = tau_direct(system, mu, n_max=args.n_max, seed=seed)
         except ValueError as exc:
@@ -290,6 +288,12 @@ def cmd_tau(args) -> int:
             if direct.achieving_partition is None
             else int(direct.achieving_partition.size),
         }
+        repro = (
+            f"tentropy tau {args.system} {args.functional}"
+            f" --route {args.route} --seed {seed} --n-max {args.n_max}"
+        )
+        if args.tolerance is not None:
+            repro += f" --tolerance {args.tolerance!r}"
         checks.append(make_record("tau.direct", inputs, values, claims, repro=repro))
     if args.route in ("dual", "both"):
         values = {
@@ -307,10 +311,9 @@ def cmd_tau(args) -> int:
         "system": args.system,
         "functional": args.functional,
         "route": args.route,
-        "seed": seed,
-        "n_max": args.n_max,
-        "tolerance": args.tolerance,
     }
+    if with_direct:
+        config.update(seed=seed, n_max=args.n_max, tolerance=args.tolerance)
     report = _assemble(config, checks, notes)
     _emit(report, args)
     return 0 if all(c["verdict"] == "pass" for c in checks) else 3

@@ -96,10 +96,16 @@ def inner_problems(system: FiniteSystem, pairs, n: int) -> list[InnerProblem]:
     ``preimage_mass`` call, and each problem's c is a row-major block of its
     result, so every problem keeps the bits of its own call.
     """
+    members = [partition.members for _, partition in pairs]
+    weights = [effective_weights(system, mu) for mu, _ in pairs]
+    return _inner_problems(system, members, weights, n)
+
+
+def _inner_problems(system: FiniteSystem, members, weights, n: int) -> list:
+    """``inner_problems`` of member arrays and effective weight rows."""
     require_valid(system)
     if n < 1:
         raise ValueError("horizon must be at least 1")
-    members = [partition.members for _, partition in pairs]
     if any(m.shape[1] != system.n for m in members):
         raise ValueError("partition must live on the same atoms")
     if not members:
@@ -113,8 +119,8 @@ def inner_problems(system: FiniteSystem, pairs, n: int) -> list[InnerProblem]:
     blocks = np.split(c, np.cumsum([len(m) for m in members])[:-1])
     atoms = tuple(sup.tolist())
     return [
-        InnerProblem(block, m @ effective_weights(system, mu), n, atoms)
-        for block, m, (mu, _) in zip(blocks, members, pairs)
+        InnerProblem(block, m @ w, n, atoms)
+        for block, m, w in zip(blocks, members, weights)
     ]
 
 
@@ -349,16 +355,18 @@ def oscillation_partition(
     """
     if width <= 0.0:
         raise ValueError("bucket width must be positive")
-    return _level_partition(system, np.floor(birkhoff(system, phi, n) / width))
+    level = np.floor(birkhoff(system, phi, n) / width)
+    return PartitionOfUnity(_level_rows(system, level))
 
 
-def _level_partition(system: FiniteSystem, level: np.ndarray) -> PartitionOfUnity:
-    """``oscillation_partition`` of the bucket index of each atom."""
+def _level_rows(system: FiniteSystem, level: np.ndarray) -> np.ndarray:
+    """Members of ``oscillation_partition`` for the bucket index of each atom:
+    one 0/1 row per level of the supported atoms, in increasing order."""
     keys = np.array(sorted(set(level[system.support].tolist())))
     rows = system.support & (level == keys[:, None])
     if not bool(system.support.all()):
         rows = np.vstack([rows, ~system.support])
-    return PartitionOfUnity(rows.astype(float))
+    return rows.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,40 +578,49 @@ def local_young_checks(system: FiniteSystem, draws) -> list[tuple[float, float]]
     draws = list(draws)
     w = np.array([effective_weights(system, mu) for _, mu, _, _ in draws])
     w = w.reshape(len(draws), system.n)
+    phis = np.array([phi for phi, _, _, _ in draws], dtype=float).reshape(w.shape)
+    ns = np.array([n for _, _, n, _ in draws], dtype=int)
+    epss = np.array([eps for _, _, _, eps in draws], dtype=float)
+    lhs, rhs = _local_young_sides(system, phis, w, ns, epss)
+    return list(zip(lhs.tolist(), rhs.tolist()))
+
+
+def _local_young_sides(
+    system: FiniteSystem,
+    phis: np.ndarray,
+    w: np.ndarray,
+    ns: np.ndarray,
+    epss: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of ``local_young_checks`` for (k, n_atoms) stacks of
+    potentials and effective weights and (k,) horizons and widths: the
+    level partitions stay 0/1 rows, and no object is built per draw."""
     ok, worst = invariance(system, w)
     for good, defect in zip(ok, worst):
         if not good:
             raise ValueError(f"functional must be invariant (defect {defect:g})")
-    if any(eps <= 0.0 for _, _, _, eps in draws):
+    if np.any(epss <= 0.0):
         raise ValueError("eps must be positive")
-    phis = np.array([phi for phi, _, _, _ in draws], dtype=float)
     horizons: dict[int, list[int]] = {}
-    for i, (_, _, n, _) in enumerate(draws):
+    for i, n in enumerate(ns.tolist()):
         horizons.setdefault(n, []).append(i)
-    norms = np.empty(len(draws))
-    problems = [None] * len(draws)
+    norms = np.empty(len(w))
+    problems = [None] * len(w)
     for n, rows in horizons.items():
         if n < 1:
             raise ValueError("horizon must be at least 1")
         _, s, an = deque(orbit_sums(system, phis[rows], n), maxlen=1)[0]
         norms[rows] = _norm_log(system, s, an)
-        widths = np.array([draws[i][3] * n for i in rows])
-        levels = np.floor(s / widths[:, None])
-        pairs = [
-            (draws[i][1], _level_partition(system, level))
-            for i, level in zip(rows, levels)
-        ]
-        for i, problem in zip(rows, inner_problems(system, pairs, n)):
+        levels = np.floor(s / (epss[rows] * n)[:, None])
+        members = [_level_rows(system, level) for level in levels]
+        for i, problem in zip(rows, _inner_problems(system, members, w[rows], n)):
             problems[i] = problem
-    solutions = maximize_inner_batch(problems)
-    sides = []
-    for i, (_, _, n, eps) in enumerate(draws):
-        lhs = eps + float(norms[i]) / n
-        rhs = float(w[i] @ phis[i]) + solutions[i].value / n
-        if lhs < rhs - 1e-8:
-            raise RuntimeError("fixed-horizon entropy inequality failed")
-        sides.append((lhs, rhs))
-    return sides
+    values = np.array([sol.value for sol in maximize_inner_batch(problems)])
+    lhs = epss + norms / ns
+    rhs = np.array([w[i] @ phis[i] for i in range(len(w))]) + values / ns
+    if np.any(lhs < rhs - 1e-8):
+        raise RuntimeError("fixed-horizon entropy inequality failed")
+    return lhs, rhs
 
 
 def near_minimizer(
@@ -657,11 +674,24 @@ def near_minimizer_bounds(
     n: int,
     eps: float,
 ) -> NearMinimizerBounds:
+    return _near_minimizer_bounds(
+        system, mu, partition, n, eps, op_norm(system, np.zeros(system.n), n)
+    )
+
+
+def _near_minimizer_bounds(
+    system: FiniteSystem,
+    mu: Functional,
+    partition: PartitionOfUnity,
+    n: int,
+    eps: float,
+    norm: float,
+) -> NearMinimizerBounds:
+    """``near_minimizer_bounds`` given ``norm`` = ||A0^n||, the norm of the
+    unweighted shift power, which depends on the system and n alone."""
     solution = tau_n(system, mu, partition, n, tol=1e-9)
     phi = near_minimizer(system, mu, partition, n, eps, solution=solution)
-    growth = eps * op_norm(system, np.zeros(system.n), n) - n * log_spectral_radius(
-        system, phi
-    )
+    growth = eps * norm - n * log_spectral_radius(system, phi)
     pairing = pair(system, mu, n * phi) + solution.value
     if growth < -1e-8 or pairing < -1e-8:
         raise RuntimeError("near-minimizer bound violated beyond tolerance")

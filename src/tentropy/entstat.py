@@ -228,9 +228,14 @@ def estimate_lhs_general(
     if f.ndim not in (1, 2) or f.shape[-1] != system.n:
         raise ValueError("f needs one value per atom")
     hits = hitting_set(system, nbhd, n)
-    an = alpha_power(system, n)
-    out = np.abs(f[..., an[hits]]) @ system.m[hits]
+    out = _hit_integrals(system, hits, alpha_power(system, n), f)
     return float(out) if f.ndim == 1 else out
+
+
+def _hit_integrals(system: FiniteSystem, hits, an, f) -> float | np.ndarray:
+    """Integral of |f o alpha^n| over the hitting set ``hits``, with ``an``
+    = alpha^n: ``estimate_lhs_general`` from a walk item's hitting set."""
+    return np.abs(f[..., an[hits]]) @ system.m[hits]
 
 
 def verify_estimate(

@@ -1,19 +1,22 @@
 """Random instances for property sweeps: systems, potentials, measures.
 
 Every generator takes a numpy Generator first so callers own the seeding.
+Each sampler of functionals or unit functions has an array form (the
+``*_weights`` functions and ``random_unit_values``) that makes the same
+generator calls and returns the same bits as a plain array, building and
+validating no object, for callers that fill stacks of draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import L1Vector, l1_norm, l1_vector
+from .spectral import L1Vector, l1_vector
 from .system import (
     FULL,
     FiniteSystem,
     Functional,
     PartitionOfUnity,
-    effective_weights,
     functional,
     make_system,
     require_valid,
@@ -47,39 +50,63 @@ def random_potential(rng, system: FiniteSystem, scale: float = 2.0) -> np.ndarra
     return rng.uniform(-scale, scale, size=system.n)
 
 
-def random_unit_function(rng, system: FiniteSystem) -> L1Vector:
-    """A function of unit L1 norm, supported where the measure is."""
+def random_unit_values(rng, system: FiniteSystem) -> np.ndarray:
+    """Values of ``random_unit_function``, with its generator calls and bits,
+    as an array: no ``L1Vector`` is built."""
     for _ in range(8):
-        f = l1_vector(system, rng.normal(size=system.n))
-        norm = l1_norm(system, f)
+        v = np.where(system.support, rng.normal(size=system.n), 0.0)
+        norm = float(np.abs(v) @ system.m)
         if norm > 1e-9:
-            return l1_vector(system, f.values / norm)
+            return v / norm
     idx = int(system.supported_indices[0])
     values = np.zeros(system.n)
     values[idx] = 1.0 / system.m[idx]
-    return l1_vector(system, values)
+    return values
+
+
+def random_unit_function(rng, system: FiniteSystem) -> L1Vector:
+    """A function of unit L1 norm, supported where the measure is."""
+    return l1_vector(system, random_unit_values(rng, system))
+
+
+def random_invariant_weights(rng, system: FiniteSystem) -> np.ndarray:
+    """Weights of ``random_invariant``, with its generator call and bits:
+    one Dirichlet draw over the supported cycles, spread uniformly over the
+    atoms of each.  The system is not validated and no object is built."""
+    coef = rng.dirichlet(np.ones(len(system.supported_cycle_arrays)))
+    weights = np.zeros(system.n)
+    for pos, rows in system.cycle_groups:
+        weights[rows] = coef[pos, None] * (1.0 / rows.shape[1])
+    return weights
 
 
 def random_invariant(rng, system: FiniteSystem) -> Functional:
     """A point of the invariant polytope, Dirichlet-mixed over its vertices."""
     require_valid(system)
-    coef = rng.dirichlet(np.ones(len(system.supported_cycle_arrays)))
-    weights = np.zeros(system.n)
-    for pos, rows in system.cycle_groups:
-        weights[rows] = coef[pos, None] * (1.0 / rows.shape[1])
-    return functional(system, weights)
+    return functional(system, random_invariant_weights(rng, system))
+
+
+def random_functional_weights(rng, system: FiniteSystem) -> np.ndarray:
+    """Weights of ``random_functional``, with its generator call and bits."""
+    return np.where(system.support, rng.normal(0.0, 1.0, size=system.n), 0.0)
 
 
 def random_functional(rng, system: FiniteSystem) -> Functional:
     """An ESSENTIAL functional with standard normal weights."""
-    return functional(system, rng.normal(0.0, 1.0, size=system.n))
+    return functional(system, random_functional_weights(rng, system))
+
+
+def perturbed_invariant_weights(rng, system: FiniteSystem) -> np.ndarray:
+    """Weights of ``perturbed_invariant``, with its generator calls and bits."""
+    base = random_invariant_weights(rng, system)
+    noise = rng.uniform(-0.25, 0.25, size=system.n)
+    return np.where(system.support, base + noise, 0.0)
 
 
 def perturbed_invariant(rng, system: FiniteSystem) -> Functional:
     """An invariant functional pushed off the polytope by uniform noise."""
-    base = random_invariant(rng, system)
-    noise = rng.uniform(-0.25, 0.25, size=system.n)
-    return functional(system, base.weights + noise)
+    require_valid(system)
+    return functional(system, perturbed_invariant_weights(rng, system))
 
 
 def random_simplex_functional(rng, system: FiniteSystem) -> Functional:
@@ -91,15 +118,22 @@ def random_simplex_functional(rng, system: FiniteSystem) -> Functional:
     return functional(system, weights)
 
 
-def random_null_charging(rng, system: FiniteSystem) -> Functional:
-    """A normalized nonnegative FULL functional putting mass on a null atom."""
+def random_null_charging_weights(rng, system: FiniteSystem) -> np.ndarray:
+    """Weights of ``random_null_charging`` (a FULL functional), with its
+    generator calls and bits."""
     nulls = np.flatnonzero(~system.support)
     if nulls.size == 0:
         raise ValueError("system has no null atoms to charge")
     theta = float(rng.uniform(0.05, 0.5))
-    weights = (1.0 - theta) * effective_weights(system, random_invariant(rng, system))
+    weights = (1.0 - theta) * random_invariant_weights(rng, system)
     weights[int(rng.choice(nulls))] += theta
-    return functional(system, weights, mode=FULL)
+    return weights
+
+
+def random_null_charging(rng, system: FiniteSystem) -> Functional:
+    """A normalized nonnegative FULL functional putting mass on a null atom."""
+    require_valid(system)
+    return functional(system, random_null_charging_weights(rng, system), mode=FULL)
 
 
 def random_partition(rng, system: FiniteSystem, members: int | None = None) -> PartitionOfUnity:

@@ -67,18 +67,34 @@ def apply(system: FiniteSystem, phi, f: L1Vector) -> L1Vector:
     return l1_vector(system, np.exp(phi) * f.values[system.alpha])
 
 
-def iterate(system: FiniteSystem, phi, f: L1Vector, n: int) -> L1Vector:
-    """n applications of the shift, checked against the one-shot formula."""
+def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
+    """n applications of the shift, checked against the one-shot formula.
+
+    ``f`` is one ``L1Vector`` (one comes back) or a (k, n_atoms) stack of
+    L1 values (a stack comes back); a single vector is the stack of one.
+    Every row takes the steps of ``apply`` with its bits, and a step that
+    leaves a non-finite entry raises ``ValueError``, as ``L1Vector`` does.
+    ``RuntimeError`` when some row misses the closed form e^(S_n phi)
+    (f o alpha^n).
+    """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    out = f
+    values = f.values[None] if isinstance(f, L1Vector) else np.asarray(f, dtype=float)
+    if values.ndim != 2 or values.shape[1] != system.n:
+        raise ValueError("values need one row of entries per atom")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("vector entries must be finite")
+    weight = np.exp(phi)
+    out = values
     for _ in range(n):
-        out = apply(system, phi, out)
-    direct = np.exp(birkhoff(system, phi, n)) * f.values[alpha_power(system, n)]
+        out = np.where(system.support, weight * out[:, system.alpha], 0.0)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("vector entries must be finite")
+    direct = np.exp(birkhoff(system, phi, n)) * values[:, alpha_power(system, n)]
     direct = np.where(system.support, direct, 0.0)
-    if not np.allclose(out.values, direct, rtol=1e-12, atol=1e-12):
+    if not np.allclose(out, direct, rtol=1e-12, atol=1e-12):
         raise RuntimeError("iterated shift disagrees with its closed form")
-    return out
+    return L1Vector(out[0]) if isinstance(f, L1Vector) else out
 
 
 def op_norm_log(system: FiniteSystem, phi, n: int) -> float:

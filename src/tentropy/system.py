@@ -315,9 +315,9 @@ def _stacked_bins(system: FiniteSystem, an, weights: np.ndarray):
     """The bin of each term of ``weights`` flattened, and the bin count.
 
     Row r's term moving to atom y lands in bin y + n_atoms r, so one row's
-    bins are the atoms themselves.
+    bins are the atoms themselves, and so are those of a stack of one.
     """
-    if weights.ndim == 1:
+    if weights.ndim == 1 or weights.shape[0] == 1:
         return an, system.n
     rows = weights.shape[0]
     return (an + system.n * np.arange(rows)[:, None]).ravel(), rows * system.n

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import log_spectral_radius, log_spectral_radius_batch
+from .spectral import log_spectral_radius_batch
 from .system import (
     EXACT_TOL,
     FULL,
@@ -26,7 +26,6 @@ from .system import (
     cycle_measure,
     effective_weights,
     invariance,
-    pair,
     preimage_mass,
     require_valid,
 )
@@ -53,23 +52,14 @@ class DivergenceWitness:
     atom: int | None
 
 
-def _verify_ray(
-    system: FiniteSystem, mu: Functional, witness: DivergenceWitness
-) -> None:
-    for t in _RAY_POINTS:
-        d = t * witness.direction
-        h = log_spectral_radius(system, d) - pair(system, mu, d)
-        if h > -witness.rate * t + 1e-9:
-            raise RuntimeError(
-                f"witness ray fails its decay at t={t}: {h} vs {-witness.rate * t}"
-            )
-
-
-def _charges_null(system: FiniteSystem, mu: Functional) -> bool:
-    """Whether a FULL-mode mu puts more than EXACT_TOL on some null atom."""
-    if mu.mode != FULL or bool(system.support.all()):
-        return False
-    return bool(np.any(np.abs(mu.weights[~system.support]) > EXACT_TOL))
+def _charges_null(
+    system: FiniteSystem, weights: np.ndarray, full: np.ndarray
+) -> np.ndarray:
+    """Which rows of a (k, n_atoms) stack of functional weights are FULL-mode
+    (``full``, one flag per row) and put more than EXACT_TOL on a null atom."""
+    if bool(system.support.all()):
+        return np.zeros(weights.shape[0], dtype=bool)
+    return full & np.any(np.abs(weights[:, ~system.support]) > EXACT_TOL, axis=1)
 
 
 def divergence_witness(system: FiniteSystem, mu: Functional) -> DivergenceWitness:
@@ -78,49 +68,112 @@ def divergence_witness(system: FiniteSystem, mu: Functional) -> DivergenceWitnes
     Checked in the fixed order: charge on a null atom (FULL mode only),
     negativity, normalization, non-invariance.  The returned ray is
     verified numerically before being handed out.  Raises NoDefectError
-    when every constraint holds within EXACT_TOL.
+    when every constraint holds within EXACT_TOL.  This is
+    ``divergence_witnesses`` on a stack of one.
     """
-    require_valid(system)
-    w = effective_weights(system, mu)
-    witness = None
-
-    if _charges_null(system, mu):
-        nulls = np.flatnonzero(~system.support)
-        at = int(nulls[np.argmax(np.abs(mu.weights[nulls]))])
-        charge = float(mu.weights[at])
-        direction = np.zeros(system.n)
-        direction[at] = np.sign(charge)
-        witness = DivergenceWitness(NULL_CHARGE, direction, abs(charge), at)
-
-    if witness is None and float(w.min()) < -EXACT_TOL:
-        at = int(np.argmin(w))
-        direction = np.zeros(system.n)
-        direction[at] = -1.0
-        witness = DivergenceWitness(NEGATIVITY, direction, float(-w[at]), at)
-
-    if witness is None:
-        total = float(w.sum())
-        if abs(1.0 - total) > EXACT_TOL:
-            direction = -np.sign(1.0 - total) * np.ones(system.n)
-            witness = DivergenceWitness(
-                NORMALIZATION, direction, abs(1.0 - total), None
-            )
-
-    if witness is None:
-        v = preimage_mass(system, w) - w
-        if np.any(np.abs(v) > EXACT_TOL):
-            # largest |v|, then positive before negative, then lowest index
-            at = int(np.lexsort((-v, -np.abs(v)))[0])
-            direction = np.zeros(system.n)
-            direction[system.alpha == at] += 1.0
-            direction[at] -= 1.0
-            direction *= np.sign(v[at])
-            witness = DivergenceWitness(NON_INVARIANCE, direction, abs(v[at]), at)
-
+    full = np.array([mu.mode == FULL])
+    witness = divergence_witnesses(system, mu.weights[None], full)[0]
     if witness is None:
         raise NoDefectError("functional has no divergence defect")
-    _verify_ray(system, mu, witness)
     return witness
+
+
+def divergence_witnesses(
+    system: FiniteSystem, weights, full: np.ndarray
+) -> list[DivergenceWitness | None]:
+    """``divergence_witness`` of each row of a (k, n_atoms) stack of weights.
+
+    ``full`` holds one flag per row, set on the FULL-mode rows; the others
+    are ESSENTIAL.  A row without a defect gives None.  Each constraint is
+    tested on the whole stack at once, and each ray point is verified for
+    every witness with one ``log_spectral_radius_batch`` call and a dot
+    product per row, so every witness keeps the bits of a call on its row
+    alone.
+    """
+    require_valid(system)
+    raw = np.asarray(weights, dtype=float)
+    full = np.asarray(full, dtype=bool)
+    # the effective weights of each row
+    w = np.where(system.support | full[:, None], raw, 0.0)
+    gap = 1.0 - w.sum(axis=1)
+    v = preimage_mass(system, w) - w
+    failed = (
+        _charges_null(system, raw, full),
+        w.min(axis=1) < -EXACT_TOL,
+        np.abs(gap) > EXACT_TOL,
+        np.abs(v).max(axis=1) > EXACT_TOL,
+    )
+    found = np.flatnonzero(failed[0] | failed[1] | failed[2] | failed[3])
+    witnesses: list[DivergenceWitness | None] = [None] * len(w)
+    if not found.size:
+        return witnesses
+    # the first failing constraint of each row, in the order above
+    defect = np.stack(failed)[:, found].argmax(axis=0)
+    atom = np.zeros(found.size, dtype=np.intp)
+    rate = np.empty(found.size)
+    direction = np.zeros((found.size, system.n))
+    for code in sorted(set(defect.tolist())):
+        rows = np.flatnonzero(defect == code)
+        at_rows = found[rows]
+        if code == 0:
+            nulls = np.flatnonzero(~system.support)
+            charges = raw[at_rows][:, nulls]
+            atom[rows] = nulls[np.argmax(np.abs(charges), axis=1)]
+            charge = raw[at_rows, atom[rows]]
+            direction[rows, atom[rows]] = np.sign(charge)
+            rate[rows] = np.abs(charge)
+        elif code == 1:
+            atom[rows] = np.argmin(w[at_rows], axis=1)
+            direction[rows, atom[rows]] = -1.0
+            rate[rows] = -w[at_rows, atom[rows]]
+        elif code == 2:
+            direction[rows] = -np.sign(gap[at_rows])[:, None]
+            rate[rows] = np.abs(gap[at_rows])
+        else:
+            vr = v[at_rows]
+            # largest |v|, then positive before negative, then lowest index
+            atom[rows] = np.lexsort((-vr, -np.abs(vr)), axis=-1)[:, 0]
+            peak = vr[np.arange(rows.size), atom[rows]]
+            direction[rows] = system.alpha == atom[rows, None]
+            direction[rows, atom[rows]] -= 1.0
+            direction[rows] *= np.sign(peak)[:, None]
+            rate[rows] = np.abs(peak)
+
+    _verify_rays(system, w, found, direction, rate)
+    names = (NULL_CHARGE, NEGATIVITY, NORMALIZATION, NON_INVARIANCE)
+    for j, i in enumerate(found.tolist()):
+        witnesses[i] = DivergenceWitness(
+            names[defect[j]],
+            direction[j],
+            float(rate[j]),
+            None if defect[j] == 2 else int(atom[j]),
+        )
+    return witnesses
+
+
+def _verify_rays(
+    system: FiniteSystem,
+    w: np.ndarray,
+    found: np.ndarray,
+    direction: np.ndarray,
+    rate: np.ndarray,
+) -> None:
+    """Check lambda(t d) - mu[t d] <= -rate t at every ray point t for the
+    rows ``found`` of the effective weights w, each with its ray (a row of
+    direction, rate): per point, one stacked lambda and one dot product per
+    row."""
+    rows = found.tolist()
+    for t in _RAY_POINTS:
+        d = t * direction
+        pairs = np.array([w[i] @ di for i, di in zip(rows, d)])
+        h = log_spectral_radius_batch(system, d) - pairs
+        bad = np.flatnonzero(h > -rate * t + 1e-9)
+        if bad.size:
+            j = int(bad[0])
+            raise RuntimeError(
+                f"witness ray fails its decay at t={t}: {float(h[j])}"
+                f" vs {-float(rate[j]) * t}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +200,27 @@ def young_checks(system: FiniteSystem, draws) -> list[YoungResult]:
     pairing is ``w @ phi`` per draw, so each slack keeps the bits of a call
     on its draw alone.
     """
-    from .entropy import hull_means, tau_dual
-
     draws = list(draws)
     mus = [mu for _, mu in draws]
     w = np.array([effective_weights(system, mu) for mu in mus])
     w = w.reshape(len(draws), system.n)
+    phis = np.array([phi for phi, _ in draws], dtype=float).reshape(w.shape)
+    raw = np.array([mu.weights for mu in mus]).reshape(w.shape)
+    charged = _charges_null(system, raw, np.array([mu.mode == FULL for mu in mus]))
+    slacks = _young_slacks(
+        system, phis, w, {i: mus[i] for i in np.flatnonzero(charged).tolist()}
+    )
+    return [YoungResult(slack=slack, tight=slack <= 1e-9) for slack in slacks]
+
+
+def _young_slacks(
+    system: FiniteSystem, phis: np.ndarray, w: np.ndarray, charged: dict
+) -> list[float]:
+    """Young slack of each row of (k, n_atoms) stacks of potentials and
+    effective weights, as ``young_checks`` computes it; ``charged`` maps the
+    rows that charge a null atom to their FULL-mode functionals."""
+    from .entropy import hull_means, tau_dual
+
     ok, worst = invariance(system, w)
     for good, defect in zip(ok, worst):
         if not good:
@@ -161,24 +229,17 @@ def young_checks(system: FiniteSystem, draws) -> list[YoungResult]:
                 "use divergence_witness for the divergent case"
             )
     require_valid(system)
-    taus = np.zeros(len(draws))
-    hull = []
-    for i, mu in enumerate(mus):
-        if _charges_null(system, mu):
-            taus[i] = tau_dual(system, mu, cross_check=False).value
-        else:
-            hull.append(i)
-    hull_means(system, w[hull])
-    phis = np.array([phi for phi, _ in draws], dtype=float).reshape(w.shape)
+    taus = np.zeros(len(w))
+    for i, mu in charged.items():
+        taus[i] = tau_dual(system, mu, cross_check=False).value
+    hull_means(system, np.delete(w, list(charged), axis=0))
     lams = log_spectral_radius_batch(system, phis)
-    pairs = np.array([w[i] @ phis[i] for i in range(len(draws))])
-    slacks = lams - pairs - taus
-    results = []
-    for slack in slacks.tolist():
+    pairs = np.array([w[i] @ phis[i] for i in range(len(w))])
+    slacks = (lams - pairs - taus).tolist()
+    for slack in slacks:
         if slack < -1e-9:
             raise RuntimeError(f"Young-type inequality violated: slack {slack}")
-        results.append(YoungResult(slack=slack, tight=slack <= 1e-9))
-    return results
+    return slacks
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tentropy import entropy, spectral, system, varprin
+from tentropy import certify, entropy, spectral, system
 from tentropy.certify import (
     _YOUNG_CHUNK,
     CertifyConfig,
@@ -24,8 +24,22 @@ from tentropy.entropy import (
     tau_dual,
 )
 from tentropy.fixtures import twocyc
-from tentropy.sampling import random_invariant, random_potential
-from tentropy.spectral import log_spectral_radius, op_norm_log
+from tentropy.sampling import (
+    perturbed_invariant,
+    random_functional,
+    random_invariant,
+    random_null_charging,
+    random_potential,
+    random_unit_function,
+)
+from tentropy.spectral import (
+    apply,
+    l1_norm,
+    l1_vector,
+    log_spectral_radius,
+    op_norm,
+    op_norm_log,
+)
 from tentropy.system import (
     PartitionOfUnity,
     birkhoff,
@@ -197,9 +211,73 @@ def reference_vp_gap(s, cfg):
     return {"draws": cfg.draws, "worst_gap": worst}
 
 
+def reference_vp_dichotomy(s, cfg):
+    """The per-draw loop of ``vp.dichotomy``, one ``tau_dual`` per draw."""
+    rng = _rng_for(cfg.seed, "vp.dichotomy")
+    zeros = divergent = 0
+    has_nulls = bool((~s.support).any())
+    for _ in range(cfg.draws):
+        pick = int(rng.integers(0, 3))
+        if pick == 0:
+            mu = random_invariant(rng, s)
+        elif pick == 1:
+            mu = random_functional(rng, s)
+        elif has_nulls and rng.uniform() < 0.3:
+            mu = random_null_charging(rng, s)
+        else:
+            mu = perturbed_invariant(rng, s)
+        value = tau_dual(s, mu, cross_check=False).value
+        assert value == 0.0 or (value == -np.inf and pick != 0)
+        zeros += value == 0.0
+        divergent += value == -np.inf
+    return {"draws": cfg.draws, "zeros": zeros, "divergent": divergent}
+
+
+def reference_iterate(s, phi, f, n):
+    """``iterate`` as it was for one vector: n calls of ``apply``."""
+    for _ in range(n):
+        f = apply(s, phi, f)
+    return f
+
+
+def reference_op_norm_oracle(s, cfg):
+    """The per-draw loop of ``lemma.op_norm_oracle``: one ``iterate`` per
+    supported atom and per unit-ball draw."""
+    rng = _rng_for(cfg.seed, "lemma.op_norm_oracle")
+    worst_gap = 0.0
+    worst_excess = -np.inf
+    for n in range(1, 6):
+        phi = random_potential(rng, s, scale=2.0)
+        norm_log = op_norm_log(s, phi, n)
+        best = -np.inf
+        for y in s.supported_indices:
+            f = np.zeros(s.n)
+            f[y] = 1.0 / s.m[y]
+            grown = l1_norm(s, reference_iterate(s, phi, l1_vector(s, f), n))
+            if grown > 0.0:
+                best = max(best, np.log(grown))
+        worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
+        value = op_norm(s, phi, n)
+        for _ in range(max(1, cfg.draws // 5)):
+            f = random_unit_function(rng, s)
+            grown = l1_norm(s, reference_iterate(s, phi, f, n))
+            worst_excess = max(worst_excess, grown - value * (1.0 + 1e-9))
+    return {
+        "indicator_gap": worst_gap,
+        "unit_ball_excess": worst_excess,
+        "draws": cfg.draws,
+    }
+
+
+# the loops of these checks are the slowest to replay, so they replay on
+# twocyc and every third system of the pool
+SLOW_REFERENCES = {"lemma.op_norm_oracle", "vp.dichotomy"}
+
 REFERENCES = {
+    "lemma.op_norm_oracle": reference_op_norm_oracle,
     "lemma.power": reference_power,
     "lemma.properties": reference_properties,
+    "vp.dichotomy": reference_vp_dichotomy,
     "vp.gap": reference_vp_gap,
     "young.global": reference_young_global,
     "young.local": reference_young_local,
@@ -209,10 +287,15 @@ REFERENCES = {
 def test_batched_checks_replay_the_per_draw_loops(system_pool):
     """Same draws, same bits: the report values of the batched checks are
     byte-identical to those of the loops they replaced."""
-    cases = [(twocyc(), CertifyConfig(seed=3))]
-    cases += [(s, CertifyConfig(seed=i, draws=200)) for i, s in enumerate(system_pool)]
-    for s, cfg in cases:
+    cases = [(twocyc(), CertifyConfig(seed=3), True)]
+    cases += [
+        (s, CertifyConfig(seed=i, draws=200), i % 3 == 0)
+        for i, s in enumerate(system_pool)
+    ]
+    for s, cfg, every_check in cases:
         for name, reference in REFERENCES.items():
+            if name in SLOW_REFERENCES and not every_check:
+                continue
             record = run_check(s, name, cfg)
             assert record["verdict"] == "pass", (name, record)
             want = json.dumps(reference(s, cfg))
@@ -281,7 +364,6 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
     cfg = CertifyConfig(seed=5)
     duals = counting(monkeypatch, entropy, "tau_dual")
     scalar = counting(monkeypatch, spectral, "log_spectral_radius")
-    monkeypatch.setattr(varprin, "log_spectral_radius", spectral.log_spectral_radius)
     assert run_check(s, "young.global", cfg)["verdict"] == "pass"
     assert (len(duals), len(scalar)) == (0, 0)
     assert run_check(s, "vp.gap", cfg)["verdict"] == "pass"
@@ -292,7 +374,7 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
     monkeypatch.setattr(entropy, "orbit_sums", system.orbit_sums)
     births = counting(monkeypatch, entropy, "birkhoff")
     norms = counting(monkeypatch, entropy, "_norm_log")
-    stacks = counting(monkeypatch, entropy, "inner_problems")
+    stacks = counting(monkeypatch, entropy, "_inner_problems")
     gen = np.random.default_rng(73)
     for horizons in ([1, 3, 3, 5, 1, 6, 3], [2], [4, 4]):
         walks.clear()
@@ -305,6 +387,23 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
         assert sorted(args[2] for args in walks) == sorted(set(horizons))
         assert len(norms) == len(stacks) == len(walks)
     assert len(births) == 0
+
+
+def test_dichotomy_and_oracle_checks_evaluate_stacks(monkeypatch):
+    """vp.dichotomy runs no tau_dual, and lemma.op_norm_oracle runs one
+    stacked iterate per horizon for the atom indicators and one for the
+    unit-ball draws."""
+    s = twelve_atoms()
+    cfg = CertifyConfig(seed=5)
+    duals = counting(monkeypatch, entropy, "tau_dual")
+    bound = counting(monkeypatch, certify, "tau_dual")
+    assert run_check(s, "vp.dichotomy", cfg)["verdict"] == "pass"
+    assert (len(duals), len(bound)) == (0, 0)
+    iterates = counting(monkeypatch, certify, "iterate")
+    assert run_check(s, "lemma.op_norm_oracle", cfg)["verdict"] == "pass"
+    shapes = [args[2].shape for args in iterates]
+    unit_draws = (cfg.draws // 5, s.n)
+    assert shapes == [(s.supported_indices.size, s.n), unit_draws] * 5
 
 
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,21 @@ def test_certify_zero_tolerance_fails_and_exits_3(files, capsys):
             assert "repro" not in c
 
 
+def test_certify_repro_repeats_the_failing_run(files, capsys):
+    """A failing record's repro carries --tolerance, so running it fails
+    the same way."""
+    c3 = str(files / "c3.json")
+    code, rep = run_json(capsys, "certify", c3, "--suite", "vp", "--tolerance", "0")
+    assert code == 3
+    record = {c["name"]: c for c in rep["checks"]}["vp.gap"]
+    assert record["verdict"] == "fail"
+    argv = shlex.split(record["repro"])
+    assert argv[0] == "tentropy" and argv[-2:] == ["--tolerance", "0.0"]
+    code, again = run_json(capsys, *argv[1:])
+    assert code == 3
+    assert {c["name"]: c for c in again["checks"]}["vp.gap"] == record
+
+
 def test_certify_check_that_raises_becomes_a_failed_record(files, capsys, monkeypatch):
     def broken(system, cfg, rng):
         raise RuntimeError("internal assertion failed")
@@ -245,6 +261,7 @@ def test_certify_check_that_raises_becomes_a_failed_record(files, capsys, monkey
     assert record["values"] == {}
     assert record["witness"] == {"error": "internal assertion failed"}
     assert record["repro"].startswith("tentropy certify ")
+    assert "--tolerance" not in record["repro"]
     assert rep["summary"] == {"total": 3, "passed": 2, "failed": 1}
     assert_claim_contract(rep)
 
@@ -322,7 +339,11 @@ def test_bad_seed_env_exits_1(files, capsys, monkeypatch):
         assert cli.main(argv) == 1, argv
         assert "TENTROPY_SEED" in capsys.readouterr().err
     assert not (files / "fx").exists()
-    for argv in (["validate", c3], ["lambda", c3, str(files / "phi.json")]):
+    for argv in (
+        ["validate", c3],
+        ["lambda", c3, str(files / "phi.json")],
+        ["tau", c3, str(files / "mu.json"), "--route", "dual"],
+    ):
         assert cli.main(argv) == 0, argv
 
 
@@ -415,6 +436,13 @@ def test_reports_echo_only_the_options_that_acted(files, capsys, tmp_path):
         ],
         ("tau", c3, str(files / "mu.json")): [
             "command", "system", "functional", "route", "seed", "n_max", "tolerance",
+        ],
+        ("tau", c3, str(files / "mu.json"), "--route", "direct"): [
+            "command", "system", "functional", "route", "seed", "n_max", "tolerance",
+        ],
+        # only the direct route reads --seed, --n-max and --tolerance
+        ("tau", c3, str(files / "mu.json"), "--route", "dual"): [
+            "command", "system", "functional", "route",
         ],
         ("certify", c3, "--suite", "vp"): [
             "command", "system", "suite", "draws", "seed", "eps", "n_max",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import random_potential, random_system
 from tentropy.spectral import (
+    L1Vector,
     apply,
     iterate,
     l1_norm,
@@ -79,6 +80,53 @@ def test_iterate_matches_repeated_apply(system_pool, potential_pool):
         for _ in range(4):
             g = apply(s, phi, g)
         assert np.allclose(iterate(s, phi, f, 4).values, g.values, atol=1e-10)
+
+
+def test_stacked_iterate_rows_match_single_calls(system_pool, large_pool):
+    """Each row of a stacked ``iterate`` has the bits of the call on that row
+    alone and of n ``apply`` steps; one vector gives back an ``L1Vector``."""
+    gen = np.random.default_rng(31)
+    for s in system_pool + large_pool:
+        phi = random_potential(gen, s)
+        values = np.where(s.support, gen.normal(size=(4, s.n)), 0.0)
+        for n in (1, 3, 6):
+            stacked = iterate(s, phi, values, n)
+            assert stacked.shape == values.shape
+            for row, got in zip(values, stacked):
+                single = iterate(s, phi, l1_vector(s, row), n)
+                assert isinstance(single, L1Vector)
+                stepped = l1_vector(s, row)
+                for _ in range(n):
+                    stepped = apply(s, phi, stepped)
+                assert single.values.tobytes() == got.tobytes()
+                assert stepped.values.tobytes() == got.tobytes()
+
+
+def test_stacked_iterate_raises_like_the_scalar_call():
+    """On cycle3 (0 -> 1 -> 2 -> 0) two steps from atom 0 read phi at 0 and
+    at 1 and f at 2.  One row whose walk underflows to 0 where the closed
+    form stays above the tolerance raises RuntimeError; one row whose walk
+    overflows although its closed form is finite raises ValueError; each
+    as the call on that row alone does."""
+    s = cycle3()
+    ok = np.ones((3, 3))
+    # e^-800 f(2) underflows to 0, while e^(709 - 800) f(2) = 3e-10
+    phi = np.array([709.0, -800.0, 0.0])
+    assert iterate(s, phi, ok, 2).shape == (3, 3)
+    broken = np.vstack([ok, [1.0, 1.0, 1e30]])
+    with pytest.raises(RuntimeError, match="closed form"):
+        iterate(s, phi, broken, 2)
+    with pytest.raises(RuntimeError, match="closed form"):
+        iterate(s, phi, l1_vector(s, broken[-1]), 2)
+    # e^709 f(2) overflows, while e^(-709 + 709) f(2) is f(2)
+    phi = np.array([-709.0, 709.0, 0.0])
+    assert iterate(s, phi, ok, 2).shape == (3, 3)
+    broken = np.vstack([ok, [1.0, 1.0, 1e10]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            iterate(s, phi, broken, 2)
+        with pytest.raises(ValueError, match="finite"):
+            iterate(s, phi, l1_vector(s, broken[-1]), 2)
 
 
 def test_op_norm_frozen_examples():

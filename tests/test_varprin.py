@@ -7,16 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentropy import entropy
+from tentropy import entropy, varprin
 from tentropy.fixtures import cycle3, null_pair, twocyc
 from tentropy.sampling import (
+    perturbed_invariant,
+    random_functional,
     random_invariant,
     random_null_charging,
     random_potential,
+    random_simplex_functional,
     random_system,
 )
 from tentropy.spectral import log_spectral_radius
-from tentropy.system import FULL, functional, make_system, pair
+from tentropy.system import (
+    FULL,
+    effective_weights,
+    functional,
+    make_system,
+    pair,
+    preimage_mass,
+)
 from tentropy.varprin import (
     NEGATIVITY,
     NON_INVARIANCE,
@@ -24,6 +34,7 @@ from tentropy.varprin import (
     NULL_CHARGE,
     NoDefectError,
     divergence_witness,
+    divergence_witnesses,
     null_charge_divergence,
     subgradient,
     variational_principle,
@@ -134,6 +145,95 @@ def test_witness_rays_always_decay(seed):
     except NoDefectError:
         return
     assert ray_decays(s, mu, w), f"ray for {w.defect} fails to decay"
+
+
+def reference_divergence_witness(system, mu):
+    """The defect search of ``divergence_witness`` as it was for one
+    functional: (defect, atom, rate, direction), or None without a defect."""
+    w = effective_weights(system, mu)
+    nulls = np.flatnonzero(~system.support)
+    if mu.mode == FULL and nulls.size and np.any(np.abs(mu.weights[nulls]) > 1e-12):
+        at = int(nulls[np.argmax(np.abs(mu.weights[nulls]))])
+        charge = float(mu.weights[at])
+        direction = np.zeros(system.n)
+        direction[at] = np.sign(charge)
+        return NULL_CHARGE, at, abs(charge), direction
+    if float(w.min()) < -1e-12:
+        at = int(np.argmin(w))
+        direction = np.zeros(system.n)
+        direction[at] = -1.0
+        return NEGATIVITY, at, float(-w[at]), direction
+    total = float(w.sum())
+    if abs(1.0 - total) > 1e-12:
+        direction = -np.sign(1.0 - total) * np.ones(system.n)
+        return NORMALIZATION, None, abs(1.0 - total), direction
+    v = preimage_mass(system, w) - w
+    if np.any(np.abs(v) > 1e-12):
+        at = int(np.lexsort((-v, -np.abs(v)))[0])
+        direction = np.zeros(system.n)
+        direction[system.alpha == at] += 1.0
+        direction[at] -= 1.0
+        direction *= np.sign(v[at])
+        return NON_INVARIANCE, at, abs(v[at]), direction
+    return None
+
+
+def test_divergence_witnesses_rows_match_single_calls(system_pool, large_pool):
+    """Each row of a stack gets the defect, atom, rate and direction bits of
+    the one-functional search and of ``divergence_witness``, for every
+    defect and for rows without one."""
+    gen = np.random.default_rng(83)
+    seen = set()
+    for s in system_pool + large_pool + [null_pair(), cycle3()]:
+        mus = []
+        for _ in range(3):
+            mus += [
+                random_invariant(gen, s),
+                random_functional(gen, s),
+                functional(s, 1.5 * random_invariant(gen, s).weights),
+                random_simplex_functional(gen, s),
+                perturbed_invariant(gen, s),
+            ]
+            if not s.support.all():
+                mus.append(random_null_charging(gen, s))
+        weights = np.array([mu.weights for mu in mus])
+        full = np.array([mu.mode == FULL for mu in mus])
+        for mu, got in zip(mus, divergence_witnesses(s, weights, full)):
+            want = reference_divergence_witness(s, mu)
+            seen.add(None if want is None else want[0])
+            if want is None:
+                assert got is None
+                with pytest.raises(NoDefectError):
+                    divergence_witness(s, mu)
+                continue
+            for witness in (got, divergence_witness(s, mu)):
+                defect, atom, rate, direction = want
+                assert (witness.defect, witness.atom) == (defect, atom)
+                assert type(witness.rate) is float and witness.rate == rate
+                assert witness.direction.tobytes() == direction.tobytes()
+    assert seen == {None, NULL_CHARGE, NEGATIVITY, NORMALIZATION, NON_INVARIANCE}
+
+
+def test_divergence_witnesses_raise_for_the_first_failing_ray(monkeypatch):
+    """A ray that fails its decay raises the RuntimeError of the call on
+    that row alone."""
+    s = cycle3()
+    weights = np.array([[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    full = np.zeros(3, dtype=bool)
+    assert [w is None for w in divergence_witnesses(s, weights, full)] == [
+        True, False, False,
+    ]
+    # a lambda 5 above the truth breaks the decay of every ray at t = 1
+    batch = varprin.log_spectral_radius_batch
+    monkeypatch.setattr(
+        varprin, "log_spectral_radius_batch", lambda system, d: batch(system, d) + 5.0
+    )
+    with pytest.raises(RuntimeError) as stacked:
+        divergence_witnesses(s, weights, full)
+    with pytest.raises(RuntimeError) as single:
+        divergence_witness(s, functional(s, weights[1]))
+    assert "at t=1.0:" in str(single.value)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_young_frozen_example():
