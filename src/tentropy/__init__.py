@@ -67,9 +67,7 @@ from .spectral import (
     norm_log_sequence,
     op_norm,
     op_norm_log,
-    op_norm_log_pow,
     power_gap,
-    power_system,
     property_residuals,
     spectral_potential,
 )

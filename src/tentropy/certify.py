@@ -12,25 +12,25 @@ only); the CLI builds its own records with it too.  The runner turns
 exceptions raised by the library's internal assertions into failed records
 with an infinite residual instead of crashes.
 
-Seven checks draw in a loop that only fills arrays, making the same
-generator calls in the same order as one evaluation per draw would (the
-array forms of the samplers build no object), and then evaluate the draws
-with batched calls, each draw keeping the bits of its own evaluation:
+Seven checks fill arrays with their draws, making the same generator calls
+in the same order as one evaluation per draw would (the array forms of the
+samplers build no object), and then evaluate the draws with batched calls,
+each draw keeping the bits of its own evaluation:
 
 - ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` of the
   indicators of all supported atoms and one of the unit-ball draws;
 - ``lemma.properties``: one stack of potential pairs for
   ``property_residuals``;
 - ``lemma.power``: one stack of potentials per power for ``power_gap``;
-- ``vp.dichotomy``: ``divergence_witnesses`` on stacks of functional
-  weights and FULL-mode flags, chunks of ``_YOUNG_CHUNK`` draws, and one
-  ``hull_means`` per chunk for the rows without a defect;
-- ``vp.gap``: one stack of all potentials for ``variational_principle``;
-- ``young.global``: the stacked core of ``young_checks`` on chunks of
-  ``_YOUNG_CHUNK`` draws;
-- ``young.local``: the stacked core of ``local_young_checks`` on chunks of
-  ``_YOUNG_CHUNK`` draws, one orbit walk per horizon of a chunk and one
-  batched inner solve per chunk.
+- ``vp.dichotomy``: ``divergence_witnesses`` on the effective weights of
+  chunks of ``_YOUNG_CHUNK`` draws, and one ``hull_means`` per chunk for
+  the rows without a defect;
+- ``vp.gap``: all potentials drawn by one generator call, for one
+  ``variational_principle``;
+- ``young.global``: ``young_checks`` on chunks of ``_YOUNG_CHUNK`` draws;
+- ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
+  draws, one orbit walk per horizon of a chunk and one batched inner solve
+  per chunk.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
-    _local_young_sides,
     _near_minimizer_bounds,
     certificate_sup,
     hull_means,
     inner_problem,
+    local_young_checks,
     maximize_inner,
     tau_direct,
     tau_dual,
@@ -82,7 +82,6 @@ from .spectral import (
 )
 from .system import (
     ESSENTIAL,
-    FULL,
     FiniteSystem,
     atomic_partition,
     birkhoff,
@@ -91,10 +90,10 @@ from .system import (
     require_valid,
 )
 from .varprin import (
-    _young_slacks,
     divergence_witnesses,
     subgradient,
     variational_principle,
+    young_checks,
 )
 
 
@@ -142,9 +141,9 @@ def _check_young_global(system, cfg, rng):
         for i in range(size):
             phis[i] = random_potential(rng, system, scale=3.0)
             weights[i] = random_invariant_weights(rng, system)
-        slacks = _young_slacks(system, phis, weights, {})
-        worst = min(worst, min(slacks))
-        tight += sum(slack <= 1e-9 for slack in slacks)
+        slacks = young_checks(system, phis, weights)
+        worst = min(worst, float(slacks.min()))
+        tight += int((slacks <= 1e-9).sum())
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
         "claims": [(-worst, cfg.threshold(1e-9))],
@@ -163,7 +162,7 @@ def _check_young_local(system, cfg, rng):
             weights[i] = random_invariant_weights(rng, system)
             ns[i] = rng.integers(1, 7)
             epss[i] = rng.choice(cfg.eps)
-        lhs, rhs = _local_young_sides(system, phis, weights, ns, epss)
+        lhs, rhs = local_young_checks(system, phis, weights, ns, epss)
         worst = min(worst, min((lhs - rhs).tolist()))
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
@@ -172,9 +171,7 @@ def _check_young_local(system, cfg, rng):
 
 
 def _check_vp_gap(system, cfg, rng):
-    phis = np.empty((cfg.draws, system.n))
-    for i in range(cfg.draws):
-        phis[i] = random_potential(rng, system, scale=3.0)
+    phis = rng.uniform(-3.0, 3.0, size=(cfg.draws, system.n))
     gaps = variational_principle(system, phis).gap
     worst = float(np.abs(gaps).max(initial=0.0))
     return {
@@ -213,7 +210,6 @@ def _check_vp_dichotomy(system, cfg, rng):
     for size in _chunks(cfg.draws):
         weights = np.empty((size, system.n))
         invariant = np.zeros(size, dtype=bool)
-        full = np.zeros(size, dtype=bool)
         for i in range(size):
             pick = int(rng.integers(0, 3))
             invariant[i] = pick == 0
@@ -223,12 +219,11 @@ def _check_vp_dichotomy(system, cfg, rng):
                 weights[i] = random_functional_weights(rng, system)
             elif has_nulls and rng.uniform() < 0.3:
                 weights[i] = random_null_charging_weights(rng, system)
-                full[i] = True
             else:
                 weights[i] = perturbed_invariant_weights(rng, system)
         # tau is 0 on a row without a defect, certified by one stacked
         # hull_means, and -inf on a row with a witness ray
-        rays = divergence_witnesses(system, weights, full)
+        rays = divergence_witnesses(system, weights)
         diverges = np.array([ray is not None for ray in rays], dtype=bool)
         hull_means(system, weights[~diverges])
         zeros += int((~diverges).sum())
@@ -237,7 +232,8 @@ def _check_vp_dichotomy(system, cfg, rng):
         if wrong.size and witness is None:
             witness = {
                 "weights": [float(v) for v in weights[wrong[0]]],
-                "mode": FULL if full[wrong[0]] else ESSENTIAL,
+                # an invariant draw is ESSENTIAL
+                "mode": ESSENTIAL,
                 "value": -np.inf,
             }
         bad += int(wrong.size)

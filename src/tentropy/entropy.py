@@ -86,23 +86,20 @@ def inner_problem(
 ) -> InnerProblem:
     """The inner problem of mu against a partition at horizon n:
     ``inner_problems`` on one pair."""
-    return inner_problems(system, [(mu, partition)], n)[0]
+    w = effective_weights(system, mu)
+    return inner_problems(system, [partition.members], [w], n)[0]
 
 
-def inner_problems(system: FiniteSystem, pairs, n: int) -> list[InnerProblem]:
-    """``inner_problem`` of each (mu, partition) of ``pairs`` at one horizon.
+def inner_problems(
+    system: FiniteSystem, members, weights, n: int
+) -> list[InnerProblem]:
+    """``inner_problem`` of each pair of a list of (size, n_atoms) member
+    arrays and a (k, n_atoms) stack of effective weights, at one horizon.
 
     The members of all partitions are pushed along alpha^n by one stacked
     ``preimage_mass`` call, and each problem's c is a row-major block of its
     result, so every problem keeps the bits of its own call.
     """
-    members = [partition.members for _, partition in pairs]
-    weights = [effective_weights(system, mu) for mu, _ in pairs]
-    return _inner_problems(system, members, weights, n)
-
-
-def _inner_problems(system: FiniteSystem, members, weights, n: int) -> list:
-    """``inner_problems`` of member arrays and effective weight rows."""
     require_valid(system)
     if n < 1:
         raise ValueError("horizon must be at least 1")
@@ -560,41 +557,32 @@ def local_young_check(
 
     For invariant mu and the Birkhoff-level partition of width eps * n,
     eps + (1/n) ln ||A^n|| must dominate mu[phi] + tau_n / n.  Returns the
-    two sides.
+    two sides: ``local_young_checks`` on one row.
     """
-    return local_young_checks(system, [(phi, mu, n, eps)])[0]
+    w = effective_weights(system, mu)
+    lhs, rhs = local_young_checks(system, [phi], [w], [n], [eps])
+    return float(lhs[0]), float(rhs[0])
 
 
-def local_young_checks(system: FiniteSystem, draws) -> list[tuple[float, float]]:
-    """``local_young_check`` on each (phi, mu, n, eps) of ``draws``.
-
-    One stacked invariance test covers every draw (it implies that mu is
-    positive and normalized).  The draws of one horizon share one stacked
-    orbit walk, whose last Birkhoff sums give both the levels of their
-    oscillation partitions and their log-norms ``op_norm_log``, and one
-    ``inner_problems`` call; the inner problems of all draws are solved as
-    one batch.  Each side keeps the bits of a call on its draw alone.
-    """
-    draws = list(draws)
-    w = np.array([effective_weights(system, mu) for _, mu, _, _ in draws])
-    w = w.reshape(len(draws), system.n)
-    phis = np.array([phi for phi, _, _, _ in draws], dtype=float).reshape(w.shape)
-    ns = np.array([n for _, _, n, _ in draws], dtype=int)
-    epss = np.array([eps for _, _, _, eps in draws], dtype=float)
-    lhs, rhs = _local_young_sides(system, phis, w, ns, epss)
-    return list(zip(lhs.tolist(), rhs.tolist()))
-
-
-def _local_young_sides(
-    system: FiniteSystem,
-    phis: np.ndarray,
-    w: np.ndarray,
-    ns: np.ndarray,
-    epss: np.ndarray,
+def local_young_checks(
+    system: FiniteSystem, phis, weights, ns, epss
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides of ``local_young_checks`` for (k, n_atoms) stacks of
-    potentials and effective weights and (k,) horizons and widths: the
-    level partitions stay 0/1 rows, and no object is built per draw."""
+    """The two sides of ``local_young_check`` for each row of (k, n_atoms)
+    stacks of potentials and effective weights of invariant functionals
+    and (k,) horizons and widths.
+
+    One stacked invariance test covers every row (it implies that mu is
+    positive and normalized).  The rows of one horizon share one stacked
+    orbit walk, whose last Birkhoff sums give both the levels of their
+    oscillation partitions (kept as 0/1 member rows) and their log-norms
+    ``op_norm_log``, and one ``inner_problems`` call; the inner problems of
+    all rows are solved as one batch.  Each side keeps the bits of a call
+    on its row alone.
+    """
+    phis = np.asarray(phis, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    ns = np.asarray(ns, dtype=int)
+    epss = np.asarray(epss, dtype=float)
     ok, worst = invariance(system, w)
     for good, defect in zip(ok, worst):
         if not good:
@@ -613,7 +601,7 @@ def _local_young_sides(
         norms[rows] = _norm_log(system, s, an)
         levels = np.floor(s / (epss[rows] * n)[:, None])
         members = [_level_rows(system, level) for level in levels]
-        for i, problem in zip(rows, _inner_problems(system, members, w[rows], n)):
+        for i, problem in zip(rows, inner_problems(system, members, w[rows], n)):
             problems[i] = problem
     values = np.array([sol.value for sol in maximize_inner_batch(problems)])
     lhs = epss + norms / ns

@@ -32,7 +32,6 @@ from .system import (
     log_preimage_mass,
     orbit_sums,
     require_valid,
-    restrict_to_support,
 )
 
 
@@ -64,7 +63,10 @@ def apply(system: FiniteSystem, phi, f: L1Vector) -> L1Vector:
     """One application of the shift: e^phi times f after the map."""
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
-    return l1_vector(system, np.exp(phi) * f.values[system.alpha])
+    # an overflow leaves a non-finite entry, which l1_vector rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(phi) * f.values[system.alpha]
+    return l1_vector(system, values)
 
 
 def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
@@ -84,12 +86,14 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
         raise ValueError("values need one row of entries per atom")
     if not np.all(np.isfinite(values)):
         raise ValueError("vector entries must be finite")
-    weight = np.exp(phi)
     out = values
-    for _ in range(n):
-        out = np.where(system.support, weight * out[:, system.alpha], 0.0)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("vector entries must be finite")
+    # an overflow leaves a non-finite entry, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp(phi)
+        for _ in range(n):
+            out = np.where(system.support, weight * out[:, system.alpha], 0.0)
+            if not np.all(np.isfinite(out)):
+                raise ValueError("vector entries must be finite")
     direct = np.exp(birkhoff(system, phi, n)) * values[:, alpha_power(system, n)]
     direct = np.where(system.support, direct, 0.0)
     if not np.allclose(out, direct, rtol=1e-12, atol=1e-12):
@@ -129,42 +133,6 @@ def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:
 
 def op_norm(system: FiniteSystem, phi, n: int) -> float:
     return float(np.exp(op_norm_log(system, phi, n)))
-
-
-def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.logaddexp.reduce(a[:, :, None] + b[None, :, :], axis=1)
-
-
-def op_norm_log_pow(system: FiniteSystem, phi, n: int) -> float:
-    """Same norm as op_norm_log but via log-domain matrix squaring.
-
-    Cost grows with log(n), so horizons like 2**27 are fine; the price is
-    one logaddexp rounding per squaring, giving absolute error O(log2(n))
-    times machine epsilon on the log-norm, negligible after dividing by n.
-    """
-    require_valid(system)
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
-    sub = restrict_to_support(system)
-    phi = np.asarray(phi, dtype=float)
-    if sub is not system:
-        phi = phi[system.supported_indices]
-    k = sub.n
-    step = np.full((k, k), -np.inf)
-    step[np.arange(k), sub.alpha] = phi
-    # entry (x, y) of the n-fold product is the Birkhoff sum when alpha^n(x)=y
-    result = None
-    base = step
-    e = n
-    while e:
-        if e & 1:
-            result = base if result is None else _log_matmul(result, base)
-        e >>= 1
-        if e:
-            base = _log_matmul(base, base)
-    logm = sub.log_m
-    cols = np.logaddexp.reduce(result + logm[:, None], axis=0) - logm
-    return float(np.max(cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,13 +183,6 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     )
 
 
-def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
-    """The same atoms and masses under the k-fold composition of the map."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    return FiniteSystem(system.atoms, system.m, alpha_power(system, k))
-
-
 @dataclass(frozen=True, eq=False)
 class PowerGap:
     """Growth rate of k phi under the k-step map versus k times the rate of phi.
@@ -244,7 +205,7 @@ def power_gap(system: FiniteSystem, phi, k: int) -> PowerGap:
     averages of phi can only improve on the full-cycle average, so the
     power side dominates; the gap is strict whenever the splitting
     isolates above-average stretches of a cycle.  The power side is read
-    from the cycles of the map itself (``power_system`` is not built).
+    from the cycles of the map itself; no k-step system is built.
     ``phi`` is one potential or a (rows, n_atoms) stack sharing the power
     k; a single potential is the stack of one, and each row gets the bits
     of its own call.
@@ -268,8 +229,8 @@ def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> np.ndarray:
     A supported cycle of length L splits into d = gcd(L, k) cycles of
     alpha^k, the atoms at positions r, r + k, r + 2k, ... (mod L) for
     r < d.  Each is summed from its smallest atom on, in alpha^k order, as
-    the decomposition of ``power_system`` lists it, so the means carry the
-    bits of ``log_spectral_radius(power_system(system, k), psi[i])``.
+    the cycle decomposition of the system with map alpha^k lists it, so the
+    means carry the bits of ``log_spectral_radius`` on that system.
     """
     best = np.full(psi.shape[0], -np.inf)
     for _, rows in system.cycle_groups:

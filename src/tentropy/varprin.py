@@ -52,14 +52,12 @@ class DivergenceWitness:
     atom: int | None
 
 
-def _charges_null(
-    system: FiniteSystem, weights: np.ndarray, full: np.ndarray
-) -> np.ndarray:
-    """Which rows of a (k, n_atoms) stack of functional weights are FULL-mode
-    (``full``, one flag per row) and put more than EXACT_TOL on a null atom."""
+def _charges_null(system: FiniteSystem, w: np.ndarray) -> np.ndarray:
+    """Which rows of a (k, n_atoms) stack of effective weights put more than
+    EXACT_TOL on a null atom (only FULL-mode functionals can)."""
     if bool(system.support.all()):
-        return np.zeros(weights.shape[0], dtype=bool)
-    return full & np.any(np.abs(weights[:, ~system.support]) > EXACT_TOL, axis=1)
+        return np.zeros(w.shape[0], dtype=bool)
+    return np.any(np.abs(w[:, ~system.support]) > EXACT_TOL, axis=1)
 
 
 def divergence_witness(system: FiniteSystem, mu: Functional) -> DivergenceWitness:
@@ -69,36 +67,32 @@ def divergence_witness(system: FiniteSystem, mu: Functional) -> DivergenceWitnes
     negativity, normalization, non-invariance.  The returned ray is
     verified numerically before being handed out.  Raises NoDefectError
     when every constraint holds within EXACT_TOL.  This is
-    ``divergence_witnesses`` on a stack of one.
+    ``divergence_witnesses`` on the effective weights of mu alone.
     """
-    full = np.array([mu.mode == FULL])
-    witness = divergence_witnesses(system, mu.weights[None], full)[0]
+    witness = divergence_witnesses(system, [effective_weights(system, mu)])[0]
     if witness is None:
         raise NoDefectError("functional has no divergence defect")
     return witness
 
 
 def divergence_witnesses(
-    system: FiniteSystem, weights, full: np.ndarray
+    system: FiniteSystem, weights
 ) -> list[DivergenceWitness | None]:
-    """``divergence_witness`` of each row of a (k, n_atoms) stack of weights.
+    """``divergence_witness`` of each row of a (k, n_atoms) stack of
+    effective weights.
 
-    ``full`` holds one flag per row, set on the FULL-mode rows; the others
-    are ESSENTIAL.  A row without a defect gives None.  Each constraint is
-    tested on the whole stack at once, and each ray point is verified for
-    every witness with one ``log_spectral_radius_batch`` call and a dot
-    product per row, so every witness keeps the bits of a call on its row
+    A row without a defect gives None.  Each constraint is tested on the
+    whole stack at once, and the rays of all witnesses at every ray point
+    are verified with one ``log_spectral_radius_batch`` call and a dot
+    product per ray, so every witness keeps the bits of a call on its row
     alone.
     """
     require_valid(system)
-    raw = np.asarray(weights, dtype=float)
-    full = np.asarray(full, dtype=bool)
-    # the effective weights of each row
-    w = np.where(system.support | full[:, None], raw, 0.0)
+    w = np.asarray(weights, dtype=float)
     gap = 1.0 - w.sum(axis=1)
     v = preimage_mass(system, w) - w
     failed = (
-        _charges_null(system, raw, full),
+        _charges_null(system, w),
         w.min(axis=1) < -EXACT_TOL,
         np.abs(gap) > EXACT_TOL,
         np.abs(v).max(axis=1) > EXACT_TOL,
@@ -117,9 +111,9 @@ def divergence_witnesses(
         at_rows = found[rows]
         if code == 0:
             nulls = np.flatnonzero(~system.support)
-            charges = raw[at_rows][:, nulls]
+            charges = w[at_rows][:, nulls]
             atom[rows] = nulls[np.argmax(np.abs(charges), axis=1)]
-            charge = raw[at_rows, atom[rows]]
+            charge = w[at_rows, atom[rows]]
             direction[rows, atom[rows]] = np.sign(charge)
             rate[rows] = np.abs(charge)
         elif code == 1:
@@ -160,20 +154,22 @@ def _verify_rays(
 ) -> None:
     """Check lambda(t d) - mu[t d] <= -rate t at every ray point t for the
     rows ``found`` of the effective weights w, each with its ray (a row of
-    direction, rate): per point, one stacked lambda and one dot product per
-    row."""
-    rows = found.tolist()
-    for t in _RAY_POINTS:
-        d = t * direction
-        pairs = np.array([w[i] @ di for i, di in zip(rows, d)])
-        h = log_spectral_radius_batch(system, d) - pairs
-        bad = np.flatnonzero(h > -rate * t + 1e-9)
-        if bad.size:
-            j = int(bad[0])
-            raise RuntimeError(
-                f"witness ray fails its decay at t={t}: {float(h[j])}"
-                f" vs {-float(rate[j]) * t}"
-            )
+    direction, rate): one lambda call on the rays of all points stacked
+    t-major, and one dot product per ray.  The first failure in that order
+    raises."""
+    ts = np.array(_RAY_POINTS)
+    d = ts[:, None, None] * direction
+    rows = np.tile(found, ts.size).tolist()
+    flat = d.reshape(-1, system.n)
+    pairs = np.array([w[i] @ di for i, di in zip(rows, flat)])
+    h = (log_spectral_radius_batch(system, flat) - pairs).reshape(ts.size, -1)
+    bad = np.argwhere(h > -rate * ts[:, None] + 1e-9)
+    if bad.size:
+        k, j = bad[0].tolist()
+        raise RuntimeError(
+            f"witness ray fails its decay at t={_RAY_POINTS[k]}: {float(h[k, j])}"
+            f" vs {-float(rate[j]) * _RAY_POINTS[k]}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,42 +181,28 @@ class YoungResult:
 
 
 def young_check(system: FiniteSystem, phi, mu: Functional) -> YoungResult:
-    """Young-type inequality for an invariant functional, with equality flag."""
-    return young_checks(system, [(phi, mu)])[0]
+    """Young-type inequality for an invariant functional, with equality flag:
+    ``young_checks`` on one row."""
+    slack = float(young_checks(system, [phi], [effective_weights(system, mu)])[0])
+    return YoungResult(slack=slack, tight=slack <= 1e-9)
 
 
-def young_checks(system: FiniteSystem, draws) -> list[YoungResult]:
-    """``young_check`` on each (phi, mu) of ``draws``.
+def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
+    """Young slack lambda(phi) - mu[phi] - tau(mu) of each row of (k, n_atoms)
+    stacks of potentials and effective weights of invariant functionals.
 
-    One stacked invariance test covers every draw.  Once mu is invariant,
-    the only divergence defect left is a FULL-mode charge on a null atom,
-    so only such a draw runs ``tau_dual`` (tau = -inf, slack +inf); every
-    other draw has tau = 0, certified for all of them by one stacked
-    ``hull_means``.  The lambdas come from one ``cycle_means`` call and the
-    pairing is ``w @ phi`` per draw, so each slack keeps the bits of a call
-    on its draw alone.
+    One stacked invariance test covers every row.  Once mu is invariant,
+    the only divergence defect left is a charge on a null atom, which gives
+    tau = -inf and slack +inf, certified for all such rows by one
+    ``divergence_witnesses`` call; every other row has tau = 0, certified
+    for all of them by one stacked ``hull_means``.  The lambdas come from
+    one ``cycle_means`` call and the pairing is ``w @ phi`` per row, so
+    each slack keeps the bits of a call on its row alone.
     """
-    draws = list(draws)
-    mus = [mu for _, mu in draws]
-    w = np.array([effective_weights(system, mu) for mu in mus])
-    w = w.reshape(len(draws), system.n)
-    phis = np.array([phi for phi, _ in draws], dtype=float).reshape(w.shape)
-    raw = np.array([mu.weights for mu in mus]).reshape(w.shape)
-    charged = _charges_null(system, raw, np.array([mu.mode == FULL for mu in mus]))
-    slacks = _young_slacks(
-        system, phis, w, {i: mus[i] for i in np.flatnonzero(charged).tolist()}
-    )
-    return [YoungResult(slack=slack, tight=slack <= 1e-9) for slack in slacks]
+    from .entropy import hull_means
 
-
-def _young_slacks(
-    system: FiniteSystem, phis: np.ndarray, w: np.ndarray, charged: dict
-) -> list[float]:
-    """Young slack of each row of (k, n_atoms) stacks of potentials and
-    effective weights, as ``young_checks`` computes it; ``charged`` maps the
-    rows that charge a null atom to their FULL-mode functionals."""
-    from .entropy import hull_means, tau_dual
-
+    phis = np.asarray(phis, dtype=float)
+    w = np.asarray(weights, dtype=float)
     ok, worst = invariance(system, w)
     for good, defect in zip(ok, worst):
         if not good:
@@ -229,14 +211,13 @@ def _young_slacks(
                 "use divergence_witness for the divergent case"
             )
     require_valid(system)
-    taus = np.zeros(len(w))
-    for i, mu in charged.items():
-        taus[i] = tau_dual(system, mu, cross_check=False).value
-    hull_means(system, np.delete(w, list(charged), axis=0))
+    charged = _charges_null(system, w)
+    divergence_witnesses(system, w[charged])
+    hull_means(system, w[~charged])
     lams = log_spectral_radius_batch(system, phis)
     pairs = np.array([w[i] @ phis[i] for i in range(len(w))])
-    slacks = (lams - pairs - taus).tolist()
-    for slack in slacks:
+    slacks = np.where(charged, np.inf, lams - pairs)
+    for slack in slacks.tolist():
         if slack < -1e-9:
             raise RuntimeError(f"Young-type inequality violated: slack {slack}")
     return slacks

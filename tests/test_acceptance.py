@@ -42,7 +42,6 @@ from tentropy.spectral import (
     log_spectral_radius,
     log_spectral_radius_batch,
     op_norm_log,
-    op_norm_log_pow,
     power_gap,
     property_residuals,
 )
@@ -51,6 +50,7 @@ from tentropy.system import (
     atomic_partition,
     birkhoff,
     alpha_power,
+    effective_weights,
     functional,
     pair,
 )
@@ -62,6 +62,8 @@ from tentropy.varprin import (
     subgradient,
     variational_principle,
 )
+
+from oracles import op_norm_log_pow
 
 FIXTURES = [factory() for _, factory in sorted(ALL.items())]
 LN2 = math.log(2.0)
@@ -238,8 +240,16 @@ def local_young_sides(system, indexed):
     pairs of one system.  A failure names the index of its draw: every row
     keeps the bits of its own ``local_young_check`` call, so rerunning the
     draws one by one finds it."""
+    draws = [draw for _, draw in indexed]
     try:
-        return local_young_checks(system, [draw for _, draw in indexed])
+        lhs, rhs = local_young_checks(
+            system,
+            np.array([phi for phi, _, _, _ in draws]),
+            np.array([effective_weights(system, mu) for _, mu, _, _ in draws]),
+            np.array([n for _, _, n, _ in draws]),
+            np.array([eps for _, _, _, eps in draws]),
+        )
+        return list(zip(lhs.tolist(), rhs.tolist()))
     except RuntimeError:
         for i, draw in indexed:
             try:

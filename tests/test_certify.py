@@ -313,15 +313,17 @@ def test_stacked_young_checks_raise_like_the_scalar_call():
     draws.insert(4, (phi, bad))
     with pytest.raises(ValueError) as scalar:
         young_check(s, phi, bad)
+    phis = np.array([p for p, _ in draws])
+    weights = np.array([effective_weights(s, mu) for _, mu in draws])
     with pytest.raises(ValueError) as stacked:
-        young_checks(s, draws)
+        young_checks(s, phis, weights)
     assert "invariant" in str(scalar.value)
     assert str(stacked.value) == str(scalar.value)
-    local = [(p, mu, 1 + i % 3, 0.5) for i, (p, mu) in enumerate(draws)]
+    ns = 1 + np.arange(len(draws)) % 3
     with pytest.raises(ValueError) as scalar:
         local_young_check(s, phi, bad, 2, 0.5)
     with pytest.raises(ValueError) as stacked:
-        local_young_checks(s, local)
+        local_young_checks(s, phis, weights, ns, np.full(len(draws), 0.5))
     assert "invariant" in str(scalar.value)
     assert str(stacked.value) == str(scalar.value)
 
@@ -374,16 +376,18 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
     monkeypatch.setattr(entropy, "orbit_sums", system.orbit_sums)
     births = counting(monkeypatch, entropy, "birkhoff")
     norms = counting(monkeypatch, entropy, "_norm_log")
-    stacks = counting(monkeypatch, entropy, "_inner_problems")
+    stacks = counting(monkeypatch, entropy, "inner_problems")
     gen = np.random.default_rng(73)
     for horizons in ([1, 3, 3, 5, 1, 6, 3], [2], [4, 4]):
         walks.clear()
         norms.clear()
         stacks.clear()
-        draws = [
-            (random_potential(gen, s), random_invariant(gen, s), n, 0.5) for n in horizons
-        ]
-        local_young_checks(s, draws)
+        phis = np.empty((len(horizons), s.n))
+        weights = np.empty((len(horizons), s.n))
+        for i in range(len(horizons)):
+            phis[i] = random_potential(gen, s)
+            weights[i] = random_invariant(gen, s).weights
+        local_young_checks(s, phis, weights, horizons, np.full(len(horizons), 0.5))
         assert sorted(args[2] for args in walks) == sorted(set(horizons))
         assert len(norms) == len(stacks) == len(walks)
     assert len(births) == 0

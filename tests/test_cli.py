@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report shape, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -284,6 +285,30 @@ def test_certify_reports_are_byte_identical(files, tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the json.dumps of the "checks" of a standard-panel report,
+# ``certify --suite all --profile quick --seed 3``.  A change that must move
+# a report's bits names the fields it moves and updates these digests.
+PANEL_DIGESTS = {
+    "two.json": "df37d5015691baa9c5d67a91edde8011c683ae33b9f355d36c7562c24afff6f2",
+    "system-003.json": "c40f11658eef4d83491b55467499db43b1c685295e470d0cedea174a1cd57e11",
+}
+
+
+def test_certify_reports_match_the_pinned_panel(files, capsys):
+    """The checks of two standard-panel reports keep their bits: twocyc, and
+    system-003 of ``random-systems 6 --max-atoms 12 --seed 7`` (8 atoms, 4
+    of them null)."""
+    code, _ = run(capsys, "random-systems", "6", "--max-atoms", "12", "--seed", "7",
+                  "--dir", str(files))
+    assert code == 0
+    for name, digest in PANEL_DIGESTS.items():
+        code, report = run_json(capsys, "certify", str(files / name), "--suite", "all",
+                                "--profile", "quick", "--seed", "3")
+        assert code == 0, name
+        got = hashlib.sha256(json.dumps(report["checks"]).encode()).hexdigest()
+        assert got == digest, name
 
 
 def test_certify_does_not_import_numpy_ma(files):

@@ -121,7 +121,9 @@ def test_inner_problem_matches_per_member_preimage_mass(system_pool, large_pool)
             an = alpha_power(s, n)
             pairs = [(mu, part) for part in parts]
             pairs.append((random_simplex_functional(gen, s), parts[1]))
-            stacked = inner_problems(s, pairs, n)
+            members = [part.members for _, part in pairs]
+            weights = np.array([effective_weights(s, nu) for nu, _ in pairs])
+            stacked = inner_problems(s, members, weights, n)
             for (nu, part), problem in zip(pairs, stacked):
                 want = np.array(
                     [preimage_mass(s, g * s.m, an)[sup] / s.m[sup] for g in part.members]

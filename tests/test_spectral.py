@@ -20,13 +20,13 @@ from tentropy.spectral import (
     norm_log_sequence,
     op_norm,
     op_norm_log,
-    op_norm_log_pow,
     power_gap,
-    power_system,
     property_residuals,
     spectral_potential,
 )
 from tentropy.system import alpha_power, birkhoff, cycle_means, make_system, orbit_sums
+
+from oracles import op_norm_log_pow, power_system
 
 LN2 = math.log(2.0)
 
@@ -107,7 +107,8 @@ def test_stacked_iterate_raises_like_the_scalar_call():
     at 1 and f at 2.  One row whose walk underflows to 0 where the closed
     form stays above the tolerance raises RuntimeError; one row whose walk
     overflows although its closed form is finite raises ValueError; each
-    as the call on that row alone does."""
+    as the call on that row alone does.  An overflow raises the ValueError,
+    never numpy's overflow warning."""
     s = cycle3()
     ok = np.ones((3, 3))
     # e^-800 f(2) underflows to 0, while e^(709 - 800) f(2) = 3e-10
@@ -122,11 +123,15 @@ def test_stacked_iterate_raises_like_the_scalar_call():
     phi = np.array([-709.0, 709.0, 0.0])
     assert iterate(s, phi, ok, 2).shape == (3, 3)
     broken = np.vstack([ok, [1.0, 1.0, 1e10]])
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="finite"):
-            iterate(s, phi, broken, 2)
-        with pytest.raises(ValueError, match="finite"):
-            iterate(s, phi, l1_vector(s, broken[-1]), 2)
+    with pytest.raises(ValueError, match="finite"):
+        iterate(s, phi, broken, 2)
+    with pytest.raises(ValueError, match="finite"):
+        iterate(s, phi, l1_vector(s, broken[-1]), 2)
+    # e^400 e^400 overflows at the second step, e^800 in apply's exponent
+    with pytest.raises(ValueError, match="finite"):
+        iterate(twocyc(), np.full(4, 400.0), np.ones((1, 4)), 3)
+    with pytest.raises(ValueError, match="finite"):
+        apply(twocyc(), np.full(4, 800.0), l1_vector(twocyc(), np.ones(4)))
 
 
 def test_op_norm_frozen_examples():

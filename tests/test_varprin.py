@@ -21,6 +21,7 @@ from tentropy.sampling import (
 from tentropy.spectral import log_spectral_radius
 from tentropy.system import (
     FULL,
+    Functional,
     effective_weights,
     functional,
     make_system,
@@ -111,6 +112,20 @@ def test_witness_null_charge_frozen():
     assert ray_decays(s, mu, w)
 
 
+def test_essential_weights_on_null_atoms_charge_nothing():
+    """An ESSENTIAL functional built directly with weight on a null atom sees
+    only its effective weights: no null-charge witness, tau 0 and a finite
+    Young slack, where the FULL functional with the same weights diverges."""
+    s = null_pair()
+    weights = np.array([1.0, 0.5])
+    mu = Functional(weights)
+    with pytest.raises(NoDefectError):
+        divergence_witness(s, mu)
+    assert entropy.tau_dual(s, mu).value == 0.0
+    assert young_check(s, np.array([0.3, 2.0]), mu).slack == 0.0
+    assert divergence_witness(s, Functional(weights, FULL)).defect == NULL_CHARGE
+
+
 def test_witness_priority_null_charge_first():
     """A functional that is both negative somewhere and charging a null
     atom reports the null charge: it is checked first."""
@@ -196,9 +211,8 @@ def test_divergence_witnesses_rows_match_single_calls(system_pool, large_pool):
             ]
             if not s.support.all():
                 mus.append(random_null_charging(gen, s))
-        weights = np.array([mu.weights for mu in mus])
-        full = np.array([mu.mode == FULL for mu in mus])
-        for mu, got in zip(mus, divergence_witnesses(s, weights, full)):
+        weights = np.array([effective_weights(s, mu) for mu in mus])
+        for mu, got in zip(mus, divergence_witnesses(s, weights)):
             want = reference_divergence_witness(s, mu)
             seen.add(None if want is None else want[0])
             if want is None:
@@ -219,8 +233,7 @@ def test_divergence_witnesses_raise_for_the_first_failing_ray(monkeypatch):
     that row alone."""
     s = cycle3()
     weights = np.array([[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-    full = np.zeros(3, dtype=bool)
-    assert [w is None for w in divergence_witnesses(s, weights, full)] == [
+    assert [w is None for w in divergence_witnesses(s, weights)] == [
         True, False, False,
     ]
     # a lambda 5 above the truth breaks the decay of every ray at t = 1
@@ -229,7 +242,7 @@ def test_divergence_witnesses_raise_for_the_first_failing_ray(monkeypatch):
         varprin, "log_spectral_radius_batch", lambda system, d: batch(system, d) + 5.0
     )
     with pytest.raises(RuntimeError) as stacked:
-        divergence_witnesses(s, weights, full)
+        divergence_witnesses(s, weights)
     with pytest.raises(RuntimeError) as single:
         divergence_witness(s, functional(s, weights[1]))
     assert "at t=1.0:" in str(single.value)
@@ -284,16 +297,38 @@ def test_young_checks_rows_match_young_check(system_pool, large_pool):
             w = 0.5 * random_invariant(gen, s).weights
             w[list(nulls[0])] += 0.5 / len(nulls[0])
             draws.append((random_potential(gen, s, 3.0), functional(s, w, mode=FULL)))
-        results = young_checks(s, draws)
-        assert len(results) == len(draws)
-        for (phi, mu), res in zip(draws, results):
+        phis = np.array([phi for phi, _ in draws])
+        weights = np.array([effective_weights(s, mu) for _, mu in draws])
+        slacks = young_checks(s, phis, weights)
+        assert slacks.shape == (len(draws),)
+        for (phi, mu), slack in zip(draws, slacks.tolist()):
             single = young_check(s, phi, mu)
-            assert (res.slack, res.tight) == (single.slack, single.tight)
-        assert results[6].tight
+            assert (slack, slack <= 1e-9) == (single.slack, single.tight)
+        assert slacks[6] <= 1e-9
         if nulls:
-            assert results[-1].slack == np.inf and not results[-1].tight
+            assert slacks[-1] == np.inf
             charged += 1
     assert charged == 2
+
+
+def test_young_checks_certify_null_charges_without_tau_dual(monkeypatch):
+    """An invariant FULL row charging a null cycle gets slack +inf from the
+    stacked divergence witnesses, with no ``tau_dual`` call."""
+    calls = []
+    original = entropy.tau_dual
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "tau_dual", counted)
+    # a supported 2-cycle beside a null 3-cycle
+    s = make_system([1.0, 1.0, 0.0, 0.0, 0.0], [1, 0, 3, 4, 2])
+    weights = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.25, 0.25, 1 / 6, 1 / 6, 1 / 6]])
+    phis = np.array([[1.0, 0.0, 5.0, 5.0, 5.0], [0.0, 2.0, -1.0, 0.0, 1.0]])
+    slacks = young_checks(s, phis, weights)
+    assert slacks.tolist() == [0.0, np.inf]
+    assert calls == []
 
 
 def test_variational_principle_stack_rows_match_single_calls(system_pool, large_pool):
