@@ -141,7 +141,8 @@ def _objective(ca: np.ndarray, wa: np.ndarray, q: np.ndarray) -> float:
 
 
 # Newton steps after which a problem still above its tolerance is a failed
-# claim; the problems of a certify run certify in at most ten.
+# claim; the most any problem took in a traced certify-small round (seed
+# 14998: twocyc and a 12-atom system, 200 traced solves) was ten.
 _MAX_STEPS = 60
 # Fraction of the distance to the boundary of x, z, v > 0 that a step may cover.
 _TO_BOUNDARY = 0.99
@@ -166,7 +167,8 @@ def maximize_inner_batch(problems, tol=1e-8) -> list[InnerSolution]:
     whose minimizer is total times the simplex maximizer; without the
     equality constraint every Newton step is one symmetric positive
     definite system (c^T D c + diag(z / x)) dx = rhs.  Problems of the same
-    width are stacked, padded to a common row count with uncharged rows,
+    width are stacked, padded to a common row count with uncharged rows (a
+    lone problem of its width is its own stack, neither padded nor copied),
     and stepped together by Mehrotra's predictor-corrector method, one
     batched solve per predictor and per corrector; each leaves the stack
     once its certificate, computed from its current point alone, meets its
@@ -182,17 +184,21 @@ def maximize_inner_batch(problems, tol=1e-8) -> list[InnerSolution]:
         if not wa.size:
             p = np.full(s, 1.0 / s)
             out[i] = InnerSolution(0.0, p, problem.c @ p, 0.0, 0)
-        elif np.any(ca.sum(axis=1) == 0.0):
+        elif (ca.sum(axis=1) == 0.0).any():
             out[i] = InnerSolution(-np.inf, None, None, 0.0, 0)
         else:
             stacks.setdefault(s, []).append((i, ca, wa))
     for s, stack in stacks.items():
-        rows = max(wa.size for _, _, wa in stack)
-        c = np.ones((len(stack), rows, s))
-        w = np.zeros((len(stack), rows))
-        for b, (_, ca, wa) in enumerate(stack):
-            c[b, : wa.size] = ca
-            w[b, : wa.size] = wa
+        if len(stack) == 1:
+            _, ca, wa = stack[0]
+            c, w = ca[None], wa[None]
+        else:
+            rows = max(wa.size for _, _, wa in stack)
+            c = np.ones((len(stack), rows, s))
+            w = np.zeros((len(stack), rows))
+            for b, (_, ca, wa) in enumerate(stack):
+                c[b, : wa.size] = ca
+                w[b, : wa.size] = wa
         index = [i for i, _, _ in stack]
         solved = _interior_point(c, w, tols[index])
         for (i, ca, wa), (q, gap, steps) in zip(stack, solved):
@@ -213,6 +219,15 @@ def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
     is replaced by the predictor when it would allow a shorter step, a
     safeguard against its second-order term stalling the iteration.  x
     starts at total / width, v at w / (c x) and z at 1.
+
+    Each direction's distances to the boundary, -(x|z|v) / d where d < 0,
+    come from one pass over the concatenated blocks, reduced to a primal
+    (x) and a dual (z|v) minimum r.  Every step length is min(1, f r) for a
+    fraction f, and rounding keeps f r monotone in r, so taking the minimum
+    over blocks before scaling gives the bits of scaling each block first.
+    The stack is re-indexed only on steps where a problem leaves it, and
+    the predictor and corrector are blended only when some problem takes
+    the predictor; neither moves a bit of any problem.
     Raises ``RuntimeError`` when a problem is still above its tolerance
     after ``_MAX_STEPS`` Newton steps.
     """
@@ -223,7 +238,6 @@ def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
     z = np.ones((count, s))
     live = np.arange(count)
     results: list = [None] * count
-    diag = np.arange(s)
     steps = 0
     while True:
         q = x / x.sum(axis=1, keepdims=True)
@@ -231,22 +245,28 @@ def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
         ratio = _stack_apply_t(c, w / _stack_apply(c, q))
         gap = total * np.log(ratio.max(axis=1) / total)
         done = gap <= tols
-        for b in np.flatnonzero(done):
-            results[live[b]] = (q[b], float(gap[b]), steps)
-        keep = ~done
-        if not keep.any():
-            return results
+        leaving = bool(done.any())
+        if leaving:
+            for b in np.flatnonzero(done):
+                results[live[b]] = (q[b], float(gap[b]), steps)
+            if done.all():
+                return results
         if steps == _MAX_STEPS:
             raise RuntimeError(
-                f"{int(keep.sum())} inner problem(s) missed their certificate"
+                f"{int((~done).sum())} inner problem(s) missed their certificate"
                 f" after {_MAX_STEPS} Newton steps (worst gap {gap.max():.3g})"
             )
         steps += 1
-        live, c, w, total, tols = live[keep], c[keep], w[keep], total[keep], tols[keep]
-        x, z, v = x[keep], z[keep], v[keep]
+        if leaving:
+            keep = ~done
+            live, c, w, total, tols = live[keep], c[keep], w[keep], total[keep], tols[keep]
+            x, z, v = x[keep], z[keep], v[keep]
         y = _stack_apply(c, x)
-        hess = np.swapaxes(c * (v / y)[:, :, None], 1, 2) @ c
-        hess[:, diag, diag] += z / x
+        hess = (c * (v / y)[:, :, None]).swapaxes(1, 2) @ c
+        # the diagonal of each problem's matrix, as a strided view
+        hess.reshape(len(x), -1)[:, :: s + 1] += z / x
+        # minus the state, the numerators of the distances to the boundary
+        retreat = -np.concatenate((x, z, v), axis=1)
 
         def direction(target, xz, vy):
             # Newton step towards x z = target and v y = w, less the
@@ -256,27 +276,33 @@ def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
             dy = _stack_apply(c, dx)
             return dx, (target - xz - z * dx) / x - z, (w - vy - v * dy) / y - v, dy
 
-        def lengths(d, fraction):
-            dual = np.minimum(
-                _step_to_boundary(z, d[1], fraction), _step_to_boundary(v, d[2], fraction)
-            )
-            return _step_to_boundary(x, d[0], fraction), dual
+        def room(d):
+            # largest step to the boundary of x (column 0) and of z and v
+            # (column 1) along the direction d; inf where nothing shrinks
+            step = np.concatenate(d[:3], axis=1)
+            ratios = np.divide(retreat, step, out=np.full_like(step, np.inf), where=step < 0.0)
+            return np.minimum.reduceat(ratios, [0, s], axis=1)
 
         pred = direction(0.0, 0.0, 0.0)
         dx, dz, dv, dy = pred
-        a_p, a_d = lengths(pred, 1.0)
+        room_pred = room(pred)
+        affine = np.minimum(1.0, room_pred)
+        a_p, a_d = affine[:, :1], affine[:, 1:]
         mu = (x * z).sum(axis=1, keepdims=True) / s
         mu_aff = ((x + a_p * dx) * (z + a_d * dz)).sum(axis=1, keepdims=True) / s
         corr = direction((mu_aff / mu) ** 3 * mu, dx * dz, dv * dy)
-        p_pred, d_pred = lengths(pred, _TO_BOUNDARY)
-        p_corr, d_corr = lengths(corr, _TO_BOUNDARY)
+        length = np.minimum(1.0, _TO_BOUNDARY * room(corr))
+        pred_length = np.minimum(1.0, _TO_BOUNDARY * room_pred)
         # keep the corrector unless it allows a shorter step than the predictor
-        back = np.minimum(p_corr, d_corr) < np.minimum(p_pred, d_pred)
-        dx, dz, dv, _ = (np.where(back, a, b) for a, b in zip(pred, corr))
-        a_d = np.where(back, d_pred, d_corr)
-        x = x + np.where(back, p_pred, p_corr) * dx
-        z = z + a_d * dz
-        v = v + a_d * dv
+        back = length.min(axis=1) < pred_length.min(axis=1)
+        dx, dz, dv = corr[:3]
+        if back.any():
+            pick = back[:, None]
+            dx, dz, dv = (np.where(pick, a, b) for a, b in zip(pred[:3], corr[:3]))
+            length = np.where(pick, pred_length, length)
+        x = x + length[:, :1] * dx
+        z = z + length[:, 1:] * dz
+        v = v + length[:, 1:] * dv
 
 
 def _stack_apply(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -287,12 +313,6 @@ def _stack_apply(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _stack_apply_t(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Transposed row products sum_g u_g c[g, .] of each problem of a stack."""
     return (u[:, None, :] @ c)[:, 0, :]
-
-
-def _step_to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> np.ndarray:
-    """Largest step in (0, 1] keeping v + step * dv positive, times fraction."""
-    room = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0.0)
-    return np.minimum(1.0, fraction * room.min(axis=1, keepdims=True))
 
 
 def inner_objective(problem: InnerProblem, p) -> float:
@@ -407,18 +427,22 @@ def tau_direct(
         raise ValueError("need at least one horizon")
     _require_normalized(system, mu)
     rng = np.random.default_rng(seed)
+    w = effective_weights(system, mu)
     candidates: list[tuple[int, PartitionOfUnity]] = []
+    problems: list[InnerProblem] = []
     for n in range(1, n_max + 1):
-        candidates.append((n, atomic_partition(system)))
-        candidates.append((n, trivial_partition(system)))
+        parts = [atomic_partition(system), trivial_partition(system)]
         for _ in range(3):
             phi = rng.uniform(-2.0, 2.0, system.n)
             s = birkhoff(system, phi, n)
             width = (float(s.max() - s.min())) / 3.0 + 1e-9
-            candidates.append((n, oscillation_partition(system, phi, n, width)))
+            parts.append(oscillation_partition(system, phi, n, width))
         for _ in range(8):
-            candidates.append((n, random_partition(rng, system)))
-    problems = [inner_problem(system, mu, part, n) for n, part in candidates]
+            parts.append(random_partition(rng, system))
+        candidates += [(n, part) for part in parts]
+        problems += inner_problems(
+            system, [part.members for part in parts], [w] * len(parts), n
+        )
     solutions = maximize_inner_batch(problems, DIRECT_TOL)
     bounds = []
     for (n, partition), sol in zip(candidates, solutions):
@@ -494,9 +518,9 @@ def hull_means(system: FiniteSystem, weights) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=float)
     means = cycle_means(system, w)
+    atoms, cycle, _ = system.cycle_atom_index
     rebuilt = np.zeros(w.shape)
-    for pos, rows in system.cycle_groups:
-        rebuilt[..., rows] = means[..., pos, None]
+    rebuilt[..., atoms] = means[..., cycle]
     if np.any(np.abs(w - rebuilt).max(axis=-1) > 1e-9):
         raise RuntimeError(
             "defect-free functional is not a hull point of cycle measures"

@@ -73,10 +73,10 @@ def random_invariant_weights(rng, system: FiniteSystem) -> np.ndarray:
     """Weights of ``random_invariant``, with its generator call and bits:
     one Dirichlet draw over the supported cycles, spread uniformly over the
     atoms of each.  The system is not validated and no object is built."""
+    atoms, cycle, inverse_length = system.cycle_atom_index
     coef = rng.dirichlet(np.ones(len(system.supported_cycle_arrays)))
     weights = np.zeros(system.n)
-    for pos, rows in system.cycle_groups:
-        weights[rows] = coef[pos, None] * (1.0 / rows.shape[1])
+    weights[atoms] = coef[cycle] * inverse_length
     return weights
 
 

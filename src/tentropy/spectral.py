@@ -26,6 +26,7 @@ import numpy as np
 from .system import (
     FiniteSystem,
     _columns,
+    _index_sums,
     alpha_power,
     birkhoff,
     cycle_means,
@@ -240,7 +241,7 @@ def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> np.ndarray:
         orbits = rows[:, (np.arange(d)[:, None] + k * np.arange(size)) % length]
         start = orbits.argmin(axis=-1)[..., None]
         orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
-        means = psi[:, orbits].sum(axis=-1) / size
+        means = _index_sums(psi, orbits) / size
         best = np.maximum(best, means.reshape(psi.shape[0], -1).max(axis=1))
     return best
 

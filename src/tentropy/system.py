@@ -119,6 +119,20 @@ class FiniteSystem:
         )
 
     @cached_property
+    def cycle_atom_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every atom of a supported cycle, the position of its cycle in
+        ``supported_cycle_arrays`` and the reciprocal of that cycle's length:
+        one scatter spreads a value per cycle uniformly over its atoms."""
+        arrays = self.supported_cycle_arrays
+        sizes = np.array([c.size for c in arrays], dtype=np.intp)
+        atoms = np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+        return (
+            _frozen(atoms, dtype=np.intp),
+            _frozen(np.repeat(np.arange(sizes.size), sizes), dtype=np.intp),
+            _frozen(np.repeat(1.0 / sizes, sizes)),
+        )
+
+    @cached_property
     def validation(self) -> "ValidationReport":
         return validate(self)
 
@@ -413,14 +427,29 @@ def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
     last axis.  Pairing phi with a vertex of the invariant polytope is one
     such mean, so this costs one gather over the cycle atoms per distinct
     cycle length.  Each mean adds its cycle's terms in the order of
-    ``phi[idx].mean()`` (``phis[:, idx].mean(axis=1)`` for a batch) and
-    gives the same bits.
+    ``phi[idx].mean()`` and gives the same bits, in every row of a batch.
     """
     phi = np.asarray(phi, dtype=float)
     out = np.empty(phi.shape[:-1] + (len(system.supported_cycle_arrays),))
     for pos, rows in system.cycle_groups:
-        out[..., pos] = phi[..., rows].sum(axis=-1) / rows.shape[1]
+        out[..., pos] = _index_sums(phi, rows) / rows.shape[1]
     return out
+
+
+def _index_sums(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum of phi over each row of the atom-index array ``rows``, for one
+    potential or a (k, n_atoms) batch, every row of a batch adding its
+    terms in the order of the call on that row alone.
+
+    numpy sums 8 or more contiguous terms pairwise, and the fancy gather of
+    a batch lays its rows side by side, so each term would be added across
+    the batch; ``take`` keeps the terms of every index row contiguous.
+    Shorter index rows add in order either way, and the fancy gather is
+    the faster one on a batch.
+    """
+    if rows.shape[-1] >= 8:
+        return np.take(phi, rows, axis=-1).sum(axis=-1)
+    return phi[..., rows].sum(axis=-1)
 
 
 def cycle_measure(system: FiniteSystem, idx) -> Functional:

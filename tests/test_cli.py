@@ -292,14 +292,18 @@ def test_certify_reports_are_byte_identical(files, tmp_path, capsys):
 # a report's bits names the fields it moves and updates these digests.
 PANEL_DIGESTS = {
     "two.json": "df37d5015691baa9c5d67a91edde8011c683ae33b9f355d36c7562c24afff6f2",
+    "system-000.json": "974e0e9f2a957ace5db3cc87ff99ecec1848e18bca5b89700fd18e1c2bb71af6",
+    "system-001.json": "a4e6c4858edd09d3f02b7b8c759279f52e293945d3c422b8efa191d871e3f8f8",
+    "system-002.json": "76bea0d31fad7be420c565a6a28666b208a9c291f025144ffc1a0244f86580fb",
     "system-003.json": "c40f11658eef4d83491b55467499db43b1c685295e470d0cedea174a1cd57e11",
+    "system-004.json": "80a2e60202e4c2ebbaf2ef3382b1f23091d005f4484a5a933c533c0f267ed80d",
+    "system-005.json": "9c484bd3d17b89eed3b59d59a47ab102852dda8996d08f5684db52bef3418211",
 }
 
 
 def test_certify_reports_match_the_pinned_panel(files, capsys):
-    """The checks of two standard-panel reports keep their bits: twocyc, and
-    system-003 of ``random-systems 6 --max-atoms 12 --seed 7`` (8 atoms, 4
-    of them null)."""
+    """The checks of the seven standard-panel reports keep their bits:
+    twocyc and the six files of ``random-systems 6 --max-atoms 12 --seed 7``."""
     code, _ = run(capsys, "random-systems", "6", "--max-atoms", "12", "--seed", "7",
                   "--dir", str(files))
     assert code == 0

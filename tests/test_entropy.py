@@ -1,5 +1,6 @@
 """Inner maximization, t-entropy routes, and the near-minimizing potential."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -300,18 +301,18 @@ def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool)
     achieving candidate is the first of them, and no earlier candidate
     lies within ``DIRECT_TOL`` of the reported minimum."""
     seen = {}
-    make_problem, solve = entropy.inner_problem, entropy.maximize_inner_batch
+    make_problems, solve = entropy.inner_problems, entropy.maximize_inner_batch
 
-    def recording_problem(system, mu, partition, n):
-        seen["candidates"].append((n, partition))
-        return make_problem(system, mu, partition, n)
+    def recording_problems(system, members, weights, n):
+        seen["candidates"] += [(n, m) for m in members]
+        return make_problems(system, members, weights, n)
 
     def recording_solve(problems, tol):
         seen["tol"] = tol
         seen["solutions"] = solve(problems, tol)
         return seen["solutions"]
 
-    monkeypatch.setattr(entropy, "inner_problem", recording_problem)
+    monkeypatch.setattr(entropy, "inner_problems", recording_problems)
     monkeypatch.setattr(entropy, "maximize_inner_batch", recording_solve)
     gen = np.random.default_rng(61)
     tol = entropy.DIRECT_TOL
@@ -326,8 +327,8 @@ def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool)
         assert r.value == min(bounds)
         first = next(
             i
-            for i, (n, part) in enumerate(seen["candidates"])
-            if n == r.achieving_n and part is r.achieving_partition
+            for i, (n, members) in enumerate(seen["candidates"])
+            if n == r.achieving_n and members is r.achieving_partition.members
         )
         assert bounds[first] <= r.value + tol
         assert all(bound > r.value + tol for bound in bounds[:first])
@@ -598,10 +599,10 @@ def test_maximize_inner_empty_active_rows():
     assert np.isfinite(sol.value)
 
 
-def test_maximize_inner_batch_matches_single(monkeypatch):
-    """One batch mixing an uncharged problem, a divergent one, widths and
-    row counts that differ, and two tolerances gives every problem its own
-    certificate and the value it has when solved alone."""
+def mixed_batch():
+    """Inner problems and tolerances of one batch: an uncharged problem, a
+    divergent one, the stall and jam inputs, widths and row counts that
+    differ, two tolerances, and the stall input once more at a loose one."""
     gen = np.random.default_rng(61)
     pair_sys = null_pair()
     problems = [
@@ -619,13 +620,18 @@ def test_maximize_inner_batch_matches_single(monkeypatch):
             problems.append(inner_problem(s, mu, part, int(gen.integers(1, 4))))
         problems.append(inner_problem(s, random_simplex_functional(gen, s),
                                       atomic_partition(s), 2))
-    assert len({p.c.shape for p in problems}) > 4
     tols = np.where(np.arange(len(problems)) % 2, 1e-9, 1e-10)
-    # the stall input once more at a loose tolerance: it leaves the batch
-    # earlier than its tight twin
     problems.append(stall_problem())
-    tols = np.append(tols, 1e-3)
+    return problems, np.append(tols, 1e-3)
+
+
+def test_maximize_inner_batch_matches_single(monkeypatch):
+    """Every problem of the mixed batch gets its own certificate and the
+    value it has when solved alone."""
+    problems, tols = mixed_batch()
+    assert len({p.c.shape for p in problems}) > 4
     batch = maximize_inner_batch(problems, tols)
+    # the loose stall twin leaves the batch earlier than the tight one
     assert batch[-1].iterations < batch[2].iterations
     assert batch[0].value == 0.0 and batch[0].optimality_gap == 0.0
     assert batch[1].value == -np.inf and batch[1].p_star is None
@@ -646,6 +652,30 @@ def test_maximize_inner_batch_matches_single(monkeypatch):
         maximize_inner(stall_problem())
     with pytest.raises(RuntimeError, match="certificate"):
         maximize_inner_batch(problems, tols)
+
+
+def solutions_digest(solutions):
+    """sha256 of the value, gap, Newton steps and point of each solution."""
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(repr((sol.value.hex(), sol.optimality_gap.hex(), sol.iterations)).encode())
+        if sol.p_star is not None:
+            h.update(sol.p_star.tobytes())
+    return h.hexdigest()
+
+
+# ``solutions_digest`` of the mixed batch solved as one batch, and of each of
+# its problems solved alone.  A solver change that must move these bits says
+# so and updates them.
+BATCH_DIGEST = "0a8f7574dfc3e570a4dd2c6ec84c1744ba13ff101a3a80621af22b8378980c4f"
+ALONE_DIGEST = "54012d996c032e853440f7461780e174237a07a828a6c8fd39a3485808cdcee9"
+
+
+def test_maximize_inner_keeps_its_bits():
+    problems, tols = mixed_batch()
+    assert solutions_digest(maximize_inner_batch(problems, tols)) == BATCH_DIGEST
+    alone = [maximize_inner(p, tol=t) for p, t in zip(problems, tols)]
+    assert solutions_digest(alone) == ALONE_DIGEST
 
 
 @settings(max_examples=60, deadline=None)

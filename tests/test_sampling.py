@@ -15,7 +15,7 @@ from tentropy.sampling import (
     random_unit_function,
     random_unit_values,
 )
-from tentropy.system import ESSENTIAL, FULL, functional
+from tentropy.system import ESSENTIAL, FULL, functional, make_system
 
 
 def reference_invariant(rng, s):
@@ -57,6 +57,15 @@ def reference_unit(rng, s):
     return values
 
 
+def three_lengths():
+    """Supported cycles of lengths 1, 2 and 3 (twice, apart in atom order), a
+    tail into a 3-cycle and a null fixed point."""
+    return make_system(
+        [0.5, 1.0, 2.0, 0.3, 0.7, 1.1, 1.3, 0.9, 0.4, 1.6, 0.0],
+        [0, 2, 1, 4, 5, 3, 3, 8, 9, 7, 10],
+    )
+
+
 SAMPLERS = [
     (reference_invariant, random_invariant, random_invariant_weights, ESSENTIAL),
     (reference_functional, random_functional, random_functional_weights, ESSENTIAL),
@@ -69,7 +78,7 @@ def test_array_samplers_make_the_draws_of_the_object_samplers(system_pool, large
     """Three generators from one seed, drawing through the sampler as it
     was, the object form and the array form, make bitwise the same draws
     and end in the same state."""
-    for s in system_pool + large_pool + [null_pair()]:
+    for s in system_pool + large_pool + [null_pair(), three_lengths()]:
         for reference, sampler, array_form, mode in SAMPLERS:
             if mode == FULL and s.support.all():
                 continue

@@ -266,10 +266,26 @@ def test_batch_matches_scalar(system_pool, large_pool):
         batch = log_spectral_radius_batch(s, phis)
         single = np.array([log_spectral_radius(s, p) for p in phis])
         assert np.allclose(batch, single, atol=1e-12)
-        exact = np.stack(
-            [phis[:, idx].mean(axis=1) for idx in s.supported_cycle_arrays], axis=1
-        )
+        exact = np.array([cycle_means(s, phi) for phi in phis])
         assert np.array_equal(cycle_means(s, phis), exact)
+
+
+def test_stacked_cycle_sums_keep_the_bits_of_one_row():
+    """numpy sums 8 or more contiguous terms pairwise, so each stacked row
+    must add its cycle's terms as the call on that row alone does: in the
+    cycle means, and in the orbits of the k-step map that ``power_gap``
+    reads."""
+    sizes = (8, 9, 10, 16)
+    starts = np.cumsum((0,) + sizes[:-1])
+    alpha = np.concatenate(
+        [start + np.roll(np.arange(size), -1) for start, size in zip(starts, sizes)]
+    )
+    s = make_system(np.ones(alpha.size), alpha)
+    phis = np.random.default_rng(64).uniform(-3.0, 3.0, size=(4, s.n))
+    assert np.array_equal(cycle_means(s, phis), [cycle_means(s, phi) for phi in phis])
+    for k in (1, 2, 3):
+        powers = [power_gap(s, phi, k).power for phi in phis]
+        assert np.array_equal(power_gap(s, phis, k).power, powers)
 
 
 def test_power_system_frozen_examples():
