@@ -7,6 +7,7 @@ dual (variational) route, and certifies the inequalities tying the two
 together, up to the hitting-mass estimates for empirical measures.
 """
 
+from .claims import CertificateError
 from .entropy import (
     InnerProblem,
     InnerSolution,

@@ -4,13 +4,15 @@ Each check draws its own generator from (seed, check name), so the verdicts
 do not depend on which other checks run or in what order.  A check returns
 its headline values, its claims, and optionally a witness of the worst case.
 A claim is an ``(observed, bound)`` pair that holds when ``observed <= bound``;
-tolerance bounds go through ``CertifyConfig.threshold`` (so ``--tolerance``
-overrides them), structural bounds are literal.  ``make_record`` derives every
-record's verdict (pass when all claims hold), residual (the largest excess
-over a bound, 0 exactly when the record passes) and repro (failing records
-only); the CLI builds its own records with it too.  The runner turns
-exceptions raised by the library's internal assertions into failed records
-with an infinite residual instead of crashes.
+tolerance bounds are the named constants of ``claims``, the same names the
+library's own assertions of those laws read, and go through
+``CertifyConfig.threshold`` (so ``--tolerance`` overrides them); structural
+bounds are literal.  ``make_record`` derives every record's verdict (pass
+when all claims hold), residual (the largest excess over a bound, 0 exactly
+when the record passes) and repro (failing records only); the CLI builds its
+own records with it too.  The runner turns a ``CertificateError`` (a failed
+claim) or ``ValueError`` raised by a check into a failed record with an
+infinite residual instead of a crash; any other exception propagates.
 
 Seven checks fill arrays with their draws, making the same generator calls
 in the same order as one evaluation per draw would (the array forms of the
@@ -41,6 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .claims import (
+    CERTIFICATE_TOL,
+    INNER_TOL,
+    ROUNDOFF_TOL,
+    ROUTE_GAP_TOL,
+    SLACK_TOL,
+    SOLVER_SLACK_TOL,
+    CertificateError,
+)
 from .entropy import (
     _near_minimizer_bounds,
     certificate_sup,
@@ -143,10 +154,10 @@ def _check_young_global(system, cfg, rng):
             weights[i] = random_invariant_weights(rng, system)
         slacks = young_checks(system, phis, weights)
         worst = min(worst, float(slacks.min()))
-        tight += int((slacks <= 1e-9).sum())
+        tight += int((slacks <= SLACK_TOL).sum())
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
-        "claims": [(-worst, cfg.threshold(1e-9))],
+        "claims": [(-worst, cfg.threshold(SLACK_TOL))],
     }
 
 
@@ -166,7 +177,7 @@ def _check_young_local(system, cfg, rng):
         worst = min(worst, min((lhs - rhs).tolist()))
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
-        "claims": [(-worst, cfg.threshold(1e-8))],
+        "claims": [(-worst, cfg.threshold(SOLVER_SLACK_TOL))],
     }
 
 
@@ -176,7 +187,7 @@ def _check_vp_gap(system, cfg, rng):
     worst = float(np.abs(gaps).max(initial=0.0))
     return {
         "values": {"draws": cfg.draws, "worst_gap": worst},
-        "claims": [(worst, cfg.threshold(1e-9))],
+        "claims": [(worst, cfg.threshold(SLACK_TOL))],
     }
 
 
@@ -191,7 +202,7 @@ def _check_vp_subgradient(system, cfg, rng):
         )
         worst = max(worst, res.worst_violation)
         identity = max(identity, res.tau_identity_residual)
-    tol = cfg.threshold(1e-9)
+    tol = cfg.threshold(SLACK_TOL)
     return {
         "values": {
             "base_points": rounds,
@@ -269,14 +280,14 @@ def _check_op_norm_oracle(system, cfg, rng):
             [random_unit_values(rng, system) for _ in range(max(1, cfg.draws // 5))]
         )
         for grown in _l1_norms(system, iterate(system, phi, units, n)):
-            worst_excess = max(worst_excess, grown - value * (1.0 + 1e-9))
+            worst_excess = max(worst_excess, grown - value * (1.0 + SLACK_TOL))
     return {
         "values": {
             "indicator_gap": worst_gap,
             "unit_ball_excess": worst_excess,
             "draws": cfg.draws,
         },
-        "claims": [(worst_gap, cfg.threshold(1e-12)), (worst_excess, 0.0)],
+        "claims": [(worst_gap, cfg.threshold(ROUNDOFF_TOL)), (worst_excess, 0.0)],
     }
 
 
@@ -298,7 +309,7 @@ def _check_gelfand(system, cfg, rng):
             "final_gap": final_gap,
             "flagged": flagged,
         },
-        "claims": [(-worst_below, cfg.threshold(1e-9)), (flagged, 0)],
+        "claims": [(-worst_below, cfg.threshold(SLACK_TOL)), (flagged, 0)],
     }
 
 
@@ -320,10 +331,10 @@ def _check_power(system, cfg, rng):
         if rows.any():
             res = power_gap(system, phis[rows], k)
             worst = max(worst, float((res.scaled - res.power).max()))
-            strict += int((res.gap > 1e-9).sum())
+            strict += int((res.gap > SLACK_TOL).sum())
     return {
         "values": {"draws": cfg.draws, "worst_excess": worst, "strict_gaps": strict},
-        "claims": [(worst, cfg.threshold(1e-12))],
+        "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
     }
 
 
@@ -347,7 +358,7 @@ def _check_properties(system, cfg, rng):
     )
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
-        "claims": [(worst, cfg.threshold(1e-12))],
+        "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
     }
 
 
@@ -365,7 +376,7 @@ def _check_coboundary(system, cfg, rng):
     )
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
-        "claims": [(worst, cfg.threshold(1e-12))],
+        "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
     }
 
 
@@ -381,7 +392,7 @@ def _check_submultiplicative(system, cfg, rng):
         worst = max(worst, lhs - rhs)
     return {
         "values": {"draws": rounds, "worst_log_excess": worst},
-        "claims": [(worst, cfg.threshold(1e-12))],
+        "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
     }
 
 
@@ -400,7 +411,7 @@ def _check_inner_certificate(system, cfg, rng):
             partition = random_partition(rng, system)
         n = int(rng.integers(1, 5))
         prob = inner_problem(system, mu, partition, n)
-        sol = maximize_inner(prob, tol=1e-9)
+        sol = maximize_inner(prob, tol=INNER_TOL)
         if sol.value == -np.inf:
             divergent += 1
             continue
@@ -408,7 +419,7 @@ def _check_inner_certificate(system, cfg, rng):
         solved += 1
     return {
         "values": {"solved": solved, "divergent": divergent, "worst_sup_gap": worst},
-        "claims": [(worst, cfg.threshold(1e-6)), (-solved, -1)],
+        "claims": [(worst, cfg.threshold(CERTIFICATE_TOL)), (-solved, -1)],
     }
 
 
@@ -431,7 +442,7 @@ def _check_near_minimizer(system, cfg, rng):
         worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
     return {
         "values": {"draws": rounds, "worst_slack": worst},
-        "claims": [(-worst, cfg.threshold(1e-8))],
+        "claims": [(-worst, cfg.threshold(SOLVER_SLACK_TOL))],
     }
 
 
@@ -448,7 +459,7 @@ def _check_tau_routes(system, cfg, rng):
         high = max(high, gap)
     return {
         "values": {"draws": rounds, "smallest_gap": low, "largest_gap": high},
-        "claims": [(-low, 0.0), (high, cfg.threshold(1e-3))],
+        "claims": [(-low, 0.0), (high, cfg.threshold(ROUTE_GAP_TOL))],
     }
 
 
@@ -464,7 +475,7 @@ def _check_empirical(system, cfg, rng):
         worst = max(worst, abs(lhs - rhs), abs(float(emp.weights.sum()) - 1.0))
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
-        "claims": [(worst, cfg.threshold(1e-12))],
+        "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
     }
 
 
@@ -494,7 +505,7 @@ def _check_tv(system, cfg, rng):
             "worst_formula_residual": worst_exact,
             "worst_decay_excess": worst_bound,
         },
-        "claims": [(worst_exact, cfg.threshold(1e-12)), (worst_bound, 0.0)],
+        "claims": [(worst_exact, cfg.threshold(ROUNDOFF_TOL)), (worst_bound, 0.0)],
     }
 
 
@@ -551,7 +562,7 @@ def _check_reduction(system, cfg, rng):
             worst = max(worst, float((vals - cap).max()))
     return {
         "values": {"worst_excess": worst, "per_cell": per_cell},
-        "claims": [(worst, cfg.threshold(1e-9))],
+        "claims": [(worst, cfg.threshold(SLACK_TOL))],
     }
 
 
@@ -650,7 +661,7 @@ def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
         repro += f" --tolerance {cfg.tolerance!r}"
     try:
         out = CHECKS[name](system, cfg, _rng_for(cfg.seed, name))
-    except (RuntimeError, ValueError) as exc:
+    except (CertificateError, ValueError) as exc:
         witness = {"error": str(exc)}
         return make_record(name, inputs, {}, [(np.inf, 0.0)], witness, repro)
     return make_record(
@@ -658,9 +669,9 @@ def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
     )
 
 
-def run_suite(system: FiniteSystem, suite: str, cfg: CertifyConfig):
-    """Records of all checks of a suite, sorted by name."""
+def run_suite(system: FiniteSystem, cfg: CertifyConfig):
+    """Records of all checks of the suite ``cfg.suite``, sorted by name."""
     require_valid(system)
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
-    return [run_check(system, name, cfg) for name in sorted(SUITES[suite])]
+    if cfg.suite not in SUITES:
+        raise ValueError(f"unknown suite {cfg.suite!r}")
+    return [run_check(system, name, cfg) for name in sorted(SUITES[cfg.suite])]

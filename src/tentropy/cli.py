@@ -3,7 +3,8 @@
 Subcommands: validate, lambda, tau, certify, random-systems.  Every command
 emits one JSON report (stdout or --out) whose bytes depend only on the
 inputs and the seed.  Exit codes: 0 success, 1 I/O or parse problem,
-2 invalid system, 3 failed certification.
+2 invalid system, 3 failed certification, also when a claim fails with
+``CertificateError`` before a report is written.
 
 Each subcommand declares only the options it reads and echoes them into the
 report's ``config``, so an option another command reads is a usage error.
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .certify import SUITES, CertifyConfig, make_record, run_suite
+from .claims import ROUTE_GAP_TOL, CertificateError
 from .entropy import tau_direct, tau_dual
 from .io import (
     FormatError,
@@ -269,11 +271,12 @@ def cmd_tau(args) -> int:
     checks = []
     if direct is not None:
         # the direct route bounds the dual value from above, within
-        # --tolerance (default 1e-3); any bound dominates a dual value of -inf
+        # --tolerance (default ROUTE_GAP_TOL); any bound dominates a dual
+        # value of -inf
         claims = []
         if dual.value > -np.inf:
             gap = direct.value - dual.value
-            bound = 1e-3 if args.tolerance is None else args.tolerance
+            bound = ROUTE_GAP_TOL if args.tolerance is None else args.tolerance
             claims = [(-gap, 0.0), (gap, bound)]
         elif direct.value > -np.inf:
             notes.append(
@@ -344,7 +347,7 @@ def cmd_certify(args) -> int:
         "tolerance": cfg.tolerance,
         "profile": cfg.profile,
     }
-    report = _assemble(config, run_suite(system, args.suite, cfg))
+    report = _assemble(config, run_suite(system, cfg))
     _emit(report, args)
     return 0 if report["summary"]["failed"] == 0 else 3
 
@@ -401,6 +404,9 @@ def main(argv=None) -> int:
     except InvalidSystemError as exc:
         print(f"tentropy: invalid system: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"tentropy: claim failed: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"tentropy: {exc}", file=sys.stderr)
         return 1

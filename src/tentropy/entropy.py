@@ -26,9 +26,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .claims import (
+    BUCKET_PAD,
+    CERTIFICATE_TOL,
+    DESCENT_TOL,
+    DIRECT_TOL,
+    EXACT_TOL,
+    INNER_TOL,
+    ROUNDOFF_TOL,
+    SLACK_TOL,
+    SOLVER_SLACK_TOL,
+    TIE_TOL,
+    CertificateError,
+)
 from .spectral import _norm_log, log_spectral_radius, op_norm
 from .system import (
-    EXACT_TOL,
     FiniteSystem,
     Functional,
     PartitionOfUnity,
@@ -148,19 +160,19 @@ _MAX_STEPS = 60
 _TO_BOUNDARY = 0.99
 
 
-def maximize_inner(problem: InnerProblem, tol: float = 1e-8) -> InnerSolution:
+def maximize_inner(problem: InnerProblem, tol: float = DIRECT_TOL) -> InnerSolution:
     """Solve one inner problem: ``maximize_inner_batch`` on a batch of one.
 
     Stops once the certificate total * ln(max ratio / total) drops to
     ``tol``, where ratio is the optimality field sum_g mu[g] c[g, .] / (c p)_g
     at the returned point p and total the charged weight: the supremum is at
     most value + that gap.  A problem that does not certify within the step
-    cap raises ``RuntimeError``; no point above its tolerance is returned.
+    cap raises ``CertificateError``; no point above its tolerance is returned.
     """
     return maximize_inner_batch([problem], tol)[0]
 
 
-def maximize_inner_batch(problems, tol=1e-8) -> list[InnerSolution]:
+def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
     """Solve a batch of inner problems with one primal-dual interior-point run.
 
     Each problem is min over x >= 0 of -sum_g mu[g] ln (c x)_g + sum_j x_j,
@@ -228,7 +240,7 @@ def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
     The stack is re-indexed only on steps where a problem leaves it, and
     the predictor and corrector are blended only when some problem takes
     the predictor; neither moves a bit of any problem.
-    Raises ``RuntimeError`` when a problem is still above its tolerance
+    Raises ``CertificateError`` when a problem is still above its tolerance
     after ``_MAX_STEPS`` Newton steps.
     """
     count, _, s = c.shape
@@ -252,7 +264,7 @@ def _interior_point(c: np.ndarray, w: np.ndarray, tols: np.ndarray) -> list:
             if done.all():
                 return results
         if steps == _MAX_STEPS:
-            raise RuntimeError(
+            raise CertificateError(
                 f"{int((~done).sum())} inner problem(s) missed their certificate"
                 f" after {_MAX_STEPS} Newton steps (worst gap {gap.max():.3g})"
             )
@@ -324,8 +336,8 @@ def certificate_sup(problem: InnerProblem, solution: InnerSolution) -> float:
     """Largest value of the optimality ratio field at the returned point.
 
     At an exact maximizer the field is everywhere at most 1, and its
-    p-average is exactly 1; values above 1 + 1e-6 mean the solution was
-    never optimal and are an error.
+    p-average is exactly 1; values above 1 + ``CERTIFICATE_TOL`` mean the
+    solution was never optimal and raise ``CertificateError``.
     """
     if solution.p_star is None:
         raise ValueError("certificate undefined for a divergent problem")
@@ -335,11 +347,11 @@ def certificate_sup(problem: InnerProblem, solution: InnerSolution) -> float:
     p = solution.p_star
     ratio = _ratio_field(ca, wa, p)
     mean = float(p @ ratio)
-    if abs(mean - wa.sum()) > 1e-9:
-        raise RuntimeError("ratio field lost its normalization identity")
+    if abs(mean - wa.sum()) > SLACK_TOL:
+        raise CertificateError("ratio field lost its normalization identity")
     sup = float(ratio.max())
-    if sup > 1.0 + 1e-6:
-        raise RuntimeError(f"claimed optimum fails its certificate: {sup}")
+    if sup > 1.0 + CERTIFICATE_TOL:
+        raise CertificateError(f"claimed optimum fails its certificate: {sup}")
     return sup
 
 
@@ -348,7 +360,7 @@ def tau_n(
     mu: Functional,
     partition: PartitionOfUnity,
     n: int,
-    tol: float = 1e-8,
+    tol: float = DIRECT_TOL,
 ) -> InnerSolution:
     """t-entropy at a fixed horizon and partition (not divided by n)."""
     _require_normalized(system, mu)
@@ -405,10 +417,6 @@ class TauResult:
     descent_best: float | None = None
 
 
-# Solver tolerance of tau_direct's candidates; bounds this close are ties.
-DIRECT_TOL = 1e-8
-
-
 def tau_direct(
     system: FiniteSystem, mu: Functional, n_max: int = 4, seed: int = 0
 ) -> TauResult:
@@ -435,7 +443,7 @@ def tau_direct(
         for _ in range(3):
             phi = rng.uniform(-2.0, 2.0, system.n)
             s = birkhoff(system, phi, n)
-            width = (float(s.max() - s.min())) / 3.0 + 1e-9
+            width = (float(s.max() - s.min())) / 3.0 + BUCKET_PAD
             parts.append(oscillation_partition(system, phi, n, width))
         for _ in range(8):
             parts.append(random_partition(rng, system))
@@ -453,7 +461,7 @@ def tau_direct(
                 achieving_n=n,
                 achieving_partition=partition,
             )
-        bounds.append((sol.value + sol.optimality_gap) / n + 1e-12)
+        bounds.append((sol.value + sol.optimality_gap) / n + ROUNDOFF_TOL)
     best = min(bounds)
     # Bounds closer than the solver tolerance are ties, so report the first
     # of them rather than whichever one sub-tolerance noise put lowest.
@@ -499,9 +507,9 @@ def _dual_descent(
         lam = float(vals.max())
         h = lam - (harmonic * ww - float(e @ a))
         best = min(best, h)
-        if h < -1e-9:
+        if h < -SLACK_TOL:
             return min(best, h * 2e12)
-        tied = vals >= lam - 1e-12
+        tied = vals >= lam - TIE_TOL
         e[tied] += 1.0 / ((k + 1.0) * int(tied.sum()))
         harmonic += 1.0 / (k + 1.0)
     return best
@@ -512,8 +520,8 @@ def hull_means(system: FiniteSystem, weights) -> np.ndarray:
 
     A functional with no divergence defect is the mixture of the uniform
     cycle measures whose weight on each cycle atom is its cycle mean;
-    ``RuntimeError`` when some row's rebuilt mixture misses it by more than
-    1e-9.  ``weights`` is one row or a (k, n_atoms) stack, one
+    ``CertificateError`` when some row's rebuilt mixture misses it by more
+    than ``SLACK_TOL``.  ``weights`` is one row or a (k, n_atoms) stack, one
     ``cycle_means`` call for all rows, each with the bits of its own call.
     """
     w = np.asarray(weights, dtype=float)
@@ -521,8 +529,8 @@ def hull_means(system: FiniteSystem, weights) -> np.ndarray:
     atoms, cycle, _ = system.cycle_atom_index
     rebuilt = np.zeros(w.shape)
     rebuilt[..., atoms] = means[..., cycle]
-    if np.any(np.abs(w - rebuilt).max(axis=-1) > 1e-9):
-        raise RuntimeError(
+    if np.any(np.abs(w - rebuilt).max(axis=-1) > SLACK_TOL):
+        raise CertificateError(
             "defect-free functional is not a hull point of cycle measures"
         )
     return means
@@ -566,8 +574,8 @@ def tau_dual(
             w = effective_weights(system, mu)
             means = cycle_means(system, w)
         best = _dual_descent(system, w, means)
-        if witness is None and best < -1e-6:
-            raise RuntimeError(
+        if witness is None and best < -DESCENT_TOL:
+            raise CertificateError(
                 "descent found a negative variational value for a hull point"
             )
         result = replace(result, descent_best=best)
@@ -630,8 +638,8 @@ def local_young_checks(
     values = np.array([sol.value for sol in maximize_inner_batch(problems)])
     lhs = epss + norms / ns
     rhs = np.array([w[i] @ phis[i] for i in range(len(w))]) + values / ns
-    if np.any(lhs < rhs - 1e-8):
-        raise RuntimeError("fixed-horizon entropy inequality failed")
+    if np.any(lhs < rhs - SOLVER_SLACK_TOL):
+        raise CertificateError("fixed-horizon entropy inequality failed")
     return lhs, rhs
 
 
@@ -652,7 +660,7 @@ def near_minimizer(
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if solution is None:
-        solution = tau_n(system, mu, partition, n, tol=1e-9)
+        solution = tau_n(system, mu, partition, n, tol=INNER_TOL)
     if solution.p_star is None or solution.value == -np.inf:
         raise ValueError("near-minimizer needs a finite inner value")
     w = partition.members @ effective_weights(system, mu)
@@ -661,7 +669,7 @@ def near_minimizer(
     coef[active] = w[active] / solution.c_limits[active]
     u = partition.members.T @ coef
     if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-        raise RuntimeError("mixture weight vanished at an atom")
+        raise CertificateError("mixture weight vanished at an atom")
     return np.log(u) / n
 
 
@@ -701,12 +709,12 @@ def _near_minimizer_bounds(
 ) -> NearMinimizerBounds:
     """``near_minimizer_bounds`` given ``norm`` = ||A0^n||, the norm of the
     unweighted shift power, which depends on the system and n alone."""
-    solution = tau_n(system, mu, partition, n, tol=1e-9)
+    solution = tau_n(system, mu, partition, n, tol=INNER_TOL)
     phi = near_minimizer(system, mu, partition, n, eps, solution=solution)
     growth = eps * norm - n * log_spectral_radius(system, phi)
     pairing = pair(system, mu, n * phi) + solution.value
-    if growth < -1e-8 or pairing < -1e-8:
-        raise RuntimeError("near-minimizer bound violated beyond tolerance")
+    if growth < -SOLVER_SLACK_TOL or pairing < -SOLVER_SLACK_TOL:
+        raise CertificateError("near-minimizer bound violated beyond tolerance")
     return NearMinimizerBounds(
         phi=phi, growth_slack=growth, pairing_slack=pairing, solution=solution
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .claims import ROUNDOFF_TOL, SLACK_TOL, CertificateError
 from .entropy import tau_dual
 # op_norm_log is no longer called here; it stays bound in this module
 # because perfbench's tracer test checks that tracing rebinds it here too.
@@ -109,7 +110,7 @@ def build_neighborhood(
             if lam - pair(system, mu, phi) < target:
                 break
         else:
-            raise RuntimeError("no tested ray scale reached the divergent threshold")
+            raise CertificateError("no tested ray scale reached the divergent threshold")
         nbhd = HalfspaceNeighborhood(
             phi=phi,
             lambda_phi=lam,
@@ -117,7 +118,7 @@ def build_neighborhood(
             tau_value=-np.inf,
         )
     if not nbhd.contains(system, mu):
-        raise RuntimeError("constructed neighborhood does not contain its center")
+        raise CertificateError("constructed neighborhood does not contain its center")
     return nbhd
 
 
@@ -170,8 +171,8 @@ def growth_constant(
         n = np.arange(1, horizon + 1)
         log_ratios = norm_log_sequence(system, phi, horizon) - n * (lam + eps / 2.0)
         tail = log_ratios[-5:]
-        settled = bool(np.all(np.diff(tail) <= 1e-12)) or bool(
-            tail.max() <= log_ratios[:-5].max() + 1e-12
+        settled = bool(np.all(np.diff(tail) <= ROUNDOFF_TOL)) or bool(
+            tail.max() <= log_ratios[:-5].max() + ROUNDOFF_TOL
         )
         if settled:
             best = int(np.argmax(log_ratios))
@@ -181,7 +182,7 @@ def growth_constant(
                 achieved_n=best + 1,
                 n_checked=horizon,
             )
-    raise RuntimeError("norm ratios kept growing; the spectral rate looks wrong")
+    raise CertificateError("norm ratios kept growing; the spectral rate looks wrong")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +193,7 @@ class EstimateReport:
     record per horizon in n_range order, then per supported atom.
     branch is "finite" for polytope members (exponent tau + eps) and
     "divergent" otherwise (exponent -1/eps).  all_hold asserts every row
-    satisfied lhs <= rhs up to a 1e-9 relative allowance.
+    satisfied lhs <= rhs up to a ``SLACK_TOL`` relative allowance.
     """
 
     rows: np.ndarray
@@ -271,7 +272,7 @@ def verify_estimate(
         rows=rows,
         worst_ratio=float(rows.ratio[worst]),
         worst_at=(int(n[worst]), int(rows.atom[worst])),
-        all_hold=bool(np.all(lhs <= rhs * (1.0 + 1e-9))),
+        all_hold=bool(np.all(lhs <= rhs * (1.0 + SLACK_TOL))),
         c=c,
         branch="divergent" if divergent else "finite",
         neighborhood=nbhd,

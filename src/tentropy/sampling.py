@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .claims import NORM_FLOOR
 from .spectral import L1Vector, l1_vector
 from .system import (
     FULL,
@@ -56,7 +57,7 @@ def random_unit_values(rng, system: FiniteSystem) -> np.ndarray:
     for _ in range(8):
         v = np.where(system.support, rng.normal(size=system.n), 0.0)
         norm = float(np.abs(v) @ system.m)
-        if norm > 1e-9:
+        if norm > NORM_FLOOR:
             return v / norm
     idx = int(system.supported_indices[0])
     values = np.zeros(system.n)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .claims import ROUNDOFF_TOL, SLACK_TOL, TIE_TOL, CertificateError
 from .system import (
     FiniteSystem,
     _columns,
@@ -77,8 +78,8 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
     L1 values (a stack comes back); a single vector is the stack of one.
     Every row takes the steps of ``apply`` with its bits, and a step that
     leaves a non-finite entry raises ``ValueError``, as ``L1Vector`` does.
-    ``RuntimeError`` when some row misses the closed form e^(S_n phi)
-    (f o alpha^n).
+    ``CertificateError`` when some row misses the closed form e^(S_n phi)
+    (f o alpha^n) by more than ``ROUNDOFF_TOL``.
     """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
@@ -97,8 +98,8 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
                 raise ValueError("vector entries must be finite")
     direct = np.exp(birkhoff(system, phi, n)) * values[:, alpha_power(system, n)]
     direct = np.where(system.support, direct, 0.0)
-    if not np.allclose(out, direct, rtol=1e-12, atol=1e-12):
-        raise RuntimeError("iterated shift disagrees with its closed form")
+    if not np.allclose(out, direct, rtol=ROUNDOFF_TOL, atol=ROUNDOFF_TOL):
+        raise CertificateError("iterated shift disagrees with its closed form")
     return L1Vector(out[0]) if isinstance(f, L1Vector) else out
 
 
@@ -168,7 +169,7 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     phi = np.asarray(phi, dtype=float)
     means = cycle_means(system, phi)
     value = float(means.max())
-    first = int(np.argmax(means >= value - 1e-12))
+    first = int(np.argmax(means >= value - TIE_TOL))
     best_cycle = tuple(int(i) for i in system.supported_cycle_arrays[first])
 
     seq = norm_log_sequence(system, phi, n_max) / np.arange(1, n_max + 1)
@@ -177,7 +178,9 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     mass_ratio = float(np.log(sup_m.max() / sup_m.min()))
     env_total = np.log(system.n) + 2.0 * span * system.n + mass_ratio
     envelope = env_total / np.arange(1, n_max + 1)
-    flagged = bool(np.any(seq < value - 1e-9) or np.any(seq > value + envelope + 1e-9))
+    flagged = bool(
+        np.any(seq < value - SLACK_TOL) or np.any(seq > value + envelope + SLACK_TOL)
+    )
     seq.setflags(write=False)
     return SpectralResult(
         value=value, witness_cycle=best_cycle, norm_sequence=seq, flagged=flagged
@@ -217,8 +220,8 @@ def power_gap(system: FiniteSystem, phi, k: int) -> PowerGap:
     phis = phi.reshape(-1, phi.shape[-1])
     scaled = k * log_spectral_radius_batch(system, phis)
     power = _power_rate(system, k * phis, k)
-    if np.any(scaled > power + 1e-12):
-        raise RuntimeError("power-map rate fell below the scaled rate")
+    if np.any(scaled > power + ROUNDOFF_TOL):
+        raise CertificateError("power-map rate fell below the scaled rate")
     if phi.ndim == 1:
         return PowerGap(scaled=float(scaled[0]), power=float(power[0]))
     return PowerGap(scaled=scaled, power=power)

@@ -18,10 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .claims import EXACT_TOL
+
 ESSENTIAL = "essential"
 FULL = "full"
-
-EXACT_TOL = 1e-12
 
 
 class InvalidSystemError(ValueError):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .claims import EXACT_TOL, SLACK_TOL, TIE_TOL, CertificateError
 from .spectral import log_spectral_radius_batch
 from .system import (
-    EXACT_TOL,
     FULL,
     FiniteSystem,
     Functional,
@@ -163,10 +163,10 @@ def _verify_rays(
     flat = d.reshape(-1, system.n)
     pairs = np.array([w[i] @ di for i, di in zip(rows, flat)])
     h = (log_spectral_radius_batch(system, flat) - pairs).reshape(ts.size, -1)
-    bad = np.argwhere(h > -rate * ts[:, None] + 1e-9)
+    bad = np.argwhere(h > -rate * ts[:, None] + SLACK_TOL)
     if bad.size:
         k, j = bad[0].tolist()
-        raise RuntimeError(
+        raise CertificateError(
             f"witness ray fails its decay at t={_RAY_POINTS[k]}: {float(h[k, j])}"
             f" vs {-float(rate[j]) * _RAY_POINTS[k]}"
         )
@@ -184,7 +184,7 @@ def young_check(system: FiniteSystem, phi, mu: Functional) -> YoungResult:
     """Young-type inequality for an invariant functional, with equality flag:
     ``young_checks`` on one row."""
     slack = float(young_checks(system, [phi], [effective_weights(system, mu)])[0])
-    return YoungResult(slack=slack, tight=slack <= 1e-9)
+    return YoungResult(slack=slack, tight=slack <= SLACK_TOL)
 
 
 def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
@@ -218,8 +218,8 @@ def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
     pairs = np.array([w[i] @ phis[i] for i in range(len(w))])
     slacks = np.where(charged, np.inf, lams - pairs)
     for slack in slacks.tolist():
-        if slack < -1e-9:
-            raise RuntimeError(f"Young-type inequality violated: slack {slack}")
+        if slack < -SLACK_TOL:
+            raise CertificateError(f"Young-type inequality violated: slack {slack}")
     return slacks
 
 
@@ -259,7 +259,7 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
     phis = phi.reshape(-1, phi.shape[-1])
     vals = cycle_means(system, phis)
     lams = vals.max(axis=1)
-    ties = vals >= (lams - 1e-12)[:, None]
+    ties = vals >= (lams - TIE_TOL)[:, None]
     cycles = system.supported_cycle_arrays
     vertices: dict[int, Functional] = {}
     taus: dict[Functional, float] = {}
@@ -282,9 +282,9 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
         pairs[i] = first.weights @ phis[i]
         faces.append(face)
     gaps = lams - tau - pairs
-    bad = np.flatnonzero(np.abs(gaps) > 1e-9)
+    bad = np.flatnonzero(np.abs(gaps) > SLACK_TOL)
     if bad.size:
-        raise RuntimeError(
+        raise CertificateError(
             f"variational principle failed to attain: gap {float(gaps[bad[0]])}"
         )
     if phi.ndim == 1:
@@ -337,8 +337,8 @@ def subgradient(
     gains = lams - cert.lambda_value
     paired = moves @ effective_weights(system, mu)
     worst = float((paired - gains).max()) if draws else -np.inf
-    if worst > 1e-9:
-        raise RuntimeError(f"subgradient inequality violated by {worst}")
+    if worst > SLACK_TOL:
+        raise CertificateError(f"subgradient inequality violated by {worst}")
     return SubgradientResult(
         measure=mu,
         worst_violation=worst,
@@ -380,10 +380,10 @@ def null_charge_divergence(system: FiniteSystem, mu: Functional) -> NullChargeRe
     partition = PartitionOfUnity(np.stack([g, 1.0 - g]))
     solution = tau_n(system, mu, partition, 1)
     if solution.value != -np.inf:
-        raise RuntimeError("charged null set failed to force tau_n to -inf")
+        raise CertificateError("charged null set failed to force tau_n to -inf")
     ray = divergence_witness(system, mu)
     if ray.defect != NULL_CHARGE:
-        raise RuntimeError("witness priority did not select the null charge")
+        raise CertificateError("witness priority did not select the null charge")
     return NullChargeReport(
         tau_value=-np.inf,
         inf_value=-np.inf,

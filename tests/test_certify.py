@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tentropy import certify, entropy, spectral, system
+from tentropy.claims import CertificateError
 from tentropy.certify import (
     _YOUNG_CHUNK,
     CertifyConfig,
@@ -427,8 +428,43 @@ def test_make_record_derives_verdict_residual_and_repro():
 
 def test_certify_records_have_zero_residual_exactly_when_they_pass(system_pool):
     for i, system in enumerate(system_pool):
-        for record in run_suite(system, "all", CertifyConfig(seed=i, draws=20)):
+        for record in run_suite(system, CertifyConfig(seed=i, draws=20)):
             assert (record["residual"] == 0.0) == (record["verdict"] == "pass"), (
                 i,
                 record,
             )
+
+
+def test_a_failing_record_repros_the_suite_that_ran():
+    """The repro of a failing record names ``cfg.suite``, the suite
+    ``run_suite`` ran, so running it repeats that suite."""
+    records = run_suite(twocyc(), CertifyConfig(tolerance=0.0, suite="vp"))
+    assert [r["name"] for r in records] == ["vp.dichotomy", "vp.gap", "vp.subgradient"]
+    failing = [r for r in records if r["verdict"] == "fail"]
+    assert failing
+    for record in failing:
+        assert " --suite vp " in record["repro"]
+
+
+@pytest.mark.parametrize("error", [CertificateError, ValueError])
+def test_run_check_records_a_failed_claim_or_bad_input(monkeypatch, error):
+    def broken(system, cfg, rng):
+        raise error("the law missed its bound")
+
+    monkeypatch.setitem(certify.CHECKS, "vp.gap", broken)
+    record = run_check(twocyc(), "vp.gap", CertifyConfig())
+    assert (record["verdict"], record["residual"]) == ("fail", math.inf)
+    assert record["values"] == {}
+    assert record["witness"] == {"error": "the law missed its bound"}
+
+
+def test_run_check_lets_a_library_bug_propagate(monkeypatch):
+    """Only a failed claim or bad input becomes a record: any other error,
+    a ``RuntimeError`` that is not a ``CertificateError`` included, escapes."""
+
+    def unfinished(system, cfg, rng):
+        raise NotImplementedError("no such law yet")
+
+    monkeypatch.setitem(certify.CHECKS, "vp.gap", unfinished)
+    with pytest.raises(NotImplementedError, match="no such law yet"):
+        run_check(twocyc(), "vp.gap", CertifyConfig())

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tentropy import certify, cli
+from tentropy.claims import CertificateError
 from tentropy.fixtures import cycle3, null_pair, twocyc
 from tentropy.io import save_functional, save_potential, save_system
 from tentropy.system import FULL, functional
@@ -247,7 +248,7 @@ def test_certify_repro_repeats_the_failing_run(files, capsys):
 
 def test_certify_check_that_raises_becomes_a_failed_record(files, capsys, monkeypatch):
     def broken(system, cfg, rng):
-        raise RuntimeError("internal assertion failed")
+        raise CertificateError("internal assertion failed")
 
     monkeypatch.setitem(certify.CHECKS, "vp.gap", broken)
     code, out = run(
@@ -265,6 +266,30 @@ def test_certify_check_that_raises_becomes_a_failed_record(files, capsys, monkey
     assert "--tolerance" not in record["repro"]
     assert rep["summary"] == {"total": 3, "passed": 2, "failed": 1}
     assert_claim_contract(rep)
+
+
+@pytest.mark.parametrize(
+    "name, command, inputs, options",
+    [
+        ("tau_dual", "tau", ("c3.json", "mu.json"), ["--route", "dual"]),
+        ("spectral_potential", "lambda", ("c3.json", "phi.json"), []),
+    ],
+)
+def test_a_failed_claim_exits_3_in_every_command(
+    files, capsys, monkeypatch, name, command, inputs, options
+):
+    """A ``CertificateError`` that escapes a command is a failed claim: exit 3
+    with the message on stderr, not a traceback."""
+
+    def broken(*args, **kwargs):
+        raise CertificateError("the law missed its bound")
+
+    monkeypatch.setattr(cli, name, broken)
+    code = cli.main([command, *(str(files / f) for f in inputs), *options])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "tentropy: claim failed: the law missed its bound\n"
 
 
 def test_certify_reports_are_byte_identical(files, tmp_path, capsys):

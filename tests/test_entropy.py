@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tentropy import entropy
+from tentropy.claims import CertificateError
 from tentropy.entropy import (
     InnerProblem,
     certificate_sup,
@@ -534,7 +535,7 @@ def test_stacked_hull_test_matches_tau_dual(system_pool, large_pool):
             point = np.zeros(s.n)
             point[off[0]] = 1.0
             assert tau_dual(s, functional(s, point), cross_check=False).value == -np.inf
-            with pytest.raises(RuntimeError, match="hull point"):
+            with pytest.raises(CertificateError, match="hull point"):
                 hull_means(s, np.vstack([rows, point]))
 
 
@@ -648,9 +649,9 @@ def test_maximize_inner_batch_matches_single(monkeypatch):
     # a problem still above its tolerance at the step cap is an error,
     # never a returned point
     monkeypatch.setattr(entropy, "_MAX_STEPS", 1)
-    with pytest.raises(RuntimeError, match="certificate"):
+    with pytest.raises(CertificateError, match="certificate"):
         maximize_inner(stall_problem())
-    with pytest.raises(RuntimeError, match="certificate"):
+    with pytest.raises(CertificateError, match="certificate"):
         maximize_inner_batch(problems, tols)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentropy.claims import CertificateError
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import random_potential, random_system
 from tentropy.spectral import (
@@ -105,7 +106,7 @@ def test_stacked_iterate_rows_match_single_calls(system_pool, large_pool):
 def test_stacked_iterate_raises_like_the_scalar_call():
     """On cycle3 (0 -> 1 -> 2 -> 0) two steps from atom 0 read phi at 0 and
     at 1 and f at 2.  One row whose walk underflows to 0 where the closed
-    form stays above the tolerance raises RuntimeError; one row whose walk
+    form stays above the tolerance raises CertificateError; one row whose walk
     overflows although its closed form is finite raises ValueError; each
     as the call on that row alone does.  An overflow raises the ValueError,
     never numpy's overflow warning."""
@@ -115,9 +116,9 @@ def test_stacked_iterate_raises_like_the_scalar_call():
     phi = np.array([709.0, -800.0, 0.0])
     assert iterate(s, phi, ok, 2).shape == (3, 3)
     broken = np.vstack([ok, [1.0, 1.0, 1e30]])
-    with pytest.raises(RuntimeError, match="closed form"):
+    with pytest.raises(CertificateError, match="closed form"):
         iterate(s, phi, broken, 2)
-    with pytest.raises(RuntimeError, match="closed form"):
+    with pytest.raises(CertificateError, match="closed form"):
         iterate(s, phi, l1_vector(s, broken[-1]), 2)
     # e^709 f(2) overflows, while e^(-709 + 709) f(2) is f(2)
     phi = np.array([-709.0, 709.0, 0.0])

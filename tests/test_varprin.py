@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentropy import entropy, varprin
+from tentropy.claims import CertificateError
 from tentropy.fixtures import cycle3, null_pair, twocyc
 from tentropy.sampling import (
     perturbed_invariant,
@@ -229,7 +230,7 @@ def test_divergence_witnesses_rows_match_single_calls(system_pool, large_pool):
 
 
 def test_divergence_witnesses_raise_for_the_first_failing_ray(monkeypatch):
-    """A ray that fails its decay raises the RuntimeError of the call on
+    """A ray that fails its decay raises the CertificateError of the call on
     that row alone."""
     s = cycle3()
     weights = np.array([[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
@@ -241,9 +242,9 @@ def test_divergence_witnesses_raise_for_the_first_failing_ray(monkeypatch):
     monkeypatch.setattr(
         varprin, "log_spectral_radius_batch", lambda system, d: batch(system, d) + 5.0
     )
-    with pytest.raises(RuntimeError) as stacked:
+    with pytest.raises(CertificateError) as stacked:
         divergence_witnesses(s, weights)
-    with pytest.raises(RuntimeError) as single:
+    with pytest.raises(CertificateError) as single:
         divergence_witness(s, functional(s, weights[1]))
     assert "at t=1.0:" in str(single.value)
     assert str(stacked.value) == str(single.value)
