@@ -23,6 +23,7 @@ from .entropy import (
     maximize_inner_batch,
     near_minimizer,
     near_minimizer_bounds,
+    near_minimizer_checks,
     oscillation_partition,
     tau_direct,
     tau_dual,
@@ -35,6 +36,7 @@ from .entstat import (
     HalfspaceNeighborhood,
     build_neighborhood,
     empirical,
+    empirical_weights,
     estimate_lhs,
     estimate_lhs_general,
     growth_constant,

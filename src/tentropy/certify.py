@@ -12,13 +12,23 @@ when all claims hold), residual (the largest excess over a bound, 0 exactly
 when the record passes) and repro (failing records only); the CLI builds its
 own records with it too.  The runner turns a ``CertificateError`` (a failed
 claim) or ``ValueError`` raised by a check into a failed record with an
-infinite residual instead of a crash; any other exception propagates.
+infinite residual instead of a crash; any other exception propagates, and so
+does numpy's ``LinAlgError``: it subclasses ``ValueError``, but a singular
+linear system is a failure of the library, not bad input.
 
-Seven checks fill arrays with their draws, making the same generator calls
-in the same order as one evaluation per draw would (the array forms of the
+Ten checks fill arrays with their draws, making the same generator calls in
+the same order as one evaluation per draw would (the array forms of the
 samplers build no object), and then evaluate the draws with batched calls,
-each draw keeping the bits of its own evaluation:
+each draw keeping the bits of its own evaluation except where said:
 
+- ``entstat.empirical``: ``empirical_weights`` and one stacked
+  ``orbit_sums`` walk for the Birkhoff sums per chunk of ``_YOUNG_CHUNK``
+  draws;
+- ``entstat.tv``: ``empirical_weights`` per chunk of ``_YOUNG_CHUNK`` draws;
+- ``lemma.near_minimizer``: ``near_minimizer_checks`` on chunks of
+  ``_YOUNG_CHUNK`` draws, one ``inner_problems`` call per horizon of a chunk
+  and one batched inner solve per chunk; a problem padded to the row count
+  of its batch can move its slack in the last bits;
 - ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` of the
   indicators of all supported atoms and one of the unit-ball draws;
 - ``lemma.properties``: one stack of potential pairs for
@@ -33,6 +43,11 @@ each draw keeping the bits of its own evaluation:
 - ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
   draws, one orbit walk per horizon of a chunk and one batched inner solve
   per chunk.
+
+``lemma.inner_certificate`` solves each draw alone with ``maximize_inner``:
+it certifies the unpadded solve of one problem, the path that
+``maximize_inner``, ``tau_n`` and ``near_minimizer_bounds`` take, which no
+batched check exercises.
 """
 
 from __future__ import annotations
@@ -53,12 +68,12 @@ from .claims import (
     CertificateError,
 )
 from .entropy import (
-    _near_minimizer_bounds,
     certificate_sup,
     hull_means,
     inner_problem,
     local_young_checks,
     maximize_inner,
+    near_minimizer_checks,
     tau_direct,
     tau_dual,
 )
@@ -66,7 +81,7 @@ from .entstat import (
     _hit_integrals,
     _hitting_mass,
     build_neighborhood,
-    empirical,
+    empirical_weights,
     verify_estimate,
 )
 from .sampling import (
@@ -95,9 +110,7 @@ from .system import (
     ESSENTIAL,
     FiniteSystem,
     atomic_partition,
-    birkhoff,
     orbit_sums,
-    pair,
     require_valid,
 )
 from .varprin import (
@@ -130,10 +143,10 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
-# Draws of young.global, young.local and vp.dichotomy evaluated as one
-# stack: large enough to amortize the per-call overhead, small enough to keep
-# the stacked arrays (and young.local's Newton systems) from raising the peak
-# memory.
+# Draws of young.global, young.local, vp.dichotomy, lemma.near_minimizer,
+# entstat.empirical and entstat.tv evaluated as one stack: large enough to
+# amortize the per-call overhead, small enough to keep the stacked arrays
+# (and the Newton systems of the inner solves) from raising the peak memory.
 _YOUNG_CHUNK = 64
 
 
@@ -426,20 +439,24 @@ def _check_inner_certificate(system, cfg, rng):
 def _check_near_minimizer(system, cfg, rng):
     worst = np.inf
     rounds = max(1, cfg.draws // 20)
-    # ||A0^n|| depends on the system and the horizon alone
-    norms = {}
-    for _ in range(rounds):
-        mu = random_invariant(rng, system)
-        if rng.uniform() < 0.5:
-            partition = atomic_partition(system)
-        else:
-            partition = random_partition(rng, system)
-        n = int(rng.integers(1, 5))
-        eps = float(rng.choice((1.0, 0.1, 0.01)))
-        if n not in norms:
-            norms[n] = op_norm(system, np.zeros(system.n), n)
-        bounds = _near_minimizer_bounds(system, mu, partition, n, eps, norms[n])
-        worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
+    atomic = atomic_partition(system).members
+    for size in _chunks(rounds):
+        weights = np.empty((size, system.n))
+        members = []
+        ns = np.empty(size, dtype=int)
+        epss = np.empty(size)
+        for i in range(size):
+            weights[i] = random_invariant_weights(rng, system)
+            if rng.uniform() < 0.5:
+                members.append(atomic)
+            else:
+                members.append(random_partition(rng, system).members)
+            ns[i] = rng.integers(1, 5)
+            epss[i] = rng.choice((1.0, 0.1, 0.01))
+        bounds = near_minimizer_checks(system, members, weights, ns, epss)
+        worst = min(
+            worst, float(bounds.growth_slack.min()), float(bounds.pairing_slack.min())
+        )
     return {
         "values": {"draws": rounds, "worst_slack": worst},
         "claims": [(-worst, cfg.threshold(SOLVER_SLACK_TOL))],
@@ -465,14 +482,27 @@ def _check_tau_routes(system, cfg, rng):
 
 def _check_empirical(system, cfg, rng):
     worst = 0.0
-    for _ in range(cfg.draws):
-        x = int(rng.integers(0, system.n))
-        n = int(rng.integers(1, cfg.n_max + 1))
-        emp = empirical(system, x, n)
-        phi = random_potential(rng, system, scale=2.0)
-        lhs = pair(system, emp.functional, phi)
-        rhs = float(birkhoff(system, phi, n)[x]) / n
-        worst = max(worst, abs(lhs - rhs), abs(float(emp.weights.sum()) - 1.0))
+    for size in _chunks(cfg.draws):
+        xs = np.empty(size, dtype=int)
+        ns = np.empty(size, dtype=int)
+        phis = np.empty((size, system.n))
+        for i in range(size):
+            xs[i] = rng.integers(0, system.n)
+            ns[i] = rng.integers(1, cfg.n_max + 1)
+            phis[i] = random_potential(rng, system, scale=2.0)
+        weights = empirical_weights(system, xs, ns)
+        # the pairing of each empirical measure with its potential, and the
+        # Birkhoff average of that potential read at the row's own horizon
+        lhs = np.array([weights[i] @ phis[i] for i in range(size)])
+        rhs = np.empty(size)
+        for n, s, _ in orbit_sums(system, phis, int(ns.max())):
+            rows = np.flatnonzero(ns == n)
+            rhs[rows] = s[rows, xs[rows]] / n
+        worst = max(
+            worst,
+            float(np.abs(lhs - rhs).max()),
+            float(np.abs(weights.sum(axis=1) - 1.0).max()),
+        )
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -481,24 +511,30 @@ def _check_empirical(system, cfg, rng):
 
 def _check_tv(system, cfg, rng):
     dec = system.decomposition
+    terminal = np.array(dec.terminal)
+    entry_time = np.array(dec.entry_time)
+    lengths = np.array([len(cyc) for cyc in dec.cycles])
+    cycle_of = np.array([-1 if c is None else c for c in dec.cycle_of])
     worst_exact = 0.0
     worst_bound = -np.inf
-    for _ in range(cfg.draws):
-        x = int(rng.integers(0, system.n))
-        n = int(rng.integers(1, 4 * system.n + 1))
-        emp = empirical(system, x, n)
-        cyc = dec.cycles[dec.terminal[x]]
-        length = len(cyc)
-        uniform = np.zeros(system.n)
-        uniform[list(cyc)] = 1.0 / length
-        tv = 0.5 * float(np.abs(emp.weights - uniform).sum())
-        entry = int(dec.entry_time[x])
-        if entry == 0:
-            r = n % length
-            worst_exact = max(
-                worst_exact, abs(tv - r * (length - r) / (n * length))
-            )
-        worst_bound = max(worst_bound, tv - (entry + length) / n)
+    for size in _chunks(cfg.draws):
+        xs = np.empty(size, dtype=int)
+        ns = np.empty(size, dtype=int)
+        for i in range(size):
+            xs[i] = rng.integers(0, system.n)
+            ns[i] = rng.integers(1, 4 * system.n + 1)
+        cycle = terminal[xs]
+        length = lengths[cycle]
+        entry = entry_time[xs]
+        # the uniform measure of each row's terminal cycle
+        uniform = np.where(cycle_of == cycle[:, None], 1.0 / length[:, None], 0.0)
+        weights = empirical_weights(system, xs, ns)
+        tv = 0.5 * np.abs(weights - uniform).sum(axis=1)
+        # on a cycle atom the distance has a closed form in n mod length
+        r = ns % length
+        exact = np.abs(tv - r * (length - r) / (ns * length))[entry == 0]
+        worst_exact = max(worst_exact, float(exact.max(initial=0.0)))
+        worst_bound = max(worst_bound, float((tv - (entry + length) / ns).max()))
     return {
         "values": {
             "draws": cfg.draws,
@@ -661,6 +697,9 @@ def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
         repro += f" --tolerance {cfg.tolerance!r}"
     try:
         out = CHECKS[name](system, cfg, _rng_for(cfg.seed, name))
+    except np.linalg.LinAlgError:
+        # a ValueError, but a failure of the library, not bad input
+        raise
     except (CertificateError, ValueError) as exc:
         witness = {"error": str(exc)}
         return make_record(name, inputs, {}, [(np.inf, 0.0)], witness, repro)

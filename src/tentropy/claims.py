@@ -35,11 +35,13 @@ ROUNDOFF_TOL = 1e-12
 SLACK_TOL = 1e-9
 
 # Solver tolerance of the certified inner solves: lemma.inner_certificate and
-# the near-minimizer of near_minimizer and lemma.near_minimizer.
+# the near-minimizer of near_minimizer, near_minimizer_checks (and so
+# near_minimizer_bounds) and lemma.near_minimizer.
 INNER_TOL = 1e-9
 
 # Slack of the laws whose sides come from inner solves: local_young_checks
-# and young.local, near_minimizer_bounds and lemma.near_minimizer.
+# and young.local, near_minimizer_checks (and so near_minimizer_bounds) and
+# lemma.near_minimizer.
 SOLVER_SLACK_TOL = 1e-8
 
 # Solver tolerance of tau_direct's candidates, below which their bounds tie,

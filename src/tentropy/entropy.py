@@ -39,11 +39,12 @@ from .claims import (
     TIE_TOL,
     CertificateError,
 )
-from .spectral import _norm_log, log_spectral_radius, op_norm
+from .spectral import _norm_log, log_spectral_radius_batch, op_norm
 from .system import (
     FiniteSystem,
     Functional,
     PartitionOfUnity,
+    _integers,
     alpha_power,
     atomic_partition,
     birkhoff,
@@ -51,7 +52,6 @@ from .system import (
     effective_weights,
     invariance,
     orbit_sums,
-    pair,
     preimage_mass,
     require_valid,
     trivial_partition,
@@ -363,13 +363,17 @@ def tau_n(
     tol: float = DIRECT_TOL,
 ) -> InnerSolution:
     """t-entropy at a fixed horizon and partition (not divided by n)."""
-    _require_normalized(system, mu)
+    _require_normalized(effective_weights(system, mu))
     return maximize_inner(inner_problem(system, mu, partition, n), tol=tol)
 
 
-def _require_normalized(system: FiniteSystem, mu: Functional) -> None:
-    w = effective_weights(system, mu)
-    if w.min() < -EXACT_TOL or abs(w.sum() - 1.0) > EXACT_TOL:
+def _require_normalized(weights) -> None:
+    """ValueError unless the effective weights, one row or each row of a
+    stack, are positive and normalized."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w.min(axis=-1) < -EXACT_TOL) or np.any(
+        np.abs(w.sum(axis=-1) - 1.0) > EXACT_TOL
+    ):
         raise ValueError("functional must be positive and normalized")
 
 
@@ -433,9 +437,9 @@ def tau_direct(
     require_valid(system)
     if n_max < 1:
         raise ValueError("need at least one horizon")
-    _require_normalized(system, mu)
-    rng = np.random.default_rng(seed)
     w = effective_weights(system, mu)
+    _require_normalized(w)
+    rng = np.random.default_rng(seed)
     candidates: list[tuple[int, PartitionOfUnity]] = []
     problems: list[InnerProblem] = []
     for n in range(1, n_max + 1):
@@ -613,7 +617,7 @@ def local_young_checks(
     """
     phis = np.asarray(phis, dtype=float)
     w = np.asarray(weights, dtype=float)
-    ns = np.asarray(ns, dtype=int)
+    ns = _integers(ns, "horizon")
     epss = np.asarray(epss, dtype=float)
     ok, worst = invariance(system, w)
     for good, defect in zip(ok, worst):
@@ -661,13 +665,19 @@ def near_minimizer(
         raise ValueError("eps must be positive")
     if solution is None:
         solution = tau_n(system, mu, partition, n, tol=INNER_TOL)
+    w = partition.members @ effective_weights(system, mu)
+    return _mixture_potential(partition.members, w, n, eps, solution)
+
+
+def _mixture_potential(members, w, n, eps, solution: InnerSolution) -> np.ndarray:
+    """``near_minimizer`` from the partition's member rows and their weights
+    ``w`` under mu, which its inner problem holds as ``mu_weights``."""
     if solution.p_star is None or solution.value == -np.inf:
         raise ValueError("near-minimizer needs a finite inner value")
-    w = partition.members @ effective_weights(system, mu)
-    coef = np.full(partition.size, eps)
+    coef = np.full(len(members), eps)
     active = w > 0.0
     coef[active] = w[active] / solution.c_limits[active]
-    u = partition.members.T @ coef
+    u = members.T @ coef
     if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
         raise CertificateError("mixture weight vanished at an atom")
     return np.log(u) / n
@@ -679,12 +689,15 @@ class NearMinimizerBounds:
 
     growth_slack = eps ||A0^n|| - n lambda(phi); pairing_slack =
     mu[n phi] + tau_n value.  Both are nonnegative up to solver tolerance.
+    For one draw the slacks are floats, phi one potential and solution one
+    ``InnerSolution``; for a stack of k draws the slacks are (k,) arrays,
+    phi a (k, n_atoms) stack and solution a list.
     """
 
     phi: np.ndarray
-    growth_slack: float
-    pairing_slack: float
-    solution: InnerSolution
+    growth_slack: float | np.ndarray
+    pairing_slack: float | np.ndarray
+    solution: InnerSolution | list[InnerSolution]
 
 
 def near_minimizer_bounds(
@@ -694,27 +707,58 @@ def near_minimizer_bounds(
     n: int,
     eps: float,
 ) -> NearMinimizerBounds:
-    return _near_minimizer_bounds(
-        system, mu, partition, n, eps, op_norm(system, np.zeros(system.n), n)
+    """Both slacks of the near-minimizer of mu against a partition at
+    horizon n: ``near_minimizer_checks`` on one draw."""
+    w = effective_weights(system, mu)
+    b = near_minimizer_checks(system, [partition.members], [w], [n], [eps])
+    return NearMinimizerBounds(
+        phi=b.phi[0],
+        growth_slack=float(b.growth_slack[0]),
+        pairing_slack=float(b.pairing_slack[0]),
+        solution=b.solution[0],
     )
 
 
-def _near_minimizer_bounds(
-    system: FiniteSystem,
-    mu: Functional,
-    partition: PartitionOfUnity,
-    n: int,
-    eps: float,
-    norm: float,
+def near_minimizer_checks(
+    system: FiniteSystem, members, weights, ns, epss
 ) -> NearMinimizerBounds:
-    """``near_minimizer_bounds`` given ``norm`` = ||A0^n||, the norm of the
-    unweighted shift power, which depends on the system and n alone."""
-    solution = tau_n(system, mu, partition, n, tol=INNER_TOL)
-    phi = near_minimizer(system, mu, partition, n, eps, solution=solution)
-    growth = eps * norm - n * log_spectral_radius(system, phi)
-    pairing = pair(system, mu, n * phi) + solution.value
-    if growth < -SOLVER_SLACK_TOL or pairing < -SOLVER_SLACK_TOL:
+    """``near_minimizer_bounds`` of each draw of a list of (size, n_atoms)
+    member arrays, a (k, n_atoms) stack of effective weights of normalized
+    functionals and (k,) horizons and eps.
+
+    The draws of one horizon share one ``inner_problems`` call and
+    ||A0^n||, which depends on the system and n alone; the problems of all
+    draws are solved as one batch at ``INNER_TOL``, each potential is built
+    from its draw's solution, and one ``log_spectral_radius_batch`` call
+    covers all potentials.  A draw of one is solved alone and keeps the
+    bits of its own solve; in a larger batch, problems padded to a common
+    row count can move in their last bits.
+    """
+    w = np.asarray(weights, dtype=float)
+    ns = _integers(ns, "horizon")
+    epss = np.asarray(epss, dtype=float)
+    if np.any(epss <= 0.0):
+        raise ValueError("eps must be positive")
+    _require_normalized(w)
+    horizons: dict[int, list[int]] = {}
+    for i, n in enumerate(ns.tolist()):
+        horizons.setdefault(n, []).append(i)
+    norms = np.empty(len(w))
+    problems = [None] * len(w)
+    for n, rows in horizons.items():
+        stack = inner_problems(system, [members[i] for i in rows], w[rows], n)
+        for i, problem in zip(rows, stack):
+            problems[i] = problem
+        norms[rows] = op_norm(system, np.zeros(system.n), n)
+    solutions = maximize_inner_batch(problems, INNER_TOL)
+    phis = np.empty((len(w), system.n))
+    for i, (problem, sol) in enumerate(zip(problems, solutions)):
+        phis[i] = _mixture_potential(members[i], problem.mu_weights, ns[i], epss[i], sol)
+    values = np.array([sol.value for sol in solutions])
+    growth = epss * norms - ns * log_spectral_radius_batch(system, phis)
+    pairing = np.array([w[i] @ (ns[i] * phis[i]) for i in range(len(w))]) + values
+    if np.any(growth < -SOLVER_SLACK_TOL) or np.any(pairing < -SOLVER_SLACK_TOL):
         raise CertificateError("near-minimizer bound violated beyond tolerance")
     return NearMinimizerBounds(
-        phi=phi, growth_slack=growth, pairing_slack=pairing, solution=solution
+        phi=phis, growth_slack=growth, pairing_slack=pairing, solution=solutions
     )

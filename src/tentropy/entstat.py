@@ -27,6 +27,7 @@ from .system import (
     FULL,
     FiniteSystem,
     Functional,
+    _integers,
     alpha_power,
     birkhoff,
     orbit_sums,
@@ -50,17 +51,38 @@ class EmpiricalMeasure:
 
 
 def empirical(system: FiniteSystem, x: int, n: int) -> EmpiricalMeasure:
-    """Empiric measure of the length-n orbit of atom x (repeats accumulate)."""
-    if n < 1:
+    """Empiric measure of the length-n orbit of atom x (repeats accumulate):
+    ``empirical_weights`` on one orbit."""
+    weights = empirical_weights(system, [x], [n])[0]
+    return EmpiricalMeasure(x=int(x), horizon=int(n), weights=weights)
+
+
+def empirical_weights(system: FiniteSystem, xs, ns) -> np.ndarray:
+    """Weights of ``empirical`` for each pair of (k,) base atoms and
+    horizons, as a (k, n_atoms) stack.
+
+    All orbits are walked together, one map step at a time up to the
+    largest horizon; each row adds 1/n to the atom its orbit is on at every
+    step before its own horizon, in the order of a walk of its orbit alone,
+    so every row keeps the bits of its own call.  Base atoms and horizons
+    must be integers.
+    """
+    xs = _integers(xs, "base atom")
+    ns = _integers(ns, "horizon")
+    if xs.shape != ns.shape or xs.ndim != 1:
+        raise ValueError("need one horizon per base atom")
+    if np.any(ns < 1):
         raise ValueError("horizon must be at least 1")
-    if not 0 <= x < system.n:
+    if np.any((xs < 0) | (xs >= system.n)):
         raise ValueError("base atom out of range")
-    w = np.zeros(system.n)
-    pos = int(x)
-    for _ in range(n):
-        w[pos] += 1.0 / n
-        pos = int(system.alpha[pos])
-    return EmpiricalMeasure(x=int(x), horizon=n, weights=w)
+    w = np.zeros((xs.size, system.n))
+    step = 1.0 / ns
+    pos = xs
+    for t in range(int(ns.max(initial=0))):
+        live = ns > t
+        w[live, pos[live]] += step[live]
+        pos = system.alpha[pos]
+    return w
 
 
 @dataclass(frozen=True, eq=False)

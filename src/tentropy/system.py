@@ -358,6 +358,15 @@ def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
     return out.reshape(log_weights.shape[:-1] + (system.n,))
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an integer array, never truncated: ``ValueError`` unless
+    they are integers (``what`` names them in the message)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be an integer")
+    return a.astype(np.intp)
+
+
 def _columns(a: np.ndarray, idx) -> np.ndarray:
     """``a[..., idx]`` for one row or a (k, n) stack: entries idx of each row.
 

@@ -2,7 +2,8 @@
 
 ``op_norm_log_pow`` reaches horizons like 2**27 by log-domain matrix
 squaring, at a memory cost of k**3 floats for k supported atoms;
-``power_system`` builds the k-step system atom by atom.
+``power_system`` builds the k-step system atom by atom;
+``empirical_walk`` walks one orbit step by step.
 """
 
 import numpy as np
@@ -51,3 +52,14 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
     if k < 1:
         raise ValueError("power must be at least 1")
     return FiniteSystem(system.atoms, system.m, alpha_power(system, k))
+
+
+def empirical_walk(system: FiniteSystem, x: int, n: int) -> np.ndarray:
+    """Weights of the length-n empirical measure of atom x, walked one step
+    at a time with 1/n added at each visit."""
+    w = np.zeros(system.n)
+    pos = x
+    for _ in range(n):
+        w[pos] += 1.0 / n
+        pos = int(system.alpha[pos])
+    return w

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tentropy import certify, entropy, spectral, system
+from tentropy import certify, entropy, entstat, spectral, system
 from tentropy.claims import CertificateError
 from tentropy.certify import (
     _YOUNG_CHUNK,
@@ -22,6 +22,7 @@ from tentropy.entropy import (
     local_young_check,
     local_young_checks,
     maximize_inner_batch,
+    near_minimizer_bounds,
     tau_dual,
 )
 from tentropy.fixtures import twocyc
@@ -30,6 +31,7 @@ from tentropy.sampling import (
     random_functional,
     random_invariant,
     random_null_charging,
+    random_partition,
     random_potential,
     random_unit_function,
 )
@@ -42,7 +44,9 @@ from tentropy.spectral import (
     op_norm_log,
 )
 from tentropy.system import (
+    FULL,
     PartitionOfUnity,
+    atomic_partition,
     birkhoff,
     cycle_means,
     cycle_measure,
@@ -52,6 +56,8 @@ from tentropy.system import (
     pair,
 )
 from tentropy.varprin import young_check, young_checks
+
+from oracles import empirical_walk
 
 
 def reference_property_residuals(system, phi, psi, t, shift):
@@ -303,6 +309,93 @@ def test_batched_checks_replay_the_per_draw_loops(system_pool):
             assert json.dumps(record["values"]) == want, (name, s.n)
 
 
+def reference_empirical(s, cfg):
+    """The per-draw loop of ``entstat.empirical``, one orbit walk and one
+    Birkhoff sum per draw."""
+    rng = _rng_for(cfg.seed, "entstat.empirical")
+    worst = 0.0
+    for _ in range(cfg.draws):
+        x = int(rng.integers(0, s.n))
+        n = int(rng.integers(1, cfg.n_max + 1))
+        w = empirical_walk(s, x, n)
+        phi = random_potential(rng, s, scale=2.0)
+        lhs = pair(s, functional(s, w, mode=FULL), phi)
+        rhs = float(birkhoff(s, phi, n)[x]) / n
+        worst = max(worst, abs(lhs - rhs), abs(float(w.sum()) - 1.0))
+    return {"draws": cfg.draws, "worst_residual": worst}
+
+
+def reference_tv(s, cfg):
+    """The per-draw loop of ``entstat.tv``, one orbit walk per draw."""
+    rng = _rng_for(cfg.seed, "entstat.tv")
+    dec = s.decomposition
+    worst_exact = 0.0
+    worst_bound = -np.inf
+    for _ in range(cfg.draws):
+        x = int(rng.integers(0, s.n))
+        n = int(rng.integers(1, 4 * s.n + 1))
+        cyc = dec.cycles[dec.terminal[x]]
+        length = len(cyc)
+        uniform = np.zeros(s.n)
+        uniform[list(cyc)] = 1.0 / length
+        tv = 0.5 * float(np.abs(empirical_walk(s, x, n) - uniform).sum())
+        entry = int(dec.entry_time[x])
+        if entry == 0:
+            r = n % length
+            worst_exact = max(worst_exact, abs(tv - r * (length - r) / (n * length)))
+        worst_bound = max(worst_bound, tv - (entry + length) / n)
+    return {
+        "draws": cfg.draws,
+        "worst_formula_residual": worst_exact,
+        "worst_decay_excess": worst_bound,
+    }
+
+
+def reference_near_minimizer(s, cfg):
+    """The per-draw loop of ``lemma.near_minimizer``: one
+    ``near_minimizer_bounds``, and so one lone inner solve, per draw."""
+    rng = _rng_for(cfg.seed, "lemma.near_minimizer")
+    worst = np.inf
+    rounds = max(1, cfg.draws // 20)
+    for _ in range(rounds):
+        mu = random_invariant(rng, s)
+        if rng.uniform() < 0.5:
+            partition = atomic_partition(s)
+        else:
+            partition = random_partition(rng, s)
+        n = int(rng.integers(1, 5))
+        eps = float(rng.choice((1.0, 0.1, 0.01)))
+        bounds = near_minimizer_bounds(s, mu, partition, n, eps)
+        worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
+    return {"draws": rounds, "worst_slack": worst}
+
+
+def test_orbit_and_near_minimizer_checks_replay_the_per_draw_loops(system_pool):
+    """entstat.empirical and entstat.tv report the bytes of their per-draw
+    loops.  lemma.near_minimizer solves its draws as padded batches, so it
+    keeps the verdict of its loop and its worst slack within 1e-15."""
+    cases = [
+        # 70 near-minimizer draws: two chunks
+        (twocyc(), CertifyConfig(seed=3, draws=1400)),
+        (twelve_atoms(), CertifyConfig(seed=4)),
+    ]
+    cases += [(s, CertifyConfig(seed=i, draws=200)) for i, s in enumerate(system_pool)]
+    for s, cfg in cases:
+        for name, reference in (
+            ("entstat.empirical", reference_empirical),
+            ("entstat.tv", reference_tv),
+        ):
+            record = run_check(s, name, cfg)
+            assert record["verdict"] == "pass", (name, record)
+            assert json.dumps(record["values"]) == json.dumps(reference(s, cfg)), (name, s.n)
+        record = run_check(s, "lemma.near_minimizer", cfg)
+        want = reference_near_minimizer(s, cfg)
+        verdict = "pass" if -want["worst_slack"] <= 1e-8 else "fail"
+        assert record["verdict"] == verdict, (record, want)
+        assert record["values"]["draws"] == want["draws"]
+        assert abs(record["values"]["worst_slack"] - want["worst_slack"]) <= 1e-15, s.n
+
+
 def test_stacked_young_checks_raise_like_the_scalar_call():
     """A stack with one non-invariant draw raises the ValueError of the
     scalar call on that draw, in both Young checks."""
@@ -412,6 +505,35 @@ def test_dichotomy_and_oracle_checks_evaluate_stacks(monkeypatch):
 
 
 
+def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
+    """lemma.near_minimizer builds a chunk's inner problems with one
+    ``inner_problems`` call per horizon and solves them with one
+    ``maximize_inner_batch`` call, making no ``maximize_inner`` call;
+    entstat.empirical and entstat.tv make no ``empirical`` call, and
+    entstat.empirical walks its Birkhoff sums once per chunk."""
+    s = twelve_atoms()
+    # 100 near-minimizer draws: chunks of 64 and 36
+    cfg = CertifyConfig(seed=5, draws=2000)
+    batches = counting(monkeypatch, entropy, "maximize_inner_batch")
+    singles = counting(monkeypatch, entropy, "maximize_inner")
+    bound = counting(monkeypatch, certify, "maximize_inner")
+    stacks = counting(monkeypatch, entropy, "inner_problems")
+    assert run_check(s, "lemma.near_minimizer", cfg)["verdict"] == "pass"
+    assert [len(args[0]) for args in batches] == [64, 36]
+    assert (len(singles), len(bound)) == (0, 0)
+    horizons = [args[3] for args in stacks]
+    assert sorted(horizons[:4]) == sorted(horizons[4:]) == [1, 2, 3, 4]
+    assert sum(len(args[1]) for args in stacks) == 100
+
+    calls = counting(monkeypatch, entstat, "empirical")
+    walks = counting(monkeypatch, certify, "orbit_sums")
+    cfg = CertifyConfig(seed=5)
+    assert run_check(s, "entstat.empirical", cfg)["verdict"] == "pass"
+    assert [args[1].shape for args in walks] == [(64, s.n)] * 15 + [(40, s.n)]
+    assert run_check(s, "entstat.tv", cfg)["verdict"] == "pass"
+    assert calls == [] and "empirical" not in vars(certify)
+
+
 def test_make_record_derives_verdict_residual_and_repro():
     passing = make_record("x", "in", {"a": 1}, [(0.5, 1.0), (-2.0, 0.0)], repro="r")
     keys = ["name", "inputs", "values", "verdict", "residual", "witness"]
@@ -467,4 +589,17 @@ def test_run_check_lets_a_library_bug_propagate(monkeypatch):
 
     monkeypatch.setitem(certify.CHECKS, "vp.gap", unfinished)
     with pytest.raises(NotImplementedError, match="no such law yet"):
+        run_check(twocyc(), "vp.gap", CertifyConfig())
+
+
+def test_run_check_lets_a_singular_linear_system_propagate(monkeypatch):
+    """numpy's ``LinAlgError`` subclasses ``ValueError``, but a singular
+    Newton system is a failure of the library, not bad input: it escapes
+    instead of becoming a failed record."""
+
+    def singular(system, cfg, rng):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(certify.CHECKS, "vp.gap", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         run_check(twocyc(), "vp.gap", CertifyConfig())

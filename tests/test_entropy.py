@@ -19,10 +19,12 @@ from tentropy.entropy import (
     inner_problem,
     inner_problems,
     local_young_check,
+    local_young_checks,
     maximize_inner,
     maximize_inner_batch,
     near_minimizer,
     near_minimizer_bounds,
+    near_minimizer_checks,
     oscillation_partition,
     tau_direct,
     tau_dual,
@@ -568,6 +570,21 @@ def test_near_minimizer_requires_positive_eps():
     mu = functional(s, np.full(3, 1 / 3))
     with pytest.raises(ValueError):
         near_minimizer(s, mu, atomic_partition(s), 1, 0.0)
+
+
+def test_stacked_inner_checks_reject_a_non_integral_horizon():
+    """A horizon that is not an integer is bad input, never truncated."""
+    s = cycle3()
+    mu = functional(s, np.full(3, 1 / 3))
+    phi = np.array([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        near_minimizer_bounds(s, mu, atomic_partition(s), 1.5, 0.1)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        near_minimizer_checks(s, [np.eye(3)], [mu.weights], [2.0], [0.1])
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        local_young_check(s, phi, mu, 1.5, 0.5)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        local_young_checks(s, [phi], [mu.weights], [1.5], [0.5])
 
 
 def test_near_minimizer_bounds_nonnegative(any_system):

@@ -11,6 +11,7 @@ from tentropy.entstat import (
     HalfspaceNeighborhood,
     build_neighborhood,
     empirical,
+    empirical_weights,
     estimate_lhs,
     estimate_lhs_general,
     growth_constant,
@@ -25,6 +26,8 @@ from tentropy.sampling import (
     random_system,
 )
 from tentropy.system import FULL, birkhoff, functional, pair
+
+from oracles import empirical_walk
 
 
 def checked_estimate(s, mu, eps, n_range=range(1, 13)):
@@ -71,6 +74,41 @@ def test_empirical_frozen_examples():
         empirical(s, 2, 0)
     with pytest.raises(ValueError):
         empirical(s, 9, 2)
+
+
+def test_empirical_weights_rows_keep_the_bits_of_one_orbit():
+    """One stack mixing every horizon up to 4N: each row has the bits of
+    ``empirical`` on its orbit and of the step-by-step walk."""
+    gen = np.random.default_rng(1616)
+    s = random_system(gen, max_atoms=12)
+    while s.n < 12:
+        s = random_system(gen, max_atoms=12)
+    ns = np.arange(1, 4 * s.n + 1)
+    xs = gen.integers(0, s.n, size=ns.size)
+    order = gen.permutation(ns.size)
+    xs, ns = xs[order], ns[order]
+    stack = empirical_weights(s, xs, ns)
+    assert stack.shape == (ns.size, s.n)
+    for row, x, n in zip(stack, xs.tolist(), ns.tolist()):
+        assert row.tobytes() == empirical(s, x, n).weights.tobytes()
+        assert row.tobytes() == empirical_walk(s, x, n).tobytes()
+
+
+def test_empirical_rejects_a_non_integral_atom_or_horizon():
+    """A base atom or horizon that is not an integer is bad input, never
+    truncated to one."""
+    s = twocyc()
+    with pytest.raises(ValueError, match="base atom must be an integer"):
+        empirical(s, 1.5, 3)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        empirical(s, 1, 2.5)
+    with pytest.raises(ValueError, match="base atom must be an integer"):
+        empirical_weights(s, [0, 1.5], [2, 3])
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        empirical_weights(s, [0, 1], [2, 2.5])
+    with pytest.raises(ValueError, match="one horizon per base atom"):
+        empirical_weights(s, [0, 1], [2])
+    assert empirical(s, np.int64(1), np.int64(3)).horizon == 3
 
 
 def test_empirical_pairing_is_birkhoff_average(system_pool, potential_pool):
