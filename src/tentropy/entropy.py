@@ -611,7 +611,8 @@ def local_young_checks(
     positive and normalized).  The rows of one horizon share one stacked
     orbit walk, whose last Birkhoff sums give both the levels of their
     oscillation partitions (kept as 0/1 member rows) and their log-norms
-    ``op_norm_log``, and one ``inner_problems`` call; the inner problems of
+    (those of ``op_norm_log`` up to ``system._WALK_HORIZON``, where it reads
+    the same walk), and one ``inner_problems`` call; the inner problems of
     all rows are solved as one batch.  Each side keeps the bits of a call
     on its row alone.
     """

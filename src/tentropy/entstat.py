@@ -28,8 +28,7 @@ from .system import (
     FiniteSystem,
     Functional,
     _integers,
-    alpha_power,
-    birkhoff,
+    _transport,
     orbit_sums,
     pair,
     preimage_mass,
@@ -148,19 +147,26 @@ def _hitting_mass(system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int, s, 
     """Hitting set X_n for the walk item (n, s, an) of the neighborhood
     potential, and the mass of X_n in the n-step preimage of each supported
     atom relative to that atom's mass."""
-    hits = np.flatnonzero(s > n * (nbhd.lambda_phi - nbhd.threshold))
+    hits = _hits(nbhd, n, s)
     mass = preimage_mass(system, system.m[hits], an[hits])
     sup = system.supported_indices
     return hits, mass[sup] / system.m[sup]
+
+
+def _hits(nbhd: HalfspaceNeighborhood, n: int, s: np.ndarray) -> np.ndarray:
+    """Atoms whose Birkhoff sums ``s`` at horizon n clear the halfspace cut."""
+    return np.flatnonzero(s > n * (nbhd.lambda_phi - nbhd.threshold))
 
 
 def hitting_set(
     system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int
 ) -> np.ndarray:
     """Atoms whose n-step Birkhoff sum of the neighborhood potential clears
-    the halfspace cut, i.e. whose empirical measures land in the neighborhood."""
-    s = birkhoff(system, nbhd.phi, n)
-    return _hitting_mass(system, nbhd, n, s, alpha_power(system, n))[0]
+    the halfspace cut, i.e. whose empirical measures land in the neighborhood.
+    The sums come from ``system._transport``, so n must be an integer of at
+    least 1."""
+    s, _ = _transport(system, nbhd.phi, n)
+    return _hits(nbhd, n, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +239,8 @@ def estimate_lhs(
     """Relative mass that the hitting set drops on the n-step preimage of y."""
     if not (0 <= y < system.n and system.support[y]):
         raise ValueError("target atom must be a supported atom")
-    s = birkhoff(system, nbhd.phi, n)
-    _, rel = _hitting_mass(system, nbhd, n, s, alpha_power(system, n))
+    s, an = _transport(system, nbhd.phi, n)
+    _, rel = _hitting_mass(system, nbhd, n, s, an)
     return float(rel[np.searchsorted(system.supported_indices, y)])
 
 
@@ -250,8 +256,8 @@ def estimate_lhs_general(
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != system.n:
         raise ValueError("f needs one value per atom")
-    hits = hitting_set(system, nbhd, n)
-    out = _hit_integrals(system, hits, alpha_power(system, n), f)
+    s, an = _transport(system, nbhd.phi, n)
+    out = _hit_integrals(system, _hits(nbhd, n, s), an, f)
     return float(out) if f.ndim == 1 else out
 
 

@@ -9,7 +9,9 @@ maximum of plain averages of phi over cycles inside the support.
 All norms are handled in log space so that potentials of size 10 and horizons
 in the hundreds stay finite.  A direct norm is one call to
 ``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
-pushes the e^(Birkhoff sum)-weighted masses forward along alpha^n in linear time.
+pushes the e^(Birkhoff sum)-weighted masses forward along alpha^n in linear time;
+one horizon reads its Birkhoff sums and alpha^n from one ``system._transport``
+call, in O(N log n) beyond ``system._WALK_HORIZON``.
 ``norm_log_sequence`` gives the norms at every horizon up to n_max from one
 ``system.orbit_sums`` walk, at one map step per horizon.
 The spectral potential itself is the largest of ``system.cycle_means``, one
@@ -28,8 +30,7 @@ from .system import (
     FiniteSystem,
     _columns,
     _index_sums,
-    alpha_power,
-    birkhoff,
+    _transport,
     cycle_means,
     log_preimage_mass,
     orbit_sums,
@@ -79,10 +80,12 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
     Every row takes the steps of ``apply`` with its bits, and a step that
     leaves a non-finite entry raises ``ValueError``, as ``L1Vector`` does.
     ``CertificateError`` when some row misses the closed form e^(S_n phi)
-    (f o alpha^n) by more than ``ROUNDOFF_TOL``.
+    (f o alpha^n), read from one ``system._transport`` call, by more than
+    ``ROUNDOFF_TOL``; ``ValueError`` unless n is an integer of at least 1.
     """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
+    s, an = _transport(system, phi, n)
     values = f.values[None] if isinstance(f, L1Vector) else np.asarray(f, dtype=float)
     if values.ndim != 2 or values.shape[1] != system.n:
         raise ValueError("values need one row of entries per atom")
@@ -96,7 +99,7 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
             out = np.where(system.support, weight * out[:, system.alpha], 0.0)
             if not np.all(np.isfinite(out)):
                 raise ValueError("vector entries must be finite")
-    direct = np.exp(birkhoff(system, phi, n)) * values[:, alpha_power(system, n)]
+    direct = np.exp(s) * values[:, an]
     direct = np.where(system.support, direct, 0.0)
     if not np.allclose(out, direct, rtol=ROUNDOFF_TOL, atol=ROUNDOFF_TOL):
         raise CertificateError("iterated shift disagrees with its closed form")
@@ -109,10 +112,13 @@ def op_norm_log(system: FiniteSystem, phi, n: int) -> float:
     The norm is the largest ratio, over supported atoms y, of the
     e^(Birkhoff sum)-weighted mass of the n-step preimage of y to the mass
     of y; the maximizing f is the normalized indicator of the best y.
+    Both arrays come from one ``system._transport`` call: up to
+    ``_WALK_HORIZON`` the value has the bits of ``norm_log_sequence``, and
+    beyond it doubling tables give it within roundoff in O(N log n).
+    ``ValueError`` unless n is an integer of at least 1.
     """
     require_valid(system)
-    phi = np.asarray(phi, dtype=float)
-    return float(_norm_log(system, birkhoff(system, phi, n), alpha_power(system, n)))
+    return float(_norm_log(system, *_transport(system, phi, n)))
 
 
 def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray):

@@ -8,6 +8,8 @@ unique terminal cycle, and the invariant probability functionals form the
 convex hull of the uniform measures sitting on cycles inside the support.
 Sweeps over consecutive horizons read the Birkhoff sums and the powers of
 the map from one walk, ``orbit_sums``, which takes one step per horizon.
+One horizon alone is read from ``_transport``: the walk up to
+``_WALK_HORIZON``, doubling tables in O(N log n) beyond it.
 """
 
 from __future__ import annotations
@@ -294,18 +296,12 @@ def require_valid(system: FiniteSystem) -> None:
 
 
 def alpha_power(system: FiniteSystem, n: int) -> np.ndarray:
-    """Index array of the n-fold composition of the map."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    result = np.arange(system.n, dtype=np.intp)
-    base = system.alpha
-    while n:
-        if n & 1:
-            result = base[result]
-        n >>= 1
-        if n:
-            base = base[base]
-    return result
+    """Index array of the n-fold composition of the map: the index half of
+    the transport at horizon n, built by doubling in O(N log n) for every
+    n >= 0.  Indices are exact, so it equals the ``alpha^n`` of the
+    ``orbit_sums`` walk at every horizon.  ``ValueError`` unless n is an
+    integer."""
+    return _transport(system, None, n)[1]
 
 
 def preimage_mass(system: FiniteSystem, weights, an=None) -> np.ndarray:
@@ -367,6 +363,17 @@ def _integers(values, what: str) -> np.ndarray:
     return a.astype(np.intp)
 
 
+def _horizon(n, least: int = 1) -> int:
+    """One horizon as an int: ``ValueError`` unless ``n`` is an integer
+    (not a float, not a bool) of at least ``least``."""
+    a = _integers(n, "horizon")
+    if a.ndim:
+        raise ValueError("horizon must be one integer")
+    if a < least:
+        raise ValueError(f"horizon must be at least {least}")
+    return int(a)
+
+
 def _columns(a: np.ndarray, idx) -> np.ndarray:
     """``a[..., idx]`` for one row or a (k, n) stack: entries idx of each row.
 
@@ -380,7 +387,8 @@ def _columns(a: np.ndarray, idx) -> np.ndarray:
 def orbit_sums(system: FiniteSystem, phi, n_max: int):
     """Yield (n, S_n phi, alpha^n) for n = 1..n_max, one map step per horizon.
 
-    S_n phi is summed along the orbit in ``birkhoff``'s order and bits; the
+    S_n phi adds the orbit terms left to right; ``birkhoff`` has these bits
+    up to ``_WALK_HORIZON`` and agrees within roundoff beyond it.  The
     yielded arrays are never written to afterwards, so callers may keep them.
     ``phi`` is one potential or a (k, n_atoms) stack walked together, each
     row with the bits of its own walk.
@@ -396,11 +404,53 @@ def orbit_sums(system: FiniteSystem, phi, n_max: int):
 
 
 def birkhoff(system: FiniteSystem, phi, n: int) -> np.ndarray:
-    """Sum of the potential along the first n orbit points of each atom,
-    the last Birkhoff sum of ``orbit_sums``."""
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
-    return deque(orbit_sums(system, phi, n), maxlen=1)[0][1]
+    """Sum of the potential along the first n orbit points of each atom.
+
+    Up to ``_WALK_HORIZON`` this is the last Birkhoff sum of ``orbit_sums``,
+    with its bits; beyond it the sums come from doubling tables and agree
+    with the walk within roundoff.  ``ValueError`` unless n is an integer
+    of at least 1.
+    """
+    return _transport(system, phi, n)[0]
+
+
+# Horizons up to this one are read from the orbit walk and keep its bits;
+# longer ones are built by doubling.  Every certify horizon at default
+# settings lies below it.
+_WALK_HORIZON = 64
+
+
+def _transport(system: FiniteSystem, phi, n) -> tuple[np.ndarray | None, np.ndarray]:
+    """(S_n phi, alpha^n) at one horizon n, the route set by n alone.
+
+    Up to ``_WALK_HORIZON`` both come from the last item of the
+    ``orbit_sums`` walk, with its bits.  Beyond it, binary lifting carries
+    the tables (S_(2^k) phi, alpha^(2^k)) and folds in one of them per set
+    bit of n, in O(N log n): S_(m+2^k) = S_m + S_(2^k) o alpha^m.  ``phi``
+    is one potential or a (k, n_atoms) stack read through ``_columns``, so
+    each row keeps the bits of its own call on either route; ``phi=None``
+    builds the index half alone, by doubling at every n >= 0.  The
+    returned arrays are never written to afterwards.
+    """
+    n = _horizon(n, least=0 if phi is None else 1)
+    if phi is not None:
+        phi = np.asarray(phi, dtype=float)
+        if n <= _WALK_HORIZON:
+            return deque(orbit_sums(system, phi, n), maxlen=1)[0][1:]
+    s = None
+    an = np.arange(system.n, dtype=np.intp)
+    table, step = phi, system.alpha
+    while n:
+        if n & 1:
+            if phi is not None:
+                s = table if s is None else s + _columns(table, an)
+            an = step[an]
+        n >>= 1
+        if n:
+            if phi is not None:
+                table = table + _columns(table, step)
+            step = step[step]
+    return s, an
 
 
 def is_invariant(system: FiniteSystem, mu: Functional) -> tuple[bool, float]:

@@ -287,26 +287,37 @@ REFERENCES = {
     "vp.dichotomy": reference_vp_dichotomy,
     "vp.gap": reference_vp_gap,
     "young.global": reference_young_global,
-    "young.local": reference_young_local,
 }
 
 
-def test_batched_checks_replay_the_per_draw_loops(system_pool):
-    """Same draws, same bits: the report values of the batched checks are
-    byte-identical to those of the loops they replaced."""
+def assert_checks_replay(system_pool, references):
+    """Run each named check on twocyc and the pool and compare its report
+    values byte for byte with those of its reference loop."""
     cases = [(twocyc(), CertifyConfig(seed=3), True)]
     cases += [
         (s, CertifyConfig(seed=i, draws=200), i % 3 == 0)
         for i, s in enumerate(system_pool)
     ]
     for s, cfg, every_check in cases:
-        for name, reference in REFERENCES.items():
+        for name, reference in references.items():
             if name in SLOW_REFERENCES and not every_check:
                 continue
             record = run_check(s, name, cfg)
             assert record["verdict"] == "pass", (name, record)
             want = json.dumps(reference(s, cfg))
             assert json.dumps(record["values"]) == want, (name, s.n)
+
+
+def test_batched_checks_replay_the_per_draw_loops(system_pool):
+    """Same draws, same bits: the report values of the batched checks are
+    byte-identical to those of the loops they replaced."""
+    assert_checks_replay(system_pool, REFERENCES)
+
+
+def test_young_local_check_replays_its_per_draw_loop(system_pool):
+    """``young.local``, the costliest replay, on the cases of
+    ``test_batched_checks_replay_the_per_draw_loops``."""
+    assert_checks_replay(system_pool, {"young.local": reference_young_local})
 
 
 def reference_empirical(s, cfg):

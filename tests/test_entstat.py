@@ -108,6 +108,22 @@ def test_empirical_rejects_a_non_integral_atom_or_horizon():
         empirical_weights(s, [0, 1], [2, 2.5])
     with pytest.raises(ValueError, match="one horizon per base atom"):
         empirical_weights(s, [0, 1], [2])
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True])
+def test_single_horizon_functions_reject_a_non_integral_horizon(bad):
+    """The hitting set and both left-hand sides read one horizon, which
+    must be an integer: a float or a bool raises ValueError."""
+    s = cycle3()
+    nbhd = build_neighborhood(s, functional(s, np.array([1.0, 0.0, 0.0])), 0.5)
+    calls = (
+        lambda: hitting_set(s, nbhd, bad),
+        lambda: estimate_lhs(s, nbhd, bad, 0),
+        lambda: estimate_lhs_general(s, nbhd, bad, np.ones(3)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            call()
     assert empirical(s, np.int64(1), np.int64(3)).horizon == 3
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentropy.claims import CertificateError
+from tentropy.claims import ROUNDOFF_TOL, CertificateError
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import random_potential, random_system
 from tentropy.spectral import (
@@ -25,7 +25,15 @@ from tentropy.spectral import (
     property_residuals,
     spectral_potential,
 )
-from tentropy.system import alpha_power, birkhoff, cycle_means, make_system, orbit_sums
+from tentropy.system import (
+    _WALK_HORIZON,
+    alpha_power,
+    birkhoff,
+    cycle_means,
+    log_preimage_mass,
+    make_system,
+    orbit_sums,
+)
 
 from oracles import op_norm_log_pow, power_system
 
@@ -258,6 +266,84 @@ def test_spectral_potential_sequence_approaches_from_above(system_pool, large_po
             total = total + phi[pos]
             pos = s.alpha[pos]
         assert np.array_equal(norm_log_sequence(s, phi, 20) / np.arange(1, 21), seq)
+
+
+def walk_norm_log(system, sums, an):
+    """``op_norm_log`` read from a walk item (n, sums, an), in its order."""
+    sup = system.supported_indices
+    mass = log_preimage_mass(system, sums + system.log_m, an)
+    return float(np.max(mass[sup] - system.log_m[sup]))
+
+
+def random_map(gen, n):
+    """A random map on n atoms whose null fifth is closed under preimage."""
+    support = np.ones(n, dtype=bool)
+    support[gen.permutation(n)[: n // 5]] = False
+    sup = np.flatnonzero(support)
+    alpha = gen.integers(0, n, size=n)
+    alpha[sup] = gen.choice(sup, size=sup.size)
+    return make_system(np.where(support, gen.uniform(0.2, 2.0, size=n), 0.0), alpha)
+
+
+FAR_HORIZONS = (64, 65, 100, 1024)
+
+
+def test_far_horizons_agree_with_the_walk(system_pool, large_pool):
+    """One horizon alone keeps the walk's bits up to the walk horizon and
+    agrees with it within roundoff beyond, where doubling tables build it;
+    the powers of the map are exact at every horizon, and a stacked row
+    keeps the bits of its own call on both routes."""
+    assert _WALK_HORIZON == 64
+    gen = np.random.default_rng(1717)
+    for s in system_pool + large_pool + [random_map(gen, 10_000)]:
+        phis = gen.uniform(-2, 2, size=(3, s.n))
+        walk = {n: (sums, an) for n, sums, an in orbit_sums(s, phis, max(FAR_HORIZONS))}
+        for n in FAR_HORIZONS:
+            sums, an = walk[n]
+            assert np.array_equal(alpha_power(s, n), an)
+            stacked = birkhoff(s, phis, n)
+            for row, phi, walked in zip(stacked, phis, sums):
+                single = birkhoff(s, phi, n)
+                assert row.tobytes() == single.tobytes()
+                norm = op_norm_log(s, phi, n)
+                want = walk_norm_log(s, walked, an)
+                if n <= _WALK_HORIZON:
+                    assert single.tobytes() == walked.tobytes()
+                    assert norm == want
+                else:
+                    scale = np.maximum(1.0, np.abs(walked))
+                    assert np.all(np.abs(single - walked) <= ROUNDOFF_TOL * scale)
+                    assert abs(norm - want) <= ROUNDOFF_TOL * max(1.0, abs(want))
+
+
+def test_a_horizon_no_walk_can_reach():
+    """Doubling sums of a dyadic potential on 2-cycles are exact, so the
+    norm at n = 2^40 is n times the spectral potential to the bit."""
+    s = twocyc()
+    phi = np.array([0.5, -0.25, 1.0, 0.75])
+    n = 2**40
+    assert op_norm_log(s, phi, n) == n * log_spectral_radius(s, phi)
+    assert np.array_equal(alpha_power(s, n), np.arange(4))
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True])
+def test_horizons_are_validated_not_coerced(bad):
+    """A horizon that is not an integer is bad input: a float or a bool
+    raises ValueError instead of a TypeError or a silent value."""
+    s = twocyc()
+    phi = np.array([0.1, 0.3, -0.2, 0.4])
+    for call in (birkhoff, op_norm_log, op_norm):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            call(s, phi, bad)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        alpha_power(s, bad)
+    with pytest.raises(ValueError, match="horizon must be one integer"):
+        op_norm_log(s, phi, [3])
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        birkhoff(s, phi, 0)
+    with pytest.raises(ValueError, match="horizon must be at least 0"):
+        alpha_power(s, -1)
+    assert np.array_equal(alpha_power(s, 0), np.arange(4))
 
 
 def test_batch_matches_scalar(system_pool, large_pool):
