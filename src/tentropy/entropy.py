@@ -388,8 +388,14 @@ def oscillation_partition(
     """
     if width <= 0.0:
         raise ValueError("bucket width must be positive")
-    level = np.floor(birkhoff(system, phi, n) / width)
-    return PartitionOfUnity(_level_rows(system, level))
+    return _bucket_partition(system, birkhoff(system, phi, n), width)
+
+
+def _bucket_partition(
+    system: FiniteSystem, sums: np.ndarray, width: float
+) -> PartitionOfUnity:
+    """``oscillation_partition`` from Birkhoff sums already computed."""
+    return PartitionOfUnity(_level_rows(system, np.floor(sums / width)))
 
 
 def _level_rows(system: FiniteSystem, level: np.ndarray) -> np.ndarray:
@@ -427,12 +433,13 @@ def tau_direct(
     """Search over horizons and partition families for the smallest tau_n / n.
 
     At each horizon the candidates are the atomic and trivial partitions,
-    three oscillation partitions and eight random partitions.  Every
-    candidate contributes a certified upper bound (value plus optimality
-    gap), so the reported number can sit slightly above but never below
-    the infimum over the candidate set.  The achieving horizon and
-    partition are those of the first candidate, in search order, whose
-    bound lies within ``DIRECT_TOL`` of that minimum.
+    three oscillation partitions (each bucketing the Birkhoff sums that set
+    its width) and eight random partitions.  Every candidate contributes a
+    certified upper bound (value plus optimality gap), so the reported
+    number can sit slightly above but never below the infimum over the
+    candidate set.  The achieving horizon and partition are those of the
+    first candidate, in search order, whose bound lies within
+    ``DIRECT_TOL`` of that minimum.
     """
     require_valid(system)
     if n_max < 1:
@@ -448,7 +455,7 @@ def tau_direct(
             phi = rng.uniform(-2.0, 2.0, system.n)
             s = birkhoff(system, phi, n)
             width = (float(s.max() - s.min())) / 3.0 + BUCKET_PAD
-            parts.append(oscillation_partition(system, phi, n, width))
+            parts.append(_bucket_partition(system, s, width))
         for _ in range(8):
             parts.append(random_partition(rng, system))
         candidates += [(n, part) for part in parts]
@@ -498,23 +505,45 @@ def _dual_descent(
     the cycle means of w, the cycle means of phi_k are H_k a - E / L and
     w . phi_k = H_k (w . w) - E . a.  So the effective weights w of mu,
     their cycle means a (one ``cycle_means`` call, made by the caller) and
-    one dot product over the N atoms start the descent, each step costs
-    O(supported cycles), and phi is never written out.
+    one dot product over the N atoms start the descent, and phi is never
+    written out.
+
+    A step moves only the tied cycles, and past step 0 that is almost
+    always one cycle.  So q = E / L is kept entry by entry, and each step
+    makes a fixed handful of O(supported cycles) array calls: the values
+    H_k a - q into one reused buffer, an argmax, the dot product E . a, and
+    a second argmax with the winner masked, which tells whether another
+    cycle lies within ``TIE_TOL``.  A lone winner updates its own E and q
+    as scalars; a real tie (every cycle at step 0) takes the masked update
+    of all tied cycles.  Every float is the one the full-array step
+    computes, so the result keeps its bits.
     """
     lengths = np.array([c.size for c in system.supported_cycle_arrays], dtype=float)
     ww = float(w @ w)
     e = np.zeros(a.size)
+    q = np.zeros(a.size)
+    vals = np.empty(a.size)
     harmonic = 0.0
     best = 0.0
     for k in range(iters):
-        vals = harmonic * a - e / lengths
-        lam = float(vals.max())
+        np.multiply(harmonic, a, out=vals)
+        np.subtract(vals, q, out=vals)
+        i = int(vals.argmax())
+        lam = float(vals[i])
         h = lam - (harmonic * ww - float(e @ a))
         best = min(best, h)
         if h < -SLACK_TOL:
             return min(best, h * 2e12)
-        tied = vals >= lam - TIE_TOL
-        e[tied] += 1.0 / ((k + 1.0) * int(tied.sum()))
+        floor = lam - TIE_TOL
+        vals[i] = -np.inf
+        if vals[vals.argmax()] >= floor:
+            vals[i] = lam
+            tied = vals >= floor
+            e[tied] += 1.0 / ((k + 1.0) * int(tied.sum()))
+            np.divide(e, lengths, out=q)
+        else:
+            e[i] += 1.0 / (k + 1.0)
+            q[i] = e[i] / lengths[i]
         harmonic += 1.0 / (k + 1.0)
     return best
 
@@ -552,7 +581,16 @@ def tau_dual(
     variational value and errors out if it contradicts a membership claim;
     it steps on per-cycle scalars from the one ``cycle_means`` call of the
     membership test (or of its own on a divergent functional), so it costs
-    O(N) once plus O(supported cycles) per step.
+    O(N) once plus a fixed handful of O(supported cycles) array calls per
+    step.
+
+    The descent is a probe, not a certificate: only a negative
+    ``descent_best`` says something.  Off the polytope but close to it, it
+    can stay at or above 0 for all its steps.  A hull point pushed off by
+    noise of at most 1/(4N) per atom has negative weights and the value
+    -inf by a negativity ray, yet its ``descent_best`` is exactly 0.0; so
+    is that of a hull point whose weights vary within cycles (a
+    non-invariance ray).
     """
     require_valid(system)
     try:

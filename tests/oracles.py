@@ -3,11 +3,14 @@
 ``op_norm_log_pow`` reaches horizons like 2**27 by log-domain matrix
 squaring, at a memory cost of k**3 floats for k supported atoms;
 ``power_system`` builds the k-step system atom by atom;
-``empirical_walk`` walks one orbit step by step.
+``empirical_walk`` walks one orbit step by step;
+``dual_descent_full_steps`` is the dual descent that rebuilds every cycle
+value and the tie set over all cycles at each step.
 """
 
 import numpy as np
 
+from tentropy.claims import SLACK_TOL, TIE_TOL
 from tentropy.system import FiniteSystem, alpha_power, require_valid, restrict_to_support
 
 
@@ -63,3 +66,27 @@ def empirical_walk(system: FiniteSystem, x: int, n: int) -> np.ndarray:
         w[pos] += 1.0 / n
         pos = int(system.alpha[pos])
     return w
+
+
+def dual_descent_full_steps(
+    system: FiniteSystem, w: np.ndarray, a: np.ndarray, iters: int = 500
+) -> float:
+    """``entropy._dual_descent`` with full-array steps: every step divides
+    all of E by the cycle lengths, compares every cycle against the maximum
+    and adds to the tied entries through a boolean mask."""
+    lengths = np.array([c.size for c in system.supported_cycle_arrays], dtype=float)
+    ww = float(w @ w)
+    e = np.zeros(a.size)
+    harmonic = 0.0
+    best = 0.0
+    for k in range(iters):
+        vals = harmonic * a - e / lengths
+        lam = float(vals.max())
+        h = lam - (harmonic * ww - float(e @ a))
+        best = min(best, h)
+        if h < -SLACK_TOL:
+            return min(best, h * 2e12)
+        tied = vals >= lam - TIE_TOL
+        e[tied] += 1.0 / ((k + 1.0) * int(tied.sum()))
+        harmonic += 1.0 / (k + 1.0)
+    return best

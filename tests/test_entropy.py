@@ -57,6 +57,8 @@ from tentropy.system import (
     trivial_partition,
 )
 
+from oracles import dual_descent_full_steps
+
 LN2 = math.log(2.0)
 
 
@@ -344,6 +346,22 @@ def test_tau_direct_diverges_on_null_charge():
     assert r.value == -np.inf
 
 
+def test_tau_direct_builds_oscillation_partitions_from_its_own_sums(monkeypatch):
+    """Each oscillation candidate's Birkhoff sums set its bucket width and
+    its members: one ``birkhoff`` call per candidate, three per horizon."""
+    calls = []
+    original = entropy.birkhoff
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(entropy, "birkhoff", counting)
+    s = twocyc()
+    tau_direct(s, functional(s, np.full(s.n, 1.0 / s.n)), n_max=4)
+    assert len(calls) == 12
+
+
 def dense_descent(system, mu, iters=500):
     """Reference descent on the dense (cycles, atoms) matrix of vertices."""
     w = effective_weights(system, mu)
@@ -459,6 +477,76 @@ def test_dual_descent_matches_dense_oracle_on_edge_cases(large_pool):
     for s in [null_cycle_system()] + large_pool:
         w = random_invariant(gen, s).weights + gen.normal(0.0, 1e-3, s.n)
         assert assert_descent_matches_oracle(s, functional(s, w, mode=FULL)) < -1e-9
+
+
+def descent_pin_cases():
+    """(system, effective weights) pairs that reach every path of the
+    descent: full-length runs won by one cycle at a time, early exits, runs
+    where every cycle ties at every step, a pair of equal cycles that keeps
+    tying past step 0, and FULL charges on null atoms."""
+    gen = np.random.default_rng(47)
+    cases = []
+    for n, count in ((2000, 220), (4000, 430)):
+        s = cycles_and_tails(gen, n, gen.integers(1, 9, size=count))
+        hull = random_invariant(gen, s).weights
+        # off the polytope by at most 1/(4n) per atom: all 500 steps run
+        pushed = hull + gen.uniform(-0.25, 0.25, n) / n
+        # the perturbed and Dirichlet draws exit at k = 1; the rescaled hull
+        # points run 92 to 500 steps, each past step 0 won by one cycle
+        perturbed = perturbed_invariant(gen, s).weights
+        dirichlet = gen.dirichlet(np.ones(n))
+        scaled = [hull * (1.0 + gen.normal(0.0, sd, n)) for sd in (1.5, 2.0)]
+        cases += [(s, w) for w in (hull, pushed, perturbed, dirichlet, *scaled)]
+    for lengths in ([3] * 4, [4] * 60):
+        s = cycles_and_tails(gen, int(np.sum(lengths)) + 100, lengths)
+        on = np.concatenate(s.supported_cycle_arrays)
+        w = np.zeros(s.n)
+        w[on] = 1.0 / on.size
+        cases.append((s, w))
+    # the two 3-cycles share the top mean with the 2-cycle; the pair ties at
+    # 302 of the 500 steps and a lone cycle wins 197
+    s = cycles_and_tails(gen, 30, [3, 3, 2, 4])
+    w = np.zeros(s.n)
+    for c in s.supported_cycle_arrays:
+        w[c] = (0.3 if c.size == 3 else 0.2) / c.size
+    cases.append((s, w))
+    s = null_cycle_system()
+    nulls = np.flatnonzero(~s.support)
+    for charged in (nulls, np.array([8, 9, 10])):
+        w = 0.8 * random_invariant(gen, s).weights
+        w[charged] += 0.2 * gen.dirichlet(np.ones(charged.size))
+        cases.append((s, effective_weights(s, functional(s, w, mode=FULL))))
+    return cases
+
+
+def test_dual_descent_keeps_the_bits_of_full_steps():
+    """The descent that updates only the winning cycle returns the bits of
+    the one that rebuilds every cycle value at every step."""
+    for s, w in descent_pin_cases():
+        a = cycle_means(s, w)
+        for iters in (1, 50, 500):
+            got = entropy._dual_descent(s, w, a, iters=iters)
+            ref = dual_descent_full_steps(s, w, a, iters=iters)
+            assert float(got).hex() == float(ref).hex(), (s.n, iters)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the descent stays at or above 0 on a functional just off the "
+    "polytope, so it misses this negativity defect",
+)
+def test_dual_descent_finds_a_negativity_defect():
+    """A hull point pushed off the polytope by noise of at most 1/(4n) per
+    atom has negative weights, so ``tau_dual`` puts it at -inf by a
+    negativity ray; the descent should see a negative value too."""
+    gen = np.random.default_rng(5)
+    n = 400
+    s = cycles_and_tails(gen, n, gen.integers(1, 9, size=40))
+    w = random_invariant(gen, s).weights + gen.uniform(-0.25, 0.25, n) / n
+    r = tau_dual(s, functional(s, w))
+    assert r.value == -np.inf and r.divergence.defect == "negativity"
+    assert r.descent_best < 0.0
 
 
 def test_dual_descent_reads_cycle_means_once(monkeypatch):
