@@ -47,11 +47,9 @@ from .io import (
     FormatError,
     dump_report,
     load_functional,
-    load_partition,
     load_potential,
     load_system,
     save_functional,
-    save_partition,
     save_potential,
     save_report,
     save_system,

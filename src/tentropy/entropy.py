@@ -21,7 +21,6 @@ functionals, which on finite systems leaves only the values 0 and -inf.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,14 +43,15 @@ from .system import (
     FiniteSystem,
     Functional,
     PartitionOfUnity,
+    _horizon,
     _integers,
+    _require_invariant,
+    _transport,
     alpha_power,
     atomic_partition,
     birkhoff,
     cycle_means,
     effective_weights,
-    invariance,
-    orbit_sums,
     preimage_mass,
     require_valid,
     trivial_partition,
@@ -113,8 +113,9 @@ def inner_problems(
     result, so every problem keeps the bits of its own call.
     """
     require_valid(system)
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
+    n = _horizon(n)
+    if len(members) != len(weights):
+        raise ValueError("need one weight row per partition")
     if any(m.shape[1] != system.n for m in members):
         raise ValueError("partition must live on the same atoms")
     if not members:
@@ -180,8 +181,8 @@ def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
     equality constraint every Newton step is one symmetric positive
     definite system (c^T D c + diag(z / x)) dx = rhs.  Problems of the same
     width are stacked, padded to a common row count with uncharged rows (a
-    lone problem of its width is its own stack, neither padded nor copied),
-    and stepped together by Mehrotra's predictor-corrector method, one
+    lone problem of its width is a stack of one at its own row count), and
+    stepped together by Mehrotra's predictor-corrector method, one
     batched solve per predictor and per corrector; each leaves the stack
     once its certificate, computed from its current point alone, meets its
     own ``tol`` (a scalar or one value per problem).  Uncharged problems
@@ -201,16 +202,12 @@ def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
         else:
             stacks.setdefault(s, []).append((i, ca, wa))
     for s, stack in stacks.items():
-        if len(stack) == 1:
-            _, ca, wa = stack[0]
-            c, w = ca[None], wa[None]
-        else:
-            rows = max(wa.size for _, _, wa in stack)
-            c = np.ones((len(stack), rows, s))
-            w = np.zeros((len(stack), rows))
-            for b, (_, ca, wa) in enumerate(stack):
-                c[b, : wa.size] = ca
-                w[b, : wa.size] = wa
+        rows = max(wa.size for _, _, wa in stack)
+        c = np.ones((len(stack), rows, s))
+        w = np.zeros((len(stack), rows))
+        for b, (_, ca, wa) in enumerate(stack):
+            c[b, : wa.size] = ca
+            w[b, : wa.size] = wa
         index = [i for i, _, _ in stack]
         solved = _interior_point(c, w, tols[index])
         for (i, ca, wa), (q, gap, steps) in zip(stack, solved):
@@ -442,8 +439,7 @@ def tau_direct(
     ``DIRECT_TOL`` of that minimum.
     """
     require_valid(system)
-    if n_max < 1:
-        raise ValueError("need at least one horizon")
+    n_max = _horizon(n_max)
     w = effective_weights(system, mu)
     _require_normalized(w)
     rng = np.random.default_rng(seed)
@@ -624,6 +620,28 @@ def tau_dual(
     return result
 
 
+def _horizon_groups(ns, epss, *stacks) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Checked (k,) horizons and widths of k draws, and the draws of each
+    horizon in order of first appearance.
+
+    ``ValueError`` unless the horizons are integers of at least 1, the
+    widths positive, and the widths and every stack in ``stacks`` hold one
+    entry per horizon.
+    """
+    ns = _integers(ns, "horizon")
+    epss = np.asarray(epss, dtype=float)
+    if ns.ndim != 1 or epss.shape != ns.shape or any(len(a) != ns.size for a in stacks):
+        raise ValueError("need one horizon and one eps per draw")
+    if np.any(ns < 1):
+        raise ValueError("horizon must be at least 1")
+    if np.any(epss <= 0.0):
+        raise ValueError("eps must be positive")
+    horizons: dict[int, list[int]] = {}
+    for i, n in enumerate(ns.tolist()):
+        horizons.setdefault(n, []).append(i)
+    return ns, epss, horizons
+
+
 def local_young_check(
     system: FiniteSystem, phi, mu: Functional, n: int, eps: float
 ) -> tuple[float, float]:
@@ -647,32 +665,20 @@ def local_young_checks(
 
     One stacked invariance test covers every row (it implies that mu is
     positive and normalized).  The rows of one horizon share one stacked
-    orbit walk, whose last Birkhoff sums give both the levels of their
-    oscillation partitions (kept as 0/1 member rows) and their log-norms
-    (those of ``op_norm_log`` up to ``system._WALK_HORIZON``, where it reads
-    the same walk), and one ``inner_problems`` call; the inner problems of
-    all rows are solved as one batch.  Each side keeps the bits of a call
-    on its row alone.
+    ``system._transport`` call, as ``op_norm_log`` makes, whose Birkhoff
+    sums give both the levels of their oscillation partitions (kept as 0/1
+    member rows) and their log-norms, and one ``inner_problems`` call; the
+    inner problems of all rows are solved as one batch.  Each side keeps
+    the bits of a call on its row alone.
     """
     phis = np.asarray(phis, dtype=float)
     w = np.asarray(weights, dtype=float)
-    ns = _integers(ns, "horizon")
-    epss = np.asarray(epss, dtype=float)
-    ok, worst = invariance(system, w)
-    for good, defect in zip(ok, worst):
-        if not good:
-            raise ValueError(f"functional must be invariant (defect {defect:g})")
-    if np.any(epss <= 0.0):
-        raise ValueError("eps must be positive")
-    horizons: dict[int, list[int]] = {}
-    for i, n in enumerate(ns.tolist()):
-        horizons.setdefault(n, []).append(i)
+    _require_invariant(system, w, phis)
+    ns, epss, horizons = _horizon_groups(ns, epss, w)
     norms = np.empty(len(w))
     problems = [None] * len(w)
     for n, rows in horizons.items():
-        if n < 1:
-            raise ValueError("horizon must be at least 1")
-        _, s, an = deque(orbit_sums(system, phis[rows], n), maxlen=1)[0]
+        s, an = _transport(system, phis[rows], n)
         norms[rows] = _norm_log(system, s, an)
         levels = np.floor(s / (epss[rows] * n)[:, None])
         members = [_level_rows(system, level) for level in levels]
@@ -692,34 +698,17 @@ def near_minimizer(
     partition: PartitionOfUnity,
     n: int,
     eps: float,
-    solution: InnerSolution | None = None,
 ) -> np.ndarray:
     """Potential built from an inner optimum that nearly attains tau_n.
 
     e^(n phi) mixes each charged member weighted by mu[g] over its optimal
-    integral, and pads uncharged members with eps so the log stays finite;
-    on atoms covered only by uncharged members the value is ln(eps) / n.
+    integral at ``INNER_TOL``, and pads uncharged members with eps so the
+    log stays finite; on atoms covered only by uncharged members the value
+    is ln(eps) / n.  This is the ``phi`` of ``near_minimizer_bounds``, which
+    also computes both slacks, so the call runs their checks too and raises
+    ``CertificateError`` when a bound is violated beyond tolerance.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if solution is None:
-        solution = tau_n(system, mu, partition, n, tol=INNER_TOL)
-    w = partition.members @ effective_weights(system, mu)
-    return _mixture_potential(partition.members, w, n, eps, solution)
-
-
-def _mixture_potential(members, w, n, eps, solution: InnerSolution) -> np.ndarray:
-    """``near_minimizer`` from the partition's member rows and their weights
-    ``w`` under mu, which its inner problem holds as ``mu_weights``."""
-    if solution.p_star is None or solution.value == -np.inf:
-        raise ValueError("near-minimizer needs a finite inner value")
-    coef = np.full(len(members), eps)
-    active = w > 0.0
-    coef[active] = w[active] / solution.c_limits[active]
-    u = members.T @ coef
-    if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-        raise CertificateError("mixture weight vanished at an atom")
-    return np.log(u) / n
+    return near_minimizer_bounds(system, mu, partition, n, eps).phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -774,14 +763,8 @@ def near_minimizer_checks(
     row count can move in their last bits.
     """
     w = np.asarray(weights, dtype=float)
-    ns = _integers(ns, "horizon")
-    epss = np.asarray(epss, dtype=float)
-    if np.any(epss <= 0.0):
-        raise ValueError("eps must be positive")
+    ns, epss, horizons = _horizon_groups(ns, epss, members, w)
     _require_normalized(w)
-    horizons: dict[int, list[int]] = {}
-    for i, n in enumerate(ns.tolist()):
-        horizons.setdefault(n, []).append(i)
     norms = np.empty(len(w))
     problems = [None] * len(w)
     for n, rows in horizons.items():
@@ -792,7 +775,15 @@ def near_minimizer_checks(
     solutions = maximize_inner_batch(problems, INNER_TOL)
     phis = np.empty((len(w), system.n))
     for i, (problem, sol) in enumerate(zip(problems, solutions)):
-        phis[i] = _mixture_potential(members[i], problem.mu_weights, ns[i], epss[i], sol)
+        if sol.p_star is None or sol.value == -np.inf:
+            raise ValueError("near-minimizer needs a finite inner value")
+        coef = np.full(len(members[i]), epss[i])
+        active = problem.mu_weights > 0.0
+        coef[active] = problem.mu_weights[active] / sol.c_limits[active]
+        u = members[i].T @ coef
+        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
+            raise CertificateError("mixture weight vanished at an atom")
+        phis[i] = np.log(u) / ns[i]
     values = np.array([sol.value for sol in solutions])
     growth = epss * norms - ns * log_spectral_radius_batch(system, phis)
     pairing = np.array([w[i] @ (ns[i] * phis[i]) for i in range(len(w))]) + values

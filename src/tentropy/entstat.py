@@ -27,6 +27,7 @@ from .system import (
     FULL,
     FiniteSystem,
     Functional,
+    _horizon,
     _integers,
     _transport,
     orbit_sums,
@@ -97,8 +98,7 @@ class HalfspaceNeighborhood:
         return self.lambda_phi - pair(system, delta, self.phi) < self.threshold
 
 
-_T_GRID = (1.0, 10.0, 100.0, 1000.0)
-_T_RETRY = (1e4, 1e5, 1e6)
+_T_GRID = (1.0, 10.0, 100.0, 1000.0, 1e4, 1e5, 1e6)
 
 
 def build_neighborhood(
@@ -125,7 +125,7 @@ def build_neighborhood(
     else:
         target = -1.0 / eps - eps / 2.0
         direction = res.divergence.direction
-        for t in _T_GRID + _T_RETRY:
+        for t in _T_GRID:
             phi = t * direction
             lam = log_spectral_radius(system, phi)
             if lam - pair(system, mu, phi) < target:
@@ -189,6 +189,7 @@ def growth_constant(
     structure makes the raw sequence oscillate under a decaying envelope).
     One doubling of n_max is attempted before giving up.
     """
+    n_max = _horizon(n_max)
     if n_max < 10:
         raise ValueError("need at least ten horizons")
     if eps <= 0.0:
@@ -275,7 +276,7 @@ def verify_estimate(
 ) -> EstimateReport:
     """Check the hitting-mass estimate on the full (horizon, atom) grid,
     read from one orbit walk up to the largest horizon."""
-    horizons = np.array(n_range, dtype=np.intp)
+    horizons = _integers(n_range, "horizon")
     if horizons.size == 0 or horizons.min() < 1:
         raise ValueError("n_range must list horizons, each at least 1")
     nbhd = build_neighborhood(system, mu, eps)

@@ -3,7 +3,6 @@
 System files hold an object with "measure" and "map" arrays and optional
 "atoms" labels.  Potentials are bare arrays.  Functionals are either bare
 arrays (essential mode) or objects with "weights" and an optional "mode".
-Partitions are arrays of arrays, one row per member function.
 
 Reports serialize through dump_report, which keeps insertion order and
 encodes infinities as the strings "inf" / "-inf" so the output is plain
@@ -23,7 +22,6 @@ from .system import (
     FULL,
     FiniteSystem,
     Functional,
-    PartitionOfUnity,
     functional,
     make_system,
 )
@@ -133,22 +131,6 @@ def load_functional(path, system: FiniteSystem) -> Functional:
 def save_functional(path, mu: Functional) -> None:
     obj = {"weights": [float(v) for v in mu.weights], "mode": mu.mode}
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
-def load_partition(path, system: FiniteSystem) -> PartitionOfUnity:
-    data = _read_json(path)
-    if not isinstance(data, list) or not data:
-        raise FormatError("partition file must hold a nonempty array of arrays")
-    rows = [_as_float_array(row, system.n, "partition member") for row in data]
-    try:
-        return PartitionOfUnity(np.array(rows))
-    except ValueError as exc:
-        raise FormatError(f"bad partition: {exc}") from exc
-
-
-def save_partition(path, partition: PartitionOfUnity) -> None:
-    rows = [[float(v) for v in row] for row in partition.members]
-    Path(path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
 
 
 def _jsonable(value):

@@ -29,6 +29,7 @@ from .claims import ROUNDOFF_TOL, SLACK_TOL, TIE_TOL, CertificateError
 from .system import (
     FiniteSystem,
     _columns,
+    _horizon,
     _index_sums,
     _transport,
     cycle_means,
@@ -63,7 +64,11 @@ def l1_norm(system: FiniteSystem, f: L1Vector) -> float:
 
 
 def apply(system: FiniteSystem, phi, f: L1Vector) -> L1Vector:
-    """One application of the shift: e^phi times f after the map."""
+    """One application of the shift: e^phi times f after the map.
+
+    It keeps its own step, independent of ``iterate``, which is checked
+    against repeated calls of it.
+    """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
     # an overflow leaves a non-finite entry, which l1_vector rejects
@@ -92,15 +97,15 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("vector entries must be finite")
     out = values
-    # an overflow leaves a non-finite entry, which the check below rejects
+    # an overflow leaves a non-finite entry, which the check below rejects;
+    # one on a null atom is zeroed in both the walk and the closed form
     with np.errstate(over="ignore", invalid="ignore"):
         weight = np.exp(phi)
         for _ in range(n):
             out = np.where(system.support, weight * out[:, system.alpha], 0.0)
             if not np.all(np.isfinite(out)):
                 raise ValueError("vector entries must be finite")
-    direct = np.exp(s) * values[:, an]
-    direct = np.where(system.support, direct, 0.0)
+        direct = np.where(system.support, np.exp(s) * values[:, an], 0.0)
     if not np.allclose(out, direct, rtol=ROUNDOFF_TOL, atol=ROUNDOFF_TOL):
         raise CertificateError("iterated shift disagrees with its closed form")
     return L1Vector(out[0]) if isinstance(f, L1Vector) else out
@@ -169,9 +174,11 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     The norm sequence (1/n) log ||A^n|| for n = 1..n_max is returned for
     inspection; the result is flagged when it has not yet sandwiched the
     cycle value within the coarse a-priori envelope, which only happens for
-    pathological n_max choices.
+    pathological n_max choices.  ``ValueError`` unless n_max is an integer
+    of at least 1.
     """
     require_valid(system)
+    n_max = _horizon(n_max)
     phi = np.asarray(phi, dtype=float)
     means = cycle_means(system, phi)
     value = float(means.max())
@@ -218,10 +225,10 @@ def power_gap(system: FiniteSystem, phi, k: int) -> PowerGap:
     from the cycles of the map itself; no k-step system is built.
     ``phi`` is one potential or a (rows, n_atoms) stack sharing the power
     k; a single potential is the stack of one, and each row gets the bits
-    of its own call.
+    of its own call.  The power is a number of map steps, so it is read as
+    a horizon: ``ValueError`` unless k is an integer of at least 1.
     """
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    k = _horizon(k)
     phi = np.asarray(phi, dtype=float)
     phis = phi.reshape(-1, phi.shape[-1])
     scaled = k * log_spectral_radius_batch(system, phis)

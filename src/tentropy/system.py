@@ -391,8 +391,10 @@ def orbit_sums(system: FiniteSystem, phi, n_max: int):
     up to ``_WALK_HORIZON`` and agrees within roundoff beyond it.  The
     yielded arrays are never written to afterwards, so callers may keep them.
     ``phi`` is one potential or a (k, n_atoms) stack walked together, each
-    row with the bits of its own walk.
+    row with the bits of its own walk.  ``ValueError`` unless n_max is an
+    integer, raised when the walk starts.
     """
+    n_max = _horizon(n_max, least=0)
     phi = np.asarray(phi, dtype=float)
     s = phi.astype(float, copy=True)
     an = system.alpha
@@ -479,6 +481,21 @@ def invariance(system: FiniteSystem, weights) -> tuple[np.ndarray, np.ndarray]:
     return ok, worst
 
 
+def _require_invariant(system: FiniteSystem, weights, phis) -> None:
+    """``ValueError`` unless ``phis`` pairs one potential with each row of
+    ``weights`` and every row passes ``invariance``: the precondition of
+    the stacked Young checks."""
+    if np.shape(phis) != np.shape(weights):
+        raise ValueError("need one potential per functional")
+    ok, worst = invariance(system, weights)
+    if not ok.all():
+        defect = worst[np.argmin(ok)]
+        raise ValueError(
+            f"functional must be invariant (defect {defect:g}); "
+            "use divergence_witness for the divergent case"
+        )
+
+
 def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
     """Mean of phi over each supported cycle, in ``supported_cycle_arrays`` order.
 
@@ -487,8 +504,11 @@ def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
     such mean, so this costs one gather over the cycle atoms per distinct
     cycle length.  Each mean adds its cycle's terms in the order of
     ``phi[idx].mean()`` and gives the same bits, in every row of a batch.
+    ``ValueError`` unless phi has one value per atom.
     """
     phi = np.asarray(phi, dtype=float)
+    if phi.shape[-1:] != (system.n,):
+        raise ValueError("potential needs one value per atom")
     out = np.empty(phi.shape[:-1] + (len(system.supported_cycle_arrays),))
     for pos, rows in system.cycle_groups:
         out[..., pos] = _index_sums(phi, rows) / rows.shape[1]

@@ -22,10 +22,10 @@ from .system import (
     FiniteSystem,
     Functional,
     PartitionOfUnity,
+    _require_invariant,
     cycle_means,
     cycle_measure,
     effective_weights,
-    invariance,
     preimage_mass,
     require_valid,
 )
@@ -203,13 +203,7 @@ def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
 
     phis = np.asarray(phis, dtype=float)
     w = np.asarray(weights, dtype=float)
-    ok, worst = invariance(system, w)
-    for good, defect in zip(ok, worst):
-        if not good:
-            raise ValueError(
-                f"functional must be invariant (defect {defect:g}); "
-                "use divergence_witness for the divergent case"
-            )
+    _require_invariant(system, w, phis)
     require_valid(system)
     charged = _charges_null(system, w)
     divergence_witnesses(system, w[charged])

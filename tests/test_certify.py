@@ -478,7 +478,6 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
     assert len({id(args[1]) for args in duals}) == len(duals)
 
     walks = counting(monkeypatch, system, "orbit_sums")
-    monkeypatch.setattr(entropy, "orbit_sums", system.orbit_sums)
     births = counting(monkeypatch, entropy, "birkhoff")
     norms = counting(monkeypatch, entropy, "_norm_log")
     stacks = counting(monkeypatch, entropy, "inner_problems")

@@ -41,6 +41,7 @@ from tentropy.sampling import (
     random_system,
 )
 from tentropy.spectral import op_norm_log
+from tentropy.varprin import young_checks
 from tentropy.system import (
     FULL,
     PartitionOfUnity,
@@ -797,3 +798,44 @@ def test_direct_route_never_undershoots_dual(seed):
     dual = tau_dual(s, mu, cross_check=False)
     assert dual.value == 0.0
     assert 0.0 <= direct.value - dual.value <= 1e-3
+
+
+def test_stacked_entry_points_reject_stacks_of_different_lengths():
+    """Every stack of a stacked call holds one entry per draw; a short or
+    long stack is bad input, never silently cut or paired with a wrong row."""
+    s = twocyc()
+    w = np.full(4, 0.25)
+    eye = np.eye(4)
+    with pytest.raises(ValueError, match="one weight row per partition"):
+        inner_problems(s, [eye, eye], [w], 1)
+    with pytest.raises(ValueError, match="one potential per functional"):
+        young_checks(s, np.zeros((2, 4)), [w])
+    with pytest.raises(ValueError, match="one horizon and one eps per draw"):
+        local_young_checks(s, np.zeros((3, 4)), [w] * 3, [1, 2], [0.5] * 3)
+    with pytest.raises(ValueError, match="one horizon and one eps per draw"):
+        near_minimizer_checks(s, [eye], [w, w], [1, 1], [0.1, 0.1])
+
+
+def test_uncharged_problem_is_zero_at_the_uniform_point():
+    """A problem whose functional charges no member is 0 at the uniform
+    point with a vacuous certificate, alone and inside a mixed batch, and
+    the other problems of the batch keep the bits they have alone."""
+    gen = np.random.default_rng(83)
+    s = twocyc()
+    uncharged = inner_problems(s, [random_partition(gen, s).members], [np.zeros(4)], 2)[0]
+    assert not uncharged.mu_weights.any()
+    charged = [
+        inner_problem(s, random_invariant(gen, s), random_partition(gen, s), 1),
+        inner_problem(cycle3(), random_simplex_functional(gen, cycle3()),
+                      atomic_partition(cycle3()), 2),
+    ]
+    alone = maximize_inner(uncharged)
+    batch = maximize_inner_batch([charged[0], uncharged, charged[1]])
+    for sol in (alone, batch[1]):
+        assert (sol.value, sol.optimality_gap, sol.iterations) == (0.0, 0.0, 0)
+        assert np.array_equal(sol.p_star, np.full(4, 0.25))
+        assert np.array_equal(sol.c_limits, uncharged.c @ sol.p_star)
+        assert certificate_sup(uncharged, sol) == 1.0
+    assert solutions_digest([batch[0], batch[2]]) == solutions_digest(
+        [maximize_inner(p) for p in charged]
+    )

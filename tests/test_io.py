@@ -11,18 +11,16 @@ from tentropy.io import (
     FormatError,
     dump_report,
     load_functional,
-    load_partition,
     load_potential,
     load_report,
     load_system,
     save_functional,
-    save_partition,
     save_potential,
     save_report,
     save_system,
 )
-from tentropy.sampling import random_partition, random_system
-from tentropy.system import ESSENTIAL, FULL, atomic_partition, functional
+from tentropy.sampling import random_system
+from tentropy.system import ESSENTIAL, FULL, functional
 
 
 def test_system_round_trip(tmp_path, system_pool):
@@ -125,24 +123,6 @@ def test_load_functional_rejects_unknown_mode(tmp_path):
         p.write_text(text)
         with pytest.raises(FormatError):
             load_functional(p, s)
-
-
-def test_partition_round_trip(tmp_path, rng):
-    s = cycle3()
-    for part in (atomic_partition(s), random_partition(rng, s)):
-        p = tmp_path / "part.json"
-        save_partition(p, part)
-        back = load_partition(p, s)
-        assert np.allclose(back.members, part.members, atol=0)
-    p.write_text('[[0.5, 0.5, 0.5]]')
-    with pytest.raises(FormatError):
-        load_partition(p, s)
-    p.write_text("[]")
-    with pytest.raises(FormatError):
-        load_partition(p, s)
-    p.write_text('[["0.5", 0.5, 1], [0.5, 0.5, 0]]')
-    with pytest.raises(FormatError):
-        load_partition(p, s)
 
 
 def test_dump_report_canonical_infinities():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentropy.claims import ROUNDOFF_TOL, CertificateError
+from tentropy.entropy import hull_means, tau_direct
+from tentropy.entstat import growth_constant, verify_estimate
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import random_potential, random_system
 from tentropy.spectral import (
@@ -30,6 +32,7 @@ from tentropy.system import (
     alpha_power,
     birkhoff,
     cycle_means,
+    functional,
     log_preimage_mass,
     make_system,
     orbit_sums,
@@ -70,6 +73,18 @@ def test_apply_frozen_examples():
     s = tail()
     got = apply(s, np.array([LN2, 0.0, 0.0]), l1_vector(s, [1.0, 0.0, 0.0]))
     assert np.allclose(got.values, [2.0, 1.0, 0.0], atol=1e-15)
+
+
+def test_a_huge_potential_on_a_null_atom_is_ignored():
+    """e^800 overflows, but on a null atom it multiplies nothing: ``apply``
+    and ``iterate`` (its walk and its closed form) zero it without a
+    warning, which the test settings turn into an error."""
+    s = null_pair()
+    phi = np.array([0.0, 800.0])
+    f = l1_vector(s, [3.0, 5.0])
+    assert apply(s, phi, f).values.tolist() == [3.0, 0.0]
+    for n in (1, 3):
+        assert iterate(s, phi, f, n).values.tolist() == [3.0, 0.0]
 
 
 def test_iterate_frozen_examples():
@@ -568,3 +583,45 @@ def test_norm_ignores_potential_on_null_atoms():
     b = op_norm_log(s, np.array([0.5, 100.0]), 2)
     assert a == pytest.approx(b, abs=1e-15)
     assert a == pytest.approx(1.0, abs=1e-12)
+
+
+def test_horizon_like_arguments_must_be_integers():
+    """Horizons, powers and horizon counts are never coerced: a bool, a
+    float or a count below the least horizon is a ValueError."""
+    s = twocyc()
+    phi = np.array([0.1, 0.2, 0.3, 0.4])
+    mu = functional(s, np.full(4, 0.25))
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="horizon"):
+            tau_direct(s, mu, n_max=bad)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="horizon"):
+            power_gap(s, phi, bad)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        verify_estimate(s, mu, 0.5, [2.7])
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        spectral_potential(s, phi, 12.0)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        list(orbit_sums(s, phi, 3.0))
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        growth_constant(s, phi, 0.5, n_max=16.0)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        spectral_potential(s, phi, 0)
+
+
+def test_potentials_wider_than_the_system_are_rejected():
+    """One value per atom, checked by the cycle gather every spectral
+    potential reads."""
+    s = twocyc()
+    wide = np.zeros(7)
+    calls = [
+        lambda: log_spectral_radius(s, wide),
+        lambda: cycle_means(s, wide),
+        lambda: log_spectral_radius_batch(s, np.zeros((2, 7))),
+        lambda: hull_means(s, wide),
+        lambda: power_gap(s, wide, 2),
+        lambda: property_residuals(s, wide, wide),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="one value per atom"):
+            call()
