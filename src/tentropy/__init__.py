@@ -21,7 +21,6 @@ from .entropy import (
     local_young_checks,
     maximize_inner,
     maximize_inner_batch,
-    near_minimizer,
     near_minimizer_bounds,
     near_minimizer_checks,
     oscillation_partition,

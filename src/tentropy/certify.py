@@ -109,6 +109,8 @@ from .spectral import (
 from .system import (
     ESSENTIAL,
     FiniteSystem,
+    _horizon,
+    _require_positive,
     atomic_partition,
     orbit_sums,
     require_valid,
@@ -121,18 +123,32 @@ from .varprin import (
 )
 
 
+# The draw count of each ``certify --profile``.
+PROFILES = {"quick": 1000, "deep": 10000}
+
+
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Knobs shared by every check; the seed fixes all randomness."""
+    """Knobs shared by every check; the seed fixes all randomness.
+
+    ``ValueError`` unless draws and n_max are integers of at least 1 and
+    eps lists at least one width, each finite and positive.
+    """
 
     seed: int = 0
-    draws: int = 1000
+    draws: int = PROFILES["quick"]
     eps: tuple[float, ...] = (1.0, 0.5, 0.1)
     n_max: int = 12
     tolerance: float | None = None
-    profile: str = "quick"
     suite: str = "all"
     system_label: str = "system.json"
+
+    def __post_init__(self):
+        _horizon(self.draws, what="draws")
+        _horizon(self.n_max, what="n_max")
+        if not len(self.eps):
+            raise ValueError("eps must list at least one width")
+        _require_positive(self.eps, "eps")
 
     def threshold(self, default: float) -> float:
         return default if self.tolerance is None else self.tolerance
@@ -623,21 +639,13 @@ CHECKS = {
     "young.local": _check_young_local,
 }
 
+# A check's suite is the prefix of its name.
+_SUITE_OF_PREFIX = {
+    "young": "young", "vp": "vp", "lemma": "lemmas", "entstat": "entstat"
+}
 SUITES = {
-    "young": ("young.global", "young.local"),
-    "vp": ("vp.dichotomy", "vp.gap", "vp.subgradient"),
-    "lemmas": (
-        "lemma.coboundary",
-        "lemma.gelfand",
-        "lemma.inner_certificate",
-        "lemma.near_minimizer",
-        "lemma.op_norm_oracle",
-        "lemma.power",
-        "lemma.properties",
-        "lemma.submultiplicative",
-        "lemma.tau_routes",
-    ),
-    "entstat": ("entstat.empirical", "entstat.estimate", "entstat.reduction", "entstat.tv"),
+    suite: tuple(name for name in sorted(CHECKS) if name.split(".")[0] == prefix)
+    for prefix, suite in _SUITE_OF_PREFIX.items()
 }
 SUITES["all"] = tuple(sorted(CHECKS))
 
@@ -683,18 +691,29 @@ def make_record(name, inputs, values, claims, witness=None, repro=None) -> dict:
     return record
 
 
-def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
-    if name not in CHECKS:
-        raise ValueError(f"unknown check {name!r}")
-    inputs = _digest(system, cfg, name)
+def _repro(cfg: CertifyConfig) -> str | None:
+    """The certify command that repeats a run of ``cfg``: the profile is
+    the one whose draw count is ``cfg.draws``, and a draw count that no
+    profile has cannot be repeated from the command line (None)."""
+    profile = next((p for p, draws in PROFILES.items() if draws == cfg.draws), None)
+    if profile is None:
+        return None
     eps_text = ",".join(repr(float(e)) for e in cfg.eps)
     repro = (
         f"tentropy certify {cfg.system_label} --suite {cfg.suite}"
-        f" --seed {cfg.seed} --profile {cfg.profile}"
+        f" --seed {cfg.seed} --profile {profile}"
         f" --n-max {cfg.n_max} --eps {eps_text}"
     )
     if cfg.tolerance is not None:
         repro += f" --tolerance {cfg.tolerance!r}"
+    return repro
+
+
+def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    inputs = _digest(system, cfg, name)
+    repro = _repro(cfg)
     try:
         out = CHECKS[name](system, cfg, _rng_for(cfg.seed, name))
     except np.linalg.LinAlgError:

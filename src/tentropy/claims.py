@@ -35,8 +35,8 @@ ROUNDOFF_TOL = 1e-12
 SLACK_TOL = 1e-9
 
 # Solver tolerance of the certified inner solves: lemma.inner_certificate and
-# the near-minimizer of near_minimizer, near_minimizer_checks (and so
-# near_minimizer_bounds) and lemma.near_minimizer.
+# the near-minimizer of near_minimizer_checks (and so near_minimizer_bounds)
+# and lemma.near_minimizer.
 INNER_TOL = 1e-9
 
 # Slack of the laws whose sides come from inner solves: local_young_checks

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import SUITES, CertifyConfig, make_record, run_suite
+from .certify import PROFILES, SUITES, CertifyConfig, make_record, run_suite
 from .claims import ROUTE_GAP_TOL, CertificateError
 from .entropy import tau_direct, tau_dual
 from .io import (
@@ -40,8 +40,6 @@ from .io import (
 from .sampling import random_system
 from .spectral import spectral_potential
 from .system import InvalidSystemError, require_valid, validate
-
-_PROFILES = {"quick": 1000, "deep": 10000}
 
 _TAU_NOTE = (
     "t-entropy degenerates on a finite system: 0 on the invariant polytope"
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=_parse_seed, help="default: TENTROPY_SEED, then 0")
     p.add_argument("--tolerance", type=_parse_tolerance)
-    p.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
+    p.add_argument("--profile", choices=sorted(PROFILES), default="quick")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
 
     p = command("random-systems", cmd_random_systems, "emit random valid fixtures")
@@ -287,9 +285,7 @@ def cmd_tau(args) -> int:
         values = {
             "value": direct.value,
             "achieving_n": direct.achieving_n,
-            "achieving_members": None
-            if direct.achieving_partition is None
-            else int(direct.achieving_partition.size),
+            "achieving_members": int(direct.achieving_partition.size),
         }
         repro = (
             f"tentropy tau {args.system} {args.functional}"
@@ -328,11 +324,10 @@ def cmd_certify(args) -> int:
     require_valid(system)
     cfg = CertifyConfig(
         seed=seed,
-        draws=_PROFILES[args.profile],
+        draws=PROFILES[args.profile],
         eps=tuple(args.eps),
         n_max=args.n_max,
         tolerance=args.tolerance,
-        profile=args.profile,
         suite=args.suite,
         system_label=args.system,
     )
@@ -345,7 +340,7 @@ def cmd_certify(args) -> int:
         "eps": [float(e) for e in cfg.eps],
         "n_max": cfg.n_max,
         "tolerance": cfg.tolerance,
-        "profile": cfg.profile,
+        "profile": args.profile,
     }
     report = _assemble(config, run_suite(system, cfg))
     _emit(report, args)

@@ -30,7 +30,6 @@ from .claims import (
     CERTIFICATE_TOL,
     DESCENT_TOL,
     DIRECT_TOL,
-    EXACT_TOL,
     INNER_TOL,
     ROUNDOFF_TOL,
     SLACK_TOL,
@@ -45,7 +44,9 @@ from .system import (
     PartitionOfUnity,
     _horizon,
     _integers,
+    _polytope_constraints,
     _require_invariant,
+    _require_positive,
     _transport,
     alpha_power,
     atomic_partition,
@@ -88,7 +89,6 @@ class InnerSolution:
 
     value: float
     p_star: np.ndarray | None
-    c_limits: np.ndarray | None
     optimality_gap: float
     iterations: int
 
@@ -195,10 +195,9 @@ def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
         ca, wa = _active_rows(problem)
         s = problem.c.shape[1]
         if not wa.size:
-            p = np.full(s, 1.0 / s)
-            out[i] = InnerSolution(0.0, p, problem.c @ p, 0.0, 0)
+            out[i] = InnerSolution(0.0, np.full(s, 1.0 / s), 0.0, 0)
         elif (ca.sum(axis=1) == 0.0).any():
-            out[i] = InnerSolution(-np.inf, None, None, 0.0, 0)
+            out[i] = InnerSolution(-np.inf, None, 0.0, 0)
         else:
             stacks.setdefault(s, []).append((i, ca, wa))
     for s, stack in stacks.items():
@@ -212,7 +211,7 @@ def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
         solved = _interior_point(c, w, tols[index])
         for (i, ca, wa), (q, gap, steps) in zip(stack, solved):
             value = _objective(ca, wa, q)
-            out[i] = InnerSolution(value, q, problems[i].c @ q, gap, steps)
+            out[i] = InnerSolution(value, q, gap, steps)
     return out
 
 
@@ -360,17 +359,14 @@ def tau_n(
     tol: float = DIRECT_TOL,
 ) -> InnerSolution:
     """t-entropy at a fixed horizon and partition (not divided by n)."""
-    _require_normalized(effective_weights(system, mu))
+    _require_normalized(system, [effective_weights(system, mu)])
     return maximize_inner(inner_problem(system, mu, partition, n), tol=tol)
 
 
-def _require_normalized(weights) -> None:
-    """ValueError unless the effective weights, one row or each row of a
-    stack, are positive and normalized."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w.min(axis=-1) < -EXACT_TOL) or np.any(
-        np.abs(w.sum(axis=-1) - 1.0) > EXACT_TOL
-    ):
+def _require_normalized(system: FiniteSystem, weights) -> None:
+    """ValueError unless each row of a (k, n_atoms) stack of effective
+    weights is positive and normalized, as ``_polytope_constraints`` tests."""
+    if _polytope_constraints(system, weights).failed[1:3].any():
         raise ValueError("functional must be positive and normalized")
 
 
@@ -382,17 +378,11 @@ def oscillation_partition(
     Atoms land in the same member when their Birkhoff sums share a bucket
     of the given width, so the sums oscillate less than ``width`` inside
     each member.  Null atoms, if any, form one extra trailing member.
+    ``ValueError`` unless the width is finite and positive.
     """
-    if width <= 0.0:
-        raise ValueError("bucket width must be positive")
-    return _bucket_partition(system, birkhoff(system, phi, n), width)
-
-
-def _bucket_partition(
-    system: FiniteSystem, sums: np.ndarray, width: float
-) -> PartitionOfUnity:
-    """``oscillation_partition`` from Birkhoff sums already computed."""
-    return PartitionOfUnity(_level_rows(system, np.floor(sums / width)))
+    _require_positive(width, "bucket width")
+    level = np.floor(birkhoff(system, phi, n) / width)
+    return PartitionOfUnity(_level_rows(system, level))
 
 
 def _level_rows(system: FiniteSystem, level: np.ndarray) -> np.ndarray:
@@ -441,7 +431,7 @@ def tau_direct(
     require_valid(system)
     n_max = _horizon(n_max)
     w = effective_weights(system, mu)
-    _require_normalized(w)
+    _require_normalized(system, [w])
     rng = np.random.default_rng(seed)
     candidates: list[tuple[int, PartitionOfUnity]] = []
     problems: list[InnerProblem] = []
@@ -451,7 +441,7 @@ def tau_direct(
             phi = rng.uniform(-2.0, 2.0, system.n)
             s = birkhoff(system, phi, n)
             width = (float(s.max() - s.min())) / 3.0 + BUCKET_PAD
-            parts.append(_bucket_partition(system, s, width))
+            parts.append(PartitionOfUnity(_level_rows(system, np.floor(s / width))))
         for _ in range(8):
             parts.append(random_partition(rng, system))
         candidates += [(n, part) for part in parts]
@@ -625,8 +615,8 @@ def _horizon_groups(ns, epss, *stacks) -> tuple[np.ndarray, np.ndarray, dict]:
     horizon in order of first appearance.
 
     ``ValueError`` unless the horizons are integers of at least 1, the
-    widths positive, and the widths and every stack in ``stacks`` hold one
-    entry per horizon.
+    widths finite and positive, and the widths and every stack in
+    ``stacks`` hold one entry per horizon.
     """
     ns = _integers(ns, "horizon")
     epss = np.asarray(epss, dtype=float)
@@ -634,8 +624,7 @@ def _horizon_groups(ns, epss, *stacks) -> tuple[np.ndarray, np.ndarray, dict]:
         raise ValueError("need one horizon and one eps per draw")
     if np.any(ns < 1):
         raise ValueError("horizon must be at least 1")
-    if np.any(epss <= 0.0):
-        raise ValueError("eps must be positive")
+    _require_positive(epss, "eps")
     horizons: dict[int, list[int]] = {}
     for i, n in enumerate(ns.tolist()):
         horizons.setdefault(n, []).append(i)
@@ -692,31 +681,17 @@ def local_young_checks(
     return lhs, rhs
 
 
-def near_minimizer(
-    system: FiniteSystem,
-    mu: Functional,
-    partition: PartitionOfUnity,
-    n: int,
-    eps: float,
-) -> np.ndarray:
-    """Potential built from an inner optimum that nearly attains tau_n.
-
-    e^(n phi) mixes each charged member weighted by mu[g] over its optimal
-    integral at ``INNER_TOL``, and pads uncharged members with eps so the
-    log stays finite; on atoms covered only by uncharged members the value
-    is ln(eps) / n.  This is the ``phi`` of ``near_minimizer_bounds``, which
-    also computes both slacks, so the call runs their checks too and raises
-    ``CertificateError`` when a bound is violated beyond tolerance.
-    """
-    return near_minimizer_bounds(system, mu, partition, n, eps).phi
-
-
 @dataclass(frozen=True, eq=False)
 class NearMinimizerBounds:
     """Slack of the two laws pinning the near-minimizing potential.
 
-    growth_slack = eps ||A0^n|| - n lambda(phi); pairing_slack =
-    mu[n phi] + tau_n value.  Both are nonnegative up to solver tolerance.
+    phi is the potential built from an inner optimum that nearly attains
+    tau_n: e^(n phi) mixes each charged member weighted by mu[g] over its
+    optimal integral at ``INNER_TOL``, and pads uncharged members with eps
+    so the log stays finite; on atoms covered only by uncharged members the
+    value is ln(eps) / n.  growth_slack = eps ||A0^n|| - n lambda(phi);
+    pairing_slack = mu[n phi] + tau_n value.  Both are nonnegative up to
+    solver tolerance.
     For one draw the slacks are floats, phi one potential and solution one
     ``InnerSolution``; for a stack of k draws the slacks are (k,) arrays,
     phi a (k, n_atoms) stack and solution a list.
@@ -764,7 +739,7 @@ def near_minimizer_checks(
     """
     w = np.asarray(weights, dtype=float)
     ns, epss, horizons = _horizon_groups(ns, epss, members, w)
-    _require_normalized(w)
+    _require_normalized(system, w)
     norms = np.empty(len(w))
     problems = [None] * len(w)
     for n, rows in horizons.items():
@@ -779,7 +754,7 @@ def near_minimizer_checks(
             raise ValueError("near-minimizer needs a finite inner value")
         coef = np.full(len(members[i]), epss[i])
         active = problem.mu_weights > 0.0
-        coef[active] = problem.mu_weights[active] / sol.c_limits[active]
+        coef[active] = problem.mu_weights[active] / (problem.c @ sol.p_star)[active]
         u = members[i].T @ coef
         if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
             raise CertificateError("mixture weight vanished at an atom")

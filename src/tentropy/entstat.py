@@ -29,6 +29,7 @@ from .system import (
     Functional,
     _horizon,
     _integers,
+    _require_positive,
     _transport,
     orbit_sums,
     pair,
@@ -110,9 +111,9 @@ def build_neighborhood(
     finite t-entropy; for a divergent mu the witness ray is walked out to
     the first tested scale whose variational value drops below
     -1/eps - eps/2.  Either way mu itself lands strictly inside.
+    ``ValueError`` unless eps is finite and positive.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _require_positive(eps, "eps")
     require_valid(system)
     res = tau_dual(system, mu, cross_check=False)
     if res.value == 0.0:
@@ -187,13 +188,13 @@ def growth_constant(
     Decay evidence over the last five horizons: the ratios are
     non-increasing there, or at least set no new maximum (periodic cycle
     structure makes the raw sequence oscillate under a decaying envelope).
-    One doubling of n_max is attempted before giving up.
+    One doubling of n_max is attempted before giving up.  ``ValueError``
+    unless eps is finite and positive.
     """
     n_max = _horizon(n_max)
     if n_max < 10:
         raise ValueError("need at least ten horizons")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _require_positive(eps, "eps")
     phi = np.asarray(phi, dtype=float)
     lam = log_spectral_radius(system, phi)
     for horizon in (n_max, 2 * n_max):

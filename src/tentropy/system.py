@@ -363,15 +363,24 @@ def _integers(values, what: str) -> np.ndarray:
     return a.astype(np.intp)
 
 
-def _horizon(n, least: int = 1) -> int:
+def _horizon(n, least: int = 1, what: str = "horizon") -> int:
     """One horizon as an int: ``ValueError`` unless ``n`` is an integer
-    (not a float, not a bool) of at least ``least``."""
-    a = _integers(n, "horizon")
+    (not a float, not a bool) of at least ``least`` (``what`` names it in
+    the message)."""
+    a = _integers(n, what)
     if a.ndim:
-        raise ValueError("horizon must be one integer")
+        raise ValueError(f"{what} must be one integer")
     if a < least:
-        raise ValueError(f"horizon must be at least {least}")
+        raise ValueError(f"{what} must be at least {least}")
     return int(a)
+
+
+def _require_positive(values, what: str) -> None:
+    """``ValueError`` unless every value is finite and positive: the rule
+    for every eps and bucket width (``what`` names them in the message)."""
+    a = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(a) & (a > 0.0)):
+        raise ValueError(f"{what} must be finite and positive")
 
 
 def _columns(a: np.ndarray, idx) -> np.ndarray:
@@ -468,32 +477,64 @@ def is_invariant(system: FiniteSystem, mu: Functional) -> tuple[bool, float]:
 def invariance(system: FiniteSystem, weights) -> tuple[np.ndarray, np.ndarray]:
     """``is_invariant`` of each row of a (k, n_atoms) stack of effective weights.
 
-    Returns the (k,) verdicts and worst defects; the defects of all rows
-    come from one stacked ``preimage_mass``, each with its own bits.
+    Returns the (k,) verdicts and worst defects, read from
+    ``_polytope_constraints``: a charge on a null atom does not count.
     """
+    con = _polytope_constraints(system, weights)
+    return ~con.failed[1:].any(axis=0), con.worst
+
+
+@dataclass(frozen=True, eq=False)
+class _Constraints:
+    """The invariant polytope's constraints on each row of a (k, n_atoms)
+    stack of effective weights w."""
+
+    failed: np.ndarray  # (4, k): null charge, negativity, normalization, invariance
+    charges: np.ndarray  # (k, n_atoms): the null atoms charged beyond EXACT_TOL
+    gap: np.ndarray  # (k,): 1 - total
+    defect: np.ndarray  # (k, n_atoms): preimage_mass(w) - w
+    worst: np.ndarray  # (k,): the largest |defect|
+
+
+def _polytope_constraints(system: FiniteSystem, weights) -> _Constraints:
+    """Every polytope constraint of each row of a stack of effective
+    weights, tested once at ``EXACT_TOL`` and listed in the order of the
+    divergence witnesses; the defects of all rows come from one stacked
+    ``preimage_mass``, each with its own bits.  ``ValueError`` unless the
+    weights are finite."""
     w = np.asarray(weights, dtype=float)
-    worst = np.abs(preimage_mass(system, w) - w).max(axis=1)
-    ok = (
-        (worst <= EXACT_TOL)
-        & (w.min(axis=1) >= -EXACT_TOL)
-        & (np.abs(w.sum(axis=1) - 1.0) <= EXACT_TOL)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    charges = (np.abs(w) > EXACT_TOL) & ~system.support
+    gap = 1.0 - w.sum(axis=1)
+    defect = preimage_mass(system, w) - w
+    worst = np.abs(defect).max(axis=1)
+    failed = np.stack(
+        (
+            charges.any(axis=1),
+            w.min(axis=1) < -EXACT_TOL,
+            np.abs(gap) > EXACT_TOL,
+            worst > EXACT_TOL,
+        )
     )
-    return ok, worst
+    return _Constraints(failed, charges, gap, defect, worst)
 
 
-def _require_invariant(system: FiniteSystem, weights, phis) -> None:
+def _require_invariant(system: FiniteSystem, weights, phis) -> np.ndarray:
     """``ValueError`` unless ``phis`` pairs one potential with each row of
     ``weights`` and every row passes ``invariance``: the precondition of
-    the stacked Young checks."""
+    the stacked Young checks.  Returns which rows charge a null atom."""
     if np.shape(phis) != np.shape(weights):
         raise ValueError("need one potential per functional")
-    ok, worst = invariance(system, weights)
-    if not ok.all():
-        defect = worst[np.argmin(ok)]
+    con = _polytope_constraints(system, weights)
+    off = con.failed[1:].any(axis=0)
+    if off.any():
+        defect = con.worst[np.argmax(off)]
         raise ValueError(
             f"functional must be invariant (defect {defect:g}); "
             "use divergence_witness for the divergent case"
         )
+    return con.failed[0]
 
 
 def cycle_means(system: FiniteSystem, phi) -> np.ndarray:

@@ -15,18 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import EXACT_TOL, SLACK_TOL, TIE_TOL, CertificateError
+from .claims import SLACK_TOL, TIE_TOL, CertificateError
 from .spectral import log_spectral_radius_batch
 from .system import (
     FULL,
     FiniteSystem,
     Functional,
     PartitionOfUnity,
+    _polytope_constraints,
     _require_invariant,
     cycle_means,
     cycle_measure,
     effective_weights,
-    preimage_mass,
     require_valid,
 )
 
@@ -52,14 +52,6 @@ class DivergenceWitness:
     atom: int | None
 
 
-def _charges_null(system: FiniteSystem, w: np.ndarray) -> np.ndarray:
-    """Which rows of a (k, n_atoms) stack of effective weights put more than
-    EXACT_TOL on a null atom (only FULL-mode functionals can)."""
-    if bool(system.support.all()):
-        return np.zeros(w.shape[0], dtype=bool)
-    return np.any(np.abs(w[:, ~system.support]) > EXACT_TOL, axis=1)
-
-
 def divergence_witness(system: FiniteSystem, mu: Functional) -> DivergenceWitness:
     """First failing constraint of polytope membership, as a divergence ray.
 
@@ -82,27 +74,20 @@ def divergence_witnesses(
     effective weights.
 
     A row without a defect gives None.  Each constraint is tested on the
-    whole stack at once, and the rays of all witnesses at every ray point
-    are verified with one ``log_spectral_radius_batch`` call and a dot
-    product per ray, so every witness keeps the bits of a call on its row
-    alone.
+    whole stack at once by ``system._polytope_constraints``, and the rays
+    of all witnesses at every ray point are verified with one
+    ``log_spectral_radius_batch`` call and a dot product per ray, so every
+    witness keeps the bits of a call on its row alone.
     """
     require_valid(system)
     w = np.asarray(weights, dtype=float)
-    gap = 1.0 - w.sum(axis=1)
-    v = preimage_mass(system, w) - w
-    failed = (
-        _charges_null(system, w),
-        w.min(axis=1) < -EXACT_TOL,
-        np.abs(gap) > EXACT_TOL,
-        np.abs(v).max(axis=1) > EXACT_TOL,
-    )
-    found = np.flatnonzero(failed[0] | failed[1] | failed[2] | failed[3])
+    con = _polytope_constraints(system, w)
+    found = np.flatnonzero(con.failed.any(axis=0))
     witnesses: list[DivergenceWitness | None] = [None] * len(w)
     if not found.size:
         return witnesses
-    # the first failing constraint of each row, in the order above
-    defect = np.stack(failed)[:, found].argmax(axis=0)
+    # the first failing constraint of each row, in the witness order
+    defect = con.failed[:, found].argmax(axis=0)
     atom = np.zeros(found.size, dtype=np.intp)
     rate = np.empty(found.size)
     direction = np.zeros((found.size, system.n))
@@ -121,10 +106,10 @@ def divergence_witnesses(
             direction[rows, atom[rows]] = -1.0
             rate[rows] = -w[at_rows, atom[rows]]
         elif code == 2:
-            direction[rows] = -np.sign(gap[at_rows])[:, None]
-            rate[rows] = np.abs(gap[at_rows])
+            direction[rows] = -np.sign(con.gap[at_rows])[:, None]
+            rate[rows] = np.abs(con.gap[at_rows])
         else:
-            vr = v[at_rows]
+            vr = con.defect[at_rows]
             # largest |v|, then positive before negative, then lowest index
             atom[rows] = np.lexsort((-vr, -np.abs(vr)), axis=-1)[:, 0]
             peak = vr[np.arange(rows.size), atom[rows]]
@@ -203,9 +188,8 @@ def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
 
     phis = np.asarray(phis, dtype=float)
     w = np.asarray(weights, dtype=float)
-    _require_invariant(system, w, phis)
+    charged = _require_invariant(system, w, phis)
     require_valid(system)
-    charged = _charges_null(system, w)
     divergence_witnesses(system, w[charged])
     hull_means(system, w[~charged])
     lams = log_spectral_radius_batch(system, phis)
@@ -367,7 +351,7 @@ def null_charge_divergence(system: FiniteSystem, mu: Functional) -> NullChargeRe
     if bool(system.support.all()):
         raise ValueError("system has no null atoms")
     # tau_n below rejects a functional that is not positive and normalized
-    charged = (~system.support) & (np.abs(mu.weights) > EXACT_TOL)
+    charged = _polytope_constraints(system, [mu.weights]).charges[0]
     if not charged.any():
         raise ValueError("no null atom carries charge")
     g = charged.astype(float)

@@ -1,6 +1,7 @@
 """Certify checks: the claim contract of their records, and the checks that
 evaluate their draws with batched calls."""
 
+import dataclasses
 import json
 import math
 
@@ -576,6 +577,108 @@ def test_a_failing_record_repros_the_suite_that_ran():
     assert failing
     for record in failing:
         assert " --suite vp " in record["repro"]
+
+
+def test_a_repro_names_the_profile_of_the_draw_count():
+    """A failing record's repro names the profile whose draw count ran; a
+    draw count that no profile has cannot be repeated from the command
+    line, so its failing records carry no repro."""
+    cfg = CertifyConfig(tolerance=0.0, suite="vp")
+    assert " --profile quick " in run_check(twocyc(), "vp.subgradient", cfg)["repro"]
+    deep = CertifyConfig(tolerance=0.0, suite="vp", draws=certify.PROFILES["deep"])
+    assert " --profile deep " in certify._repro(deep)
+    records = run_suite(twocyc(), CertifyConfig(tolerance=0.0, suite="vp", draws=20))
+    failing = [r for r in records if r["verdict"] == "fail"]
+    assert [r["name"] for r in failing] == ["vp.subgradient"]
+    assert "repro" not in failing[0]
+
+
+def test_suites_are_the_prefixes_of_the_check_names():
+    prefix = {"young": "young", "vp": "vp", "lemmas": "lemma", "entstat": "entstat"}
+    assert list(certify.SUITES) == [*prefix, "all"]
+    assert certify.SUITES["all"] == tuple(sorted(certify.CHECKS))
+    for suite, names in certify.SUITES.items():
+        assert names == tuple(sorted(names))
+        if suite != "all":
+            assert names and all(n.split(".")[0] == prefix[suite] for n in names)
+    assert sum(len(certify.SUITES[suite]) for suite in prefix) == len(certify.CHECKS)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"draws": 0},
+        {"draws": -3},
+        {"draws": 2.0},
+        {"draws": True},
+        {"n_max": 0},
+        {"n_max": 1.5},
+        {"eps": ()},
+        {"eps": (0.5, math.nan)},
+        {"eps": (math.inf,)},
+        {"eps": (0.0,)},
+        {"eps": (-0.1,)},
+    ],
+)
+def test_certify_config_rejects_knobs_that_certify_nothing(knobs):
+    """Zero draws would pass five checks having drawn nothing; draws and
+    n_max must be integers of at least 1 and eps nonempty, finite and
+    positive."""
+    with pytest.raises(ValueError):
+        CertifyConfig(**knobs)
+
+
+def test_certify_config_accepts_the_smallest_knobs():
+    cfg = CertifyConfig(draws=1, n_max=1, eps=(0.5,))
+    assert (cfg.draws, cfg.n_max, cfg.eps) == (1, 1, (0.5,))
+
+
+def test_vp_dichotomy_reports_an_invariant_draw_that_diverges(monkeypatch):
+    """An invariant draw given a divergence ray fails vp.dichotomy: one bad
+    draw per invariant draw, and the first of them as witness."""
+    s = twocyc()
+    cfg = CertifyConfig(draws=20)
+    zeros = run_check(s, "vp.dichotomy", cfg)["values"]["zeros"]
+    assert zeros > 0
+    real = certify.divergence_witnesses
+
+    def every_row_diverges(on, weights):
+        return [ray or "ray" for ray in real(on, weights)]
+
+    monkeypatch.setattr(certify, "divergence_witnesses", every_row_diverges)
+    record = run_check(s, "vp.dichotomy", cfg)
+    assert (record["verdict"], record["residual"]) == ("fail", float(zeros))
+    assert record["values"] == {"draws": 20, "zeros": 0, "divergent": 20}
+    witness = record["witness"]
+    assert list(witness) == ["weights", "mode", "value"]
+    assert (witness["mode"], witness["value"]) == (system.ESSENTIAL, -math.inf)
+    assert system.invariance(s, [witness["weights"]])[0][0]
+
+
+def test_estimate_reports_the_first_grid_that_fails(monkeypatch):
+    """A grid whose bound fails makes entstat.estimate fail, with the
+    worst ratio's excess over 1 as residual and the first failing grid,
+    at its worst (horizon, atom), as witness."""
+    s = twocyc()
+    real = certify.verify_estimate
+
+    def failing(on, mu, eps, n_range):
+        rep = real(on, mu, eps, n_range)
+        return dataclasses.replace(
+            rep, all_hold=False, worst_ratio=2.5, worst_at=(3, 1)
+        )
+
+    monkeypatch.setattr(certify, "verify_estimate", failing)
+    cfg = CertifyConfig(draws=20)
+    record = run_check(s, "entstat.estimate", cfg)
+    assert (record["verdict"], record["residual"]) == ("fail", 1.5)
+    witness = record["witness"]
+    assert list(witness) == ["mode", "weights", "eps", "n", "atom", "ratio"]
+    assert witness["mode"] == system.ESSENTIAL
+    assert (witness["eps"], witness["n"], witness["atom"], witness["ratio"]) == (
+        cfg.eps[0], 3, 1, 2.5,
+    )
+    assert system.invariance(s, [witness["weights"]])[0][0]
 
 
 @pytest.mark.parametrize("error", [CertificateError, ValueError])

@@ -1,6 +1,7 @@
 """The tolerance table and the failed-claim error: every bound of the
 library is a named constant of ``tentropy.claims``, and every failed claim
-raises ``CertificateError``."""
+raises ``CertificateError``.  Also a lint of the package source: no unused
+import and no unread private name."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,65 @@ def test_certificate_error_is_exported():
     assert tentropy.CertificateError is claims.CertificateError
     assert issubclass(claims.CertificateError, RuntimeError)
     assert not issubclass(claims.CertificateError, ValueError)
+
+
+def _annotations(tree):
+    """Every annotation of a module: of arguments, returns and fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _loaded_names(tree) -> set[str]:
+    """Every name a module reads: loaded names, attributes and the names
+    inside quoted annotations."""
+    names = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_unused_import_or_private_name():
+    """No module of ``src/tentropy`` imports a name it never reads (a line
+    marked ``# noqa: F401`` is exempt, and ``__init__`` only re-exports),
+    and every private module-level name is read somewhere in the package."""
+    unused = []
+    private = []
+    read_anywhere = set()
+    for name, tree in trees():
+        lines = (SRC / name).read_text().splitlines()
+        read = _loaded_names(tree)
+        read_anywhere |= read
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                read_anywhere |= {alias.name for alias in node.names}
+                if (
+                    name == "__init__.py"
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.lineno - 1]
+                ):
+                    continue
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        unused.append((name, node.lineno, bound))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                private.append((name, node.name))
+            elif isinstance(node, ast.Assign):
+                private += [(name, t.id) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                private.append((name, node.target.id))
+    assert unused == []
+    private = [(m, i) for m, i in private if i.startswith("_") and not i.startswith("__")]
+    assert [(m, i) for m, i in private if i not in read_anywhere] == []

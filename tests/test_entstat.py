@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentropy.entropy import (
+    local_young_checks,
+    near_minimizer_checks,
+    oscillation_partition,
+)
 from tentropy.entstat import (
     HalfspaceNeighborhood,
     build_neighborhood,
@@ -25,7 +30,14 @@ from tentropy.sampling import (
     random_null_charging,
     random_system,
 )
-from tentropy.system import FULL, birkhoff, functional, pair
+from tentropy.system import (
+    FULL,
+    atomic_partition,
+    birkhoff,
+    effective_weights,
+    functional,
+    pair,
+)
 
 from oracles import empirical_walk
 
@@ -172,6 +184,28 @@ def test_empirical_tv_decay_bound(seed, n):
     tv = 0.5 * np.abs(empirical(s, x, n).weights - uniform).sum()
     bound = (dec.entry_time[x] + len(cyc)) / n
     assert tv <= bound + 1e-12, f"x={x}, n={n}: {tv} > {bound}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+def test_eps_and_widths_must_be_finite_and_positive(bad):
+    """A NaN, infinite or nonpositive eps or width is bad input
+    (``ValueError``), never a failed claim or a NaN slack."""
+    s = twocyc()
+    gen = np.random.default_rng(5)
+    mu = random_invariant(gen, s)
+    w = [effective_weights(s, mu)]
+    phi = np.zeros(s.n)
+    calls = [
+        lambda: local_young_checks(s, [phi], w, [1], [bad]),
+        lambda: near_minimizer_checks(s, [atomic_partition(s).members], w, [1], [bad]),
+        lambda: build_neighborhood(s, mu, bad),
+        lambda: verify_estimate(s, mu, bad),
+        lambda: growth_constant(s, phi, bad),
+        lambda: oscillation_partition(s, phi, 1, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            call()
 
 
 def test_build_neighborhood_invariant_center():
