@@ -29,16 +29,17 @@ each draw keeping the bits of its own evaluation except where said:
   ``_YOUNG_CHUNK`` draws, one ``inner_problems`` call per horizon of a chunk
   and one batched inner solve per chunk; a problem padded to the row count
   of its batch can move its slack in the last bits;
-- ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` of the
-  indicators of all supported atoms and one of the unit-ball draws;
-- ``lemma.properties``: one stack of potential pairs for
-  ``property_residuals``;
+- ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` per chunk
+  of ``system._chunk_rows`` indicators of supported atoms and one per such
+  chunk of unit-ball draws;
+- ``lemma.properties``: ``property_residuals`` on chunks of
+  ``system._chunk_rows`` potential pairs;
 - ``lemma.power``: one stack of potentials per power for ``power_gap``;
 - ``vp.dichotomy``: ``divergence_witnesses`` on the effective weights of
   chunks of ``_YOUNG_CHUNK`` draws, and one ``hull_means`` per chunk for
   the rows without a defect;
-- ``vp.gap``: all potentials drawn by one generator call, for one
-  ``variational_principle``;
+- ``vp.gap``: one generator call per chunk of ``system._chunk_rows``
+  potentials, for one ``variational_principle`` per chunk;
 - ``young.global``: ``young_checks`` on chunks of ``_YOUNG_CHUNK`` draws;
 - ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
   draws, one orbit walk per horizon of a chunk and one batched inner solve
@@ -109,6 +110,7 @@ from .spectral import (
 from .system import (
     ESSENTIAL,
     FiniteSystem,
+    _chunk_rows,
     _horizon,
     _require_positive,
     atomic_partition,
@@ -166,10 +168,10 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
 _YOUNG_CHUNK = 64
 
 
-def _chunks(draws: int):
-    """Sizes of the consecutive chunks of ``_YOUNG_CHUNK`` draws."""
-    for start in range(0, draws, _YOUNG_CHUNK):
-        yield min(_YOUNG_CHUNK, draws - start)
+def _chunks(draws: int, size: int = _YOUNG_CHUNK):
+    """Sizes of the consecutive chunks of ``size`` draws."""
+    for start in range(0, draws, size):
+        yield min(size, draws - start)
 
 
 def _check_young_global(system, cfg, rng):
@@ -211,9 +213,11 @@ def _check_young_local(system, cfg, rng):
 
 
 def _check_vp_gap(system, cfg, rng):
-    phis = rng.uniform(-3.0, 3.0, size=(cfg.draws, system.n))
-    gaps = variational_principle(system, phis).gap
-    worst = float(np.abs(gaps).max(initial=0.0))
+    worst = 0.0
+    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis = rng.uniform(-3.0, 3.0, size=(size, system.n))
+        gaps = variational_principle(system, phis).gap
+        worst = max(worst, float(np.abs(gaps).max()))
     return {
         "values": {"draws": cfg.draws, "worst_gap": worst},
         "claims": [(worst, cfg.threshold(SLACK_TOL))],
@@ -292,24 +296,26 @@ def _l1_norms(system, values) -> list[float]:
 def _check_op_norm_oracle(system, cfg, rng):
     worst_gap = 0.0
     worst_excess = -np.inf
+    rows = _chunk_rows(system.n)
     sup = system.supported_indices
-    indicators = np.zeros((sup.size, system.n))
-    indicators[np.arange(sup.size), sup] = 1.0 / system.m[sup]
     for n in range(1, 6):
         phi = random_potential(rng, system, scale=2.0)
         norm_log = op_norm_log(system, phi, n)
         best = -np.inf
-        for grown in _l1_norms(system, iterate(system, phi, indicators, n)):
-            # an atom with no n-step preimage grows an indicator to zero
-            if grown > 0.0:
-                best = max(best, np.log(grown))
+        for start in range(0, sup.size, rows):
+            atoms = sup[start : start + rows]
+            indicators = np.zeros((atoms.size, system.n))
+            indicators[np.arange(atoms.size), atoms] = 1.0 / system.m[atoms]
+            for grown in _l1_norms(system, iterate(system, phi, indicators, n)):
+                # an atom with no n-step preimage grows an indicator to zero
+                if grown > 0.0:
+                    best = max(best, np.log(grown))
         worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = np.exp(norm_log)
-        units = np.array(
-            [random_unit_values(rng, system) for _ in range(max(1, cfg.draws // 5))]
-        )
-        for grown in _l1_norms(system, iterate(system, phi, units, n)):
-            worst_excess = max(worst_excess, grown - value * (1.0 + SLACK_TOL))
+        for size in _chunks(max(1, cfg.draws // 5), rows):
+            units = np.array([random_unit_values(rng, system) for _ in range(size)])
+            for grown in _l1_norms(system, iterate(system, phi, units, n)):
+                worst_excess = max(worst_excess, grown - value * (1.0 + SLACK_TOL))
     return {
         "values": {
             "indicator_gap": worst_gap,
@@ -368,23 +374,26 @@ def _check_power(system, cfg, rng):
 
 
 def _check_properties(system, cfg, rng):
-    phis = np.empty((cfg.draws, system.n))
-    psis = np.empty((cfg.draws, system.n))
-    ts = np.empty(cfg.draws)
-    shifts = np.empty(cfg.draws)
-    for i in range(cfg.draws):
-        phis[i] = random_potential(rng, system, scale=2.0)
-        psis[i] = random_potential(rng, system, scale=2.0)
-        ts[i] = rng.uniform()
-        shifts[i] = rng.uniform(-3.0, 3.0)
-    props = property_residuals(system, phis, psis, t=ts, shift=shifts)
-    worst = max(
-        float(props.monotonicity.max()),
-        float(props.additive_homogeneity.max()),
-        float(props.lipschitz.max()),
-        float(props.convexity.max()),
-        float(props.strong_invariance.max()),
-    )
+    worst = -np.inf
+    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis = np.empty((size, system.n))
+        psis = np.empty((size, system.n))
+        ts = np.empty(size)
+        shifts = np.empty(size)
+        for i in range(size):
+            phis[i] = random_potential(rng, system, scale=2.0)
+            psis[i] = random_potential(rng, system, scale=2.0)
+            ts[i] = rng.uniform()
+            shifts[i] = rng.uniform(-3.0, 3.0)
+        props = property_residuals(system, phis, psis, t=ts, shift=shifts)
+        worst = max(
+            worst,
+            float(props.monotonicity.max()),
+            float(props.additive_homogeneity.max()),
+            float(props.lipschitz.max()),
+            float(props.convexity.max()),
+            float(props.strong_invariance.max()),
+        )
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],

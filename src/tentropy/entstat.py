@@ -235,6 +235,18 @@ class EstimateReport:
     neighborhood: HalfspaceNeighborhood
 
 
+_ESTIMATE_ROW = np.dtype(
+    [
+        ("n", np.intp),
+        ("atom", np.intp),
+        ("lhs", float),
+        ("rhs", float),
+        ("ratio", float),
+        ("x_n_size", np.intp),
+    ]
+)
+
+
 def estimate_lhs(
     system: FiniteSystem, nbhd: HalfspaceNeighborhood, n: int, y: int
 ) -> float:
@@ -276,7 +288,9 @@ def verify_estimate(
     n_range=range(1, 13),
 ) -> EstimateReport:
     """Check the hitting-mass estimate on the full (horizon, atom) grid,
-    read from one orbit walk up to the largest horizon."""
+    read from one orbit walk up to the largest horizon.  The grid is
+    allocated once and each of its fields written in place, with one
+    ``exp`` per horizon for the bound."""
     horizons = _integers(n_range, "horizon")
     if horizons.size == 0 or horizons.min() < 1:
         raise ValueError("n_range must list horizons, each at least 1")
@@ -285,24 +299,25 @@ def verify_estimate(
     c = growth_constant(system, nbhd.phi, eps, n_max=max(16, n_top))
     divergent = nbhd.tau_value == -np.inf
     rate = (-1.0 / eps) if divergent else (nbhd.tau_value + eps)
-    walk = orbit_sums(system, nbhd.phi, n_top)
-    cells = [_hitting_mass(system, nbhd, *item) for item in walk]
-    hit_sets, rels = zip(*(cells[n - 1] for n in horizons))
     sup = system.supported_indices
-    n = np.repeat(horizons, sup.size)
-    lhs = np.concatenate(rels)
-    rhs = np.exp(c.log_value + n * rate)
-    x_n_size = np.repeat([hits.size for hits in hit_sets], sup.size)
-    rows = np.rec.fromarrays(
-        [n, np.tile(sup, horizons.size), lhs, rhs, lhs / rhs, x_n_size],
-        names="n,atom,lhs,rhs,ratio,x_n_size",
-    )
+    grid = np.empty((horizons.size, sup.size), _ESTIMATE_ROW)
+    grid["n"] = horizons[:, None]
+    grid["atom"] = sup
+    for n, s, an in orbit_sums(system, nbhd.phi, n_top):
+        at = np.flatnonzero(horizons == n)
+        if at.size:
+            hits, grid["lhs"][at] = _hitting_mass(system, nbhd, n, s, an)
+            grid["x_n_size"][at] = hits.size
+    rhs = np.exp(c.log_value + horizons * rate)
+    grid["rhs"] = rhs[:, None]
+    np.divide(grid["lhs"], grid["rhs"], out=grid["ratio"])
+    rows = grid.reshape(-1).view(np.recarray)
     worst = int(np.argmax(rows.ratio))
     return EstimateReport(
         rows=rows,
         worst_ratio=float(rows.ratio[worst]),
-        worst_at=(int(n[worst]), int(rows.atom[worst])),
-        all_hold=bool(np.all(lhs <= rhs * (1.0 + SLACK_TOL))),
+        worst_at=(int(rows.n[worst]), int(rows.atom[worst])),
+        all_hold=bool(np.all(grid["lhs"] <= (rhs * (1.0 + SLACK_TOL))[:, None])),
         c=c,
         branch="divergent" if divergent else "finite",
         neighborhood=nbhd,

@@ -9,7 +9,8 @@ maximum of plain averages of phi over cycles inside the support.
 All norms are handled in log space so that potentials of size 10 and horizons
 in the hundreds stay finite.  A direct norm is one call to
 ``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
-pushes the e^(Birkhoff sum)-weighted masses forward along alpha^n in linear time;
+pushes the e^(Birkhoff sum)-weighted masses of the supported atoms forward
+along alpha^n in linear time;
 one horizon reads its Birkhoff sums and alpha^n from one ``system._transport``
 call, in O(N log n) beyond ``system._WALK_HORIZON``.
 ``norm_log_sequence`` gives the norms at every horizon up to n_max from one
@@ -130,11 +131,14 @@ def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray):
     """Largest log ratio of e^s-weighted preimage mass under an to atom mass.
 
     ``s`` is one row of Birkhoff sums or a (k, n_atoms) stack sharing ``an``,
-    which gives one value per row, each with the bits of its own call.
+    which gives one value per row, each with the bits of its own call.  Only
+    the supported atoms are pushed: a null atom's term is -inf and would add
+    an exact zero.
     """
     sup = system.supported_indices
-    mass = log_preimage_mass(system, s + system.log_m, an)
-    return np.max(_columns(mass, sup) - system.log_m[sup], axis=-1)
+    log_m = system.log_m[sup]
+    mass = log_preimage_mass(system, _columns(s, sup) + log_m, an[sup])
+    return np.max(_columns(mass, sup) - log_m, axis=-1)
 
 
 def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:

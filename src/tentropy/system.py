@@ -346,12 +346,30 @@ def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
     terms = log_weights.ravel()
     top = np.full(size, -np.inf)
     np.maximum.at(top, bins, terms)
-    hit = np.isfinite(top)
-    shift = np.where(hit, top, 0.0)
+    # only the bins where mass landed are shifted and take a log; a -inf
+    # term adds an exact zero to its bin
+    landed = np.flatnonzero(np.isfinite(top))
+    shift = np.zeros(size)
+    shift[landed] = top[landed]
     total = np.bincount(bins, weights=np.exp(terms - shift[bins]), minlength=size)
-    out = np.full(size, -np.inf)
-    out[hit] = shift[hit] + np.log(total[hit])
-    return out.reshape(log_weights.shape[:-1] + (system.n,))
+    top[landed] += np.log(total[landed])
+    return top.reshape(log_weights.shape[:-1] + (system.n,))
+
+
+# Float64 entries in one chunk of a (rows, n_atoms) stack of draws: 1 MiB.
+_CHUNK_ENTRIES = 2**17
+
+
+def _chunk_rows(n_atoms: int) -> int:
+    """Rows per chunk of a (rows, n_atoms) stack of draws swept in chunks:
+    ``_CHUNK_ENTRIES`` over n_atoms, rounded down to a multiple of 8 and at
+    least 8, so a sweep holds O(_CHUNK_ENTRIES + n_atoms) floats.
+
+    OpenBLAS's dgemv takes rows in groups of 4, so with one BLAS thread a
+    product on chunks of 8k rows gives every row the bits of one product
+    over all rows.
+    """
+    return max(8, _CHUNK_ENTRIES // n_atoms // 8 * 8)
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -22,6 +22,8 @@ from .system import (
     FiniteSystem,
     Functional,
     PartitionOfUnity,
+    _chunk_rows,
+    _horizon,
     _polytope_constraints,
     _require_invariant,
     cycle_means,
@@ -303,18 +305,26 @@ def subgradient(
     """Subgradient of the spectral potential at phi, verified on random moves.
 
     The attainment identity tau(mu) = lambda(phi) - mu[phi] at the maximizer
-    mu is the gap ``variational_principle`` has just certified.
+    mu is the gap ``variational_principle`` has just certified.  The draws
+    are swept in chunks of ``system._chunk_rows`` rows, each drawn from the
+    one generator stream and turned into its moves in place, so the sweep
+    holds O(``system._CHUNK_ENTRIES`` + N) floats and, with one BLAS
+    thread, every draw keeps the bits of one sweep over all of them.
+    ``ValueError`` unless draws is an integer of at least 0.
     """
+    draws = _horizon(draws, least=0, what="draws")
     phi = np.asarray(phi, dtype=float)
     cert = variational_principle(system, phi)
     mu = cert.maximizer
+    w = effective_weights(system, mu)
     rng = np.random.default_rng(seed)
-    psis = rng.normal(0.0, 2.0, size=(draws, system.n))
-    lams = log_spectral_radius_batch(system, psis)
-    moves = psis - phi
-    gains = lams - cert.lambda_value
-    paired = moves @ effective_weights(system, mu)
-    worst = float((paired - gains).max()) if draws else -np.inf
+    worst = -np.inf
+    step = _chunk_rows(system.n)
+    for start in range(0, draws, step):
+        psis = rng.normal(0.0, 2.0, size=(min(step, draws - start), system.n))
+        gains = log_spectral_radius_batch(system, psis) - cert.lambda_value
+        paired = np.subtract(psis, phi, out=psis) @ w
+        worst = max(worst, float((paired - gains).max()))
     if worst > SLACK_TOL:
         raise CertificateError(f"subgradient inequality violated by {worst}")
     return SubgradientResult(

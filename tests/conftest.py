@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,49 @@ def large_pool():
         assert not hit[support].all() and not hit[~support].all()
         systems.append(s)
     return systems
+
+
+def cycles_on(gen, atoms, alpha):
+    """Point ``alpha`` of the shuffled ``atoms`` into cycles of 1 to 4 atoms."""
+    atoms = gen.permutation(atoms)
+    start = 0
+    while start < atoms.size:
+        cycle = atoms[start : start + int(gen.integers(1, 5))]
+        alpha[cycle] = np.roll(cycle, -1)
+        start += cycle.size
+
+
+@pytest.fixture(scope="session")
+def chunk_systems():
+    """Systems for the tests of sweeps in row chunks: maps of 20 and 41
+    supported atoms, all on cycles of 1 to 4 atoms, and one of 60 whose
+    supported atoms lie on such cycles and whose null fifth maps anywhere.
+    With many cycles a subgradient violation is rarely exactly 0."""
+    gen = np.random.default_rng(808)
+    systems = []
+    for n in (20, 41):
+        alpha = np.empty(n, dtype=np.intp)
+        cycles_on(gen, np.arange(n), alpha)
+        systems.append(make_system(gen.uniform(0.2, 2.0, n), alpha))
+    support = np.ones(60, dtype=bool)
+    support[gen.permutation(60)[:12]] = False
+    alpha = gen.integers(0, 60, size=60)
+    cycles_on(gen, np.flatnonzero(support), alpha)
+    systems.append(make_system(np.where(support, gen.uniform(0.2, 2.0, 60), 0.0), alpha))
+    return systems
+
+
+@pytest.fixture
+def traced_peak():
+    """A function giving ``call()`` and the peak memory traced during that
+    call, in bytes; an untraced call first fills the system's caches."""
+
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -5,13 +5,23 @@ squaring, at a memory cost of k**3 floats for k supported atoms;
 ``power_system`` builds the k-step system atom by atom;
 ``empirical_walk`` walks one orbit step by step;
 ``dual_descent_full_steps`` is the dual descent that rebuilds every cycle
-value and the tie set over all cycles at each step.
+value and the tie set over all cycles at each step;
+``log_preimage_mass_all_terms`` is the log push that takes every term,
+-inf ones included, and masks the bins where nothing landed, and
+``norm_log_all_terms`` the norm that pushes every atom through it.
 """
 
 import numpy as np
 
 from tentropy.claims import SLACK_TOL, TIE_TOL
-from tentropy.system import FiniteSystem, alpha_power, require_valid, restrict_to_support
+from tentropy.system import (
+    FiniteSystem,
+    _columns,
+    _stacked_bins,
+    alpha_power,
+    require_valid,
+    restrict_to_support,
+)
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,3 +100,28 @@ def dual_descent_full_steps(
         e[tied] += 1.0 / ((k + 1.0) * int(tied.sum()))
         harmonic += 1.0 / (k + 1.0)
     return best
+
+
+def log_preimage_mass_all_terms(system: FiniteSystem, log_weights, an) -> np.ndarray:
+    """``log_preimage_mass`` with a full-length mask of the bins where mass
+    landed, a shift of 0 and a total of exact zeros on every other bin, and
+    a log taken through the mask."""
+    log_weights = np.asarray(log_weights, dtype=float)
+    bins, size = _stacked_bins(system, an, log_weights)
+    terms = log_weights.ravel()
+    top = np.full(size, -np.inf)
+    np.maximum.at(top, bins, terms)
+    hit = np.isfinite(top)
+    shift = np.where(hit, top, 0.0)
+    total = np.bincount(bins, weights=np.exp(terms - shift[bins]), minlength=size)
+    out = np.full(size, -np.inf)
+    out[hit] = shift[hit] + np.log(total[hit])
+    return out.reshape(log_weights.shape[:-1] + (system.n,))
+
+
+def norm_log_all_terms(system: FiniteSystem, s: np.ndarray, an: np.ndarray):
+    """``spectral._norm_log`` with every atom pushed, a null atom by its
+    -inf term, through ``log_preimage_mass_all_terms``."""
+    sup = system.supported_indices
+    mass = log_preimage_mass_all_terms(system, s + system.log_m, an)
+    return np.max(_columns(mass, sup) - system.log_m[sup], axis=-1)

@@ -516,6 +516,36 @@ def test_dichotomy_and_oracle_checks_evaluate_stacks(monkeypatch):
 
 
 
+def test_chunked_stacks_keep_the_record_bits(monkeypatch, chunk_systems):
+    """vp.gap, lemma.properties, lemma.op_norm_oracle and vp.subgradient
+    give byte-identical records when their (draws, N) stacks are swept in
+    8-row chunks: the draws keep their order in the generator stream.  The
+    subgradient's products are at most 100 x 60, far below the sizes at
+    which the thread count moves their bits."""
+    cfg = CertifyConfig(seed=31, draws=100)
+    names = ("vp.gap", "lemma.properties", "lemma.op_norm_oracle", "vp.subgradient")
+    want = {(s.n, name): run_check(s, name, cfg) for s in chunk_systems for name in names}
+    assert all(system._chunk_rows(s.n) >= 100 for s in chunk_systems)
+    monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
+    vps = counting(monkeypatch, certify, "variational_principle")
+    props = counting(monkeypatch, certify, "property_residuals")
+    iterates = counting(monkeypatch, certify, "iterate")
+    for s in chunk_systems:
+        vps.clear()
+        props.clear()
+        iterates.clear()
+        for name in names:
+            record = run_check(s, name, cfg)
+            assert record["verdict"] == "pass", (name, record)
+            assert json.dumps(record) == json.dumps(want[s.n, name]), (name, s.n)
+        assert [len(args[1]) for args in vps] == [8] * 12 + [4]
+        assert [len(args[1]) for args in props] == [8] * 12 + [4]
+        rows = [len(args[2]) for args in iterates]
+        sup = s.supported_indices.size
+        per_horizon = [8] * (sup // 8) + [sup % 8] * (sup % 8 > 0) + [8, 8, 4]
+        assert rows == per_horizon * 5
+
+
 def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
     """lemma.near_minimizer builds a chunk's inner problems with one
     ``inner_problems`` call per horizon and solves them with one

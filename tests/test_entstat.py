@@ -36,6 +36,7 @@ from tentropy.system import (
     birkhoff,
     effective_weights,
     functional,
+    make_system,
     pair,
 )
 
@@ -329,6 +330,34 @@ def test_verify_estimate_divergent_branch(any_system, system_pool, large_pool):
         for eps in (1.0, 0.1):
             rep = checked_estimate(s, perturbed_invariant(gen, s), eps)
             assert rep.branch == "divergent" and rep.all_hold
+
+
+def test_verify_estimate_holds_little_beside_its_grid(traced_peak):
+    """At N = 10^4 the grid is written once, in place: the traced peak of
+    a call beyond the grid itself is at most half of the 6.4 MB that
+    assembling it from per-field arrays took on this map.  The grid keeps
+    its record dtype and recarray type."""
+    gen = np.random.default_rng(4343)
+    n = 10_000
+    support = np.ones(n, dtype=bool)
+    support[gen.permutation(n)[: n // 5]] = False
+    sup = np.flatnonzero(support)
+    alpha = gen.integers(0, n, size=n)
+    alpha[sup] = gen.choice(sup, size=sup.size)
+    s = make_system(np.where(support, gen.uniform(0.5, 2.0, size=n), 0.0), alpha)
+    w = np.zeros(n)
+    cycles = s.supported_cycle_arrays
+    for c, idx in zip(gen.dirichlet(np.ones(len(cycles))), cycles):
+        w[idx] += c / idx.size
+    mu = functional(s, w)
+    rep, peak = traced_peak(lambda: verify_estimate(s, mu, 0.5))
+    assert rep.branch == "finite" and rep.all_hold
+    assert type(rep.rows) is np.recarray and rep.rows.shape == (12 * sup.size,)
+    assert rep.rows.dtype == np.dtype(
+        (np.record, [("n", np.intp), ("atom", np.intp), ("lhs", float),
+                     ("rhs", float), ("ratio", float), ("x_n_size", np.intp)])
+    )
+    assert peak - rep.rows.nbytes <= 3_200_000
 
 
 def test_verify_estimate_null_charging():

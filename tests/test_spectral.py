@@ -27,8 +27,10 @@ from tentropy.spectral import (
     property_residuals,
     spectral_potential,
 )
+from tentropy.spectral import _norm_log
 from tentropy.system import (
     _WALK_HORIZON,
+    _transport,
     alpha_power,
     birkhoff,
     cycle_means,
@@ -38,7 +40,7 @@ from tentropy.system import (
     orbit_sums,
 )
 
-from oracles import op_norm_log_pow, power_system
+from oracles import norm_log_all_terms, op_norm_log_pow, power_system
 
 LN2 = math.log(2.0)
 
@@ -329,6 +331,33 @@ def test_far_horizons_agree_with_the_walk(system_pool, large_pool):
                     scale = np.maximum(1.0, np.abs(walked))
                     assert np.all(np.abs(single - walked) <= ROUNDOFF_TOL * scale)
                     assert abs(norm - want) <= ROUNDOFF_TOL * max(1.0, abs(want))
+
+
+def test_the_norm_pushes_supported_terms_with_the_bits_of_every_term(large_pool):
+    """The norm pushes only the supported atoms and keeps the bits of the
+    push of every atom, in which a null atom's term is -inf and adds an
+    exact zero: on null atoms that map onto supported ones, on supported
+    atoms reached only from null ones, on (k, N) stacks, on potentials
+    scaled by 300, at horizons 1..24 and at 100 (the doubling route)."""
+    # null 3 -> supported 0 and null 4 -> null 3; supported 5 is reached
+    # only from null 6
+    feed = make_system([1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0], [1, 2, 0, 0, 3, 1, 5])
+    assert (~feed.support & feed.support[feed.alpha]).any()
+    assert list(np.flatnonzero(feed.alpha == 5)) == [6] and not feed.support[6]
+    gen = np.random.default_rng(2207)
+    for s in [feed, random_map(gen, 60)] + large_pool:
+        for scale in (1.0, 300.0):
+            phis = scale * gen.uniform(-1.0, 1.0, size=(3, s.n))
+            seqs = [norm_log_sequence(s, phi, 24) for phi in phis]
+            for n, sums, an in orbit_sums(s, phis, 24):
+                want = norm_log_all_terms(s, sums, an)
+                assert _norm_log(s, sums, an).tobytes() == want.tobytes()
+                for r, phi in enumerate(phis):
+                    assert seqs[r][n - 1] == want[r]
+                    assert op_norm_log(s, phi, n) == want[r]
+            for phi in phis:
+                want = norm_log_all_terms(s, *_transport(s, phi, 100))
+                assert op_norm_log(s, phi, 100) == want
 
 
 def test_a_horizon_no_walk_can_reach():

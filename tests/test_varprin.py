@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentropy import entropy, varprin
+from tentropy import entropy, system, varprin
 from tentropy.claims import CertificateError
 from tentropy.fixtures import cycle3, null_pair, twocyc
 from tentropy.sampling import (
@@ -421,6 +421,58 @@ def test_subgradient_residual_is_the_attainment_identity(monkeypatch, system_poo
             tau = tau_dual(s, r.measure, cross_check=False).value
             want = abs(tau - (log_spectral_radius(s, phi) - pair(s, r.measure, phi)))
             assert r.tau_identity_residual == want
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, -3])
+def test_subgradient_draws_must_be_a_count(bad):
+    """A bool, a float or a negative draw count raises ``ValueError``."""
+    with pytest.raises(ValueError, match="draws"):
+        subgradient(cycle3(), np.zeros(3), draws=bad)
+
+
+def test_chunked_subgradient_keeps_the_bits_of_one_sweep(monkeypatch, chunk_systems):
+    """Draws swept in 8-row chunks give ``worst_violation`` the bits of one
+    sweep over all of them, for draw counts around and well above a chunk.
+    Every product is at most 100 x 60: with 2 BLAS threads, 100 x N
+    products from N = 6000 on gave other bits than their own 8-row chunks
+    in a few rows, and with one thread none did."""
+    gen = np.random.default_rng(818)
+    cases = [
+        (s, random_potential(gen, s), draws, int(gen.integers(2**32)))
+        for s in chunk_systems
+        for draws in (0, 1, 7, 8, 9, 100)
+    ]
+    assert max(s.n * draws for s, _, draws, _ in cases) == 6000
+    assert all(system._chunk_rows(s.n) >= 100 for s, *_ in cases)
+    want = [subgradient(s, phi, draws=d, seed=seed) for s, phi, d, seed in cases]
+    monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
+    sizes = []
+    batch = varprin.log_spectral_radius_batch
+
+    def sized_batch(s, phis):
+        sizes.append(len(phis))
+        return batch(s, phis)
+
+    monkeypatch.setattr(varprin, "log_spectral_radius_batch", sized_batch)
+    for (s, phi, draws, seed), unchunked in zip(cases, want):
+        sizes.clear()
+        got = subgradient(s, phi, draws=draws, seed=seed)
+        assert sizes == [8] * (draws // 8) + [draws % 8] * (draws % 8 > 0)
+        assert got.worst_violation.hex() == unchunked.worst_violation.hex()
+        assert got.draws == draws
+    assert want[0].worst_violation == -np.inf
+
+
+def test_subgradient_sweep_holds_one_chunk_of_draws(traced_peak):
+    """At N = 10^4 a sweep of 100 draws stays under 2 MB traced; holding
+    every draw and its move at once took 16.2 MB on this map."""
+    gen = np.random.default_rng(4242)
+    n = 10_000
+    s = make_system(gen.uniform(0.5, 2.0, n), gen.integers(0, n, size=n))
+    phi = gen.uniform(-2.0, 2.0, n)
+    res, peak = traced_peak(lambda: subgradient(s, phi, draws=100, seed=3))
+    assert res.worst_violation <= 1e-9
+    assert peak < 2_000_000
 
 
 def test_null_charge_divergence_report():
