@@ -16,8 +16,8 @@ infinite residual instead of a crash; any other exception propagates, and so
 does numpy's ``LinAlgError``: it subclasses ``ValueError``, but a singular
 linear system is a failure of the library, not bad input.
 
-Ten checks fill arrays with their draws, making the same generator calls in
-the same order as one evaluation per draw would (the array forms of the
+Twelve checks fill arrays with their draws, making the same generator calls
+in the same order as one evaluation per draw would (the array forms of the
 samplers build no object), and then evaluate the draws with batched calls,
 each draw keeping the bits of its own evaluation except where said:
 
@@ -25,6 +25,8 @@ each draw keeping the bits of its own evaluation except where said:
   ``orbit_sums`` walk for the Birkhoff sums per chunk of ``_YOUNG_CHUNK``
   draws;
 - ``entstat.tv``: ``empirical_weights`` per chunk of ``_YOUNG_CHUNK`` draws;
+- ``lemma.gelfand``: one generator call and one stacked
+  ``spectral_potential`` per chunk of ``system._chunk_rows`` potentials;
 - ``lemma.near_minimizer``: ``near_minimizer_checks`` on chunks of
   ``_YOUNG_CHUNK`` draws, one ``inner_problems`` call per horizon of a chunk
   and one batched inner solve per chunk; a problem padded to the row count
@@ -35,6 +37,9 @@ each draw keeping the bits of its own evaluation except where said:
 - ``lemma.properties``: ``property_residuals`` on chunks of
   ``system._chunk_rows`` potential pairs;
 - ``lemma.power``: one stack of potentials per power for ``power_gap``;
+- ``lemma.submultiplicative``: per chunk of ``system._chunk_rows`` draws,
+  the norms at all three horizons of every draw from one stacked
+  ``orbit_sums`` walk (``spectral._norm_logs``);
 - ``vp.dichotomy``: ``divergence_witnesses`` on the effective weights of
   chunks of ``_YOUNG_CHUNK`` draws, and one ``hull_means`` per chunk for
   the rows without a defect;
@@ -42,8 +47,11 @@ each draw keeping the bits of its own evaluation except where said:
   potentials, for one ``variational_principle`` per chunk;
 - ``young.global``: ``young_checks`` on chunks of ``_YOUNG_CHUNK`` draws;
 - ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
-  draws, one orbit walk per horizon of a chunk and one batched inner solve
-  per chunk.
+  draws, one orbit walk and one set of level partitions per horizon of a
+  chunk and one batched inner solve per chunk.
+
+Where a check pairs the rows of two stacks, one ``system._pairings`` call
+gives every row the bits of its own dot product.
 
 ``lemma.inner_certificate`` solves each draw alone with ``maximize_inner``,
 a stack of one at its own row count.  It stays per draw for two reasons
@@ -100,6 +108,7 @@ from .sampling import (
     random_unit_values,
 )
 from .spectral import (
+    _norm_logs,
     iterate,
     log_spectral_radius_batch,
     op_norm_log,
@@ -112,6 +121,7 @@ from .system import (
     FiniteSystem,
     _chunk_rows,
     _horizon,
+    _pairings,
     _require_positive,
     atomic_partition,
     orbit_sums,
@@ -174,6 +184,12 @@ def _chunks(draws: int, size: int = _YOUNG_CHUNK):
         yield min(size, draws - start)
 
 
+def _pick(rng: np.random.Generator, values: tuple):
+    """``rng.choice(values)``: the same generator call and the same value,
+    at a fifth of the cost."""
+    return values[rng.integers(len(values))]
+
+
 def _check_young_global(system, cfg, rng):
     worst = np.inf
     tight = 0
@@ -203,7 +219,7 @@ def _check_young_local(system, cfg, rng):
             phis[i] = random_potential(rng, system, scale=2.0)
             weights[i] = random_invariant_weights(rng, system)
             ns[i] = rng.integers(1, 7)
-            epss[i] = rng.choice(cfg.eps)
+            epss[i] = _pick(rng, cfg.eps)
         lhs, rhs = local_young_checks(system, phis, weights, ns, epss)
         worst = min(worst, min((lhs - rhs).tolist()))
     return {
@@ -289,8 +305,10 @@ def _check_vp_dichotomy(system, cfg, rng):
 
 
 def _l1_norms(system, values) -> list[float]:
-    """``l1_norm`` of each row of a stack, one dot product per row."""
-    return [float(np.abs(row) @ system.m) for row in values]
+    """``l1_norm`` of each row of a stack, with its bits: its row of
+    absolute values is contiguous, as a row's own ``np.abs`` is."""
+    rows = np.abs(values, order="C")
+    return _pairings(rows, np.broadcast_to(system.m, rows.shape)).tolist()
 
 
 def _check_op_norm_oracle(system, cfg, rng):
@@ -331,12 +349,14 @@ def _check_gelfand(system, cfg, rng):
     final_gap = 0.0
     flagged = 0
     rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
-        phi = random_potential(rng, system, scale=2.0)
-        res = spectral_potential(system, phi, n_max=max(8, cfg.n_max))
-        worst_below = min(worst_below, float((res.norm_sequence - res.value).min()))
-        final_gap = max(final_gap, abs(float(res.norm_sequence[-1]) - res.value))
-        flagged += res.flagged
+    for size in _chunks(rounds, _chunk_rows(system.n)):
+        # the draws of random_potential(rng, system, scale=2.0), in order
+        phis = rng.uniform(-2.0, 2.0, size=(size, system.n))
+        res = spectral_potential(system, phis, n_max=max(8, cfg.n_max))
+        seq = res.norm_sequence
+        worst_below = min(worst_below, float((seq - res.value[:, None]).min()))
+        final_gap = max(final_gap, float(np.abs(seq[:, -1] - res.value).max()))
+        flagged += int(res.flagged.sum())
     return {
         "values": {
             "draws": rounds,
@@ -421,13 +441,17 @@ def _check_coboundary(system, cfg, rng):
 def _check_submultiplicative(system, cfg, rng):
     worst = -np.inf
     rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
-        phi = random_potential(rng, system, scale=2.0)
-        n = int(rng.integers(1, cfg.n_max + 1))
-        k = int(rng.integers(1, cfg.n_max + 1))
-        lhs = op_norm_log(system, phi, n + k)
-        rhs = op_norm_log(system, phi, n) + op_norm_log(system, phi, k)
-        worst = max(worst, lhs - rhs)
+    for size in _chunks(rounds, _chunk_rows(system.n)):
+        phis = np.empty((size, system.n))
+        # each draw's horizons n + k, n and k
+        horizons = np.empty((3, size), dtype=int)
+        for i in range(size):
+            phis[i] = random_potential(rng, system, scale=2.0)
+            horizons[1, i] = rng.integers(1, cfg.n_max + 1)
+            horizons[2, i] = rng.integers(1, cfg.n_max + 1)
+        horizons[0] = horizons[1] + horizons[2]
+        logs = _norm_logs(system, phis, horizons)
+        worst = max(worst, float((logs[0] - (logs[1] + logs[2])).max()))
     return {
         "values": {"draws": rounds, "worst_log_excess": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -477,7 +501,7 @@ def _check_near_minimizer(system, cfg, rng):
             else:
                 members.append(random_partition(rng, system).members)
             ns[i] = rng.integers(1, 5)
-            epss[i] = rng.choice((1.0, 0.1, 0.01))
+            epss[i] = _pick(rng, (1.0, 0.1, 0.01))
         bounds = near_minimizer_checks(system, members, weights, ns, epss)
         worst = min(
             worst, float(bounds.growth_slack.min()), float(bounds.pairing_slack.min())
@@ -518,7 +542,7 @@ def _check_empirical(system, cfg, rng):
         weights = empirical_weights(system, xs, ns)
         # the pairing of each empirical measure with its potential, and the
         # Birkhoff average of that potential read at the row's own horizon
-        lhs = np.array([weights[i] @ phis[i] for i in range(size)])
+        lhs = _pairings(weights, phis)
         rhs = np.empty(size)
         for n, s, _ in orbit_sums(system, phis, int(ns.max())):
             rows = np.flatnonzero(ns == n)

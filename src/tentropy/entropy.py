@@ -44,6 +44,7 @@ from .system import (
     PartitionOfUnity,
     _horizon,
     _integers,
+    _pairings,
     _polytope_constraints,
     _require_invariant,
     _require_positive,
@@ -109,8 +110,10 @@ def inner_problems(
     arrays and a (k, n_atoms) stack of effective weights, at one horizon.
 
     The members of all partitions are pushed along alpha^n by one stacked
-    ``preimage_mass`` call, and each problem's c is a row-major block of its
-    result, so every problem keeps the bits of its own call.
+    ``preimage_mass`` call, and each problem's c is a slice of consecutive
+    rows of its result, row-major like the result itself, so every problem
+    keeps the bits of its own call.  Its ``mu_weights`` are one product of
+    its members with its weight row.
     """
     require_valid(system)
     n = _horizon(n)
@@ -124,19 +127,23 @@ def inner_problems(
     an = alpha_power(system, n)
     push = preimage_mass(system, np.concatenate(members) * system.m, an)
     # ``take`` keeps c row-major, as the solver's products read its bits;
-    # the blocks of consecutive rows stay row-major
+    # the slices of consecutive rows stay row-major
     c = push.take(sup, axis=1) / system.m[sup]
-    blocks = np.split(c, np.cumsum([len(m) for m in members])[:-1])
     atoms = tuple(sup.tolist())
-    return [
-        InnerProblem(block, m @ w, n, atoms)
-        for block, m, w in zip(blocks, members, weights)
-    ]
+    problems = []
+    end = 0
+    for m, w in zip(members, weights):
+        start, end = end, end + len(m)
+        problems.append(InnerProblem(c[start:end], m @ w, n, atoms))
+    return problems
 
 
 def _active_rows(problem: InnerProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of c and weights of the members that mu charges."""
+    """Rows of c and weights of the members that mu charges: the problem's
+    own arrays, not copies, when mu charges every member."""
     active = problem.mu_weights > 0.0
+    if active.all():
+        return problem.c, problem.mu_weights
     return problem.c[active], problem.mu_weights[active]
 
 
@@ -179,14 +186,19 @@ def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
     Each problem is min over x >= 0 of -sum_g mu[g] ln (c x)_g + sum_j x_j,
     whose minimizer is total times the simplex maximizer; without the
     equality constraint every Newton step is one symmetric positive
-    definite system (c^T D c + diag(z / x)) dx = rhs.  Problems of the same
-    width are stacked, padded to a common row count with uncharged rows (a
-    lone problem of its width is a stack of one at its own row count), and
-    stepped together by Mehrotra's predictor-corrector method, one
-    batched solve per predictor and per corrector; each leaves the stack
-    once its certificate, computed from its current point alone, meets its
-    own ``tol`` (a scalar or one value per problem).  Uncharged problems
-    are 0 at the uniform point, and a charged member with a zero row is -inf.
+    definite system (c^T D c + diag(z / x)) dx = rhs.  Uncharged problems
+    are 0 at the uniform point.  The charged rows of the other problems
+    (copied only when some member is uncharged) are stacked by width,
+    padded with uncharged rows of ones.  One test on each stack finds the
+    charged members with a zero row, whose problems are -inf; the rest are
+    padded to the largest row count among them alone (a lone problem of
+    its width is a stack of one at its own row count), so a divergent
+    problem never changes the padding of another.  They are stepped
+    together by Mehrotra's predictor-corrector method, one batched solve
+    per predictor and per corrector; each leaves the stack once its
+    certificate, computed from its current point alone, meets its own
+    ``tol`` (a scalar or one value per problem).  The objective at each
+    returned point is evaluated on the problem's own charged rows.
     """
     tols = np.broadcast_to(np.asarray(tol, dtype=float), (len(problems),))
     out: list[InnerSolution | None] = [None] * len(problems)
@@ -194,24 +206,31 @@ def maximize_inner_batch(problems, tol=DIRECT_TOL) -> list[InnerSolution]:
     for i, problem in enumerate(problems):
         ca, wa = _active_rows(problem)
         s = problem.c.shape[1]
-        if not wa.size:
-            out[i] = InnerSolution(0.0, np.full(s, 1.0 / s), 0.0, 0)
-        elif (ca.sum(axis=1) == 0.0).any():
-            out[i] = InnerSolution(-np.inf, None, 0.0, 0)
-        else:
+        if wa.size:
             stacks.setdefault(s, []).append((i, ca, wa))
+        else:
+            out[i] = InnerSolution(0.0, np.full(s, 1.0 / s), 0.0, 0)
     for s, stack in stacks.items():
-        rows = max(wa.size for _, _, wa in stack)
-        c = np.ones((len(stack), rows, s))
-        w = np.zeros((len(stack), rows))
+        sizes = np.array([wa.size for _, _, wa in stack])
+        c = np.ones((len(stack), int(sizes.max()), s))
+        w = np.zeros(c.shape[:2])
         for b, (_, ca, wa) in enumerate(stack):
             c[b, : wa.size] = ca
             w[b, : wa.size] = wa
+        zero = (c.sum(axis=2) == 0.0).any(axis=1)
+        if zero.any():
+            for b in np.flatnonzero(zero).tolist():
+                out[stack[b][0]] = InnerSolution(-np.inf, None, 0.0, 0)
+            if zero.all():
+                continue
+            keep = ~zero
+            stack = [entry for entry, kept in zip(stack, keep.tolist()) if kept]
+            rows = int(sizes[keep].max())
+            c, w = c[keep, :rows], w[keep, :rows]
         index = [i for i, _, _ in stack]
         solved = _interior_point(c, w, tols[index])
         for (i, ca, wa), (q, gap, steps) in zip(stack, solved):
-            value = _objective(ca, wa, q)
-            out[i] = InnerSolution(value, q, gap, steps)
+            out[i] = InnerSolution(_objective(ca, wa, q), q, gap, steps)
     return out
 
 
@@ -386,13 +405,38 @@ def oscillation_partition(
 
 
 def _level_rows(system: FiniteSystem, level: np.ndarray) -> np.ndarray:
-    """Members of ``oscillation_partition`` for the bucket index of each atom:
-    one 0/1 row per level of the supported atoms, in increasing order."""
-    keys = np.array(sorted(set(level[system.support].tolist())))
-    rows = system.support & (level == keys[:, None])
-    if not bool(system.support.all()):
-        rows = np.vstack([rows, ~system.support])
-    return rows.astype(float)
+    """Members of ``oscillation_partition`` for the bucket index of each
+    atom: ``_level_partitions`` on one row."""
+    return _level_partitions(system, level[None])[0]
+
+
+def _level_partitions(system: FiniteSystem, levels: np.ndarray) -> list[np.ndarray]:
+    """Members of ``oscillation_partition`` for each row of a (k, n_atoms)
+    stack of bucket indices: one 0/1 row per level of the supported atoms,
+    in increasing order, then one row of the null atoms if there are any.
+
+    One stable argsort of the supported levels ranks every atom among the
+    distinct levels of its row (-0.0 and 0.0 are one level), and one
+    scatter writes the members of all rows into one array, whose blocks of
+    consecutive rows are returned, one per row of levels.
+    """
+    sup = system.supported_indices
+    nulls = np.flatnonzero(~system.support)
+    lv = levels[:, sup]
+    order = np.argsort(lv, axis=1, kind="stable")
+    ranked = np.take_along_axis(lv, order, axis=1)
+    # the rank of each sorted atom's level among the distinct levels
+    rank = np.zeros(lv.shape, dtype=np.intp)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+    sizes = rank[:, -1] + 1 + (nulls.size > 0)
+    ends = np.cumsum(sizes)
+    members = np.zeros((int(sizes.sum()), system.n))
+    members[(ends - sizes)[:, None] + rank, sup[order]] = 1.0
+    if nulls.size:
+        members[(ends - 1)[:, None], nulls] = 1.0
+    return [
+        members[end - size : end] for end, size in zip(ends.tolist(), sizes.tolist())
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,10 +699,12 @@ def local_young_checks(
     One stacked invariance test covers every row (it implies that mu is
     positive and normalized).  The rows of one horizon share one stacked
     ``system._transport`` call, as ``op_norm_log`` makes, whose Birkhoff
-    sums give both the levels of their oscillation partitions (kept as 0/1
-    member rows) and their log-norms, and one ``inner_problems`` call; the
-    inner problems of all rows are solved as one batch.  Each side keeps
-    the bits of a call on its row alone.
+    sums give both the levels of their oscillation partitions (0/1 member
+    rows, built for all its rows by one ``_level_partitions`` call) and
+    their log-norms, and one ``inner_problems`` call; the inner problems of
+    all rows are solved as one batch, and the pairings mu[phi] come from
+    one ``_pairings`` call.  Each side keeps the bits of a call on its row
+    alone.
     """
     phis = np.asarray(phis, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -670,12 +716,12 @@ def local_young_checks(
         s, an = _transport(system, phis[rows], n)
         norms[rows] = _norm_log(system, s, an)
         levels = np.floor(s / (epss[rows] * n)[:, None])
-        members = [_level_rows(system, level) for level in levels]
+        members = _level_partitions(system, levels)
         for i, problem in zip(rows, inner_problems(system, members, w[rows], n)):
             problems[i] = problem
     values = np.array([sol.value for sol in maximize_inner_batch(problems)])
     lhs = epss + norms / ns
-    rhs = np.array([w[i] @ phis[i] for i in range(len(w))]) + values / ns
+    rhs = _pairings(w, phis) + values / ns
     if np.any(lhs < rhs - SOLVER_SLACK_TOL):
         raise CertificateError("fixed-horizon entropy inequality failed")
     return lhs, rhs
@@ -733,9 +779,9 @@ def near_minimizer_checks(
     ||A0^n||, which depends on the system and n alone; the problems of all
     draws are solved as one batch at ``INNER_TOL``, each potential is built
     from its draw's solution, and one ``log_spectral_radius_batch`` call
-    covers all potentials.  A draw of one is solved alone and keeps the
-    bits of its own solve; in a larger batch, problems padded to a common
-    row count can move in their last bits.
+    and one ``_pairings`` call cover all potentials.  A draw of one is
+    solved alone and keeps the bits of its own solve; in a larger batch,
+    problems padded to a common row count can move in their last bits.
     """
     w = np.asarray(weights, dtype=float)
     ns, epss, horizons = _horizon_groups(ns, epss, members, w)
@@ -761,7 +807,7 @@ def near_minimizer_checks(
         phis[i] = np.log(u) / ns[i]
     values = np.array([sol.value for sol in solutions])
     growth = epss * norms - ns * log_spectral_radius_batch(system, phis)
-    pairing = np.array([w[i] @ (ns[i] * phis[i]) for i in range(len(w))]) + values
+    pairing = _pairings(w, ns[:, None] * phis) + values
     if np.any(growth < -SOLVER_SLACK_TOL) or np.any(pairing < -SOLVER_SLACK_TOL):
         raise CertificateError("near-minimizer bound violated beyond tolerance")
     return NearMinimizerBounds(

@@ -14,7 +14,8 @@ along alpha^n in linear time;
 one horizon reads its Birkhoff sums and alpha^n from one ``system._transport``
 call, in O(N log n) beyond ``system._WALK_HORIZON``.
 ``norm_log_sequence`` gives the norms at every horizon up to n_max from one
-``system.orbit_sums`` walk, at one map step per horizon.
+``system.orbit_sums`` walk, at one map step per horizon, for one potential
+or a stack of them.
 The spectral potential itself is the largest of ``system.cycle_means``, one
 gather over the cycle atoms per distinct cycle length.
 """
@@ -28,6 +29,7 @@ import numpy as np
 
 from .claims import ROUNDOFF_TOL, SLACK_TOL, TIE_TOL, CertificateError
 from .system import (
+    _WALK_HORIZON,
     FiniteSystem,
     _columns,
     _horizon,
@@ -142,10 +144,50 @@ def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray):
 
 
 def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:
-    """``op_norm_log`` at n = 1..n_max, with its bits, from one orbit walk."""
+    """``op_norm_log`` at n = 1..n_max, with its bits, from one orbit walk.
+
+    ``phi`` is one potential, giving an (n_max,) sequence, or a (k, n_atoms)
+    stack walked together, giving a (k, n_max) array whose rows keep the
+    bits of their own calls.  ``ValueError`` unless n_max is an integer of
+    at least 0.
+    """
     require_valid(system)
-    walk = orbit_sums(system, phi, n_max)
-    return np.array([_norm_log(system, s, an) for _, s, an in walk])
+    n_max = _horizon(n_max, least=0)
+    phi = np.asarray(phi, dtype=float)
+    seq = np.empty(phi.shape[:-1] + (n_max,))
+    for n, s, an in orbit_sums(system, phi, n_max):
+        seq[..., n - 1] = _norm_log(system, s, an)
+    return seq
+
+
+def _norm_logs(
+    system: FiniteSystem, phis: np.ndarray, horizons: np.ndarray
+) -> np.ndarray:
+    """``op_norm_log`` of each row of a (k, n_atoms) stack of potentials at
+    each horizon in that row's column of a (j, k) integer array, each value
+    with the bits of its own call.
+
+    As in ``op_norm_log``, the horizons up to ``_WALK_HORIZON`` are read
+    from the steps of one ``orbit_sums`` walk of the stack and each longer
+    one from one ``_transport`` call; each horizon pushes only the rows
+    that need it.
+    """
+    require_valid(system)
+    out = np.empty(horizons.shape)
+    walk = orbit_sums(system, phis, min(int(horizons.max()), _WALK_HORIZON))
+    for n in sorted(set(horizons.ravel().tolist())):
+        at = horizons == n
+        rows = at.any(axis=0)
+        if n <= _WALK_HORIZON:
+            # the horizons come in increasing order, as the walk's steps do
+            s, an = next(step[1:] for step in walk if step[0] == n)
+            s = s[rows]
+        else:
+            s, an = _transport(system, phis[rows], n)
+        norms = np.empty(rows.size)
+        norms[rows] = _norm_log(system, s, an)
+        np.copyto(out, norms, where=at)
+    return out
 
 
 def op_norm(system: FiniteSystem, phi, n: int) -> float:
@@ -154,10 +196,18 @@ def op_norm(system: FiniteSystem, phi, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    value: float
-    witness_cycle: tuple[int, ...]
+    """The cycle formula's value and witness, the norm sequence and its flag.
+
+    For one potential ``value`` is a float, ``witness_cycle`` one cycle,
+    ``norm_sequence`` an (n_max,) array and ``flagged`` a bool; for a
+    (k, n_atoms) stack they are a (k,) array, a tuple of k cycles, a
+    (k, n_max) array and a (k,) boolean array.
+    """
+
+    value: float | np.ndarray
+    witness_cycle: tuple[int, ...] | tuple[tuple[int, ...], ...]
     norm_sequence: np.ndarray
-    flagged: bool
+    flagged: bool | np.ndarray
 
 
 def log_spectral_radius(system: FiniteSystem, phi) -> float:
@@ -178,29 +228,44 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     The norm sequence (1/n) log ||A^n|| for n = 1..n_max is returned for
     inspection; the result is flagged when it has not yet sandwiched the
     cycle value within the coarse a-priori envelope, which only happens for
-    pathological n_max choices.  ``ValueError`` unless n_max is an integer
-    of at least 1.
+    pathological n_max choices.  ``phi`` is one potential or a (k, n_atoms)
+    stack; a single potential is the stack of one.  A stack takes one
+    ``cycle_means`` call and one ``norm_log_sequence`` walk, and each row
+    keeps the bits of its own call.  ``ValueError`` unless n_max is an
+    integer of at least 1.
     """
     require_valid(system)
     n_max = _horizon(n_max)
     phi = np.asarray(phi, dtype=float)
-    means = cycle_means(system, phi)
-    value = float(means.max())
-    first = int(np.argmax(means >= value - TIE_TOL))
-    best_cycle = tuple(int(i) for i in system.supported_cycle_arrays[first])
+    phis = phi.reshape(-1, phi.shape[-1])
+    # one potential is walked and gathered as one row, with the bits of a
+    # stack of one at less cost
+    means = cycle_means(system, phi).reshape(len(phis), -1)
+    value = means.max(axis=1)
+    first = np.argmax(means >= (value - TIE_TOL)[:, None], axis=1)
+    cycles = system.supported_cycle_arrays
+    best = tuple(tuple(cycles[c].tolist()) for c in first.tolist())
 
-    seq = norm_log_sequence(system, phi, n_max) / np.arange(1, n_max + 1)
-    span = float(np.max(phi) - np.min(phi))
+    horizons = np.arange(1, n_max + 1)
+    seq = norm_log_sequence(system, phi, n_max).reshape(len(phis), n_max) / horizons
+    span = phis.max(axis=1) - phis.min(axis=1)
     sup_m = system.m[system.support]
     mass_ratio = float(np.log(sup_m.max() / sup_m.min()))
     env_total = np.log(system.n) + 2.0 * span * system.n + mass_ratio
-    envelope = env_total / np.arange(1, n_max + 1)
-    flagged = bool(
-        np.any(seq < value - SLACK_TOL) or np.any(seq > value + envelope + SLACK_TOL)
+    envelope = env_total[:, None] / horizons
+    flagged = np.any(seq < (value - SLACK_TOL)[:, None], axis=1) | np.any(
+        seq > value[:, None] + envelope + SLACK_TOL, axis=1
     )
     seq.setflags(write=False)
+    if phi.ndim == 1:
+        return SpectralResult(
+            value=float(value[0]),
+            witness_cycle=best[0],
+            norm_sequence=seq[0],
+            flagged=bool(flagged[0]),
+        )
     return SpectralResult(
-        value=value, witness_cycle=best_cycle, norm_sequence=seq, flagged=flagged
+        value=value, witness_cycle=best, norm_sequence=seq, flagged=flagged
     )
 
 

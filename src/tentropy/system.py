@@ -190,6 +190,16 @@ def pair(system: FiniteSystem, mu: Functional, f) -> float:
     return float(effective_weights(system, mu) @ np.asarray(f, dtype=float))
 
 
+def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row of two (k, n) stacks, with its bits.
+
+    Each row is a (1, n) by (n, 1) product, which numpy hands to the same
+    ``ddot`` as the product of the two rows, at the rows' own strides; a
+    row of ``b`` may be broadcast across the stack.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class CycleDecomposition:
     """Cycles of the endomap, each rotated to start at its smallest atom.

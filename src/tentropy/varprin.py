@@ -24,6 +24,7 @@ from .system import (
     PartitionOfUnity,
     _chunk_rows,
     _horizon,
+    _pairings,
     _polytope_constraints,
     _require_invariant,
     cycle_means,
@@ -78,7 +79,7 @@ def divergence_witnesses(
     A row without a defect gives None.  Each constraint is tested on the
     whole stack at once by ``system._polytope_constraints``, and the rays
     of all witnesses at every ray point are verified with one
-    ``log_spectral_radius_batch`` call and a dot product per ray, so every
+    ``log_spectral_radius_batch`` call and one ``_pairings`` call, so every
     witness keeps the bits of a call on its row alone.
     """
     require_valid(system)
@@ -142,13 +143,12 @@ def _verify_rays(
     """Check lambda(t d) - mu[t d] <= -rate t at every ray point t for the
     rows ``found`` of the effective weights w, each with its ray (a row of
     direction, rate): one lambda call on the rays of all points stacked
-    t-major, and one dot product per ray.  The first failure in that order
-    raises."""
+    t-major, and one ``_pairings`` call for all rays.  The first failure
+    in that order raises."""
     ts = np.array(_RAY_POINTS)
     d = ts[:, None, None] * direction
-    rows = np.tile(found, ts.size).tolist()
     flat = d.reshape(-1, system.n)
-    pairs = np.array([w[i] @ di for i, di in zip(rows, flat)])
+    pairs = _pairings(w[np.tile(found, ts.size)], flat)
     h = (log_spectral_radius_batch(system, flat) - pairs).reshape(ts.size, -1)
     bad = np.argwhere(h > -rate * ts[:, None] + SLACK_TOL)
     if bad.size:
@@ -183,8 +183,9 @@ def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
     tau = -inf and slack +inf, certified for all such rows by one
     ``divergence_witnesses`` call; every other row has tau = 0, certified
     for all of them by one stacked ``hull_means``.  The lambdas come from
-    one ``cycle_means`` call and the pairing is ``w @ phi`` per row, so
-    each slack keeps the bits of a call on its row alone.
+    one ``cycle_means`` call and the pairings ``w @ phi`` from one
+    ``_pairings`` call, so each slack keeps the bits of a call on its row
+    alone.
     """
     from .entropy import hull_means
 
@@ -195,7 +196,7 @@ def young_checks(system: FiniteSystem, phis, weights) -> np.ndarray:
     divergence_witnesses(system, w[charged])
     hull_means(system, w[~charged])
     lams = log_spectral_radius_batch(system, phis)
-    pairs = np.array([w[i] @ phis[i] for i in range(len(w))])
+    pairs = _pairings(w, phis)
     slacks = np.where(charged, np.inf, lams - pairs)
     for slack in slacks.tolist():
         if slack < -SLACK_TOL:

@@ -43,6 +43,7 @@ from tentropy.spectral import (
     log_spectral_radius,
     op_norm,
     op_norm_log,
+    spectral_potential,
 )
 from tentropy.system import (
     FULL,
@@ -277,14 +278,54 @@ def reference_op_norm_oracle(s, cfg):
     }
 
 
+def reference_gelfand(s, cfg):
+    """The per-draw loop of ``lemma.gelfand``, one ``spectral_potential``
+    per draw."""
+    rng = _rng_for(cfg.seed, "lemma.gelfand")
+    worst_below = np.inf
+    final_gap = 0.0
+    flagged = 0
+    rounds = max(1, cfg.draws // 20)
+    for _ in range(rounds):
+        phi = random_potential(rng, s, scale=2.0)
+        res = spectral_potential(s, phi, n_max=max(8, cfg.n_max))
+        worst_below = min(worst_below, float((res.norm_sequence - res.value).min()))
+        final_gap = max(final_gap, abs(float(res.norm_sequence[-1]) - res.value))
+        flagged += res.flagged
+    return {
+        "draws": rounds,
+        "worst_approach_slack": worst_below,
+        "final_gap": final_gap,
+        "flagged": flagged,
+    }
+
+
+def reference_submultiplicative(s, cfg):
+    """The per-draw loop of ``lemma.submultiplicative``, three
+    ``op_norm_log`` calls per draw."""
+    rng = _rng_for(cfg.seed, "lemma.submultiplicative")
+    worst = -np.inf
+    rounds = max(1, cfg.draws // 20)
+    for _ in range(rounds):
+        phi = random_potential(rng, s, scale=2.0)
+        n = int(rng.integers(1, cfg.n_max + 1))
+        k = int(rng.integers(1, cfg.n_max + 1))
+        lhs = op_norm_log(s, phi, n + k)
+        rhs = op_norm_log(s, phi, n) + op_norm_log(s, phi, k)
+        worst = max(worst, lhs - rhs)
+    return {"draws": rounds, "worst_log_excess": worst}
+
+
 # the loops of these checks are the slowest to replay, so they replay on
 # twocyc and every third system of the pool
 SLOW_REFERENCES = {"lemma.op_norm_oracle", "vp.dichotomy"}
 
 REFERENCES = {
+    "lemma.gelfand": reference_gelfand,
     "lemma.op_norm_oracle": reference_op_norm_oracle,
     "lemma.power": reference_power,
     "lemma.properties": reference_properties,
+    "lemma.submultiplicative": reference_submultiplicative,
     "vp.dichotomy": reference_vp_dichotomy,
     "vp.gap": reference_vp_gap,
     "young.global": reference_young_global,
@@ -573,6 +614,56 @@ def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
     assert [args[1].shape for args in walks] == [(64, s.n)] * 15 + [(40, s.n)]
     assert run_check(s, "entstat.tv", cfg)["verdict"] == "pass"
     assert calls == [] and "empirical" not in vars(certify)
+
+
+def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
+    """lemma.gelfand makes one stacked ``spectral_potential`` call and
+    lemma.submultiplicative no ``op_norm_log`` call per chunk of
+    ``system._chunk_rows`` draws, rather than one per draw; with 8-row
+    chunks both records keep their bytes, at the default horizons and at
+    ``n_max`` 40, whose sums n + k reach past ``system._WALK_HORIZON``."""
+    s = twelve_atoms()
+    # 100 draws of each check
+    configs = [
+        CertifyConfig(seed=5, draws=2000),
+        CertifyConfig(seed=6, draws=2000, n_max=40),
+    ]
+    names = ("lemma.gelfand", "lemma.submultiplicative")
+    want = {(c.n_max, name): run_check(s, name, c) for c in configs for name in names}
+    for cfg in configs:
+        values = want[cfg.n_max, "lemma.submultiplicative"]["values"]
+        assert json.dumps(values) == json.dumps(reference_submultiplicative(s, cfg))
+    potentials = counting(monkeypatch, certify, "spectral_potential")
+    norms = [counting(monkeypatch, m, "op_norm_log") for m in (certify, spectral)]
+    walks = counting(monkeypatch, spectral, "orbit_sums")
+    monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
+    for cfg in configs:
+        potentials.clear()
+        walks.clear()
+        for name in names:
+            record = run_check(s, name, cfg)
+            assert record["verdict"] == "pass", (name, record)
+            assert json.dumps(record) == json.dumps(want[cfg.n_max, name]), name
+        chunks = [(8, s.n)] * 12 + [(4, s.n)]
+        assert [args[1].shape for args in potentials] == chunks
+        assert norms == [[], []]
+        # one walk per chunk in each check
+        assert [args[1].shape for args in walks] == chunks * 2
+    assert max(args[2] for args in walks[13:]) == spectral._WALK_HORIZON
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1.0,), (1.0, 0.5), (1.0, 0.5, 0.1), (1.0, 0.5, 0.1, 0.05), (1.0, 0.1, 0.01)],
+)
+def test_pick_replays_rng_choice(values):
+    """The eps pick of young.local and lemma.near_minimizer gives the
+    values of ``rng.choice`` and leaves the generator in its state."""
+    mine, theirs = np.random.default_rng(23), np.random.default_rng(23)
+    picks = [certify._pick(mine, values) for _ in range(10**4)]
+    choices = [theirs.choice(values) for _ in range(10**4)]
+    assert np.array(picks).tobytes() == np.array(choices).tobytes()
+    assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 def test_make_record_derives_verdict_residual_and_repro():

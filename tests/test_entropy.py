@@ -283,6 +283,48 @@ def test_oscillation_partition_covers(any_system, system_pool):
             assert np.array_equal(got, np.array(want, dtype=float))
 
 
+def reference_level_rows(s, level):
+    """``_level_rows`` as it was: one member per sorted distinct level of the
+    supported atoms, then the null atoms."""
+    keys = np.array(sorted(set(level[s.support].tolist())))
+    rows = s.support & (level == keys[:, None])
+    if not bool(s.support.all()):
+        rows = np.vstack([rows, ~s.support])
+    return rows.astype(float)
+
+
+def test_stacked_level_partitions_match_each_row(system_pool, large_pool):
+    """``_level_partitions`` gives every row of a stack of levels the members
+    of ``_level_rows`` and of the per-row construction it replaced, bit for
+    bit: on floored Birkhoff levels, on levels holding both -0.0 and 0.0
+    (one level), on rows with a single level, on systems with and without
+    null atoms."""
+    gen = np.random.default_rng(2323)
+    systems = system_pool + large_pool
+    assert any(s.support.all() for s in systems)
+    assert not all(s.support.all() for s in systems)
+    for s in systems:
+        sup = s.supported_indices
+        sums = np.stack([birkhoff(s, random_potential(gen, s), n) for n in (1, 3, 6)])
+        signed = gen.choice([-1.0, -0.0, 0.0, 2.0], size=(3, s.n))
+        signed[:, sup[::2]] = -0.0
+        signed[:, sup[1::2]] = 0.0
+        signed[0, sup[::3]] = 2.0
+        single = np.full((2, s.n), 5.0)
+        single[1, sup[1::2]] = -0.0
+        single[1, sup[::2]] = 0.0
+        stack = np.vstack([np.floor(sums / 0.5), signed, single])
+        built = entropy._level_partitions(s, stack)
+        assert len(built) == len(stack)
+        for level, members in zip(stack, built):
+            want = reference_level_rows(s, level)
+            assert members.shape == want.shape
+            assert members.tobytes() == want.tobytes()
+            assert entropy._level_rows(s, level).tobytes() == want.tobytes()
+        nulls = int(not s.support.all())
+        assert [len(m) for m in built[-3:]] == [1 + nulls] * 3
+
+
 def test_tau_direct_invariant_is_zero_within_band(any_system):
     gen = np.random.default_rng(47)
     mu = random_invariant(gen, any_system)
@@ -782,6 +824,26 @@ def test_maximize_inner_keeps_its_bits():
     assert solutions_digest(maximize_inner_batch(problems, tols)) == BATCH_DIGEST
     alone = [maximize_inner(p, tol=t) for p, t in zip(problems, tols)]
     assert solutions_digest(alone) == ALONE_DIGEST
+
+
+def test_a_divergent_problem_does_not_pad_the_others():
+    """A charged zero row makes its problem -inf without changing the
+    padding, and so the bits, of the problems of its width: a batch with a
+    divergent problem of more rows than any other solves the rest exactly
+    as the batch without it."""
+    gen = np.random.default_rng(2302)
+    s = make_system(gen.uniform(0.2, 2.0, 12), np.roll(np.arange(12), 1))
+    solvable = []
+    for k in (3, 5, 7):
+        mu = random_invariant(gen, s)
+        solvable.append(inner_problem(s, mu, random_partition(gen, s, members=k), 2))
+    c = np.ones((8, s.n))
+    c[1] = 0.0
+    divergent = InnerProblem(c, np.full(8, 0.125), 2, tuple(range(s.n)))
+    mixed = maximize_inner_batch(solvable[:2] + [divergent] + solvable[2:])
+    assert mixed[2].value == -np.inf and mixed[2].p_star is None
+    want = solutions_digest(maximize_inner_batch(solvable))
+    assert solutions_digest(mixed[:2] + mixed[3:]) == want
 
 
 @settings(max_examples=60, deadline=None)

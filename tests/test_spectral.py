@@ -27,7 +27,7 @@ from tentropy.spectral import (
     property_residuals,
     spectral_potential,
 )
-from tentropy.spectral import _norm_log
+from tentropy.spectral import _norm_log, _norm_logs
 from tentropy.system import (
     _WALK_HORIZON,
     _transport,
@@ -283,6 +283,34 @@ def test_spectral_potential_sequence_approaches_from_above(system_pool, large_po
             total = total + phi[pos]
             pos = s.alpha[pos]
         assert np.array_equal(norm_log_sequence(s, phi, 20) / np.arange(1, 21), seq)
+
+
+def test_stacked_spectral_potential_and_norms_keep_row_bits(system_pool, large_pool):
+    """``spectral_potential`` and ``norm_log_sequence`` on a (k, N) stack
+    give every row the fields and bits of its own call, and ``_norm_logs``
+    reads each row's horizons, up to ``_WALK_HORIZON`` and beyond it, with
+    the bits of ``op_norm_log``."""
+    gen = np.random.default_rng(2301)
+    for s in system_pool[::3] + large_pool:
+        phis = gen.uniform(-2.0, 2.0, size=(5, s.n))
+        stack = spectral_potential(s, phis, n_max=12)
+        assert stack.norm_sequence.shape == (5, 12)
+        assert not stack.norm_sequence.flags.writeable
+        seqs = norm_log_sequence(s, phis, 12)
+        for r, phi in enumerate(phis):
+            one = spectral_potential(s, phi, n_max=12)
+            assert type(one.value) is float and type(one.flagged) is bool
+            assert stack.value[r] == one.value
+            assert stack.witness_cycle[r] == one.witness_cycle
+            assert bool(stack.flagged[r]) == one.flagged
+            assert stack.norm_sequence[r].tobytes() == one.norm_sequence.tobytes()
+            assert seqs[r].tobytes() == norm_log_sequence(s, phi, 12).tobytes()
+        longest = _WALK_HORIZON + 1
+        horizons = gen.choice([1, 5, 24, _WALK_HORIZON, longest, 100], size=(3, 5))
+        horizons[0, :2] = longest, 100
+        logs = _norm_logs(s, phis, horizons)
+        for (j, r), n in np.ndenumerate(horizons):
+            assert logs[j, r] == op_norm_log(s, phis[r], int(n))
 
 
 def walk_norm_log(system, sums, an):

@@ -12,6 +12,7 @@ from tentropy.system import (
     FULL,
     InvalidSystemError,
     PartitionOfUnity,
+    _pairings,
     alpha_power,
     atomic_partition,
     birkhoff,
@@ -370,6 +371,21 @@ def test_functional_modes_and_pair():
     f = np.array([2.0, 10.0])
     assert pair(s, ess, f) == pytest.approx(1.0)
     assert pair(s, ful, f) == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12, 13, 2000, 10**4])
+def test_pairings_keep_the_bits_of_each_row_product(n):
+    """Each row of ``_pairings`` is ``a[i] @ b[i]`` bit for bit, on stacks of
+    1, 5 and 64 rows, with C-ordered and Fortran-ordered rows (a row of the
+    latter is strided), and with one row of b broadcast across the stack."""
+    gen = np.random.default_rng(n)
+    for k in (1, 5, 64):
+        a, b = gen.normal(size=(2, k, n))
+        row = gen.uniform(0.2, 2.0, size=n)
+        for left in (a, np.asfortranarray(a)):
+            for right in (b, np.asfortranarray(b), np.broadcast_to(row, (k, n))):
+                want = np.array([left[i] @ right[i] for i in range(k)])
+                assert _pairings(left, right).tobytes() == want.tobytes(), (k, n)
 
 
 def test_restrict_to_support_drops_nulls():
