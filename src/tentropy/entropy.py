@@ -138,6 +138,20 @@ def inner_problems(
     return problems
 
 
+def _horizon_problems(
+    system: FiniteSystem, members, weights, horizons: dict
+) -> list[InnerProblem]:
+    """The inner problem of each draw of a list of member arrays and a
+    (k, n_atoms) stack of effective weights, from one ``inner_problems``
+    call per horizon; ``horizons`` maps each horizon to its draws."""
+    problems = [None] * len(weights)
+    for n, rows in horizons.items():
+        stack = inner_problems(system, [members[i] for i in rows], weights[rows], n)
+        for i, problem in zip(rows, stack):
+            problems[i] = problem
+    return problems
+
+
 def _active_rows(problem: InnerProblem) -> tuple[np.ndarray, np.ndarray]:
     """Rows of c and weights of the members that mu charges: the problem's
     own arrays, not copies, when mu charges every member."""
@@ -465,7 +479,12 @@ def tau_direct(
 
     At each horizon the candidates are the atomic and trivial partitions,
     three oscillation partitions (each bucketing the Birkhoff sums that set
-    its width) and eight random partitions.  Every candidate contributes a
+    its width) and eight random partitions.  The atomic and trivial
+    partitions are built once per call.  The three potentials of a horizon
+    are drawn as one (3, n_atoms) stack, whose sums come from one stacked
+    ``system._transport`` call and whose members come from one
+    ``_level_partitions`` call, each row with the bits of its own
+    ``oscillation_partition``.  Every candidate contributes a
     certified upper bound (value plus optimality gap), so the reported
     number can sit slightly above but never below the infimum over the
     candidate set.  The achieving horizon and partition are those of the
@@ -477,15 +496,15 @@ def tau_direct(
     w = effective_weights(system, mu)
     _require_normalized(system, [w])
     rng = np.random.default_rng(seed)
+    fixed = [atomic_partition(system), trivial_partition(system)]
     candidates: list[tuple[int, PartitionOfUnity]] = []
     problems: list[InnerProblem] = []
     for n in range(1, n_max + 1):
-        parts = [atomic_partition(system), trivial_partition(system)]
-        for _ in range(3):
-            phi = rng.uniform(-2.0, 2.0, system.n)
-            s = birkhoff(system, phi, n)
-            width = (float(s.max() - s.min())) / 3.0 + BUCKET_PAD
-            parts.append(PartitionOfUnity(_level_rows(system, np.floor(s / width))))
+        # the draws of three rng.uniform(-2.0, 2.0, system.n) calls, in order
+        s, _ = _transport(system, rng.uniform(-2.0, 2.0, (3, system.n)), n)
+        widths = (s.max(axis=1) - s.min(axis=1)) / 3.0 + BUCKET_PAD
+        levels = np.floor(s / widths[:, None])
+        parts = fixed + [PartitionOfUnity(m) for m in _level_partitions(system, levels)]
         for _ in range(8):
             parts.append(random_partition(rng, system))
         candidates += [(n, part) for part in parts]
@@ -786,12 +805,9 @@ def near_minimizer_checks(
     w = np.asarray(weights, dtype=float)
     ns, epss, horizons = _horizon_groups(ns, epss, members, w)
     _require_normalized(system, w)
+    problems = _horizon_problems(system, members, w, horizons)
     norms = np.empty(len(w))
-    problems = [None] * len(w)
     for n, rows in horizons.items():
-        stack = inner_problems(system, [members[i] for i in rows], w[rows], n)
-        for i, problem in zip(rows, stack):
-            problems[i] = problem
         norms[rows] = op_norm(system, np.zeros(system.n), n)
     solutions = maximize_inner_batch(problems, INNER_TOL)
     phis = np.empty((len(w), system.n))

@@ -4,7 +4,8 @@ Every generator takes a numpy Generator first so callers own the seeding.
 Each sampler of functionals or unit functions has an array form (the
 ``*_weights`` functions and ``random_unit_values``) that makes the same
 generator calls and returns the same bits as a plain array, building and
-validating no object, for callers that fill stacks of draws.
+validating no object, for callers that fill stacks of draws.  Every flat
+Dirichlet draw goes through ``_flat_dirichlet``.
 """
 
 from __future__ import annotations
@@ -70,12 +71,26 @@ def random_unit_function(rng, system: FiniteSystem) -> L1Vector:
     return l1_vector(system, random_unit_values(rng, system))
 
 
+def _flat_dirichlet(rng, k: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k))`` with its bits and generator state.
+
+    For shape 1 numpy draws k standard exponentials and scales them by
+    1 / (their sum added left to right); ``np.add.accumulate`` adds in that
+    order, where ``ndarray.sum`` (pairwise from 8 terms on) and the builtin
+    ``sum`` (compensated from Python 3.12 on) round differently.  Skipping
+    the Dirichlet wrapper's checks and conversions, a draw costs about a
+    third of ``rng.dirichlet``.
+    """
+    e = rng.standard_exponential(k)
+    return e * (1.0 / np.add.accumulate(e)[-1])
+
+
 def random_invariant_weights(rng, system: FiniteSystem) -> np.ndarray:
     """Weights of ``random_invariant``, with its generator call and bits:
     one Dirichlet draw over the supported cycles, spread uniformly over the
     atoms of each.  The system is not validated and no object is built."""
     atoms, cycle, inverse_length = system.cycle_atom_index
-    coef = rng.dirichlet(np.ones(len(system.supported_cycle_arrays)))
+    coef = _flat_dirichlet(rng, len(system.supported_cycle_arrays))
     weights = np.zeros(system.n)
     weights[atoms] = coef[cycle] * inverse_length
     return weights
@@ -110,13 +125,19 @@ def perturbed_invariant(rng, system: FiniteSystem) -> Functional:
     return functional(system, perturbed_invariant_weights(rng, system))
 
 
+def random_simplex_weights(rng, system: FiniteSystem) -> np.ndarray:
+    """Weights of ``random_simplex_functional``, with its generator call and
+    bits: one Dirichlet draw over the supported atoms."""
+    idx = system.supported_indices
+    weights = np.zeros(system.n)
+    weights[idx] = _flat_dirichlet(rng, idx.size)
+    return weights
+
+
 def random_simplex_functional(rng, system: FiniteSystem) -> Functional:
     """A nonnegative normalized ESSENTIAL functional, Dirichlet over the
     supported atoms."""
-    idx = system.supported_indices
-    weights = np.zeros(system.n)
-    weights[idx] = rng.dirichlet(np.ones(idx.size))
-    return functional(system, weights)
+    return functional(system, random_simplex_weights(rng, system))
 
 
 def random_null_charging_weights(rng, system: FiniteSystem) -> np.ndarray:

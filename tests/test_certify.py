@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tentropy import certify, entropy, entstat, spectral, system
-from tentropy.claims import CertificateError
+from tentropy.claims import INNER_TOL, CertificateError
 from tentropy.certify import (
     _YOUNG_CHUNK,
     CertifyConfig,
@@ -19,9 +19,11 @@ from tentropy.certify import (
     run_suite,
 )
 from tentropy.entropy import (
+    certificate_sup,
     inner_problem,
     local_young_check,
     local_young_checks,
+    maximize_inner,
     maximize_inner_batch,
     near_minimizer_bounds,
     tau_dual,
@@ -34,6 +36,7 @@ from tentropy.sampling import (
     random_null_charging,
     random_partition,
     random_potential,
+    random_simplex_functional,
     random_unit_function,
 )
 from tentropy.spectral import (
@@ -316,12 +319,40 @@ def reference_submultiplicative(s, cfg):
     return {"draws": rounds, "worst_log_excess": worst}
 
 
+def reference_inner_certificate(s, cfg):
+    """The per-draw loop of ``lemma.inner_certificate``: one
+    ``inner_problem`` and one lone solve per draw."""
+    rng = _rng_for(cfg.seed, "lemma.inner_certificate")
+    worst = 0.0
+    solved = divergent = 0
+    rounds = max(1, cfg.draws // 20)
+    for _ in range(rounds):
+        if rng.uniform() < 0.5:
+            mu = random_invariant(rng, s)
+        else:
+            mu = random_simplex_functional(rng, s)
+        if rng.uniform() < 0.5:
+            partition = atomic_partition(s)
+        else:
+            partition = random_partition(rng, s)
+        n = int(rng.integers(1, 5))
+        prob = inner_problem(s, mu, partition, n)
+        sol = maximize_inner(prob, tol=INNER_TOL)
+        if sol.value == -np.inf:
+            divergent += 1
+            continue
+        worst = max(worst, abs(certificate_sup(prob, sol) - 1.0))
+        solved += 1
+    return {"solved": solved, "divergent": divergent, "worst_sup_gap": worst}
+
+
 # the loops of these checks are the slowest to replay, so they replay on
 # twocyc and every third system of the pool
 SLOW_REFERENCES = {"lemma.op_norm_oracle", "vp.dichotomy"}
 
 REFERENCES = {
     "lemma.gelfand": reference_gelfand,
+    "lemma.inner_certificate": reference_inner_certificate,
     "lemma.op_norm_oracle": reference_op_norm_oracle,
     "lemma.power": reference_power,
     "lemma.properties": reference_properties,
@@ -614,6 +645,24 @@ def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
     assert [args[1].shape for args in walks] == [(64, s.n)] * 15 + [(40, s.n)]
     assert run_check(s, "entstat.tv", cfg)["verdict"] == "pass"
     assert calls == [] and "empirical" not in vars(certify)
+
+
+def test_inner_certificate_builds_its_problems_per_horizon(monkeypatch):
+    """lemma.inner_certificate builds a chunk's inner problems with one
+    ``inner_problems`` call per horizon, from array draws (no functional
+    object), and solves each draw alone with ``maximize_inner``."""
+    s = twelve_atoms()
+    # 100 draws: chunks of 64 and 36
+    cfg = CertifyConfig(seed=5, draws=2000)
+    stacks = counting(monkeypatch, entropy, "inner_problems")
+    singles = counting(monkeypatch, certify, "maximize_inner")
+    objects = counting(monkeypatch, certify, "random_invariant")
+    assert run_check(s, "lemma.inner_certificate", cfg)["verdict"] == "pass"
+    horizons = [args[3] for args in stacks]
+    assert sorted(horizons[:4]) == sorted(horizons[4:]) == [1, 2, 3, 4]
+    assert [sum(len(args[1]) for args in part) for part in (stacks[:4], stacks[4:])] == [64, 36]
+    assert len(singles) == 100
+    assert objects == [] and "random_simplex_functional" not in vars(certify)
 
 
 def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):

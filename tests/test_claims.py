@@ -1,7 +1,8 @@
 """The tolerance table and the failed-claim error: every bound of the
 library is a named constant of ``tentropy.claims``, and every failed claim
 raises ``CertificateError``.  Also a lint of the package source: no unused
-import and no unread private name."""
+import, no unread private name, and no call that a cheaper route replaces
+bit for bit."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,26 @@ def test_certificate_error_is_exported():
     assert tentropy.CertificateError is claims.CertificateError
     assert issubclass(claims.CertificateError, RuntimeError)
     assert not issubclass(claims.CertificateError, ValueError)
+
+
+def test_no_dirichlet_call_and_no_np_unique():
+    """Flat Dirichlet draws go through ``sampling._flat_dirichlet``, which
+    keeps numpy's bits at about a third of the cost, and no module calls
+    ``np.unique``: it imports ``numpy.ma``, which raises the peak memory of
+    every run that reaches it."""
+    found = [
+        (name, node.lineno, node.attr)
+        for name, tree in trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr == "dirichlet"
+            or node.attr == "unique"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    ]
+    assert found == []
 
 
 def _annotations(tree):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tentropy import entropy
-from tentropy.claims import CertificateError
+from tentropy.claims import BUCKET_PAD, CertificateError
 from tentropy.entropy import (
     InnerProblem,
     certificate_sup,
@@ -389,20 +389,45 @@ def test_tau_direct_diverges_on_null_charge():
     assert r.value == -np.inf
 
 
-def test_tau_direct_builds_oscillation_partitions_from_its_own_sums(monkeypatch):
-    """Each oscillation candidate's Birkhoff sums set its bucket width and
-    its members: one ``birkhoff`` call per candidate, three per horizon."""
-    calls = []
-    original = entropy.birkhoff
+def test_tau_direct_builds_oscillation_partitions_from_its_own_sums(
+    monkeypatch, system_pool
+):
+    """Each horizon draws its three oscillation potentials as one 3-row
+    stack and makes one ``_transport`` call on it; each oscillation
+    candidate is ``oscillation_partition`` of its own row, at the width its
+    own Birkhoff sums set.  The atomic and trivial candidates are built once
+    per call."""
+    transports = []
+    candidates = []
+    transport, make_problems = entropy._transport, entropy.inner_problems
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording_transport(system, phi, n):
+        transports.append((np.array(phi), n))
+        return transport(system, phi, n)
 
-    monkeypatch.setattr(entropy, "birkhoff", counting)
-    s = twocyc()
-    tau_direct(s, functional(s, np.full(s.n, 1.0 / s.n)), n_max=4)
-    assert len(calls) == 12
+    def recording_problems(system, members, weights, n):
+        candidates.append(members)
+        return make_problems(system, members, weights, n)
+
+    monkeypatch.setattr(entropy, "_transport", recording_transport)
+    monkeypatch.setattr(entropy, "inner_problems", recording_problems)
+    gen = np.random.default_rng(67)
+    for s in [twocyc()] + system_pool[:8]:
+        transports.clear()
+        candidates.clear()
+        tau_direct(s, random_invariant(gen, s), n_max=4, seed=5)
+        assert [n for _, n in transports] == [1, 2, 3, 4]
+        assert len(candidates) == 4
+        for (phis, n), members in zip(transports, candidates):
+            assert phis.shape == (3, s.n)
+            assert members[0] is candidates[0][0]
+            assert members[1] is candidates[0][1]
+            for phi, got in zip(phis, members[2:5]):
+                sums = birkhoff(s, phi, n)
+                width = float(sums.max() - sums.min()) / 3.0 + BUCKET_PAD
+                want = oscillation_partition(s, phi, n, width).members
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def dense_descent(system, mu, iters=500):

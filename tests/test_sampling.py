@@ -1,9 +1,11 @@
 """Samplers: the array forms make the draws of the object forms."""
 
 import numpy as np
+import pytest
 
 from tentropy.fixtures import null_pair
 from tentropy.sampling import (
+    _flat_dirichlet,
     perturbed_invariant,
     perturbed_invariant_weights,
     random_functional,
@@ -12,6 +14,8 @@ from tentropy.sampling import (
     random_invariant_weights,
     random_null_charging,
     random_null_charging_weights,
+    random_simplex_functional,
+    random_simplex_weights,
     random_unit_function,
     random_unit_values,
 )
@@ -25,6 +29,14 @@ def reference_invariant(rng, s):
     weights = np.zeros(s.n)
     for pos, rows in s.cycle_groups:
         weights[rows] = coef[pos, None] * (1.0 / rows.shape[1])
+    return functional(s, weights)
+
+
+def reference_simplex(rng, s):
+    """``random_simplex_functional`` as it was: one Dirichlet draw over the
+    supported atoms."""
+    weights = np.zeros(s.n)
+    weights[s.supported_indices] = rng.dirichlet(np.ones(s.supported_indices.size))
     return functional(s, weights)
 
 
@@ -71,6 +83,7 @@ SAMPLERS = [
     (reference_functional, random_functional, random_functional_weights, ESSENTIAL),
     (reference_perturbed, perturbed_invariant, perturbed_invariant_weights, ESSENTIAL),
     (reference_null_charging, random_null_charging, random_null_charging_weights, FULL),
+    (reference_simplex, random_simplex_functional, random_simplex_weights, ESSENTIAL),
 ]
 
 
@@ -99,3 +112,28 @@ def test_array_samplers_make_the_draws_of_the_object_samplers(system_pool, large
             assert random_unit_values(gens[2], s).tobytes() == want.tobytes()
         states = [gen.bit_generator.state for gen in gens]
         assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_flat_dirichlet_replays_numpy_dirichlet(k):
+    """The flat Dirichlet draw has the bits of ``rng.dirichlet(np.ones(k))``
+    and leaves the generator in its state, over many seeds."""
+    for seed in range(60):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _flat_dirichlet(mine, k).tobytes() == theirs.dirichlet(np.ones(k)).tobytes()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_flat_dirichlet_normalizes_by_the_sequential_sum():
+    """From 8 terms on, ``ndarray.sum`` adds pairwise and rounds differently
+    from numpy's Dirichlet, which adds left to right; the helper keeps the
+    Dirichlet's bits where the pairwise sum would move them."""
+    moved = 0
+    for seed in range(200):
+        e = np.random.default_rng(seed).standard_exponential(16)
+        pairwise = e * (1.0 / e.sum())
+        want = np.random.default_rng(seed).dirichlet(np.ones(16))
+        assert _flat_dirichlet(np.random.default_rng(seed), 16).tobytes() == want.tobytes()
+        moved += pairwise.tobytes() != want.tobytes()
+    assert moved > 0
