@@ -22,37 +22,46 @@ samplers build no object), and then evaluate the draws with batched calls,
 each draw keeping the bits of its own evaluation except where said:
 
 - ``entstat.empirical``: ``empirical_weights`` and one stacked
-  ``orbit_sums`` walk for the Birkhoff sums per chunk of ``_YOUNG_CHUNK``
-  draws;
-- ``entstat.tv``: ``empirical_weights`` per chunk of ``_YOUNG_CHUNK`` draws;
+  ``orbit_sums`` walk for the Birkhoff sums per chunk;
+- ``entstat.tv``: ``empirical_weights`` per chunk;
 - ``lemma.gelfand``: one generator call and one stacked
-  ``spectral_potential`` per chunk of ``system._chunk_rows`` potentials;
-- ``lemma.inner_certificate``: one ``inner_problems`` call per horizon of
-  a chunk of ``_YOUNG_CHUNK`` draws (``entropy._horizon_problems``), with
-  the atomic members built once per check; the solves stay one
-  ``maximize_inner`` per draw (below);
-- ``lemma.near_minimizer``: ``near_minimizer_checks`` on chunks of
-  ``_YOUNG_CHUNK`` draws, one ``inner_problems`` call per horizon of a chunk
-  and one batched inner solve per chunk; a problem padded to the row count
+  ``spectral_potential`` per chunk of potentials;
+- ``lemma.inner_certificate``: one stacked test of a chunk's members
+  (``system._require_partitions``) and one ``inner_problems`` call per
+  horizon of a chunk (``entropy._horizon_problems``), with the atomic
+  members built once per check; the solves stay one ``maximize_inner``
+  per draw (below);
+- ``lemma.near_minimizer``: one stacked test of a chunk's members and
+  ``near_minimizer_checks`` on the chunk, one ``inner_problems`` call per
+  horizon and one batched inner solve; a problem padded to the row count
   of its batch can move its slack in the last bits;
 - ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` per chunk
-  of ``system._chunk_rows`` indicators of supported atoms and one per such
-  chunk of unit-ball draws;
-- ``lemma.properties``: ``property_residuals`` on chunks of
-  ``system._chunk_rows`` potential pairs;
+  of indicators of supported atoms, and one ``random_unit_stack`` draw
+  and one stacked ``iterate`` per chunk of unit-ball draws;
+- ``lemma.properties``: ``property_residuals`` on chunks of potential
+  pairs;
 - ``lemma.power``: one stack of potentials per power for ``power_gap``;
-- ``lemma.submultiplicative``: per chunk of ``system._chunk_rows`` draws,
-  the norms at all three horizons of every draw from one stacked
-  ``orbit_sums`` walk (``spectral._norm_logs``);
+- ``lemma.submultiplicative``: per chunk, the norms at all three horizons
+  of every draw from one stacked ``orbit_sums`` walk
+  (``spectral._norm_logs``);
 - ``vp.dichotomy``: ``divergence_witnesses`` on the effective weights of
-  chunks of ``_YOUNG_CHUNK`` draws, and one ``hull_means`` per chunk for
-  the rows without a defect;
-- ``vp.gap``: one generator call per chunk of ``system._chunk_rows``
-  potentials, for one ``variational_principle`` per chunk;
-- ``young.global``: ``young_checks`` on chunks of ``_YOUNG_CHUNK`` draws;
-- ``young.local``: ``local_young_checks`` on chunks of ``_YOUNG_CHUNK``
-  draws, one orbit walk and one set of level partitions per horizon of a
-  chunk and one batched inner solve per chunk.
+  a chunk, and one ``hull_means`` per chunk for the rows without a defect;
+- ``vp.gap``: one generator call per chunk of potentials, for one
+  ``variational_principle`` per chunk;
+- ``young.global``: ``young_checks`` on chunks;
+- ``young.local``: ``local_young_checks`` on chunks, one orbit walk and
+  one set of level partitions per horizon of a chunk and one batched inner
+  solve per chunk.
+
+Every chunk is sized by one memory budget: ``system._chunk_rows`` applied
+to the entries that one draw adds, so that a chunk holds about
+``system._CHUNK_ENTRIES`` floats (1 MiB) at any N.  A draw of a (draws, N)
+stack adds N entries.  A draw of ``young.local``, ``lemma.near_minimizer``
+or ``lemma.inner_certificate`` adds (N + 1) * N entries (the largest
+partition's members) for each array of that size it holds at once, a
+count each check states where it sizes its chunks.  At N <= 12 the 1,000
+draws of a quick profile are one (draws, N) chunk.  ``entstat.reduction``
+draws the unit-ball functions of each cell with one ``random_unit_stack``.
 
 Where a check pairs the rows of two stacks, one ``system._pairings`` call
 gives every row the bits of its own dot product.
@@ -106,12 +115,13 @@ from .sampling import (
     random_invariant_weights,
     random_null_charging,
     random_null_charging_weights,
-    random_partition,
+    random_partition_members,
     random_potential,
     random_simplex_weights,
-    random_unit_values,
+    random_unit_stack,
 )
 from .spectral import (
+    _l1_norms,
     _norm_logs,
     iterate,
     log_spectral_radius_batch,
@@ -126,6 +136,7 @@ from .system import (
     _chunk_rows,
     _horizon,
     _pairings,
+    _require_partitions,
     _require_positive,
     atomic_partition,
     orbit_sums,
@@ -175,14 +186,7 @@ def _rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
-# Draws of young.global, young.local, vp.dichotomy, lemma.near_minimizer,
-# entstat.empirical and entstat.tv evaluated as one stack: large enough to
-# amortize the per-call overhead, small enough to keep the stacked arrays
-# (and the Newton systems of the inner solves) from raising the peak memory.
-_YOUNG_CHUNK = 64
-
-
-def _chunks(draws: int, size: int = _YOUNG_CHUNK):
+def _chunks(draws: int, size: int):
     """Sizes of the consecutive chunks of ``size`` draws."""
     for start in range(0, draws, size):
         yield min(size, draws - start)
@@ -197,7 +201,7 @@ def _pick(rng: np.random.Generator, values: tuple):
 def _check_young_global(system, cfg, rng):
     worst = np.inf
     tight = 0
-    for size in _chunks(cfg.draws):
+    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
         phis = np.empty((size, system.n))
         weights = np.empty((size, system.n))
         for i in range(size):
@@ -214,7 +218,12 @@ def _check_young_global(system, cfg, rng):
 
 def _check_young_local(system, cfg, rng):
     worst = np.inf
-    for size in _chunks(cfg.draws):
+    # A draw holds arrays of up to (N + 1) x N entries: its level partition,
+    # its pushed members and inner problem, and its share of the batched
+    # solver's padded matrices.  tracemalloc measured 5.1 such arrays per
+    # draw at N = 12 and 2.6 at N = 100 (level partitions have fewer
+    # members than atoms), so a draw counts as 4.
+    for size in _chunks(cfg.draws, _chunk_rows(4 * system.n * (system.n + 1))):
         phis = np.empty((size, system.n))
         weights = np.empty((size, system.n))
         ns = np.empty(size, dtype=int)
@@ -271,7 +280,7 @@ def _check_vp_dichotomy(system, cfg, rng):
     has_nulls = bool((~system.support).any())
     zeros = divergent = bad = 0
     witness = None
-    for size in _chunks(cfg.draws):
+    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
         weights = np.empty((size, system.n))
         invariant = np.zeros(size, dtype=bool)
         for i in range(size):
@@ -308,13 +317,6 @@ def _check_vp_dichotomy(system, cfg, rng):
     }
 
 
-def _l1_norms(system, values) -> list[float]:
-    """``l1_norm`` of each row of a stack, with its bits: its row of
-    absolute values is contiguous, as a row's own ``np.abs`` is."""
-    rows = np.abs(values, order="C")
-    return _pairings(rows, np.broadcast_to(system.m, rows.shape)).tolist()
-
-
 def _check_op_norm_oracle(system, cfg, rng):
     worst_gap = 0.0
     worst_excess = -np.inf
@@ -328,16 +330,17 @@ def _check_op_norm_oracle(system, cfg, rng):
             atoms = sup[start : start + rows]
             indicators = np.zeros((atoms.size, system.n))
             indicators[np.arange(atoms.size), atoms] = 1.0 / system.m[atoms]
-            for grown in _l1_norms(system, iterate(system, phi, indicators, n)):
+            grown = iterate(system, phi, indicators, n)
+            for norm in _l1_norms(system, grown).tolist():
                 # an atom with no n-step preimage grows an indicator to zero
-                if grown > 0.0:
-                    best = max(best, np.log(grown))
+                if norm > 0.0:
+                    best = max(best, np.log(norm))
         worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = np.exp(norm_log)
-        for size in _chunks(max(1, cfg.draws // 5), rows):
-            units = np.array([random_unit_values(rng, system) for _ in range(size)])
-            for grown in _l1_norms(system, iterate(system, phi, units, n)):
-                worst_excess = max(worst_excess, grown - value * (1.0 + SLACK_TOL))
+        for size in _chunks(max(1, cfg.draws // 5), _chunk_rows(system.n)):
+            grown = iterate(system, phi, random_unit_stack(rng, system, size), n)
+            for norm in _l1_norms(system, grown).tolist():
+                worst_excess = max(worst_excess, norm - value * (1.0 + SLACK_TOL))
     return {
         "values": {
             "indicator_gap": worst_gap,
@@ -467,7 +470,11 @@ def _check_inner_certificate(system, cfg, rng):
     solved = divergent = 0
     rounds = max(1, cfg.draws // 20)
     atomic = atomic_partition(system).members
-    for size in _chunks(rounds):
+    # A draw holds its partition's members and its inner problem, arrays of
+    # up to (N + 1) x N entries, until its lone solve.  tracemalloc measured
+    # 2.0 such arrays per draw at N = 12 and 1.5 at N = 100, so a draw
+    # counts as 2.
+    for size in _chunks(rounds, _chunk_rows(2 * system.n * (system.n + 1))):
         weights = np.empty((size, system.n))
         members = []
         # the draws of each horizon, in order of first appearance
@@ -480,8 +487,9 @@ def _check_inner_certificate(system, cfg, rng):
             if rng.uniform() < 0.5:
                 members.append(atomic)
             else:
-                members.append(random_partition(rng, system).members)
+                members.append(random_partition_members(rng, system))
             horizons.setdefault(int(rng.integers(1, 5)), []).append(i)
+        _require_partitions(members)
         for problem in _horizon_problems(system, members, weights, horizons):
             sol = maximize_inner(problem, tol=INNER_TOL)
             if sol.value == -np.inf:
@@ -499,7 +507,12 @@ def _check_near_minimizer(system, cfg, rng):
     worst = np.inf
     rounds = max(1, cfg.draws // 20)
     atomic = atomic_partition(system).members
-    for size in _chunks(rounds):
+    # A draw holds arrays of up to (N + 1) x N entries: its partition, its
+    # pushed members and inner problem, and its share of the batched
+    # solver's padded matrices and Newton systems.  tracemalloc measured
+    # 7.4 to 8.6 such arrays per draw at N = 12 and 5.1 to 6.7 at N = 100,
+    # so a draw counts as 8.
+    for size in _chunks(rounds, _chunk_rows(8 * system.n * (system.n + 1))):
         weights = np.empty((size, system.n))
         members = []
         ns = np.empty(size, dtype=int)
@@ -509,9 +522,10 @@ def _check_near_minimizer(system, cfg, rng):
             if rng.uniform() < 0.5:
                 members.append(atomic)
             else:
-                members.append(random_partition(rng, system).members)
+                members.append(random_partition_members(rng, system))
             ns[i] = rng.integers(1, 5)
             epss[i] = _pick(rng, (1.0, 0.1, 0.01))
+        _require_partitions(members)
         bounds = near_minimizer_checks(system, members, weights, ns, epss)
         worst = min(
             worst, float(bounds.growth_slack.min()), float(bounds.pairing_slack.min())
@@ -541,7 +555,7 @@ def _check_tau_routes(system, cfg, rng):
 
 def _check_empirical(system, cfg, rng):
     worst = 0.0
-    for size in _chunks(cfg.draws):
+    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
         xs = np.empty(size, dtype=int)
         ns = np.empty(size, dtype=int)
         phis = np.empty((size, system.n))
@@ -576,7 +590,7 @@ def _check_tv(system, cfg, rng):
     cycle_of = np.array([-1 if c is None else c for c in dec.cycle_of])
     worst_exact = 0.0
     worst_bound = -np.inf
-    for size in _chunks(cfg.draws):
+    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
         xs = np.empty(size, dtype=int)
         ns = np.empty(size, dtype=int)
         for i in range(size):
@@ -652,8 +666,8 @@ def _check_reduction(system, cfg, rng):
         for n, s, an in orbit_sums(system, nbhd.phi, cfg.n_max):
             hits, rel = _hitting_mass(system, nbhd, n, s, an)
             cap = float(rel.max())
-            fs = [random_unit_values(rng, system) for _ in range(per_cell)]
-            vals = _hit_integrals(system, hits, an, np.array(fs))
+            fs = random_unit_stack(rng, system, per_cell)
+            vals = _hit_integrals(system, hits, an, fs)
             worst = max(worst, float((vals - cap).max()))
     return {
         "values": {"worst_excess": worst, "per_cell": per_cell},

@@ -47,6 +47,7 @@ from .system import (
     _pairings,
     _polytope_constraints,
     _require_invariant,
+    _require_partitions,
     _require_positive,
     _transport,
     alpha_power,
@@ -58,7 +59,7 @@ from .system import (
     require_valid,
     trivial_partition,
 )
-from .sampling import random_partition
+from .sampling import random_partition_members
 from .varprin import DivergenceWitness, NoDefectError, divergence_witness
 
 
@@ -489,49 +490,51 @@ def tau_direct(
     number can sit slightly above but never below the infimum over the
     candidate set.  The achieving horizon and partition are those of the
     first candidate, in search order, whose bound lies within
-    ``DIRECT_TOL`` of that minimum.
+    ``DIRECT_TOL`` of that minimum.  The candidates of a horizon beyond
+    the fixed two are member arrays, validated by one stacked
+    ``system._require_partitions`` test; only the achieving one is built
+    as a ``PartitionOfUnity``.
     """
     require_valid(system)
     n_max = _horizon(n_max)
     w = effective_weights(system, mu)
     _require_normalized(system, [w])
     rng = np.random.default_rng(seed)
-    fixed = [atomic_partition(system), trivial_partition(system)]
-    candidates: list[tuple[int, PartitionOfUnity]] = []
+    fixed = [atomic_partition(system).members, trivial_partition(system).members]
+    candidates: list[tuple[int, np.ndarray]] = []
     problems: list[InnerProblem] = []
     for n in range(1, n_max + 1):
         # the draws of three rng.uniform(-2.0, 2.0, system.n) calls, in order
         s, _ = _transport(system, rng.uniform(-2.0, 2.0, (3, system.n)), n)
         widths = (s.max(axis=1) - s.min(axis=1)) / 3.0 + BUCKET_PAD
         levels = np.floor(s / widths[:, None])
-        parts = fixed + [PartitionOfUnity(m) for m in _level_partitions(system, levels)]
-        for _ in range(8):
-            parts.append(random_partition(rng, system))
-        candidates += [(n, part) for part in parts]
-        problems += inner_problems(
-            system, [part.members for part in parts], [w] * len(parts), n
-        )
+        drawn = _level_partitions(system, levels)
+        drawn += [random_partition_members(rng, system) for _ in range(8)]
+        _require_partitions(drawn)
+        parts = fixed + drawn
+        candidates += [(n, members) for members in parts]
+        problems += inner_problems(system, parts, [w] * len(parts), n)
     solutions = maximize_inner_batch(problems, DIRECT_TOL)
     bounds = []
-    for (n, partition), sol in zip(candidates, solutions):
+    for (n, members), sol in zip(candidates, solutions):
         if sol.value == -np.inf:
             return TauResult(
                 value=-np.inf,
                 route="direct",
                 achieving_n=n,
-                achieving_partition=partition,
+                achieving_partition=PartitionOfUnity(members),
             )
         bounds.append((sol.value + sol.optimality_gap) / n + ROUNDOFF_TOL)
     best = min(bounds)
     # Bounds closer than the solver tolerance are ties, so report the first
     # of them rather than whichever one sub-tolerance noise put lowest.
     first = next(i for i, bound in enumerate(bounds) if bound <= best + DIRECT_TOL)
-    n, partition = candidates[first]
+    n, members = candidates[first]
     return TauResult(
         value=float(best),
         route="direct",
         achieving_n=n,
-        achieving_partition=partition,
+        achieving_partition=PartitionOfUnity(members),
     )
 
 

@@ -1,11 +1,13 @@
 """Random instances for property sweeps: systems, potentials, measures.
 
 Every generator takes a numpy Generator first so callers own the seeding.
-Each sampler of functionals or unit functions has an array form (the
-``*_weights`` functions and ``random_unit_values``) that makes the same
-generator calls and returns the same bits as a plain array, building and
-validating no object, for callers that fill stacks of draws.  Every flat
-Dirichlet draw goes through ``_flat_dirichlet``.
+Each sampler of functionals, unit functions or partitions has an array
+form (the ``*_weights`` functions, ``random_unit_values`` and
+``random_partition_members``) that makes the same generator calls and
+returns the same bits as a plain array, building and validating no object,
+for callers that fill stacks of draws; ``random_unit_stack`` draws k unit
+functions at once.  Every flat Dirichlet draw goes through
+``_flat_dirichlet``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .claims import NORM_FLOOR
-from .spectral import L1Vector, l1_vector
+from .spectral import L1Vector, _l1_norms, l1_vector
 from .system import (
     FULL,
     FiniteSystem,
@@ -64,6 +66,23 @@ def random_unit_values(rng, system: FiniteSystem) -> np.ndarray:
     values = np.zeros(system.n)
     values[idx] = 1.0 / system.m[idx]
     return values
+
+
+def random_unit_stack(rng, system: FiniteSystem, k: int) -> np.ndarray:
+    """k rows of ``random_unit_values``, with their generator calls and bits.
+
+    One ``rng.normal`` call draws the normals of all k rows in order, and
+    one ``spectral._l1_norms`` call gives each row the bits of its own norm.
+    A row whose norm falls under ``NORM_FLOOR`` would have drawn again, so
+    then the generator is rewound and the rows are drawn one by one.
+    """
+    state = rng.bit_generator.state
+    v = np.where(system.support, rng.normal(size=(k, system.n)), 0.0)
+    norms = _l1_norms(system, v)
+    if np.all(norms > NORM_FLOOR):
+        return v / norms[:, None]
+    rng.bit_generator.state = state
+    return np.array([random_unit_values(rng, system) for _ in range(k)])
 
 
 def random_unit_function(rng, system: FiniteSystem) -> L1Vector:
@@ -158,8 +177,17 @@ def random_null_charging(rng, system: FiniteSystem) -> Functional:
     return functional(system, random_null_charging_weights(rng, system), mode=FULL)
 
 
-def random_partition(rng, system: FiniteSystem, members: int | None = None) -> PartitionOfUnity:
-    """A soft partition of unity with a 0.05 floor keeping members positive."""
+def random_partition_members(
+    rng, system: FiniteSystem, members: int | None = None
+) -> np.ndarray:
+    """Members of ``random_partition``, with its generator calls and bits,
+    as a (size, n_atoms) array: no ``PartitionOfUnity`` is built, so the
+    caller validates them (``system._require_partitions``)."""
     k = int(rng.integers(2, system.n + 2)) if members is None else int(members)
     raw = rng.uniform(size=(k, system.n)) + 0.05
-    return PartitionOfUnity(raw / raw.sum(axis=0))
+    return raw / raw.sum(axis=0)
+
+
+def random_partition(rng, system: FiniteSystem, members: int | None = None) -> PartitionOfUnity:
+    """A soft partition of unity with a 0.05 floor keeping members positive."""
+    return PartitionOfUnity(random_partition_members(rng, system, members))

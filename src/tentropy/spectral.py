@@ -34,6 +34,7 @@ from .system import (
     _columns,
     _horizon,
     _index_sums,
+    _pairings,
     _transport,
     cycle_means,
     log_preimage_mass,
@@ -64,6 +65,13 @@ def l1_vector(system: FiniteSystem, values) -> L1Vector:
 
 def l1_norm(system: FiniteSystem, f: L1Vector) -> float:
     return float(np.abs(f.values) @ system.m)
+
+
+def _l1_norms(system: FiniteSystem, values: np.ndarray) -> np.ndarray:
+    """``l1_norm`` of each row of a (k, n_atoms) stack, with its bits: its
+    row of absolute values is contiguous, as a row's own ``np.abs`` is."""
+    rows = np.abs(values, order="C")
+    return _pairings(rows, np.broadcast_to(system.m, rows.shape))
 
 
 def apply(system: FiniteSystem, phi, f: L1Vector) -> L1Vector:

@@ -366,20 +366,23 @@ def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
     return top.reshape(log_weights.shape[:-1] + (system.n,))
 
 
-# Float64 entries in one chunk of a (rows, n_atoms) stack of draws: 1 MiB.
+# Float64 entries in one chunk of a stack of draws: 1 MiB.
 _CHUNK_ENTRIES = 2**17
 
 
-def _chunk_rows(n_atoms: int) -> int:
-    """Rows per chunk of a (rows, n_atoms) stack of draws swept in chunks:
-    ``_CHUNK_ENTRIES`` over n_atoms, rounded down to a multiple of 8 and at
-    least 8, so a sweep holds O(_CHUNK_ENTRIES + n_atoms) floats.
+def _chunk_rows(entries: int) -> int:
+    """Draws per chunk of a stack of draws swept in chunks, where one draw
+    adds ``entries`` floats: n_atoms for a row of a (draws, n_atoms) stack,
+    or what a draw of an inner-problem check holds.  ``_CHUNK_ENTRIES``
+    over entries, rounded down to a multiple of 8 and at least 8, so a
+    sweep holds O(_CHUNK_ENTRIES + 8 * entries) floats: at N <= 12, one
+    chunk holds 10,920 rows of N atoms or more.
 
     OpenBLAS's dgemv takes rows in groups of 4, so with one BLAS thread a
     product on chunks of 8k rows gives every row the bits of one product
     over all rows.
     """
-    return max(8, _CHUNK_ENTRIES // n_atoms // 8 * 8)
+    return max(8, _CHUNK_ENTRIES // entries // 8 * 8)
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -636,18 +639,35 @@ class PartitionOfUnity:
 
     def __post_init__(self):
         mem = _frozen(self.members)
-        if mem.ndim != 2 or mem.shape[0] == 0:
-            raise ValueError("members must form a nonempty 2d array")
-        if not np.all(np.isfinite(mem)) or mem.min() < -0.0:
-            raise ValueError("members must be finite and nonnegative")
-        col = mem.sum(axis=0)
-        if np.max(np.abs(col - 1.0)) > EXACT_TOL:
-            raise ValueError("member values must sum to 1 at every atom")
+        _require_partitions([mem])
         object.__setattr__(self, "members", mem)
 
     @property
     def size(self) -> int:
         return self.members.shape[0]
+
+
+def _require_partitions(members) -> None:
+    """``ValueError`` unless each array of a list holds the members of a
+    partition of unity on the same atoms: a nonempty 2d array of finite,
+    nonnegative values whose columns sum to 1 within ``EXACT_TOL``.
+
+    The arrays are tested as one stack, each padded with rows of zeros to
+    the largest member count: adding an exact zero keeps the bits of each
+    partition's own ``sum(axis=0)``, which adds its rows in order.
+    """
+    if any(np.ndim(m) != 2 or len(m) == 0 for m in members):
+        raise ValueError("members must form a nonempty 2d array")
+    width = members[0].shape[1]
+    if any(m.shape[1] != width for m in members):
+        raise ValueError("partitions must live on the same atoms")
+    stack = np.zeros((len(members), max(len(m) for m in members), width))
+    for i, m in enumerate(members):
+        stack[i, : len(m)] = m
+    if not np.all(np.isfinite(stack)) or stack.min() < -0.0:
+        raise ValueError("members must be finite and nonnegative")
+    if np.max(np.abs(stack.sum(axis=1) - 1.0)) > EXACT_TOL:
+        raise ValueError("member values must sum to 1 at every atom")
 
 
 def atomic_partition(system: FiniteSystem) -> PartitionOfUnity:

@@ -11,7 +11,6 @@ import pytest
 from tentropy import certify, entropy, entstat, spectral, system
 from tentropy.claims import INNER_TOL, CertificateError
 from tentropy.certify import (
-    _YOUNG_CHUNK,
     CertifyConfig,
     _rng_for,
     make_record,
@@ -190,12 +189,14 @@ def reference_local_young_checks(s, draws):
 
 
 def reference_young_local(s, cfg):
-    """The loop of ``young.local`` with the per-draw set-up it replaced."""
+    """The loop of ``young.local`` with the per-draw set-up it replaced, in
+    the chunks of 64 draws it had then: the check keeps its bytes in the
+    chunks of its memory budget."""
     rng = _rng_for(cfg.seed, "young.local")
     worst = np.inf
-    for start in range(0, cfg.draws, _YOUNG_CHUNK):
+    for start in range(0, cfg.draws, 64):
         draws = []
-        for _ in range(min(_YOUNG_CHUNK, cfg.draws - start)):
+        for _ in range(min(64, cfg.draws - start)):
             phi = random_potential(rng, s, scale=2.0)
             mu = random_invariant(rng, s)
             n = int(rng.integers(1, 7))
@@ -587,35 +588,58 @@ def test_dichotomy_and_oracle_checks_evaluate_stacks(monkeypatch):
     assert shapes == [(s.supported_indices.size, s.n), unit_draws] * 5
 
 
+# 260 draws in 8-draw chunks, and the 13 draws of an inner-problem check
+DRAW_CHUNKS = [8] * 32 + [4]
+INNER_CHUNKS = [8, 5]
+
+# the checks that fill stacks of draws in chunks of ``system._chunk_rows``:
+# the certify name of the call that takes a chunk's stack, the position of
+# the stack among its arguments, and the chunk sizes of 260 draws
+CHUNKED = {
+    "entstat.empirical": ("empirical_weights", 1, DRAW_CHUNKS),
+    "entstat.tv": ("empirical_weights", 1, DRAW_CHUNKS),
+    "lemma.inner_certificate": ("_horizon_problems", 2, INNER_CHUNKS),
+    "lemma.near_minimizer": ("near_minimizer_checks", 1, INNER_CHUNKS),
+    "lemma.properties": ("property_residuals", 1, DRAW_CHUNKS),
+    "vp.dichotomy": ("divergence_witnesses", 1, DRAW_CHUNKS),
+    "vp.gap": ("variational_principle", 1, DRAW_CHUNKS),
+    "young.global": ("young_checks", 1, DRAW_CHUNKS),
+    "young.local": ("local_young_checks", 1, DRAW_CHUNKS),
+}
+
 
 def test_chunked_stacks_keep_the_record_bits(monkeypatch, chunk_systems):
-    """vp.gap, lemma.properties, lemma.op_norm_oracle and vp.subgradient
-    give byte-identical records when their (draws, N) stacks are swept in
-    8-row chunks: the draws keep their order in the generator stream.  The
-    subgradient's products are at most 100 x 60, far below the sizes at
-    which the thread count moves their bits."""
-    cfg = CertifyConfig(seed=31, draws=100)
-    names = ("vp.gap", "lemma.properties", "lemma.op_norm_oracle", "vp.subgradient")
-    want = {(s.n, name): run_check(s, name, cfg) for s in chunk_systems for name in names}
-    assert all(system._chunk_rows(s.n) >= 100 for s in chunk_systems)
+    """Every check that fills stacks of draws, and vp.subgradient, gives
+    byte-identical records when its stacks are swept in 8-draw chunks: the
+    draws keep their order in the generator stream, and each row keeps the
+    bits of its own evaluation.  260 draws leave a short last chunk, and so
+    do the 13 draws of an inner-problem check and the 52 unit-ball draws
+    per horizon of lemma.op_norm_oracle.  The subgradient's products are
+    at most 100 x 60, far below the sizes at which the thread count moves
+    their bits."""
+    cfg = CertifyConfig(seed=31, draws=260)
+    cases = [twocyc()] + chunk_systems
+    names = sorted(CHUNKED) + ["lemma.op_norm_oracle", "vp.subgradient"]
+    want = {(s.n, name): run_check(s, name, cfg) for s in cases for name in names}
+    assert all(system._chunk_rows(s.n) >= 260 for s in cases)
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
-    vps = counting(monkeypatch, certify, "variational_principle")
-    props = counting(monkeypatch, certify, "property_residuals")
+    calls = {call: counting(monkeypatch, certify, call) for call, _, _ in CHUNKED.values()}
     iterates = counting(monkeypatch, certify, "iterate")
-    for s in chunk_systems:
-        vps.clear()
-        props.clear()
-        iterates.clear()
+    for s in cases:
+        sup = s.supported_indices.size
+        # the atom indicators, then the unit-ball draws, of each horizon
+        per_horizon = [8] * (sup // 8) + [sup % 8] * (sup % 8 > 0) + [8] * 6 + [4]
         for name in names:
+            for seen in [*calls.values(), iterates]:
+                seen.clear()
             record = run_check(s, name, cfg)
             assert record["verdict"] == "pass", (name, record)
             assert json.dumps(record) == json.dumps(want[s.n, name]), (name, s.n)
-        assert [len(args[1]) for args in vps] == [8] * 12 + [4]
-        assert [len(args[1]) for args in props] == [8] * 12 + [4]
-        rows = [len(args[2]) for args in iterates]
-        sup = s.supported_indices.size
-        per_horizon = [8] * (sup // 8) + [sup % 8] * (sup % 8 > 0) + [8, 8, 4]
-        assert rows == per_horizon * 5
+            if name in CHUNKED:
+                call, arg, sizes = CHUNKED[name]
+                assert [len(args[arg]) for args in calls[call]] == sizes, name
+            elif name == "lemma.op_norm_oracle":
+                assert [len(args[2]) for args in iterates] == per_horizon * 5
 
 
 def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
@@ -623,26 +647,30 @@ def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
     ``inner_problems`` call per horizon and solves them with one
     ``maximize_inner_batch`` call, making no ``maximize_inner`` call;
     entstat.empirical and entstat.tv make no ``empirical`` call, and
-    entstat.empirical walks its Birkhoff sums once per chunk."""
+    entstat.empirical walks its Birkhoff sums once per chunk.  At N = 12
+    a near-minimizer chunk holds 104 draws (a draw counts as 8 arrays of
+    13 x 12 entries) and an orbit chunk 10,920, so 1,000 draws are one."""
     s = twelve_atoms()
-    # 100 near-minimizer draws: chunks of 64 and 36
-    cfg = CertifyConfig(seed=5, draws=2000)
+    assert system._chunk_rows(8 * 12 * 13) == 104
+    assert system._chunk_rows(12) == 10920
+    # 120 near-minimizer draws: chunks of 104 and 16
+    cfg = CertifyConfig(seed=5, draws=2400)
     batches = counting(monkeypatch, entropy, "maximize_inner_batch")
     singles = counting(monkeypatch, entropy, "maximize_inner")
     bound = counting(monkeypatch, certify, "maximize_inner")
     stacks = counting(monkeypatch, entropy, "inner_problems")
     assert run_check(s, "lemma.near_minimizer", cfg)["verdict"] == "pass"
-    assert [len(args[0]) for args in batches] == [64, 36]
+    assert [len(args[0]) for args in batches] == [104, 16]
     assert (len(singles), len(bound)) == (0, 0)
     horizons = [args[3] for args in stacks]
     assert sorted(horizons[:4]) == sorted(horizons[4:]) == [1, 2, 3, 4]
-    assert sum(len(args[1]) for args in stacks) == 100
+    assert sum(len(args[1]) for args in stacks) == 120
 
     calls = counting(monkeypatch, entstat, "empirical")
     walks = counting(monkeypatch, certify, "orbit_sums")
     cfg = CertifyConfig(seed=5)
     assert run_check(s, "entstat.empirical", cfg)["verdict"] == "pass"
-    assert [args[1].shape for args in walks] == [(64, s.n)] * 15 + [(40, s.n)]
+    assert [args[1].shape for args in walks] == [(1000, s.n)]
     assert run_check(s, "entstat.tv", cfg)["verdict"] == "pass"
     assert calls == [] and "empirical" not in vars(certify)
 
@@ -650,19 +678,22 @@ def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
 def test_inner_certificate_builds_its_problems_per_horizon(monkeypatch):
     """lemma.inner_certificate builds a chunk's inner problems with one
     ``inner_problems`` call per horizon, from array draws (no functional
-    object), and solves each draw alone with ``maximize_inner``."""
+    or partition object), and solves each draw alone with
+    ``maximize_inner``.  At N = 12 a chunk holds 416 draws (a draw counts
+    as 2 arrays of 13 x 12 entries), so its 100 draws are one chunk."""
     s = twelve_atoms()
-    # 100 draws: chunks of 64 and 36
+    assert system._chunk_rows(2 * 12 * 13) == 416
     cfg = CertifyConfig(seed=5, draws=2000)
     stacks = counting(monkeypatch, entropy, "inner_problems")
     singles = counting(monkeypatch, certify, "maximize_inner")
     objects = counting(monkeypatch, certify, "random_invariant")
     assert run_check(s, "lemma.inner_certificate", cfg)["verdict"] == "pass"
-    horizons = [args[3] for args in stacks]
-    assert sorted(horizons[:4]) == sorted(horizons[4:]) == [1, 2, 3, 4]
-    assert [sum(len(args[1]) for args in part) for part in (stacks[:4], stacks[4:])] == [64, 36]
+    assert sorted(args[3] for args in stacks) == [1, 2, 3, 4]
+    assert sum(len(args[1]) for args in stacks) == 100
     assert len(singles) == 100
-    assert objects == [] and "random_simplex_functional" not in vars(certify)
+    assert objects == []
+    assert "random_simplex_functional" not in vars(certify)
+    assert "random_partition" not in vars(certify)
 
 
 def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):

@@ -135,3 +135,37 @@ def test_no_unused_import_or_private_name():
     assert unused == []
     private = [(m, i) for m, i in private if i.startswith("_") and not i.startswith("__")]
     assert [(m, i) for m, i in private if i not in read_anywhere] == []
+
+
+def test_certify_sizes_every_chunk_by_the_memory_budget():
+    """Every ``_chunks`` call in ``certify`` takes its size from
+    ``system._chunk_rows``, applied to the entries one draw adds, and the
+    module binds no integer constant that could stand in for it."""
+    tree = ast.parse((SRC / "certify.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_chunks"
+    ]
+    assert calls
+    unsized = [
+        node.lineno for node in calls
+        if len(node.args) != 2
+        or not isinstance(node.args[1], ast.Call)
+        or not isinstance(node.args[1].func, ast.Name)
+        or node.args[1].func.id != "_chunk_rows"
+    ]
+    assert unsized == []
+    constants = [
+        node.lineno for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, int)
+    ]
+    assert constants == []
+    chunks = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_chunks"
+    )
+    assert chunks.args.defaults == []

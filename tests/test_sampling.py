@@ -14,12 +14,15 @@ from tentropy.sampling import (
     random_invariant_weights,
     random_null_charging,
     random_null_charging_weights,
+    random_partition,
+    random_partition_members,
     random_simplex_functional,
     random_simplex_weights,
     random_unit_function,
+    random_unit_stack,
     random_unit_values,
 )
-from tentropy.system import ESSENTIAL, FULL, functional, make_system
+from tentropy.system import ESSENTIAL, FULL, PartitionOfUnity, functional, make_system
 
 
 def reference_invariant(rng, s):
@@ -69,6 +72,12 @@ def reference_unit(rng, s):
     return values
 
 
+def reference_partition(rng, s):
+    k = int(rng.integers(2, s.n + 2))
+    raw = rng.uniform(size=(k, s.n)) + 0.05
+    return PartitionOfUnity(raw / raw.sum(axis=0))
+
+
 def three_lengths():
     """Supported cycles of lengths 1, 2 and 3 (twice, apart in atom order), a
     tail into a 3-cycle and a null fixed point."""
@@ -87,10 +96,25 @@ SAMPLERS = [
 ]
 
 
+def assert_same_unit_draws(s, seed):
+    """k unit functions drawn one by one, as one stack and as objects, for
+    k in 1, 5, 27 and 200: the same bits and the same final state."""
+    for k in (1, 5, 27, 200):
+        gens = [np.random.default_rng(seed) for _ in range(4)]
+        want = np.array([reference_unit(gens[0], s) for _ in range(k)])
+        objects = np.array([random_unit_function(gens[1], s).values for _ in range(k)])
+        arrays = np.array([random_unit_values(gens[2], s) for _ in range(k)])
+        stack = random_unit_stack(gens[3], s, k)
+        assert want.tobytes() == objects.tobytes() == arrays.tobytes() == stack.tobytes()
+        states = [gen.bit_generator.state for gen in gens]
+        assert states[0] == states[1] == states[2] == states[3]
+    return stack
+
+
 def test_array_samplers_make_the_draws_of_the_object_samplers(system_pool, large_pool):
-    """Three generators from one seed, drawing through the sampler as it
-    was, the object form and the array form, make bitwise the same draws
-    and end in the same state."""
+    """Generators from one seed, drawing through the sampler as it was, the
+    object form and the array form (and, for unit functions, the stacked
+    form), make bitwise the same draws and end in the same state."""
     for s in system_pool + large_pool + [null_pair(), three_lengths()]:
         for reference, sampler, array_form, mode in SAMPLERS:
             if mode == FULL and s.support.all():
@@ -105,13 +129,23 @@ def test_array_samplers_make_the_draws_of_the_object_samplers(system_pool, large
                 assert want.weights.tobytes() == weights.tobytes()
             states = [gen.bit_generator.state for gen in gens]
             assert states[0] == states[1] == states[2]
-        gens = [np.random.default_rng(13) for _ in range(3)]
+        assert_same_unit_draws(s, 13)
+        gens = [np.random.default_rng(17) for _ in range(3)]
         for _ in range(5):
-            want = reference_unit(gens[0], s)
-            assert random_unit_function(gens[1], s).values.tobytes() == want.tobytes()
-            assert random_unit_values(gens[2], s).tobytes() == want.tobytes()
+            want = reference_partition(gens[0], s).members
+            assert random_partition(gens[1], s).members.tobytes() == want.tobytes()
+            assert random_partition_members(gens[2], s).tobytes() == want.tobytes()
         states = [gen.bit_generator.state for gen in gens]
         assert states[0] == states[1] == states[2]
+
+
+def test_unit_stack_draws_row_by_row_when_a_norm_is_too_small():
+    """Supported masses of 1e-12 put every norm under ``NORM_FLOOR``, so
+    each draw redraws 8 times and falls back to the first supported
+    indicator; the stack rewinds its generator and draws row by row."""
+    s = make_system([1e-12, 2e-12, 0.0, 1.5e-12], [1, 0, 2, 3])
+    stack = assert_same_unit_draws(s, 19)
+    assert (stack == np.array([1e12, 0.0, 0.0, 0.0])).all()
 
 
 @pytest.mark.parametrize("k", range(1, 41))

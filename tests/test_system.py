@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
-from tentropy.sampling import random_invariant, random_system
+from tentropy.sampling import random_invariant, random_partition_members, random_system
 from tentropy.system import (
     ESSENTIAL,
     FULL,
     InvalidSystemError,
     PartitionOfUnity,
     _pairings,
+    _require_partitions,
     alpha_power,
     atomic_partition,
     birkhoff,
@@ -421,6 +422,60 @@ def test_partition_of_unity_validation():
         PartitionOfUnity(np.array([[1.2, 1.0, 1.0], [-0.2, 0.0, 0.0]]))
     two = PartitionOfUnity(np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 0.0]]))
     assert two.size == 2
+
+
+def partition_error(test, members):
+    """The message of the ValueError that ``test(members)`` raises, or None."""
+    try:
+        test(members)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_stacked_partition_test_gives_the_verdict_of_each_partition():
+    """The stacked test of a list of member arrays accepts it exactly when
+    ``PartitionOfUnity`` accepts each array, with the same message.  Among
+    partitions of other sizes, a member array scaled by 1 + t keeps the
+    verdict of its own ``sum(axis=0)`` on both sides of the t where its
+    column sums leave ``EXACT_TOL``, found to the last bit."""
+    gen = np.random.default_rng(37)
+    s = make_system(np.ones(9), np.arange(9))
+    failed = "member values must sum to 1 at every atom"
+    for k in (1, 2, 7, 30, 200):
+        members = random_partition_members(gen, s, k)
+        others = [random_partition_members(gen, s) for _ in range(3)]
+
+        def verdicts(t):
+            scaled = members * (1.0 + t)
+            own = np.max(np.abs(scaled.sum(axis=0) - 1.0)) > 1e-12
+            return (
+                failed if own else None,
+                partition_error(PartitionOfUnity, scaled),
+                partition_error(_require_partitions, others[:2] + [scaled] + others[2:]),
+            )
+
+        lo, hi = 0.0, 2e-12
+        assert verdicts(lo) == (None,) * 3
+        while lo < (mid := (lo + hi) / 2) < hi:
+            got = verdicts(mid)
+            assert got == (got[0],) * 3, (k, mid)
+            lo, hi = (mid, hi) if got[0] is None else (lo, mid)
+        assert verdicts(hi) == (failed,) * 3
+    good = [np.eye(3), np.full((2, 3), 0.5)]
+    for bad in (
+        np.array([[np.nan, 1.0, 1.0]]),
+        np.array([[1.2, 1.0, 1.0], [-0.2, 0.0, 0.0]]),
+        np.ones(3),
+        np.ones((0, 3)),
+    ):
+        with pytest.raises(ValueError) as alone:
+            PartitionOfUnity(bad)
+        with pytest.raises(ValueError) as stacked:
+            _require_partitions(good + [bad])
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ValueError, match="same atoms"):
+        _require_partitions(good + [np.ones((1, 4))])
 
 
 @settings(max_examples=150, deadline=None)
