@@ -1,7 +1,6 @@
 """Command line behavior: exit codes, report shape, determinism."""
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -16,9 +15,10 @@ import pytest
 from tentropy import certify, cli
 from tentropy.claims import CertificateError
 from tentropy.fixtures import cycle3, null_pair, twocyc
-from tentropy.io import load_system, save_functional, save_potential, save_system
-from tentropy.sampling import perturbed_invariant, random_invariant
+from tentropy.io import save_functional, save_potential, save_system
 from tentropy.system import FULL, functional
+
+import pinned
 
 
 def run(capsys, *argv):
@@ -313,72 +313,24 @@ def test_certify_reports_are_byte_identical(files, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of the json.dumps of the "checks" of a standard-panel report,
-# ``certify --suite all --profile quick --seed 3``.  A change that must move
-# a report's bits names the fields it moves and updates these digests.
-PANEL_DIGESTS = {
-    "two.json": "df37d5015691baa9c5d67a91edde8011c683ae33b9f355d36c7562c24afff6f2",
-    "system-000.json": "974e0e9f2a957ace5db3cc87ff99ecec1848e18bca5b89700fd18e1c2bb71af6",
-    "system-001.json": "a4e6c4858edd09d3f02b7b8c759279f52e293945d3c422b8efa191d871e3f8f8",
-    "system-002.json": "76bea0d31fad7be420c565a6a28666b208a9c291f025144ffc1a0244f86580fb",
-    "system-003.json": "c40f11658eef4d83491b55467499db43b1c685295e470d0cedea174a1cd57e11",
-    "system-004.json": "80a2e60202e4c2ebbaf2ef3382b1f23091d005f4484a5a933c533c0f267ed80d",
-    "system-005.json": "9c484bd3d17b89eed3b59d59a47ab102852dda8996d08f5684db52bef3418211",
-}
-
-
-def test_certify_reports_match_the_pinned_panel(files, capsys):
+def test_certify_reports_match_the_pinned_panel(files, monkeypatch):
     """The checks of the seven standard-panel reports keep their bits:
-    twocyc and the six files of ``random-systems 6 --max-atoms 12 --seed 7``."""
-    code, _ = run(capsys, "random-systems", "6", "--max-atoms", "12", "--seed", "7",
-                  "--dir", str(files))
-    assert code == 0
-    for name, digest in PANEL_DIGESTS.items():
-        code, report = run_json(capsys, "certify", str(files / name), "--suite", "all",
-                                "--profile", "quick", "--seed", "3")
-        assert code == 0, name
-        got = hashlib.sha256(json.dumps(report["checks"]).encode()).hexdigest()
-        assert got == digest, name
-
-
-# sha256 of the json.dumps of the "checks" of ``tau --route dual`` on each
-# standard-panel system, for the ``random_invariant`` and then the
-# ``perturbed_invariant`` functional drawn from ``default_rng(29)`` per system.
-# The dual record carries the value, the divergence ray and ``descent_best``.
-TAU_DIGESTS = {
-    ("two.json", "invariant"): "814233b449977dec572dec32d196cc6c44c82fdb436330447e7759b8d780a24f",
-    ("two.json", "perturbed"): "61c4a73626e6a004a0915ba0c7d6bb53e6d1f168e711c63ed82d1af5e82121ba",
-    ("system-000.json", "invariant"): "b6060b97267bc993f59e39b7d3ea4c67308b9272bca87b253aadbdda8845b100",
-    ("system-000.json", "perturbed"): "3762e8a92e2363796034d02f38c1279c94849d4df0406c25700f1202e17a2930",
-    ("system-001.json", "invariant"): "49a43c322c47c9dfa732bdeb90ff48bc821e7dadc8986e4954d9b1dc0eec2f30",
-    ("system-001.json", "perturbed"): "63becca14164ccd59d61d87207630165a95c7913c145d22ff26b110e524d2706",
-    ("system-002.json", "invariant"): "218638e1c7d5f30a719488ab57af92d6fb3f50ff6c01a958c13744441e62849d",
-    ("system-002.json", "perturbed"): "14f8499198d9813c061fe73ca352d4347b8489cd3dac65669a6cc96e8cc76759",
-    ("system-003.json", "invariant"): "53cab5a79d6621cf64b3ad411efaaf992d78ec0ca9b35be0578813c08db98cae",
-    ("system-003.json", "perturbed"): "87f9e73a8d4574bedda3dd0a6525c64b39fc7cfee23623e2e0b9452088b251d5",
-    ("system-004.json", "invariant"): "4997118aab4a8478fabca92ea67a92b54bb58ebe4a053fd84c04300b590ffbc4",
-    ("system-004.json", "perturbed"): "395a9a12de193abdbd533a7d0a6a24265c342a059db55da9fc06e4baeaa0f97b",
-    ("system-005.json", "invariant"): "26220de3fda8243ee0b558cc50adb26702e9b53b1ecee9fa0a84ca5867b093c4",
-    ("system-005.json", "perturbed"): "acf3b03feb992cd3a0d13e2f0d2b42f74452599444a3e565129d126b06f25ce9",
-}
-
-
-def test_tau_reports_match_the_pinned_panel(files, capsys, monkeypatch):
-    """The dual-route ``tau`` reports of the standard panel keep their bits.
-    Paths are relative, as a record's inputs name its files."""
+    ``certify --suite all --profile quick --seed 3`` on twocyc and the six
+    files of ``random-systems 6 --max-atoms 12 --seed 7``.  A change that
+    must move them re-takes the pins (``tests/pinned.py``) and names the
+    fields it moves."""
     monkeypatch.chdir(files)
-    code, _ = run(capsys, "random-systems", "6", "--max-atoms", "12", "--seed", "7")
-    assert code == 0
-    for name in PANEL_DIGESTS:
-        gen = np.random.default_rng(29)
-        s = load_system(name)
-        for kind, draw in (("invariant", random_invariant), ("perturbed", perturbed_invariant)):
-            path = f"{Path(name).stem}-{kind}.json"
-            save_functional(path, draw(gen, s))
-            code, report = run_json(capsys, "tau", name, path, "--route", "dual")
-            assert code == 0, (name, kind)
-            got = hashlib.sha256(json.dumps(report["checks"]).encode()).hexdigest()
-            assert got == TAU_DIGESTS[name, kind], (name, kind, got)
+    pinned.write_panel()
+    for name, checks in pinned.certify_pins().items():
+        pinned.assert_pinned(name, checks)
+
+
+def test_tau_reports_match_the_pinned_panel(files, monkeypatch):
+    """The dual-route ``tau`` reports of the standard panel keep their bits."""
+    monkeypatch.chdir(files)
+    pinned.write_panel()
+    for name, checks in pinned.tau_pins().items():
+        pinned.assert_pinned(name, checks)
 
 
 def test_certify_does_not_import_numpy_ma(files):

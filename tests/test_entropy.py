@@ -59,6 +59,7 @@ from tentropy.system import (
 )
 
 from oracles import dual_descent_full_steps
+from pinned import assert_pinned, solver_pin
 
 LN2 = math.log(2.0)
 
@@ -839,18 +840,21 @@ def solutions_digest(solutions):
     return h.hexdigest()
 
 
-# ``solutions_digest`` of the mixed batch solved as one batch, and of each of
-# its problems solved alone.  A solver change that must move these bits says
-# so and updates them.
-BATCH_DIGEST = "0a8f7574dfc3e570a4dd2c6ec84c1744ba13ff101a3a80621af22b8378980c4f"
-ALONE_DIGEST = "54012d996c032e853440f7461780e174237a07a828a6c8fd39a3485808cdcee9"
+def solver_pins() -> dict:
+    """The solutions of the mixed batch solved as one batch, and of each of
+    its problems solved alone.  A solver change that must move these bits
+    says so and re-takes the pins (``tests/pinned.py``)."""
+    problems, tols = mixed_batch()
+    alone = [maximize_inner(p, tol=t) for p, t in zip(problems, tols)]
+    return {
+        "solver-batch.json": solver_pin(maximize_inner_batch(problems, tols)),
+        "solver-alone.json": solver_pin(alone),
+    }
 
 
 def test_maximize_inner_keeps_its_bits():
-    problems, tols = mixed_batch()
-    assert solutions_digest(maximize_inner_batch(problems, tols)) == BATCH_DIGEST
-    alone = [maximize_inner(p, tol=t) for p, t in zip(problems, tols)]
-    assert solutions_digest(alone) == ALONE_DIGEST
+    for name, value in solver_pins().items():
+        assert_pinned(name, value)
 
 
 def test_a_divergent_problem_does_not_pad_the_others():
