@@ -1,82 +1,54 @@
 """Named certification checks and the suites that group them.
 
-Each check draws its own generator from (seed, check name), so the verdicts
-do not depend on which other checks run or in what order.  A check returns
-its headline values, its claims, and optionally a witness of the worst case.
-A claim is an ``(observed, bound)`` pair that holds when ``observed <= bound``;
-tolerance bounds are the named constants of ``claims``, the same names the
-library's own assertions of those laws read, and go through
-``CertifyConfig.threshold`` (so ``--tolerance`` overrides them); structural
-bounds are literal.  ``make_record`` derives every record's verdict (pass
-when all claims hold), residual (the largest excess over a bound, 0 exactly
-when the record passes) and repro (failing records only); the CLI builds its
-own records with it too.  The runner turns a ``CertificateError`` (a failed
-claim) or ``ValueError`` raised by a check into a failed record with an
-infinite residual instead of a crash; any other exception propagates, and so
-does numpy's ``LinAlgError``: it subclasses ``ValueError``, but a singular
-linear system is a failure of the library, not bad input.
+Each check draws from its own stream, keyed by (seed, check name), so the
+verdicts do not depend on which other checks run or in what order.  A
+check returns its headline values, its claims, and optionally a witness of
+the worst case.  A claim is an ``(observed, bound)`` pair that holds when
+``observed <= bound``; tolerance bounds are the named constants of
+``claims``, the same names the library's own assertions of those laws read,
+and go through ``CertifyConfig.threshold`` (so ``--tolerance`` overrides
+them); structural bounds are literal.  ``make_record`` derives every
+record's verdict (pass when all claims hold), residual (the largest excess
+over a bound, 0 exactly when the record passes) and repro (failing records
+only); the CLI builds its own records with it too.  The runner turns a
+``CertificateError`` (a failed claim) or ``ValueError`` raised by a check
+into a failed record with an infinite residual instead of a crash; any
+other exception propagates, and so does numpy's ``LinAlgError``: it
+subclasses ``ValueError``, but a singular linear system is a failure of the
+library, not bad input.
 
-Thirteen checks fill arrays with their draws, making the same generator calls
-in the same order as one evaluation per draw would (the array forms of the
-samplers build no object), and then evaluate the draws with batched calls,
-each draw keeping the bits of its own evaluation except where said:
+Draws are addressed by (seed, check, block) (``_Draws``): draw i is row
+i % 8 of block i // 8, so any draw is re-derived from (seed, check, i)
+alone and the chunks a check is swept in move no bit.  A law that only
+some draws take (one of ``vp.dichotomy``'s four, a simplex point or a
+random partition) is drawn for those rows alone.
 
-- ``entstat.empirical``: ``empirical_weights`` and one stacked
-  ``orbit_sums`` walk for the Birkhoff sums per chunk;
-- ``entstat.tv``: ``empirical_weights`` per chunk;
-- ``lemma.gelfand``: one generator call and one stacked
-  ``spectral_potential`` per chunk of potentials;
-- ``lemma.inner_certificate``: one stacked test of a chunk's members
-  (``system._require_partitions``) and one ``inner_problems`` call per
-  horizon of a chunk (``entropy._horizon_problems``), with the atomic
-  members built once per check; the solves stay one ``maximize_inner``
-  per draw (below);
-- ``lemma.near_minimizer``: one stacked test of a chunk's members and
-  ``near_minimizer_checks`` on the chunk, one ``inner_problems`` call per
-  horizon and one batched inner solve; a problem padded to the row count
-  of its batch can move its slack in the last bits;
-- ``lemma.op_norm_oracle``: per horizon, one stacked ``iterate`` per chunk
-  of indicators of supported atoms, and one ``random_unit_stack`` draw
-  and one stacked ``iterate`` per chunk of unit-ball draws;
-- ``lemma.properties``: ``property_residuals`` on chunks of potential
-  pairs;
-- ``lemma.power``: one stack of potentials per power for ``power_gap``;
-- ``lemma.submultiplicative``: per chunk, the norms at all three horizons
-  of every draw from one stacked ``orbit_sums`` walk
-  (``spectral._norm_logs``);
-- ``vp.dichotomy``: ``divergence_witnesses`` on the effective weights of
-  a chunk, and one ``hull_means`` per chunk for the rows without a defect;
-- ``vp.gap``: one generator call per chunk of potentials, for one
-  ``variational_principle`` per chunk;
-- ``young.global``: ``young_checks`` on chunks;
-- ``young.local``: ``local_young_checks`` on chunks, one orbit walk and
-  one set of level partitions per horizon of a chunk and one batched inner
-  solve per chunk.
+Every check evaluates a chunk of draws with batched calls (one
+``system._pairings`` call for the dot products of two stacks' rows), each
+draw keeping the bits of its own evaluation, but for
+``lemma.near_minimizer``: its batched inner solve pads a problem to the
+row count of its batch, which can move its slack in the last bits.
+``lemma.inner_certificate`` solves each draw alone with ``maximize_inner``.
+One ``maximize_inner_batch`` per charged-row count would pad nothing and
+keep every bit, but perfbench's ``certify-small`` workload counts these
+``maximize_inner`` calls and traces no batch solve, so they stay per draw
+until it does.
 
 Every chunk is sized by one memory budget: ``system._chunk_rows`` applied
 to the entries that one draw adds, so that a chunk holds about
-``system._CHUNK_ENTRIES`` floats (1 MiB) at any N.  A draw of a (draws, N)
-stack adds N entries.  A draw of ``young.local``, ``lemma.near_minimizer``
-or ``lemma.inner_certificate`` adds (N + 1) * N entries (the largest
-partition's members) for each array of that size it holds at once, a
-count each check states where it sizes its chunks.  At N <= 12 the 1,000
-draws of a quick profile are one (draws, N) chunk.  ``entstat.reduction``
-draws the unit-ball functions of each cell with one ``random_unit_stack``.
-
-Where a check pairs the rows of two stacks, one ``system._pairings`` call
-gives every row the bits of its own dot product.
-
-``lemma.inner_certificate`` solves each draw alone with ``maximize_inner``,
-a stack of one at its own row count.  One ``maximize_inner_batch`` per
-charged-row count would pad nothing and keep every bit, but perfbench's
-``certify-small`` workload counts these ``maximize_inner`` calls and traces
-no batch solve, so they stay per draw until it does.
+``system._CHUNK_ENTRIES`` floats (1 MiB) at any N, and whole blocks.  A
+draw of a (draws, N) stack adds N entries.  A draw of ``young.local``,
+``lemma.near_minimizer`` or ``lemma.inner_certificate`` adds (N + 1) * N
+entries (the largest partition's members) for each array of that size it
+holds at once, a count each check states where it sizes its chunks.  At
+N <= 12 the 1,000 draws of a quick profile are one (draws, N) chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,15 +80,12 @@ from .entstat import (
     verify_estimate,
 )
 from .sampling import (
-    perturbed_invariant,
     perturbed_invariant_weights,
     random_functional_weights,
-    random_invariant,
     random_invariant_weights,
-    random_null_charging,
     random_null_charging_weights,
     random_partition_members,
-    random_potential,
+    random_potentials,
     random_simplex_weights,
     random_unit_stack,
 )
@@ -131,14 +100,18 @@ from .spectral import (
     spectral_potential,
 )
 from .system import (
+    _BLOCK,
     ESSENTIAL,
+    FULL,
     FiniteSystem,
     _chunk_rows,
     _horizon,
+    _horizon_rows,
     _pairings,
     _require_partitions,
     _require_positive,
     atomic_partition,
+    functional,
     orbit_sums,
     require_valid,
 )
@@ -158,8 +131,11 @@ PROFILES = {"quick": 1000, "deep": 10000}
 class CertifyConfig:
     """Knobs shared by every check; the seed fixes all randomness.
 
-    ``ValueError`` unless draws and n_max are integers of at least 1 and
-    eps lists at least one width, each finite and positive.
+    ``ValueError`` unless the seed is an integer (not a bool) in
+    [0, 2**64), the CLI's rule and the range of a Philox key word; draws
+    and n_max are integers of at least 1; eps lists at least one width,
+    each finite and positive; and the tolerance is None or finite and
+    nonnegative.
     """
 
     seed: int = 0
@@ -171,42 +147,96 @@ class CertifyConfig:
     system_label: str = "system.json"
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         _horizon(self.draws, what="draws")
         _horizon(self.n_max, what="n_max")
         if not len(self.eps):
             raise ValueError("eps must list at least one width")
         _require_positive(self.eps, "eps")
+        if self.tolerance is not None and not 0.0 <= self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
 
     def threshold(self, default: float) -> float:
         return default if self.tolerance is None else self.tolerance
 
 
-def _rng_for(seed: int, name: str) -> np.random.Generator:
-    tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
-    return np.random.default_rng([seed, tag])
+class _Draws:
+    """The draws of one check, addressed by (seed, check, block).
+
+    Field f of block b (its potentials, weights, horizons, ...) is one
+    ``sample(rng, system, k)`` call, as the stacked samplers of ``sampling``
+    take, on a Philox generator keyed by (seed, the sha256 tag of the
+    check's name) and set to counter (0, b, f, 0): a counter-based stream
+    (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as
+    1, 2, 3", SC 2011).  Setting the state of one generator per field and
+    block costs a quarter of building a generator.
+    """
+
+    def __init__(self, seed: int, name: str, system: FiniteSystem):
+        tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+        self._bits = np.random.Philox(key=np.array([seed, tag], dtype=np.uint64))
+        self._rng = np.random.Generator(self._bits)
+        self._state = self._bits.state
+        self._counter = self._state["state"]["counter"]
+        self._system = system
+
+    def field(self, f: int, start: int, stop: int, sample, where=None):
+        """Field ``f`` of draws ``start:stop``, where ``start`` is a multiple
+        of ``_BLOCK`` and ``stop`` one or the draw count: per block, one
+        ``sample`` call for its k draws, or for those of them that the
+        boolean mask ``where`` over ``start:stop`` keeps.  Array rows are
+        stacked and list items joined, in draw order."""
+        parts = []
+        self._counter[2] = f
+        for lo in range(start, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            k = hi - lo if where is None else int(where[lo - start : hi - start].sum())
+            self._counter[1] = lo // _BLOCK
+            self._bits.state = self._state
+            parts.append(sample(self._rng, self._system, k))
+        if isinstance(parts[0], list):
+            return [item for part in parts for item in part]
+        return np.concatenate(parts)
+
+    def fields(self, start: int, stop: int, *samples) -> list:
+        """Fields 0, 1, ... of draws ``start:stop``, one per sampler."""
+        return [self.field(f, start, stop, sample) for f, sample in enumerate(samples)]
 
 
 def _chunks(draws: int, size: int):
-    """Sizes of the consecutive chunks of ``size`` draws."""
+    """(start, stop) of the consecutive chunks of ``size`` draws."""
     for start in range(0, draws, size):
-        yield min(size, draws - start)
+        yield start, min(start + size, draws)
 
 
-def _pick(rng: np.random.Generator, values: tuple):
-    """``rng.choice(values)``: the same generator call and the same value,
-    at a fifth of the cost."""
-    return values[rng.integers(len(values))]
+def _integers(low: int, high: int):
+    """A sampler of integers in [low, high)."""
+    return lambda rng, system, k: rng.integers(low, high, size=k)
 
 
-def _check_young_global(system, cfg, rng):
+def _uniform(low: float = 0.0, high: float = 1.0):
+    return lambda rng, system, k: rng.uniform(low, high, size=k)
+
+
+def _wide_potentials(rng, system, k):
+    return random_potentials(rng, system, k, 3.0)
+
+
+def _partition_members(draws, f, start, stop, atomic, split):
+    """The members of each draw of ``start:stop``: the atomic partition
+    where ``split`` < 0.5, else a random partition from field f."""
+    drawn = iter(draws.field(f, start, stop, random_partition_members, split >= 0.5))
+    return [atomic if u < 0.5 else next(drawn) for u in split.tolist()]
+
+
+def _check_young_global(system, cfg, draws):
     worst = np.inf
     tight = 0
-    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis = np.empty((size, system.n))
-        weights = np.empty((size, system.n))
-        for i in range(size):
-            phis[i] = random_potential(rng, system, scale=3.0)
-            weights[i] = random_invariant_weights(rng, system)
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis, weights = draws.fields(start, stop, _wide_potentials, random_invariant_weights)
         slacks = young_checks(system, phis, weights)
         worst = min(worst, float(slacks.min()))
         tight += int((slacks <= SLACK_TOL).sum())
@@ -216,24 +246,20 @@ def _check_young_global(system, cfg, rng):
     }
 
 
-def _check_young_local(system, cfg, rng):
+def _check_young_local(system, cfg, draws):
+    eps = np.array(cfg.eps, dtype=float)
     worst = np.inf
     # A draw holds arrays of up to (N + 1) x N entries: its level partition,
     # its pushed members and inner problem, and its share of the batched
     # solver's padded matrices.  tracemalloc measured 5.1 such arrays per
     # draw at N = 12 and 2.6 at N = 100 (level partitions have fewer
     # members than atoms), so a draw counts as 4.
-    for size in _chunks(cfg.draws, _chunk_rows(4 * system.n * (system.n + 1))):
-        phis = np.empty((size, system.n))
-        weights = np.empty((size, system.n))
-        ns = np.empty(size, dtype=int)
-        epss = np.empty(size)
-        for i in range(size):
-            phis[i] = random_potential(rng, system, scale=2.0)
-            weights[i] = random_invariant_weights(rng, system)
-            ns[i] = rng.integers(1, 7)
-            epss[i] = _pick(rng, cfg.eps)
-        lhs, rhs = local_young_checks(system, phis, weights, ns, epss)
+    for start, stop in _chunks(cfg.draws, _chunk_rows(4 * system.n * (system.n + 1))):
+        phis, weights, ns, picks = draws.fields(
+            start, stop, random_potentials, random_invariant_weights,
+            _integers(1, 7), _integers(0, eps.size),
+        )
+        lhs, rhs = local_young_checks(system, phis, weights, ns, eps[picks])
         worst = min(worst, min((lhs - rhs).tolist()))
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
@@ -241,10 +267,10 @@ def _check_young_local(system, cfg, rng):
     }
 
 
-def _check_vp_gap(system, cfg, rng):
+def _check_vp_gap(system, cfg, draws):
     worst = 0.0
-    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis = rng.uniform(-3.0, 3.0, size=(size, system.n))
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis = draws.field(0, start, stop, _wide_potentials)
         gaps = variational_principle(system, phis).gap
         worst = max(worst, float(np.abs(gaps).max()))
     return {
@@ -253,17 +279,16 @@ def _check_vp_gap(system, cfg, rng):
     }
 
 
-def _check_vp_subgradient(system, cfg, rng):
+def _check_vp_subgradient(system, cfg, draws):
     worst = -np.inf
     identity = 0.0
     rounds = max(1, cfg.draws // 100)
-    for _ in range(rounds):
-        phi = random_potential(rng, system, scale=2.0)
-        res = subgradient(
-            system, phi, draws=cfg.draws, seed=int(rng.integers(2**63))
-        )
-        worst = max(worst, res.worst_violation)
-        identity = max(identity, res.tau_identity_residual)
+    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
+        phis, seeds = draws.fields(start, stop, random_potentials, _integers(0, 2**63))
+        for phi, seed in zip(phis, seeds.tolist()):
+            res = subgradient(system, phi, draws=cfg.draws, seed=seed)
+            worst = max(worst, res.worst_violation)
+            identity = max(identity, res.tau_identity_residual)
     tol = cfg.threshold(SLACK_TOL)
     return {
         "values": {
@@ -276,24 +301,26 @@ def _check_vp_subgradient(system, cfg, rng):
     }
 
 
-def _check_vp_dichotomy(system, cfg, rng):
+def _check_vp_dichotomy(system, cfg, draws):
     has_nulls = bool((~system.support).any())
+    # the laws of a draw's weights, each drawn for the rows that take it
+    laws = (
+        random_invariant_weights,
+        random_functional_weights,
+        perturbed_invariant_weights,
+        random_null_charging_weights,
+    )
     zeros = divergent = bad = 0
     witness = None
-    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
-        weights = np.empty((size, system.n))
-        invariant = np.zeros(size, dtype=bool)
-        for i in range(size):
-            pick = int(rng.integers(0, 3))
-            invariant[i] = pick == 0
-            if pick == 0:
-                weights[i] = random_invariant_weights(rng, system)
-            elif pick == 1:
-                weights[i] = random_functional_weights(rng, system)
-            elif has_nulls and rng.uniform() < 0.3:
-                weights[i] = random_null_charging_weights(rng, system)
-            else:
-                weights[i] = perturbed_invariant_weights(rng, system)
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        pick, charge = draws.fields(start, stop, _integers(0, 3), _uniform())
+        # a third pick charges a null atom with probability 0.3, if any
+        law = np.where((pick == 2) & has_nulls & (charge < 0.3), 3, pick)
+        weights = np.empty((stop - start, system.n))
+        for f, sample in enumerate(laws):
+            rows = law == f
+            if rows.any():
+                weights[rows] = draws.field(2 + f, start, stop, sample, rows)
         # tau is 0 on a row without a defect, certified by one stacked
         # hull_means, and -inf on a row with a witness ray
         rays = divergence_witnesses(system, weights)
@@ -301,7 +328,7 @@ def _check_vp_dichotomy(system, cfg, rng):
         hull_means(system, weights[~diverges])
         zeros += int((~diverges).sum())
         divergent += int(diverges.sum())
-        wrong = np.flatnonzero(invariant & diverges)
+        wrong = np.flatnonzero((law == 0) & diverges)
         if wrong.size and witness is None:
             witness = {
                 "weights": [float(v) for v in weights[wrong[0]]],
@@ -317,17 +344,16 @@ def _check_vp_dichotomy(system, cfg, rng):
     }
 
 
-def _check_op_norm_oracle(system, cfg, rng):
+def _check_op_norm_oracle(system, cfg, draws):
     worst_gap = 0.0
     worst_excess = -np.inf
-    rows = _chunk_rows(system.n)
     sup = system.supported_indices
-    for n in range(1, 6):
-        phi = random_potential(rng, system, scale=2.0)
+    # field 0 holds the potential of each horizon n, field n its unit-ball draws
+    for n, phi in enumerate(draws.field(0, 0, 5, random_potentials), start=1):
         norm_log = op_norm_log(system, phi, n)
         best = -np.inf
-        for start in range(0, sup.size, rows):
-            atoms = sup[start : start + rows]
+        for start, stop in _chunks(sup.size, _chunk_rows(system.n)):
+            atoms = sup[start:stop]
             indicators = np.zeros((atoms.size, system.n))
             indicators[np.arange(atoms.size), atoms] = 1.0 / system.m[atoms]
             grown = iterate(system, phi, indicators, n)
@@ -337,8 +363,8 @@ def _check_op_norm_oracle(system, cfg, rng):
                     best = max(best, np.log(norm))
         worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = np.exp(norm_log)
-        for size in _chunks(max(1, cfg.draws // 5), _chunk_rows(system.n)):
-            grown = iterate(system, phi, random_unit_stack(rng, system, size), n)
+        for start, stop in _chunks(max(1, cfg.draws // 5), _chunk_rows(system.n)):
+            grown = iterate(system, phi, draws.field(n, start, stop, random_unit_stack), n)
             for norm in _l1_norms(system, grown).tolist():
                 worst_excess = max(worst_excess, norm - value * (1.0 + SLACK_TOL))
     return {
@@ -351,14 +377,13 @@ def _check_op_norm_oracle(system, cfg, rng):
     }
 
 
-def _check_gelfand(system, cfg, rng):
+def _check_gelfand(system, cfg, draws):
     worst_below = np.inf
     final_gap = 0.0
     flagged = 0
     rounds = max(1, cfg.draws // 20)
-    for size in _chunks(rounds, _chunk_rows(system.n)):
-        # the draws of random_potential(rng, system, scale=2.0), in order
-        phis = rng.uniform(-2.0, 2.0, size=(size, system.n))
+    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
+        phis = draws.field(0, start, stop, random_potentials)
         res = spectral_potential(system, phis, n_max=max(8, cfg.n_max))
         seq = res.norm_sequence
         worst_below = min(worst_below, float((seq - res.value[:, None]).min()))
@@ -375,22 +400,12 @@ def _check_gelfand(system, cfg, rng):
     }
 
 
-# the powers k that lemma.power draws
-_POWERS = range(1, 6)
-
-
-def _check_power(system, cfg, rng):
-    phis = np.empty((cfg.draws, system.n))
-    ks = np.empty(cfg.draws, dtype=int)
-    for i in range(cfg.draws):
-        phis[i] = random_potential(rng, system, scale=2.0)
-        ks[i] = rng.integers(_POWERS.start, _POWERS.stop)
+def _check_power(system, cfg, draws):
     worst = -np.inf
     strict = 0
-    # one stack per power; a loop, as np.unique would import numpy.ma
-    for k in _POWERS:
-        rows = ks == k
-        if rows.any():
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis, ks = draws.fields(start, stop, random_potentials, _integers(1, 6))
+        for k, rows in _horizon_rows(ks):
             res = power_gap(system, phis[rows], k)
             worst = max(worst, float((res.scaled - res.power).max()))
             strict += int((res.gap > SLACK_TOL).sum())
@@ -400,18 +415,12 @@ def _check_power(system, cfg, rng):
     }
 
 
-def _check_properties(system, cfg, rng):
+def _check_properties(system, cfg, draws):
     worst = -np.inf
-    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis = np.empty((size, system.n))
-        psis = np.empty((size, system.n))
-        ts = np.empty(size)
-        shifts = np.empty(size)
-        for i in range(size):
-            phis[i] = random_potential(rng, system, scale=2.0)
-            psis[i] = random_potential(rng, system, scale=2.0)
-            ts[i] = rng.uniform()
-            shifts[i] = rng.uniform(-3.0, 3.0)
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis, psis, ts, shifts = draws.fields(
+            start, stop, random_potentials, random_potentials, _uniform(), _uniform(-3.0, 3.0)
+        )
         props = property_residuals(system, phis, psis, t=ts, shift=shifts)
         worst = max(
             worst,
@@ -427,37 +436,27 @@ def _check_properties(system, cfg, rng):
     }
 
 
-def _check_coboundary(system, cfg, rng):
-    phis = rng.uniform(-2.0, 2.0, size=(cfg.draws, system.n))
-    psis = rng.uniform(-2.0, 2.0, size=(cfg.draws, system.n))
-    twisted = phis + psis[:, system.alpha] - psis
-    worst = float(
-        np.max(
-            np.abs(
-                log_spectral_radius_batch(system, twisted)
-                - log_spectral_radius_batch(system, phis)
-            )
-        )
-    )
+def _check_coboundary(system, cfg, draws):
+    worst = 0.0
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        phis, psis = draws.fields(start, stop, random_potentials, random_potentials)
+        twisted = log_spectral_radius_batch(system, phis + psis[:, system.alpha] - psis)
+        plain = log_spectral_radius_batch(system, phis)
+        worst = max(worst, float(np.abs(twisted - plain).max()))
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
     }
 
 
-def _check_submultiplicative(system, cfg, rng):
+def _check_submultiplicative(system, cfg, draws):
+    horizon = _integers(1, cfg.n_max + 1)
     worst = -np.inf
     rounds = max(1, cfg.draws // 20)
-    for size in _chunks(rounds, _chunk_rows(system.n)):
-        phis = np.empty((size, system.n))
+    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
+        phis, ns, ks = draws.fields(start, stop, random_potentials, horizon, horizon)
         # each draw's horizons n + k, n and k
-        horizons = np.empty((3, size), dtype=int)
-        for i in range(size):
-            phis[i] = random_potential(rng, system, scale=2.0)
-            horizons[1, i] = rng.integers(1, cfg.n_max + 1)
-            horizons[2, i] = rng.integers(1, cfg.n_max + 1)
-        horizons[0] = horizons[1] + horizons[2]
-        logs = _norm_logs(system, phis, horizons)
+        logs = _norm_logs(system, phis, np.stack([ns + ks, ns, ks]))
         worst = max(worst, float((logs[0] - (logs[1] + logs[2])).max()))
     return {
         "values": {"draws": rounds, "worst_log_excess": worst},
@@ -465,7 +464,7 @@ def _check_submultiplicative(system, cfg, rng):
     }
 
 
-def _check_inner_certificate(system, cfg, rng):
+def _check_inner_certificate(system, cfg, draws):
     worst = 0.0
     solved = divergent = 0
     rounds = max(1, cfg.draws // 20)
@@ -474,23 +473,15 @@ def _check_inner_certificate(system, cfg, rng):
     # up to (N + 1) x N entries, until its lone solve.  tracemalloc measured
     # 2.0 such arrays per draw at N = 12 and 1.5 at N = 100, so a draw
     # counts as 2.
-    for size in _chunks(rounds, _chunk_rows(2 * system.n * (system.n + 1))):
-        weights = np.empty((size, system.n))
-        members = []
-        # the draws of each horizon, in order of first appearance
-        horizons: dict[int, list[int]] = {}
-        for i in range(size):
-            if rng.uniform() < 0.5:
-                weights[i] = random_invariant_weights(rng, system)
-            else:
-                weights[i] = random_simplex_weights(rng, system)
-            if rng.uniform() < 0.5:
-                members.append(atomic)
-            else:
-                members.append(random_partition_members(rng, system))
-            horizons.setdefault(int(rng.integers(1, 5)), []).append(i)
+    for start, stop in _chunks(rounds, _chunk_rows(2 * system.n * (system.n + 1))):
+        law, split, ns = draws.fields(start, stop, _uniform(), _uniform(), _integers(1, 5))
+        weights = np.empty((stop - start, system.n))
+        rows = law < 0.5
+        weights[rows] = draws.field(3, start, stop, random_invariant_weights, rows)
+        weights[~rows] = draws.field(4, start, stop, random_simplex_weights, ~rows)
+        members = _partition_members(draws, 5, start, stop, atomic, split)
         _require_partitions(members)
-        for problem in _horizon_problems(system, members, weights, horizons):
+        for problem in _horizon_problems(system, members, weights, _horizon_rows(ns)):
             sol = maximize_inner(problem, tol=INNER_TOL)
             if sol.value == -np.inf:
                 divergent += 1
@@ -503,7 +494,8 @@ def _check_inner_certificate(system, cfg, rng):
     }
 
 
-def _check_near_minimizer(system, cfg, rng):
+def _check_near_minimizer(system, cfg, draws):
+    widths = np.array([1.0, 0.1, 0.01])
     worst = np.inf
     rounds = max(1, cfg.draws // 20)
     atomic = atomic_partition(system).members
@@ -512,21 +504,13 @@ def _check_near_minimizer(system, cfg, rng):
     # solver's padded matrices and Newton systems.  tracemalloc measured
     # 7.4 to 8.6 such arrays per draw at N = 12 and 5.1 to 6.7 at N = 100,
     # so a draw counts as 8.
-    for size in _chunks(rounds, _chunk_rows(8 * system.n * (system.n + 1))):
-        weights = np.empty((size, system.n))
-        members = []
-        ns = np.empty(size, dtype=int)
-        epss = np.empty(size)
-        for i in range(size):
-            weights[i] = random_invariant_weights(rng, system)
-            if rng.uniform() < 0.5:
-                members.append(atomic)
-            else:
-                members.append(random_partition_members(rng, system))
-            ns[i] = rng.integers(1, 5)
-            epss[i] = _pick(rng, (1.0, 0.1, 0.01))
+    for start, stop in _chunks(rounds, _chunk_rows(8 * system.n * (system.n + 1))):
+        weights, split, ns, picks = draws.fields(
+            start, stop, random_invariant_weights, _uniform(), _integers(1, 5), _integers(0, 3)
+        )
+        members = _partition_members(draws, 4, start, stop, atomic, split)
         _require_partitions(members)
-        bounds = near_minimizer_checks(system, members, weights, ns, epss)
+        bounds = near_minimizer_checks(system, members, weights, ns, widths[picks])
         worst = min(
             worst, float(bounds.growth_slack.min()), float(bounds.pairing_slack.min())
         )
@@ -536,38 +520,38 @@ def _check_near_minimizer(system, cfg, rng):
     }
 
 
-def _check_tau_routes(system, cfg, rng):
+def _check_tau_routes(system, cfg, draws):
     low = np.inf
     high = -np.inf
     rounds = max(1, cfg.draws // 100)
-    for _ in range(rounds):
-        mu = random_invariant(rng, system)
-        dual = tau_dual(system, mu, cross_check=False)
-        direct = tau_direct(system, mu, n_max=4, seed=int(rng.integers(2**63)))
-        gap = direct.value - dual.value
-        low = min(low, gap)
-        high = max(high, gap)
+    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
+        weights, seeds = draws.fields(
+            start, stop, random_invariant_weights, _integers(0, 2**63)
+        )
+        for w, seed in zip(weights, seeds.tolist()):
+            mu = functional(system, w)
+            dual = tau_dual(system, mu, cross_check=False)
+            direct = tau_direct(system, mu, n_max=4, seed=seed)
+            gap = direct.value - dual.value
+            low = min(low, gap)
+            high = max(high, gap)
     return {
         "values": {"draws": rounds, "smallest_gap": low, "largest_gap": high},
         "claims": [(-low, 0.0), (high, cfg.threshold(ROUTE_GAP_TOL))],
     }
 
 
-def _check_empirical(system, cfg, rng):
+def _check_empirical(system, cfg, draws):
     worst = 0.0
-    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
-        xs = np.empty(size, dtype=int)
-        ns = np.empty(size, dtype=int)
-        phis = np.empty((size, system.n))
-        for i in range(size):
-            xs[i] = rng.integers(0, system.n)
-            ns[i] = rng.integers(1, cfg.n_max + 1)
-            phis[i] = random_potential(rng, system, scale=2.0)
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        xs, ns, phis = draws.fields(
+            start, stop, _integers(0, system.n), _integers(1, cfg.n_max + 1), random_potentials
+        )
         weights = empirical_weights(system, xs, ns)
         # the pairing of each empirical measure with its potential, and the
         # Birkhoff average of that potential read at the row's own horizon
         lhs = _pairings(weights, phis)
-        rhs = np.empty(size)
+        rhs = np.empty(stop - start)
         for n, s, _ in orbit_sums(system, phis, int(ns.max())):
             rows = np.flatnonzero(ns == n)
             rhs[rows] = s[rows, xs[rows]] / n
@@ -582,7 +566,7 @@ def _check_empirical(system, cfg, rng):
     }
 
 
-def _check_tv(system, cfg, rng):
+def _check_tv(system, cfg, draws):
     dec = system.decomposition
     terminal = np.array(dec.terminal)
     entry_time = np.array(dec.entry_time)
@@ -590,12 +574,10 @@ def _check_tv(system, cfg, rng):
     cycle_of = np.array([-1 if c is None else c for c in dec.cycle_of])
     worst_exact = 0.0
     worst_bound = -np.inf
-    for size in _chunks(cfg.draws, _chunk_rows(system.n)):
-        xs = np.empty(size, dtype=int)
-        ns = np.empty(size, dtype=int)
-        for i in range(size):
-            xs[i] = rng.integers(0, system.n)
-            ns[i] = rng.integers(1, 4 * system.n + 1)
+    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
+        xs, ns = draws.fields(
+            start, stop, _integers(0, system.n), _integers(1, 4 * system.n + 1)
+        )
         cycle = terminal[xs]
         length = lengths[cycle]
         entry = entry_time[xs]
@@ -618,14 +600,16 @@ def _check_tv(system, cfg, rng):
     }
 
 
-def _check_estimate(system, cfg, rng):
+def _check_estimate(system, cfg, draws):
+    # one draw of each family; null charging only on a system with nulls
+    laws = (random_invariant_weights, perturbed_invariant_weights, random_null_charging_weights)
+    modes = (ESSENTIAL, ESSENTIAL, FULL)[: 3 if (~system.support).any() else 2]
+    drawn = draws.fields(0, 1, *laws[: len(modes)])
+    families = [functional(system, w[0], mode=mode) for w, mode in zip(drawn, modes)]
     worst = 0.0
     rows = 0
     branches: set[str] = set()
     witness = None
-    families = [random_invariant(rng, system), perturbed_invariant(rng, system)]
-    if bool((~system.support).any()):
-        families.append(random_null_charging(rng, system))
     all_hold = True
     for mu in families:
         for eps in cfg.eps:
@@ -657,16 +641,17 @@ def _check_estimate(system, cfg, rng):
     }
 
 
-def _check_reduction(system, cfg, rng):
+def _check_reduction(system, cfg, draws):
     worst = -np.inf
-    mu = random_invariant(rng, system)
+    # field 0 holds mu, field i * n_max + n the unit-ball draws of cell (i, n)
+    mu = functional(system, draws.field(0, 0, 1, random_invariant_weights)[0])
     per_cell = max(1, cfg.draws // (cfg.n_max * max(1, len(cfg.eps))))
-    for eps in cfg.eps:
+    for i, eps in enumerate(cfg.eps):
         nbhd = build_neighborhood(system, mu, float(eps))
         for n, s, an in orbit_sums(system, nbhd.phi, cfg.n_max):
             hits, rel = _hitting_mass(system, nbhd, n, s, an)
             cap = float(rel.max())
-            fs = random_unit_stack(rng, system, per_cell)
+            fs = draws.field(i * cfg.n_max + n, 0, per_cell, random_unit_stack)
             vals = _hit_integrals(system, hits, an, fs)
             worst = max(worst, float((vals - cap).max()))
     return {
@@ -713,7 +698,7 @@ def _digest(system: FiniteSystem, cfg: CertifyConfig, name: str) -> str:
             "atoms": list(system.atoms),
             "measure": [float(v) for v in system.m],
             "map": [int(v) for v in system.alpha],
-            "seed": cfg.seed,
+            "seed": int(cfg.seed),
             "draws": cfg.draws,
             "eps": [float(e) for e in cfg.eps],
             "n_max": cfg.n_max,
@@ -772,7 +757,7 @@ def run_check(system: FiniteSystem, name: str, cfg: CertifyConfig) -> dict:
     inputs = _digest(system, cfg, name)
     repro = _repro(cfg)
     try:
-        out = CHECKS[name](system, cfg, _rng_for(cfg.seed, name))
+        out = CHECKS[name](system, cfg, _Draws(cfg.seed, name, system))
     except np.linalg.LinAlgError:
         # a ValueError, but a failure of the library, not bad input
         raise

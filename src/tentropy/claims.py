@@ -61,7 +61,7 @@ ROUTE_GAP_TOL = 1e-3
 
 # Positive floors, not tolerances.  BUCKET_PAD widens tau_direct's
 # oscillation buckets so a constant Birkhoff sum still gets a positive width;
-# NORM_FLOOR is the L1 norm below which random_unit_values draws again
+# NORM_FLOOR is the L1 norm below which random_unit_stack takes an indicator
 # rather than divide.
 BUCKET_PAD = 1e-9
 NORM_FLOOR = 1e-9

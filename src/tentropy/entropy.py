@@ -43,6 +43,7 @@ from .system import (
     Functional,
     PartitionOfUnity,
     _horizon,
+    _horizon_rows,
     _integers,
     _pairings,
     _polytope_constraints,
@@ -140,13 +141,14 @@ def inner_problems(
 
 
 def _horizon_problems(
-    system: FiniteSystem, members, weights, horizons: dict
+    system: FiniteSystem, members, weights, horizons: list
 ) -> list[InnerProblem]:
     """The inner problem of each draw of a list of member arrays and a
     (k, n_atoms) stack of effective weights, from one ``inner_problems``
-    call per horizon; ``horizons`` maps each horizon to its draws."""
+    call per horizon; ``horizons`` pairs each horizon with its draws
+    (``system._horizon_rows``)."""
     problems = [None] * len(weights)
-    for n, rows in horizons.items():
+    for n, rows in horizons:
         stack = inner_problems(system, [members[i] for i in rows], weights[rows], n)
         for i, problem in zip(rows, stack):
             problems[i] = problem
@@ -509,7 +511,7 @@ def tau_direct(
         widths = (s.max(axis=1) - s.min(axis=1)) / 3.0 + BUCKET_PAD
         levels = np.floor(s / widths[:, None])
         drawn = _level_partitions(system, levels)
-        drawn += [random_partition_members(rng, system) for _ in range(8)]
+        drawn += [random_partition_members(rng, system, 1)[0] for _ in range(8)]
         _require_partitions(drawn)
         parts = fixed + drawn
         candidates += [(n, members) for members in parts]
@@ -676,9 +678,9 @@ def tau_dual(
     return result
 
 
-def _horizon_groups(ns, epss, *stacks) -> tuple[np.ndarray, np.ndarray, dict]:
+def _horizon_groups(ns, epss, *stacks) -> tuple[np.ndarray, np.ndarray, list]:
     """Checked (k,) horizons and widths of k draws, and the draws of each
-    horizon in order of first appearance.
+    horizon (``system._horizon_rows``).
 
     ``ValueError`` unless the horizons are integers of at least 1, the
     widths finite and positive, and the widths and every stack in
@@ -691,10 +693,7 @@ def _horizon_groups(ns, epss, *stacks) -> tuple[np.ndarray, np.ndarray, dict]:
     if np.any(ns < 1):
         raise ValueError("horizon must be at least 1")
     _require_positive(epss, "eps")
-    horizons: dict[int, list[int]] = {}
-    for i, n in enumerate(ns.tolist()):
-        horizons.setdefault(n, []).append(i)
-    return ns, epss, horizons
+    return ns, epss, _horizon_rows(ns)
 
 
 def local_young_check(
@@ -734,7 +733,7 @@ def local_young_checks(
     ns, epss, horizons = _horizon_groups(ns, epss, w)
     norms = np.empty(len(w))
     problems = [None] * len(w)
-    for n, rows in horizons.items():
+    for n, rows in horizons:
         s, an = _transport(system, phis[rows], n)
         norms[rows] = _norm_log(system, s, an)
         levels = np.floor(s / (epss[rows] * n)[:, None])
@@ -810,7 +809,7 @@ def near_minimizer_checks(
     _require_normalized(system, w)
     problems = _horizon_problems(system, members, w, horizons)
     norms = np.empty(len(w))
-    for n, rows in horizons.items():
+    for n, rows in horizons:
         norms[rows] = op_norm(system, np.zeros(system.n), n)
     solutions = maximize_inner_batch(problems, INNER_TOL)
     phis = np.empty((len(w), system.n))

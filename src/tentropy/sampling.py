@@ -1,16 +1,18 @@
 """Random instances for property sweeps: systems, potentials, measures.
 
 Every generator takes a numpy Generator first so callers own the seeding.
-Each sampler of functionals, unit functions or partitions has an array
-form (the ``*_weights`` functions, ``random_unit_values`` and
-``random_partition_members``) that makes the same generator calls and
-returns the same bits as a plain array, building and validating no object,
-for callers that fill stacks of draws; ``random_unit_stack`` draws k unit
-functions at once.  Every flat Dirichlet draw goes through
-``_flat_dirichlet``.
+Each law of potentials, functionals, unit functions and partitions has one
+stacked sampler ``(rng, system, k)`` that draws k rows with one vector call
+per generator method it uses, building and validating no object; the
+object form of a law (``random_potential``, ``random_invariant``,
+``random_unit_function``, ``random_partition``, ...) is the first row of a
+stack of one, with its bits and its generator state.  Every flat
+Dirichlet draw goes through ``_flat_dirichlet``.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,144 +52,140 @@ def random_system(rng, max_atoms: int = 8) -> FiniteSystem:
     return make_system(m, alpha)
 
 
+def random_potentials(rng, system: FiniteSystem, k: int, scale: float = 2.0) -> np.ndarray:
+    """k potentials, uniform on [-scale, scale] at every atom."""
+    return rng.uniform(-scale, scale, size=(k, system.n))
+
+
 def random_potential(rng, system: FiniteSystem, scale: float = 2.0) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=system.n)
-
-
-def random_unit_values(rng, system: FiniteSystem) -> np.ndarray:
-    """Values of ``random_unit_function``, with its generator calls and bits,
-    as an array: no ``L1Vector`` is built."""
-    for _ in range(8):
-        v = np.where(system.support, rng.normal(size=system.n), 0.0)
-        norm = float(np.abs(v) @ system.m)
-        if norm > NORM_FLOOR:
-            return v / norm
-    idx = int(system.supported_indices[0])
-    values = np.zeros(system.n)
-    values[idx] = 1.0 / system.m[idx]
-    return values
+    return random_potentials(rng, system, 1, scale)[0]
 
 
 def random_unit_stack(rng, system: FiniteSystem, k: int) -> np.ndarray:
-    """k rows of ``random_unit_values``, with their generator calls and bits.
+    """k functions of unit L1 norm, supported where the measure is.
 
-    One ``rng.normal`` call draws the normals of all k rows in order, and
-    one ``spectral._l1_norms`` call gives each row the bits of its own norm.
-    A row whose norm falls under ``NORM_FLOOR`` would have drawn again, so
-    then the generator is rewound and the rows are drawn one by one.
+    One ``rng.normal`` call draws the k rows, and one ``spectral._l1_norms``
+    call gives each row the bits of its own norm.  A row whose norm falls
+    under ``NORM_FLOOR`` becomes the unit indicator of the first supported
+    atom.
     """
-    state = rng.bit_generator.state
     v = np.where(system.support, rng.normal(size=(k, system.n)), 0.0)
     norms = _l1_norms(system, v)
-    if np.all(norms > NORM_FLOOR):
-        return v / norms[:, None]
-    rng.bit_generator.state = state
-    return np.array([random_unit_values(rng, system) for _ in range(k)])
+    small = norms <= NORM_FLOOR
+    if small.any():
+        idx = int(system.supported_indices[0])
+        v[small] = 0.0
+        v[small, idx] = 1.0 / system.m[idx]
+        norms[small] = 1.0
+    return v / norms[:, None]
 
 
 def random_unit_function(rng, system: FiniteSystem) -> L1Vector:
     """A function of unit L1 norm, supported where the measure is."""
-    return l1_vector(system, random_unit_values(rng, system))
+    return l1_vector(system, random_unit_stack(rng, system, 1)[0])
 
 
-def _flat_dirichlet(rng, k: int) -> np.ndarray:
-    """``rng.dirichlet(np.ones(k))`` with its bits and generator state.
+def _flat_dirichlet(rng, k: int, size: int) -> np.ndarray:
+    """k rows of ``rng.dirichlet(np.ones(size))``, each with its bits.
 
-    For shape 1 numpy draws k standard exponentials and scales them by
-    1 / (their sum added left to right); ``np.add.accumulate`` adds in that
+    For shape 1 numpy draws ``size`` standard exponentials and scales them
+    by 1 / (their sum added left to right); one ``standard_exponential``
+    call draws the k rows, and ``np.add.accumulate`` adds each row in that
     order, where ``ndarray.sum`` (pairwise from 8 terms on) and the builtin
-    ``sum`` (compensated from Python 3.12 on) round differently.  Skipping
-    the Dirichlet wrapper's checks and conversions, a draw costs about a
-    third of ``rng.dirichlet``.
+    ``sum`` (compensated from Python 3.12 on) round differently.
     """
-    e = rng.standard_exponential(k)
-    return e * (1.0 / np.add.accumulate(e)[-1])
+    e = rng.standard_exponential((k, size))
+    return e * (1.0 / np.add.accumulate(e, axis=1)[:, -1:])
 
 
-def random_invariant_weights(rng, system: FiniteSystem) -> np.ndarray:
-    """Weights of ``random_invariant``, with its generator call and bits:
-    one Dirichlet draw over the supported cycles, spread uniformly over the
-    atoms of each.  The system is not validated and no object is built."""
+def random_invariant_weights(rng, system: FiniteSystem, k: int) -> np.ndarray:
+    """Weights of k points of the invariant polytope: per row, one Dirichlet
+    draw over the supported cycles, spread uniformly over the atoms of
+    each.  The system is not validated."""
     atoms, cycle, inverse_length = system.cycle_atom_index
-    coef = _flat_dirichlet(rng, len(system.supported_cycle_arrays))
-    weights = np.zeros(system.n)
-    weights[atoms] = coef[cycle] * inverse_length
+    coef = _flat_dirichlet(rng, k, len(system.supported_cycle_arrays))
+    weights = np.zeros((k, system.n))
+    weights[:, atoms] = coef[:, cycle] * inverse_length
     return weights
 
 
 def random_invariant(rng, system: FiniteSystem) -> Functional:
     """A point of the invariant polytope, Dirichlet-mixed over its vertices."""
     require_valid(system)
-    return functional(system, random_invariant_weights(rng, system))
+    return functional(system, random_invariant_weights(rng, system, 1)[0])
 
 
-def random_functional_weights(rng, system: FiniteSystem) -> np.ndarray:
-    """Weights of ``random_functional``, with its generator call and bits."""
-    return np.where(system.support, rng.normal(0.0, 1.0, size=system.n), 0.0)
+def random_functional_weights(rng, system: FiniteSystem, k: int) -> np.ndarray:
+    """Weights of k functionals, standard normal on the supported atoms."""
+    return np.where(system.support, rng.normal(0.0, 1.0, size=(k, system.n)), 0.0)
 
 
 def random_functional(rng, system: FiniteSystem) -> Functional:
     """An ESSENTIAL functional with standard normal weights."""
-    return functional(system, random_functional_weights(rng, system))
+    return functional(system, random_functional_weights(rng, system, 1)[0])
 
 
-def perturbed_invariant_weights(rng, system: FiniteSystem) -> np.ndarray:
-    """Weights of ``perturbed_invariant``, with its generator calls and bits."""
-    base = random_invariant_weights(rng, system)
-    noise = rng.uniform(-0.25, 0.25, size=system.n)
+def perturbed_invariant_weights(rng, system: FiniteSystem, k: int) -> np.ndarray:
+    """Weights of k invariant functionals pushed off the polytope by uniform
+    noise on the supported atoms."""
+    base = random_invariant_weights(rng, system, k)
+    noise = rng.uniform(-0.25, 0.25, size=(k, system.n))
     return np.where(system.support, base + noise, 0.0)
 
 
 def perturbed_invariant(rng, system: FiniteSystem) -> Functional:
     """An invariant functional pushed off the polytope by uniform noise."""
     require_valid(system)
-    return functional(system, perturbed_invariant_weights(rng, system))
+    return functional(system, perturbed_invariant_weights(rng, system, 1)[0])
 
 
-def random_simplex_weights(rng, system: FiniteSystem) -> np.ndarray:
-    """Weights of ``random_simplex_functional``, with its generator call and
-    bits: one Dirichlet draw over the supported atoms."""
+def random_simplex_weights(rng, system: FiniteSystem, k: int) -> np.ndarray:
+    """Weights of k functionals, each one Dirichlet draw over the supported
+    atoms."""
     idx = system.supported_indices
-    weights = np.zeros(system.n)
-    weights[idx] = _flat_dirichlet(rng, idx.size)
+    weights = np.zeros((k, system.n))
+    weights[:, idx] = _flat_dirichlet(rng, k, idx.size)
     return weights
 
 
 def random_simplex_functional(rng, system: FiniteSystem) -> Functional:
     """A nonnegative normalized ESSENTIAL functional, Dirichlet over the
     supported atoms."""
-    return functional(system, random_simplex_weights(rng, system))
+    return functional(system, random_simplex_weights(rng, system, 1)[0])
 
 
-def random_null_charging_weights(rng, system: FiniteSystem) -> np.ndarray:
-    """Weights of ``random_null_charging`` (a FULL functional), with its
-    generator calls and bits."""
+def random_null_charging_weights(rng, system: FiniteSystem, k: int) -> np.ndarray:
+    """Weights of k normalized nonnegative FULL functionals, each an
+    invariant point scaled by 1 - theta plus theta on one null atom."""
     nulls = np.flatnonzero(~system.support)
     if nulls.size == 0:
         raise ValueError("system has no null atoms to charge")
-    theta = float(rng.uniform(0.05, 0.5))
-    weights = (1.0 - theta) * random_invariant_weights(rng, system)
-    weights[int(rng.choice(nulls))] += theta
+    theta = rng.uniform(0.05, 0.5, size=k)
+    weights = (1.0 - theta)[:, None] * random_invariant_weights(rng, system, k)
+    weights[np.arange(k), rng.choice(nulls, size=k)] += theta
     return weights
 
 
 def random_null_charging(rng, system: FiniteSystem) -> Functional:
     """A normalized nonnegative FULL functional putting mass on a null atom."""
     require_valid(system)
-    return functional(system, random_null_charging_weights(rng, system), mode=FULL)
+    return functional(system, random_null_charging_weights(rng, system, 1)[0], mode=FULL)
 
 
 def random_partition_members(
-    rng, system: FiniteSystem, members: int | None = None
-) -> np.ndarray:
-    """Members of ``random_partition``, with its generator calls and bits,
-    as a (size, n_atoms) array: no ``PartitionOfUnity`` is built, so the
-    caller validates them (``system._require_partitions``)."""
-    k = int(rng.integers(2, system.n + 2)) if members is None else int(members)
-    raw = rng.uniform(size=(k, system.n)) + 0.05
-    return raw / raw.sum(axis=0)
+    rng, system: FiniteSystem, k: int, members: int | None = None
+) -> list[np.ndarray]:
+    """The members of k soft partitions of unity, each a (size, n_atoms)
+    array: one draw of the k sizes (2 to n_atoms + 1, unless ``members``
+    fixes them) and one uniform draw of all rows, with a 0.05 floor keeping
+    members positive.  No ``PartitionOfUnity`` is built, so the caller
+    validates them (``system._require_partitions``)."""
+    sizes = rng.integers(2, system.n + 2, size=k).tolist() if members is None else [members] * k
+    raw = rng.uniform(size=(sum(sizes), system.n)) + 0.05
+    parts = [raw[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+    return [part / part.sum(axis=0) for part in parts]
 
 
 def random_partition(rng, system: FiniteSystem, members: int | None = None) -> PartitionOfUnity:
     """A soft partition of unity with a 0.05 floor keeping members positive."""
-    return PartitionOfUnity(random_partition_members(rng, system, members))
+    return PartitionOfUnity(random_partition_members(rng, system, 1, members)[0])

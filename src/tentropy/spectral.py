@@ -33,6 +33,7 @@ from .system import (
     FiniteSystem,
     _columns,
     _horizon,
+    _horizon_rows,
     _index_sums,
     _pairings,
     _transport,
@@ -183,7 +184,7 @@ def _norm_logs(
     require_valid(system)
     out = np.empty(horizons.shape)
     walk = orbit_sums(system, phis, min(int(horizons.max()), _WALK_HORIZON))
-    for n in sorted(set(horizons.ravel().tolist())):
+    for n, _ in _horizon_rows(horizons.ravel()):
         at = horizons == n
         rows = at.any(axis=0)
         if n <= _WALK_HORIZON:

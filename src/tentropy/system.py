@@ -369,20 +369,34 @@ def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
 # Float64 entries in one chunk of a stack of draws: 1 MiB.
 _CHUNK_ENTRIES = 2**17
 
+# Draws per block of a certify check's stream (``certify._Draws``), and the
+# floor and step of ``_chunk_rows``, so every chunk holds whole blocks.
+_BLOCK = 8
+
 
 def _chunk_rows(entries: int) -> int:
     """Draws per chunk of a stack of draws swept in chunks, where one draw
     adds ``entries`` floats: n_atoms for a row of a (draws, n_atoms) stack,
     or what a draw of an inner-problem check holds.  ``_CHUNK_ENTRIES``
-    over entries, rounded down to a multiple of 8 and at least 8, so a
-    sweep holds O(_CHUNK_ENTRIES + 8 * entries) floats: at N <= 12, one
-    chunk holds 10,920 rows of N atoms or more.
+    over entries, rounded down to a multiple of ``_BLOCK`` (8) and at least
+    ``_BLOCK``, so a sweep holds O(_CHUNK_ENTRIES + 8 * entries) floats: at
+    N <= 12, one chunk holds 10,920 rows of N atoms or more.
 
     OpenBLAS's dgemv takes rows in groups of 4, so with one BLAS thread a
     product on chunks of 8k rows gives every row the bits of one product
     over all rows.
     """
-    return max(8, _CHUNK_ENTRIES // entries // 8 * 8)
+    return max(_BLOCK, _CHUNK_ENTRIES // entries // _BLOCK * _BLOCK)
+
+
+def _horizon_rows(ns) -> list[tuple[int, np.ndarray]]:
+    """Each value of a (k,) integer array in increasing order, with the rows
+    that hold it in increasing order: the draws of each horizon.  A stable
+    sort, as ``np.unique`` would import ``numpy.ma``."""
+    ns = np.asarray(ns)
+    order = np.argsort(ns, kind="stable")
+    cuts = np.flatnonzero(np.diff(ns[order])) + 1
+    return [(int(ns[rows[0]]), rows) for rows in np.split(order, cuts) if rows.size]
 
 
 def _integers(values, what: str) -> np.ndarray:

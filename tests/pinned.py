@@ -140,6 +140,7 @@ def solver_pin(solutions) -> list:
 
 def main(directory: str) -> None:
     """Re-take every pin, taking the panel's files in ``directory``."""
+    # imported here: test_entropy imports this module
     from test_entropy import solver_pins
 
     here = os.getcwd()

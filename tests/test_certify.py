@@ -1,7 +1,8 @@
-"""Certify checks: the claim contract of their records, and the checks that
-evaluate their draws with batched calls."""
+"""Certify checks: the claim contract of their records, the addressing of
+their draws, and the checks that evaluate their draws with batched calls."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -12,7 +13,7 @@ from tentropy import certify, entropy, entstat, spectral, system
 from tentropy.claims import INNER_TOL, CertificateError
 from tentropy.certify import (
     CertifyConfig,
-    _rng_for,
+    _Draws,
     make_record,
     run_check,
     run_suite,
@@ -29,14 +30,16 @@ from tentropy.entropy import (
 )
 from tentropy.fixtures import twocyc
 from tentropy.sampling import (
-    perturbed_invariant,
-    random_functional,
+    perturbed_invariant_weights,
+    random_functional_weights,
     random_invariant,
-    random_null_charging,
-    random_partition,
+    random_invariant_weights,
+    random_null_charging_weights,
+    random_partition_members,
     random_potential,
-    random_simplex_functional,
-    random_unit_function,
+    random_potentials,
+    random_simplex_weights,
+    random_unit_stack,
 )
 from tentropy.spectral import (
     apply,
@@ -48,6 +51,7 @@ from tentropy.spectral import (
     spectral_potential,
 )
 from tentropy.system import (
+    ESSENTIAL,
     FULL,
     PartitionOfUnity,
     atomic_partition,
@@ -62,6 +66,24 @@ from tentropy.system import (
 from tentropy.varprin import young_check, young_checks
 
 from oracles import empirical_walk
+
+
+def stream(name, cfg, s, count, *samples):
+    """Fields 0, 1, ... of the first ``count`` draws of check ``name`` on
+    ``s``, taken from the block addressing as one chunk."""
+    return _Draws(cfg.seed, name, s).fields(0, count, *samples)
+
+
+def wide_potentials(rng, s, k):
+    return random_potentials(rng, s, k, 3.0)
+
+
+def integers(low, high):
+    return lambda rng, s, k: rng.integers(low, high, size=k)
+
+
+def uniforms(low=0.0, high=1.0):
+    return lambda rng, s, k: rng.uniform(low, high, size=k)
 
 
 def reference_property_residuals(system, phi, psi, t, shift):
@@ -99,25 +121,24 @@ def reference_power_rate(system, psi, k):
 
 def reference_properties(system, cfg):
     """The per-draw loop of ``lemma.properties``, one evaluation per draw."""
-    rng = _rng_for(cfg.seed, "lemma.properties")
+    fields = stream(
+        "lemma.properties", cfg, system, cfg.draws,
+        random_potentials, random_potentials, uniforms(), uniforms(-3.0, 3.0),
+    )
     worst = -np.inf
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, system, scale=2.0)
-        psi = random_potential(rng, system, scale=2.0)
-        t = float(rng.uniform())
-        shift = float(rng.uniform(-3.0, 3.0))
+    for phi, psi, t, shift in zip(*fields):
         worst = max(worst, *reference_property_residuals(system, phi, psi, t, shift))
     return {"draws": cfg.draws, "worst_residual": worst}
 
 
 def reference_power(system, cfg):
     """The per-draw loop of ``lemma.power``, one evaluation per draw."""
-    rng = _rng_for(cfg.seed, "lemma.power")
+    phis, ks = stream(
+        "lemma.power", cfg, system, cfg.draws, random_potentials, integers(1, 6)
+    )
     worst = -np.inf
     strict = 0
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, system, scale=2.0)
-        k = int(rng.integers(1, 6))
+    for phi, k in zip(phis, ks.tolist()):
         scaled = k * log_spectral_radius(system, phi)
         power = reference_power_rate(system, k * phi, k)
         worst = max(worst, scaled - power)
@@ -149,13 +170,13 @@ def reference_young_check(s, phi, mu):
 
 def reference_young_global(s, cfg):
     """The per-draw loop of ``young.global``, one ``young_check`` per draw."""
-    rng = _rng_for(cfg.seed, "young.global")
+    phis, weights = stream(
+        "young.global", cfg, s, cfg.draws, wide_potentials, random_invariant_weights
+    )
     worst = np.inf
     tight = 0
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, s, scale=3.0)
-        mu = random_invariant(rng, s)
-        slack, is_tight = reference_young_check(s, phi, mu)
+    for phi, w in zip(phis, weights):
+        slack, is_tight = reference_young_check(s, phi, functional(s, w))
         worst = min(worst, slack)
         tight += is_tight
     return {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight}
@@ -190,29 +211,29 @@ def reference_local_young_checks(s, draws):
 
 def reference_young_local(s, cfg):
     """The loop of ``young.local`` with the per-draw set-up it replaced, in
-    the chunks of 64 draws it had then: the check keeps its bytes in the
-    chunks of its memory budget."""
-    rng = _rng_for(cfg.seed, "young.local")
+    chunks of 64 draws: the check keeps its bytes in the chunks of its
+    memory budget."""
+    fields = stream(
+        "young.local", cfg, s, cfg.draws,
+        random_potentials, random_invariant_weights, integers(1, 7),
+        integers(0, len(cfg.eps)),
+    )
+    draws = [
+        (phi, functional(s, w), n, cfg.eps[pick])
+        for phi, w, n, pick in zip(fields[0], fields[1], *(f.tolist() for f in fields[2:]))
+    ]
     worst = np.inf
     for start in range(0, cfg.draws, 64):
-        draws = []
-        for _ in range(min(64, cfg.draws - start)):
-            phi = random_potential(rng, s, scale=2.0)
-            mu = random_invariant(rng, s)
-            n = int(rng.integers(1, 7))
-            eps = float(rng.choice(cfg.eps))
-            draws.append((phi, mu, n, eps))
-        for lhs, rhs in reference_local_young_checks(s, draws):
+        for lhs, rhs in reference_local_young_checks(s, draws[start : start + 64]):
             worst = min(worst, lhs - rhs)
     return {"draws": cfg.draws, "worst_slack": worst}
 
 
 def reference_vp_gap(s, cfg):
     """The per-draw loop of ``vp.gap``, one ``variational_principle`` per draw."""
-    rng = _rng_for(cfg.seed, "vp.gap")
+    (phis,) = stream("vp.gap", cfg, s, cfg.draws, wide_potentials)
     worst = 0.0
-    for _ in range(cfg.draws):
-        phi = random_potential(rng, s, scale=3.0)
+    for phi in phis:
         vals = cycle_means(s, phi)
         top = float(vals.max())
         first = int(np.flatnonzero(vals >= top - 1e-12)[0])
@@ -225,20 +246,31 @@ def reference_vp_gap(s, cfg):
 
 
 def reference_vp_dichotomy(s, cfg):
-    """The per-draw loop of ``vp.dichotomy``, one ``tau_dual`` per draw."""
-    rng = _rng_for(cfg.seed, "vp.dichotomy")
+    """The per-draw loop of ``vp.dichotomy``, one ``tau_dual`` per draw: a
+    draw picks the invariant (0), normal (1) or perturbed (2) law, or null
+    charging where a third pick has a charge under 0.3 on a system with
+    null atoms, and each law is drawn for the draws that take it."""
+    draws = _Draws(cfg.seed, "vp.dichotomy", s)
+    picks, charges = draws.fields(0, cfg.draws, integers(0, 3), uniforms())
     zeros = divergent = 0
     has_nulls = bool((~s.support).any())
-    for _ in range(cfg.draws):
-        pick = int(rng.integers(0, 3))
-        if pick == 0:
-            mu = random_invariant(rng, s)
-        elif pick == 1:
-            mu = random_functional(rng, s)
-        elif has_nulls and rng.uniform() < 0.3:
-            mu = random_null_charging(rng, s)
-        else:
-            mu = perturbed_invariant(rng, s)
+    laws = [
+        random_invariant_weights,
+        random_functional_weights,
+        perturbed_invariant_weights,
+        random_null_charging_weights,
+    ]
+    chosen = [
+        3 if pick == 2 and has_nulls and charge < 0.3 else pick
+        for pick, charge in zip(picks.tolist(), charges.tolist())
+    ]
+    rows = [iter(()) for _ in laws]
+    for f, sampler in enumerate(laws):
+        taken = np.array(chosen) == f
+        if taken.any():
+            rows[f] = iter(draws.field(2 + f, 0, cfg.draws, sampler, where=taken))
+    for pick in chosen:
+        mu = functional(s, next(rows[pick]), mode=FULL if pick == 3 else ESSENTIAL)
         value = tau_dual(s, mu, cross_check=False).value
         assert value == 0.0 or (value == -np.inf and pick != 0)
         zeros += value == 0.0
@@ -256,11 +288,10 @@ def reference_iterate(s, phi, f, n):
 def reference_op_norm_oracle(s, cfg):
     """The per-draw loop of ``lemma.op_norm_oracle``: one ``iterate`` per
     supported atom and per unit-ball draw."""
-    rng = _rng_for(cfg.seed, "lemma.op_norm_oracle")
+    draws = _Draws(cfg.seed, "lemma.op_norm_oracle", s)
     worst_gap = 0.0
     worst_excess = -np.inf
-    for n in range(1, 6):
-        phi = random_potential(rng, s, scale=2.0)
+    for n, phi in enumerate(draws.field(0, 0, 5, random_potentials), start=1):
         norm_log = op_norm_log(s, phi, n)
         best = -np.inf
         for y in s.supported_indices:
@@ -271,8 +302,8 @@ def reference_op_norm_oracle(s, cfg):
                 best = max(best, np.log(grown))
         worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = op_norm(s, phi, n)
-        for _ in range(max(1, cfg.draws // 5)):
-            f = random_unit_function(rng, s)
+        for values in draws.field(n, 0, max(1, cfg.draws // 5), random_unit_stack):
+            f = l1_vector(s, values)
             grown = l1_norm(s, reference_iterate(s, phi, f, n))
             worst_excess = max(worst_excess, grown - value * (1.0 + 1e-9))
     return {
@@ -285,13 +316,12 @@ def reference_op_norm_oracle(s, cfg):
 def reference_gelfand(s, cfg):
     """The per-draw loop of ``lemma.gelfand``, one ``spectral_potential``
     per draw."""
-    rng = _rng_for(cfg.seed, "lemma.gelfand")
+    rounds = max(1, cfg.draws // 20)
+    (phis,) = stream("lemma.gelfand", cfg, s, rounds, random_potentials)
     worst_below = np.inf
     final_gap = 0.0
     flagged = 0
-    rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
-        phi = random_potential(rng, s, scale=2.0)
+    for phi in phis:
         res = spectral_potential(s, phi, n_max=max(8, cfg.n_max))
         worst_below = min(worst_below, float((res.norm_sequence - res.value).min()))
         final_gap = max(final_gap, abs(float(res.norm_sequence[-1]) - res.value))
@@ -307,13 +337,13 @@ def reference_gelfand(s, cfg):
 def reference_submultiplicative(s, cfg):
     """The per-draw loop of ``lemma.submultiplicative``, three
     ``op_norm_log`` calls per draw."""
-    rng = _rng_for(cfg.seed, "lemma.submultiplicative")
-    worst = -np.inf
     rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
-        phi = random_potential(rng, s, scale=2.0)
-        n = int(rng.integers(1, cfg.n_max + 1))
-        k = int(rng.integers(1, cfg.n_max + 1))
+    horizon = integers(1, cfg.n_max + 1)
+    phis, ns, ks = stream(
+        "lemma.submultiplicative", cfg, s, rounds, random_potentials, horizon, horizon
+    )
+    worst = -np.inf
+    for phi, n, k in zip(phis, ns.tolist(), ks.tolist()):
         lhs = op_norm_log(s, phi, n + k)
         rhs = op_norm_log(s, phi, n) + op_norm_log(s, phi, k)
         worst = max(worst, lhs - rhs)
@@ -323,20 +353,19 @@ def reference_submultiplicative(s, cfg):
 def reference_inner_certificate(s, cfg):
     """The per-draw loop of ``lemma.inner_certificate``: one
     ``inner_problem`` and one lone solve per draw."""
-    rng = _rng_for(cfg.seed, "lemma.inner_certificate")
+    rounds = max(1, cfg.draws // 20)
+    draws = _Draws(cfg.seed, "lemma.inner_certificate", s)
+    coins, splits, ns = draws.fields(0, rounds, uniforms(), uniforms(), integers(1, 5))
+    invariant = coins < 0.5
+    weights = np.empty((rounds, s.n))
+    weights[invariant] = draws.field(3, 0, rounds, random_invariant_weights, where=invariant)
+    weights[~invariant] = draws.field(4, 0, rounds, random_simplex_weights, where=~invariant)
+    drawn = iter(draws.field(5, 0, rounds, random_partition_members, where=splits >= 0.5))
     worst = 0.0
     solved = divergent = 0
-    rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
-        if rng.uniform() < 0.5:
-            mu = random_invariant(rng, s)
-        else:
-            mu = random_simplex_functional(rng, s)
-        if rng.uniform() < 0.5:
-            partition = atomic_partition(s)
-        else:
-            partition = random_partition(rng, s)
-        n = int(rng.integers(1, 5))
+    for w, split, n in zip(weights, splits.tolist(), ns.tolist()):
+        mu = functional(s, w)
+        partition = atomic_partition(s) if split < 0.5 else PartitionOfUnity(next(drawn))
         prob = inner_problem(s, mu, partition, n)
         sol = maximize_inner(prob, tol=INNER_TOL)
         if sol.value == -np.inf:
@@ -397,13 +426,13 @@ def test_young_local_check_replays_its_per_draw_loop(system_pool):
 def reference_empirical(s, cfg):
     """The per-draw loop of ``entstat.empirical``, one orbit walk and one
     Birkhoff sum per draw."""
-    rng = _rng_for(cfg.seed, "entstat.empirical")
+    xs, ns, phis = stream(
+        "entstat.empirical", cfg, s, cfg.draws,
+        integers(0, s.n), integers(1, cfg.n_max + 1), random_potentials,
+    )
     worst = 0.0
-    for _ in range(cfg.draws):
-        x = int(rng.integers(0, s.n))
-        n = int(rng.integers(1, cfg.n_max + 1))
+    for x, n, phi in zip(xs.tolist(), ns.tolist(), phis):
         w = empirical_walk(s, x, n)
-        phi = random_potential(rng, s, scale=2.0)
         lhs = pair(s, functional(s, w, mode=FULL), phi)
         rhs = float(birkhoff(s, phi, n)[x]) / n
         worst = max(worst, abs(lhs - rhs), abs(float(w.sum()) - 1.0))
@@ -412,13 +441,13 @@ def reference_empirical(s, cfg):
 
 def reference_tv(s, cfg):
     """The per-draw loop of ``entstat.tv``, one orbit walk per draw."""
-    rng = _rng_for(cfg.seed, "entstat.tv")
+    xs, ns = stream(
+        "entstat.tv", cfg, s, cfg.draws, integers(0, s.n), integers(1, 4 * s.n + 1)
+    )
     dec = s.decomposition
     worst_exact = 0.0
     worst_bound = -np.inf
-    for _ in range(cfg.draws):
-        x = int(rng.integers(0, s.n))
-        n = int(rng.integers(1, 4 * s.n + 1))
+    for x, n in zip(xs.tolist(), ns.tolist()):
         cyc = dec.cycles[dec.terminal[x]]
         length = len(cyc)
         uniform = np.zeros(s.n)
@@ -439,17 +468,17 @@ def reference_tv(s, cfg):
 def reference_near_minimizer(s, cfg):
     """The per-draw loop of ``lemma.near_minimizer``: one
     ``near_minimizer_bounds``, and so one lone inner solve, per draw."""
-    rng = _rng_for(cfg.seed, "lemma.near_minimizer")
-    worst = np.inf
     rounds = max(1, cfg.draws // 20)
-    for _ in range(rounds):
-        mu = random_invariant(rng, s)
-        if rng.uniform() < 0.5:
-            partition = atomic_partition(s)
-        else:
-            partition = random_partition(rng, s)
-        n = int(rng.integers(1, 5))
-        eps = float(rng.choice((1.0, 0.1, 0.01)))
+    draws = _Draws(cfg.seed, "lemma.near_minimizer", s)
+    weights, splits, ns, picks = draws.fields(
+        0, rounds, random_invariant_weights, uniforms(), integers(1, 5), integers(0, 3)
+    )
+    drawn = iter(draws.field(4, 0, rounds, random_partition_members, where=splits >= 0.5))
+    worst = np.inf
+    for w, split, n, pick in zip(weights, splits.tolist(), ns.tolist(), picks.tolist()):
+        mu = functional(s, w)
+        partition = atomic_partition(s) if split < 0.5 else PartitionOfUnity(next(drawn))
+        eps = (1.0, 0.1, 0.01)[pick]
         bounds = near_minimizer_bounds(s, mu, partition, n, eps)
         worst = min(worst, bounds.growth_slack, bounds.pairing_slack)
     return {"draws": rounds, "worst_slack": worst}
@@ -588,19 +617,22 @@ def test_dichotomy_and_oracle_checks_evaluate_stacks(monkeypatch):
     assert shapes == [(s.supported_indices.size, s.n), unit_draws] * 5
 
 
-# 260 draws in 8-draw chunks, and the 13 draws of an inner-problem check
+# 260 draws in 8-draw chunks, and the 13 draws of a check that draws one
+# per 20 (an inner-problem check, lemma.gelfand, lemma.submultiplicative)
 DRAW_CHUNKS = [8] * 32 + [4]
-INNER_CHUNKS = [8, 5]
+ROUND_CHUNKS = [8, 5]
 
-# the checks that fill stacks of draws in chunks of ``system._chunk_rows``:
-# the certify name of the call that takes a chunk's stack, the position of
-# the stack among its arguments, and the chunk sizes of 260 draws
+# the checks whose chunks one call takes: the certify name of the call that
+# takes a chunk's stack, the position of the stack among its arguments, and
+# the chunk sizes of 260 draws
 CHUNKED = {
     "entstat.empirical": ("empirical_weights", 1, DRAW_CHUNKS),
     "entstat.tv": ("empirical_weights", 1, DRAW_CHUNKS),
-    "lemma.inner_certificate": ("_horizon_problems", 2, INNER_CHUNKS),
-    "lemma.near_minimizer": ("near_minimizer_checks", 1, INNER_CHUNKS),
+    "lemma.gelfand": ("spectral_potential", 1, ROUND_CHUNKS),
+    "lemma.inner_certificate": ("_horizon_problems", 2, ROUND_CHUNKS),
+    "lemma.near_minimizer": ("near_minimizer_checks", 1, ROUND_CHUNKS),
     "lemma.properties": ("property_residuals", 1, DRAW_CHUNKS),
+    "lemma.submultiplicative": ("_norm_logs", 1, ROUND_CHUNKS),
     "vp.dichotomy": ("divergence_witnesses", 1, DRAW_CHUNKS),
     "vp.gap": ("variational_principle", 1, DRAW_CHUNKS),
     "young.global": ("young_checks", 1, DRAW_CHUNKS),
@@ -609,17 +641,16 @@ CHUNKED = {
 
 
 def test_chunked_stacks_keep_the_record_bits(monkeypatch, chunk_systems):
-    """Every check that fills stacks of draws, and vp.subgradient, gives
-    byte-identical records when its stacks are swept in 8-draw chunks: the
-    draws keep their order in the generator stream, and each row keeps the
-    bits of its own evaluation.  260 draws leave a short last chunk, and so
-    do the 13 draws of an inner-problem check and the 52 unit-ball draws
-    per horizon of lemma.op_norm_oracle.  The subgradient's products are
-    at most 100 x 60, far below the sizes at which the thread count moves
-    their bits."""
+    """Every check gives byte-identical records when its stacks are swept
+    in 8-draw chunks: a draw is addressed by its block, not by its place in
+    a generator stream, and each row keeps the bits of its own evaluation.
+    260 draws leave a short last chunk, and so do the 13 draws of a check
+    that draws one per 20 and the 52 unit-ball draws per horizon of
+    lemma.op_norm_oracle.  The subgradient's products are at most 100 x 60,
+    far below the sizes at which the thread count moves their bits."""
     cfg = CertifyConfig(seed=31, draws=260)
     cases = [twocyc()] + chunk_systems
-    names = sorted(CHUNKED) + ["lemma.op_norm_oracle", "vp.subgradient"]
+    names = sorted(certify.CHECKS)
     want = {(s.n, name): run_check(s, name, cfg) for s in cases for name in names}
     assert all(system._chunk_rows(s.n) >= 260 for s in cases)
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
@@ -640,6 +671,37 @@ def test_chunked_stacks_keep_the_record_bits(monkeypatch, chunk_systems):
                 assert [len(args[arg]) for args in calls[call]] == sizes, name
             elif name == "lemma.op_norm_oracle":
                 assert [len(args[2]) for args in iterates] == per_horizon * 5
+
+
+def test_a_draw_is_re_derived_from_seed_check_and_block(monkeypatch):
+    """Draw i of young.global is row i % 8 of block i // 8: its potential
+    and its weights are one stacked sampler call each on a Philox generator
+    keyed by (seed, the check's sha256 tag) at counter (0, i // 8, field,
+    0), whatever the chunks the check is swept in.  The largest seed is a
+    key word."""
+    s = twelve_atoms()
+    cfg = CertifyConfig(seed=2**64 - 1, draws=1003)
+    tag = int.from_bytes(hashlib.sha256(b"young.global").digest()[:8], "big")
+    key = np.array([cfg.seed, tag], dtype=np.uint64)
+    calls = counting(monkeypatch, certify, "young_checks")
+    for entries in (system._CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(system, "_CHUNK_ENTRIES", entries)
+        calls.clear()
+        assert run_check(s, "young.global", cfg)["verdict"] == "pass"
+        phis = np.concatenate([args[1] for args in calls])
+        weights = np.concatenate([args[2] for args in calls])
+        for i in (0, 7, 8, 500, 999, 1000, 1002):
+            block, row = divmod(i, 8)
+            k = min(8, cfg.draws - 8 * block)
+
+            def at(field):
+                counter = np.array([0, block, field, 0], dtype=np.uint64)
+                return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+            phi = random_potentials(at(0), s, k, 3.0)[row]
+            w = random_invariant_weights(at(1), s, k)[row]
+            assert phi.tobytes() == phis[i].tobytes(), i
+            assert w.tobytes() == weights[i].tobytes(), i
 
 
 def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
@@ -686,14 +748,12 @@ def test_inner_certificate_builds_its_problems_per_horizon(monkeypatch):
     cfg = CertifyConfig(seed=5, draws=2000)
     stacks = counting(monkeypatch, entropy, "inner_problems")
     singles = counting(monkeypatch, certify, "maximize_inner")
-    objects = counting(monkeypatch, certify, "random_invariant")
     assert run_check(s, "lemma.inner_certificate", cfg)["verdict"] == "pass"
-    assert sorted(args[3] for args in stacks) == [1, 2, 3, 4]
+    assert [args[3] for args in stacks] == [1, 2, 3, 4]
     assert sum(len(args[1]) for args in stacks) == 100
     assert len(singles) == 100
-    assert objects == []
-    assert "random_simplex_functional" not in vars(certify)
-    assert "random_partition" not in vars(certify)
+    for name in ("random_invariant", "random_simplex_functional", "random_partition"):
+        assert name not in vars(certify)
 
 
 def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
@@ -730,20 +790,6 @@ def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
         # one walk per chunk in each check
         assert [args[1].shape for args in walks] == chunks * 2
     assert max(args[2] for args in walks[13:]) == spectral._WALK_HORIZON
-
-
-@pytest.mark.parametrize(
-    "values",
-    [(1.0,), (1.0, 0.5), (1.0, 0.5, 0.1), (1.0, 0.5, 0.1, 0.05), (1.0, 0.1, 0.01)],
-)
-def test_pick_replays_rng_choice(values):
-    """The eps pick of young.local and lemma.near_minimizer gives the
-    values of ``rng.choice`` and leaves the generator in its state."""
-    mine, theirs = np.random.default_rng(23), np.random.default_rng(23)
-    picks = [certify._pick(mine, values) for _ in range(10**4)]
-    choices = [theirs.choice(values) for _ in range(10**4)]
-    assert np.array(picks).tobytes() == np.array(choices).tobytes()
-    assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 def test_make_record_derives_verdict_residual_and_repro():
@@ -819,19 +865,32 @@ def test_suites_are_the_prefixes_of_the_check_names():
         {"eps": (math.inf,)},
         {"eps": (0.0,)},
         {"eps": (-0.1,)},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"seed": True},
+        {"seed": 1.0},
+        {"seed": "3"},
+        {"tolerance": math.inf},
+        {"tolerance": math.nan},
+        {"tolerance": -1e-9},
     ],
 )
 def test_certify_config_rejects_knobs_that_certify_nothing(knobs):
     """Zero draws would pass five checks having drawn nothing; draws and
     n_max must be integers of at least 1 and eps nonempty, finite and
-    positive."""
+    positive.  A bad seed would be reported as a failed claim, an infinite
+    tolerance would pass every tolerance claim and a NaN or negative one
+    fail them all: the seed must be an integer (not a bool) in [0, 2**64)
+    and the tolerance None or finite and nonnegative."""
     with pytest.raises(ValueError):
         CertifyConfig(**knobs)
 
 
 def test_certify_config_accepts_the_smallest_knobs():
-    cfg = CertifyConfig(draws=1, n_max=1, eps=(0.5,))
-    assert (cfg.draws, cfg.n_max, cfg.eps) == (1, 1, (0.5,))
+    cfg = CertifyConfig(draws=1, n_max=1, eps=(0.5,), tolerance=0.0)
+    assert (cfg.draws, cfg.n_max, cfg.eps, cfg.tolerance) == (1, 1, (0.5,), 0.0)
+    largest = CertifyConfig(seed=np.uint64(2**64 - 1), draws=8)
+    assert run_check(twocyc(), "vp.gap", largest)["verdict"] == "pass"
 
 
 def test_vp_dichotomy_reports_an_invariant_draw_that_diverges(monkeypatch):

@@ -169,3 +169,51 @@ def test_certify_sizes_every_chunk_by_the_memory_budget():
         if isinstance(node, ast.FunctionDef) and node.name == "_chunks"
     )
     assert chunks.args.defaults == []
+
+
+def _per_iteration(node):
+    """The parts of a loop or comprehension that run once per iteration."""
+    if isinstance(node, (ast.For, ast.While)):
+        return node.body + node.orelse + ([node.test] if isinstance(node, ast.While) else [])
+    gens = node.generators
+    parts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+    return parts + [cond for gen in gens for cond in gen.ifs] + [gen.iter for gen in gens[1:]]
+
+
+def test_certify_draws_only_through_the_block_helper():
+    """In ``certify``, only the block helper ``_Draws`` references
+    ``np.random``, and no loop calls a ``sampling`` function: every draw is
+    one stacked sampler call per field and block, made by the helper."""
+    tree = ast.parse((SRC / "certify.py").read_text())
+    samplers = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "sampling"
+        for alias in node.names
+    }
+    assert samplers
+    helper = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Draws"
+    )
+    in_helper = {id(node) for node in ast.walk(helper)}
+    random = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+    ]
+    assert random
+    assert [node.lineno for node in random if id(node) not in in_helper] == []
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    looped = [
+        call.lineno
+        for loop in ast.walk(tree)
+        if isinstance(loop, loops)
+        for part in _per_iteration(loop)
+        for call in ast.walk(part)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in samplers
+    ]
+    assert looped == []

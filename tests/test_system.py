@@ -443,8 +443,8 @@ def test_stacked_partition_test_gives_the_verdict_of_each_partition():
     s = make_system(np.ones(9), np.arange(9))
     failed = "member values must sum to 1 at every atom"
     for k in (1, 2, 7, 30, 200):
-        members = random_partition_members(gen, s, k)
-        others = [random_partition_members(gen, s) for _ in range(3)]
+        members = random_partition_members(gen, s, 1, members=k)[0]
+        others = random_partition_members(gen, s, 3)
 
         def verdicts(t):
             scaled = members * (1.0 + t)
