@@ -39,7 +39,7 @@ from .io import (
 )
 from .sampling import random_system
 from .spectral import spectral_potential
-from .system import InvalidSystemError, require_valid, validate
+from .system import InvalidSystemError, _seed, require_valid, validate
 
 _TAU_NOTE = (
     "t-entropy degenerates on a finite system: 0 on the invariant polytope"
@@ -75,12 +75,9 @@ def _parse_tolerance(text: str) -> float:
 
 def _parse_seed(text: str) -> int:
     try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}")
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return seed
+        return _seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}: {exc}") from exc
 
 
 def _n_max(low: int, high: int | None = None):

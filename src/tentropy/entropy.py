@@ -50,6 +50,7 @@ from .system import (
     _require_invariant,
     _require_partitions,
     _require_positive,
+    _seed,
     _transport,
     alpha_power,
     atomic_partition,
@@ -418,13 +419,7 @@ def oscillation_partition(
     """
     _require_positive(width, "bucket width")
     level = np.floor(birkhoff(system, phi, n) / width)
-    return PartitionOfUnity(_level_rows(system, level))
-
-
-def _level_rows(system: FiniteSystem, level: np.ndarray) -> np.ndarray:
-    """Members of ``oscillation_partition`` for the bucket index of each
-    atom: ``_level_partitions`` on one row."""
-    return _level_partitions(system, level[None])[0]
+    return PartitionOfUnity(_level_partitions(system, level[None])[0])
 
 
 def _level_partitions(system: FiniteSystem, levels: np.ndarray) -> list[np.ndarray]:
@@ -482,7 +477,8 @@ def tau_direct(
 
     At each horizon the candidates are the atomic and trivial partitions,
     three oscillation partitions (each bucketing the Birkhoff sums that set
-    its width) and eight random partitions.  The atomic and trivial
+    its width) and eight random partitions, drawn in one
+    ``random_partition_members`` call.  The atomic and trivial
     partitions are built once per call.  The three potentials of a horizon
     are drawn as one (3, n_atoms) stack, whose sums come from one stacked
     ``system._transport`` call and whose members come from one
@@ -495,13 +491,14 @@ def tau_direct(
     ``DIRECT_TOL`` of that minimum.  The candidates of a horizon beyond
     the fixed two are member arrays, validated by one stacked
     ``system._require_partitions`` test; only the achieving one is built
-    as a ``PartitionOfUnity``.
+    as a ``PartitionOfUnity``.  ``ValueError`` unless the seed is an
+    integer (not a bool) in [0, 2**64) (``system._seed``).
     """
     require_valid(system)
     n_max = _horizon(n_max)
     w = effective_weights(system, mu)
     _require_normalized(system, [w])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     fixed = [atomic_partition(system).members, trivial_partition(system).members]
     candidates: list[tuple[int, np.ndarray]] = []
     problems: list[InnerProblem] = []
@@ -511,7 +508,7 @@ def tau_direct(
         widths = (s.max(axis=1) - s.min(axis=1)) / 3.0 + BUCKET_PAD
         levels = np.floor(s / widths[:, None])
         drawn = _level_partitions(system, levels)
-        drawn += [random_partition_members(rng, system, 1)[0] for _ in range(8)]
+        drawn += random_partition_members(rng, system, 8)
         _require_partitions(drawn)
         parts = fixed + drawn
         candidates += [(n, members) for members in parts]

@@ -22,7 +22,6 @@ gather over the cycle atoms per distinct cycle length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,9 @@ from .system import (
     _columns,
     _horizon,
     _horizon_rows,
-    _index_sums,
     _pairings,
     _transport,
+    alpha_power,
     cycle_means,
     log_preimage_mass,
     orbit_sums,
@@ -299,45 +298,26 @@ def power_gap(system: FiniteSystem, phi, k: int) -> PowerGap:
     Cycles of the map split into shorter orbits of its k-th power, whose
     averages of phi can only improve on the full-cycle average, so the
     power side dominates; the gap is strict whenever the splitting
-    isolates above-average stretches of a cycle.  The power side is read
-    from the cycles of the map itself; no k-step system is built.
-    ``phi`` is one potential or a (rows, n_atoms) stack sharing the power
-    k; a single potential is the stack of one, and each row gets the bits
-    of its own call.  The power is a number of map steps, so it is read as
-    a horizon: ``ValueError`` unless k is an integer of at least 1.
+    isolates above-average stretches of a cycle.  The power side is the
+    spectral potential of the k-step system, the same atoms and masses
+    under ``alpha_power(system, k)``, read after the scaled side so
+    that an invalid system raises on the system itself.  ``phi`` is one
+    potential or a (rows, n_atoms) stack sharing the power k; a single
+    potential is the stack of one, and each row gets the bits of its own
+    call.  The power is a number of map steps, so it is read as a horizon:
+    ``ValueError`` unless k is an integer of at least 1.
     """
     k = _horizon(k)
     phi = np.asarray(phi, dtype=float)
     phis = phi.reshape(-1, phi.shape[-1])
     scaled = k * log_spectral_radius_batch(system, phis)
-    power = _power_rate(system, k * phis, k)
+    k_step = FiniteSystem(system.atoms, system.m, alpha_power(system, k))
+    power = log_spectral_radius_batch(k_step, k * phis)
     if np.any(scaled > power + ROUNDOFF_TOL):
         raise CertificateError("power-map rate fell below the scaled rate")
     if phi.ndim == 1:
         return PowerGap(scaled=float(scaled[0]), power=float(power[0]))
     return PowerGap(scaled=scaled, power=power)
-
-
-def _power_rate(system: FiniteSystem, psi: np.ndarray, k: int) -> np.ndarray:
-    """Spectral potential under alpha^k of each row of a (rows, n_atoms) psi.
-
-    A supported cycle of length L splits into d = gcd(L, k) cycles of
-    alpha^k, the atoms at positions r, r + k, r + 2k, ... (mod L) for
-    r < d.  Each is summed from its smallest atom on, in alpha^k order, as
-    the cycle decomposition of the system with map alpha^k lists it, so the
-    means carry the bits of ``log_spectral_radius`` on that system.
-    """
-    best = np.full(psi.shape[0], -np.inf)
-    for _, rows in system.cycle_groups:
-        length = rows.shape[1]
-        d = math.gcd(length, k)
-        size = length // d
-        orbits = rows[:, (np.arange(d)[:, None] + k * np.arange(size)) % length]
-        start = orbits.argmin(axis=-1)[..., None]
-        orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
-        means = _index_sums(psi, orbits) / size
-        best = np.maximum(best, means.reshape(psi.shape[0], -1).max(axis=1))
-    return best
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ One horizon alone is read from ``_transport``: the walk up to
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -217,59 +218,55 @@ class CycleDecomposition:
 
 
 def _decompose(system: FiniteSystem) -> CycleDecomposition:
+    """The cycle decomposition by pointer jumping, in O(N log N).
+
+    The doubling tables alpha^(2^k), as ``_transport`` builds them, carry
+    the minimum over the first 2^k orbit points; once 2^k >= N, the image
+    of alpha^(2^k) is the set of cycle atoms and each of them holds the
+    smallest atom of its cycle, its head.  Heads in increasing order give
+    the cycle ids.  ``_first_root`` to the cycle atoms gives every entry
+    time and terminal cycle, and to the heads each cycle atom's place on
+    its cycle, so one ``np.lexsort`` lists every cycle from its head.
+    """
     n = system.n
-    alpha = system.alpha
-    color = [0] * n  # 0 unseen, 1 on current path, 2 finished
-    cycle_of: list[int | None] = [None] * n
-    entry = [0] * n
-    terminal = [0] * n
-    raw_cycles: list[tuple[int, ...]] = []
-
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        x = start
-        while color[x] == 0:
-            color[x] = 1
-            path.append(x)
-            x = int(alpha[x])
-        if color[x] == 1:
-            # closed a fresh cycle inside the current path
-            i = path.index(x)
-            cyc = path[i:]
-            j = cyc.index(min(cyc))
-            cyc = cyc[j:] + cyc[:j]
-            cid = len(raw_cycles)
-            raw_cycles.append(tuple(cyc))
-            for a in cyc:
-                color[a] = 2
-                cycle_of[a] = cid
-                entry[a] = 0
-                terminal[a] = cid
-            tail = path[:i]
-        else:
-            tail = path
-        for a in reversed(tail):
-            color[a] = 2
-            nxt = int(alpha[a])
-            entry[a] = entry[nxt] + 1
-            terminal[a] = terminal[nxt]
-            cycle_of[a] = None
-
-    order = sorted(range(len(raw_cycles)), key=lambda c: raw_cycles[c][0])
-    remap = {old: new for new, old in enumerate(order)}
-    cycles = tuple(raw_cycles[old] for old in order)
-    cycle_of = [None if c is None else remap[c] for c in cycle_of]
-    terminal = [remap[c] for c in terminal]
-    supported = tuple(bool(all(system.support[a] for a in cyc)) for cyc in cycles)
+    atoms = np.arange(n)
+    low, step = atoms, system.alpha
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    on_cycle = np.zeros(n, dtype=bool)
+    on_cycle[step] = True
+    heads = on_cycle & (low == atoms)
+    cycle_of = np.where(on_cycle, (np.cumsum(heads) - 1)[low], -1)
+    cyc = np.flatnonzero(on_cycle)
+    cyc_id = cycle_of[cyc]
+    entry, root = _first_root(system.alpha, on_cycle)
+    to_head, _ = _first_root(system.alpha, heads)
+    lengths = np.bincount(cyc_id)
+    place = -to_head[cyc] % lengths[cyc_id]
+    listed = cyc[np.lexsort((place, cyc_id))].tolist()
+    ends = np.cumsum(lengths).tolist()
+    unsupported = np.bincount(cyc_id[~system.support[cyc]], minlength=lengths.size)
     return CycleDecomposition(
-        cycles=cycles,
-        cycle_of=tuple(cycle_of),
-        entry_time=tuple(entry),
-        terminal=tuple(terminal),
-        supported=supported,
+        cycles=tuple(tuple(listed[e - size : e]) for e, size in zip(ends, lengths.tolist())),
+        cycle_of=tuple(None if c < 0 else c for c in cycle_of.tolist()),
+        entry_time=tuple(entry.tolist()),
+        terminal=tuple(cycle_of[root].tolist()),
+        supported=tuple((unsupported == 0).tolist()),
     )
+
+
+def _first_root(alpha: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each atom, the steps along ``alpha`` to the first atom of its
+    orbit where the mask ``root`` holds, and that atom; every orbit must
+    reach one.  Pointer jumping on the map that stops at the roots: each
+    round doubles the steps taken, so it ends after O(log N) rounds."""
+    steps = (~root).astype(np.intp)
+    ahead = np.where(root, np.arange(alpha.size), alpha)
+    while not root[ahead].all():
+        steps = steps + steps[ahead]
+        ahead = ahead[ahead]
+    return steps, ahead
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,6 +415,17 @@ def _horizon(n, least: int = 1, what: str = "horizon") -> int:
     if a < least:
         raise ValueError(f"{what} must be at least {least}")
     return int(a)
+
+
+def _seed(seed) -> int:
+    """The seed as an int: ``ValueError`` unless it is an integer (not a
+    bool) in [0, 2**64), the range of a Philox key word.  The one rule for
+    every seed, from the library or the command line."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError("seed must be an integer")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2**64)")
+    return int(seed)
 
 
 def _require_positive(values, what: str) -> None:

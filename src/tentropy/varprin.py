@@ -27,6 +27,7 @@ from .system import (
     _pairings,
     _polytope_constraints,
     _require_invariant,
+    _seed,
     cycle_means,
     cycle_measure,
     effective_weights,
@@ -311,14 +312,15 @@ def subgradient(
     one generator stream and turned into its moves in place, so the sweep
     holds O(``system._CHUNK_ENTRIES`` + N) floats and, with one BLAS
     thread, every draw keeps the bits of one sweep over all of them.
-    ``ValueError`` unless draws is an integer of at least 0.
+    ``ValueError`` unless draws is an integer of at least 0 and the seed
+    an integer (not a bool) in [0, 2**64) (``system._seed``).
     """
     draws = _horizon(draws, least=0, what="draws")
+    rng = np.random.default_rng(_seed(seed))
     phi = np.asarray(phi, dtype=float)
     cert = variational_principle(system, phi)
     mu = cert.maximizer
     w = effective_weights(system, mu)
-    rng = np.random.default_rng(seed)
     worst = -np.inf
     step = _chunk_rows(system.n)
     for start in range(0, draws, step):

@@ -2,7 +2,10 @@
 
 ``op_norm_log_pow`` reaches horizons like 2**27 by log-domain matrix
 squaring, at a memory cost of k**3 floats for k supported atoms;
-``power_system`` builds the k-step system atom by atom;
+``power_system`` builds the k-step system from ``alpha_power``;
+``decompose_walk`` is the cycle decomposition walked atom by atom, and
+``reference_power_rate`` the power side of ``power_gap`` read from the
+map's cycles by modular orbit arithmetic;
 ``empirical_walk`` walks one orbit step by step;
 ``dual_descent_full_steps`` is the dual descent that rebuilds every cycle
 value and the tie set over all cycles at each step;
@@ -11,10 +14,13 @@ value and the tie set over all cycles at each step;
 ``norm_log_all_terms`` the norm that pushes every atom through it.
 """
 
+import math
+
 import numpy as np
 
 from tentropy.claims import SLACK_TOL, TIE_TOL
 from tentropy.system import (
+    CycleDecomposition,
     FiniteSystem,
     _columns,
     _stacked_bins,
@@ -65,6 +71,81 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
     if k < 1:
         raise ValueError("power must be at least 1")
     return FiniteSystem(system.atoms, system.m, alpha_power(system, k))
+
+
+def decompose_walk(system: FiniteSystem) -> CycleDecomposition:
+    """The cycle decomposition by one walk per unseen atom, each closing a
+    fresh cycle or running into a finished atom."""
+    n = system.n
+    alpha = system.alpha
+    color = [0] * n  # 0 unseen, 1 on current path, 2 finished
+    cycle_of: list[int | None] = [None] * n
+    entry = [0] * n
+    terminal = [0] * n
+    raw_cycles: list[tuple[int, ...]] = []
+
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        x = start
+        while color[x] == 0:
+            color[x] = 1
+            path.append(x)
+            x = int(alpha[x])
+        if color[x] == 1:
+            # closed a fresh cycle inside the current path
+            i = path.index(x)
+            cyc = path[i:]
+            j = cyc.index(min(cyc))
+            cyc = cyc[j:] + cyc[:j]
+            cid = len(raw_cycles)
+            raw_cycles.append(tuple(cyc))
+            for a in cyc:
+                color[a] = 2
+                cycle_of[a] = cid
+                entry[a] = 0
+                terminal[a] = cid
+            tail = path[:i]
+        else:
+            tail = path
+        for a in reversed(tail):
+            color[a] = 2
+            nxt = int(alpha[a])
+            entry[a] = entry[nxt] + 1
+            terminal[a] = terminal[nxt]
+            cycle_of[a] = None
+
+    order = sorted(range(len(raw_cycles)), key=lambda c: raw_cycles[c][0])
+    remap = {old: new for new, old in enumerate(order)}
+    cycles = tuple(raw_cycles[old] for old in order)
+    cycle_of = [None if c is None else remap[c] for c in cycle_of]
+    terminal = [remap[c] for c in terminal]
+    supported = tuple(bool(all(system.support[a] for a in cyc)) for cyc in cycles)
+    return CycleDecomposition(
+        cycles=cycles,
+        cycle_of=tuple(cycle_of),
+        entry_time=tuple(entry),
+        terminal=tuple(terminal),
+        supported=supported,
+    )
+
+
+def reference_power_rate(system: FiniteSystem, psi, k: int) -> float:
+    """The spectral potential of one potential psi under alpha^k, read from
+    the cycles of the map: a supported cycle of length L splits into
+    d = gcd(L, k) cycles of alpha^k, the atoms at positions r, r + k,
+    r + 2k, ... (mod L) for r < d, each summed from its smallest atom on."""
+    best = -np.inf
+    for _, rows in system.cycle_groups:
+        length = rows.shape[1]
+        d = math.gcd(length, k)
+        size = length // d
+        orbits = rows[:, (np.arange(d)[:, None] + k * np.arange(size)) % length]
+        start = orbits.argmin(axis=-1)[..., None]
+        orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
+        best = max(best, float((psi[orbits].sum(axis=-1) / size).max()))
+    return best
 
 
 def empirical_walk(system: FiniteSystem, x: int, n: int) -> np.ndarray:

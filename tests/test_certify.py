@@ -65,7 +65,7 @@ from tentropy.system import (
 )
 from tentropy.varprin import young_check, young_checks
 
-from oracles import empirical_walk
+from oracles import empirical_walk, reference_power_rate
 
 
 def stream(name, cfg, s, count, *samples):
@@ -103,20 +103,6 @@ def reference_property_residuals(system, phi, psi, t, shift):
         lam_mix - ((1.0 - t) * lam_phi + t * lam_psi),
         abs(lam_twist - lam_plain),
     )
-
-
-def reference_power_rate(system, psi, k):
-    """The power side of ``power_gap`` as it was for one potential."""
-    best = -np.inf
-    for _, rows in system.cycle_groups:
-        length = rows.shape[1]
-        d = math.gcd(length, k)
-        size = length // d
-        orbits = rows[:, (np.arange(d)[:, None] + k * np.arange(size)) % length]
-        start = orbits.argmin(axis=-1)[..., None]
-        orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
-        best = max(best, float((psi[orbits].sum(axis=-1) / size).max()))
-    return best
 
 
 def reference_properties(system, cfg):
@@ -562,7 +548,8 @@ def test_property_and_power_checks_make_no_scalar_lambda_calls(monkeypatch):
     assert (len(scalar), len(batch)) == (0, 7)
     batch.clear()
     assert run_check(s, "lemma.power", cfg)["verdict"] == "pass"
-    assert (len(scalar), len(batch)) == (0, 5)
+    # per distinct power, one on the system and one on the k-step system
+    assert (len(scalar), len(batch)) == (0, 10)
 
 
 def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):

@@ -217,3 +217,24 @@ def test_certify_draws_only_through_the_block_helper():
         and call.func.id in samplers
     ]
     assert looped == []
+
+
+def test_the_seed_bound_is_written_once():
+    """``2 ** 64``, the bound of every seed, appears once in the package: in
+    the seed rule ``system._seed``, which the library and the CLI call."""
+
+    def bounds(tree):
+        return [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and [getattr(side, "value", None) for side in (node.left, node.right)] == [2, 64]
+        ]
+
+    found = [(name, line) for name, tree in trees() for line in bounds(tree)]
+    rule = next(
+        node for node in ast.parse((SRC / "system.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_seed"
+    )
+    assert found == [("system.py", line) for line in bounds(rule)]
+    assert len(found) == 1

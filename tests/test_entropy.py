@@ -285,8 +285,9 @@ def test_oscillation_partition_covers(any_system, system_pool):
 
 
 def reference_level_rows(s, level):
-    """``_level_rows`` as it was: one member per sorted distinct level of the
-    supported atoms, then the null atoms."""
+    """The members of ``oscillation_partition`` as they were built from one
+    row of levels: one member per sorted distinct level of the supported
+    atoms, then the null atoms."""
     keys = np.array(sorted(set(level[s.support].tolist())))
     rows = s.support & (level == keys[:, None])
     if not bool(s.support.all()):
@@ -296,10 +297,9 @@ def reference_level_rows(s, level):
 
 def test_stacked_level_partitions_match_each_row(system_pool, large_pool):
     """``_level_partitions`` gives every row of a stack of levels the members
-    of ``_level_rows`` and of the per-row construction it replaced, bit for
-    bit: on floored Birkhoff levels, on levels holding both -0.0 and 0.0
-    (one level), on rows with a single level, on systems with and without
-    null atoms."""
+    of the per-row construction it replaced, bit for bit: on floored
+    Birkhoff levels, on levels holding both -0.0 and 0.0 (one level), on
+    rows with a single level, on systems with and without null atoms."""
     gen = np.random.default_rng(2323)
     systems = system_pool + large_pool
     assert any(s.support.all() for s in systems)
@@ -321,7 +321,6 @@ def test_stacked_level_partitions_match_each_row(system_pool, large_pool):
             want = reference_level_rows(s, level)
             assert members.shape == want.shape
             assert members.tobytes() == want.tobytes()
-            assert entropy._level_rows(s, level).tobytes() == want.tobytes()
         nulls = int(not s.support.all())
         assert [len(m) for m in built[-3:]] == [1 + nulls] * 3
 
@@ -343,6 +342,15 @@ def test_tau_direct_rejects_no_horizon():
     for n_max in (0, -3):
         with pytest.raises(ValueError, match="horizon"):
             tau_direct(s, mu, n_max=n_max)
+
+
+@pytest.mark.parametrize("bad", [True, -1, 2**64, 1.0, "3"])
+def test_tau_direct_seed_must_be_a_64_bit_integer(bad):
+    """A bool, a negative or 65-bit integer, a float or a string seed raises
+    ``ValueError``, the rule of ``CertifyConfig`` and the CLI."""
+    s = cycle3()
+    with pytest.raises(ValueError, match="seed"):
+        tau_direct(s, functional(s, np.full(3, 1 / 3)), seed=bad)
 
 
 def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool):

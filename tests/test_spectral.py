@@ -40,7 +40,7 @@ from tentropy.system import (
     orbit_sums,
 )
 
-from oracles import norm_log_all_terms, op_norm_log_pow, power_system
+from oracles import norm_log_all_terms, op_norm_log_pow, power_system, reference_power_rate
 
 LN2 = math.log(2.0)
 
@@ -429,17 +429,22 @@ def test_batch_matches_scalar(system_pool, large_pool):
         assert np.array_equal(cycle_means(s, phis), exact)
 
 
-def test_stacked_cycle_sums_keep_the_bits_of_one_row():
-    """numpy sums 8 or more contiguous terms pairwise, so each stacked row
-    must add its cycle's terms as the call on that row alone does: in the
-    cycle means, and in the orbits of the k-step map that ``power_gap``
-    reads."""
+def long_cycles():
+    """One supported cycle each of 8, 9, 10 and 16 atoms: numpy sums 8 or
+    more contiguous terms pairwise."""
     sizes = (8, 9, 10, 16)
     starts = np.cumsum((0,) + sizes[:-1])
     alpha = np.concatenate(
         [start + np.roll(np.arange(size), -1) for start, size in zip(starts, sizes)]
     )
-    s = make_system(np.ones(alpha.size), alpha)
+    return make_system(np.ones(alpha.size), alpha)
+
+
+def test_stacked_cycle_sums_keep_the_bits_of_one_row():
+    """Each stacked row must add its cycle's terms as the call on that row
+    alone does: in the cycle means, and in the orbits of the k-step map
+    that ``power_gap`` reads."""
+    s = long_cycles()
     phis = np.random.default_rng(64).uniform(-3.0, 3.0, size=(4, s.n))
     assert np.array_equal(cycle_means(s, phis), [cycle_means(s, phi) for phi in phis])
     for k in (1, 2, 3):
@@ -471,8 +476,9 @@ def test_power_gap_frozen_examples(system_pool, large_pool):
     g = power_gap(tail(), np.full(3, 0.4), 5)
     assert g.gap == pytest.approx(0.0, abs=1e-14)
 
-    # the power side read from the map's own cycles agrees with the rate on
-    # the k-step system built atom by atom
+    # the power side agrees with the rate on the oracle's k-step system, the
+    # same construction; the modular orbit oracle below is the independent
+    # check
     gen = np.random.default_rng(59)
     for s in system_pool + large_pool:
         phi = random_potential(gen, s)
@@ -480,6 +486,18 @@ def test_power_gap_frozen_examples(system_pool, large_pool):
             want = log_spectral_radius(power_system(s, k), k * phi)
             got = power_gap(s, phi, k).power
             assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (s.n, k)
+
+
+def test_power_side_matches_the_modular_orbit_oracle(system_pool, large_pool):
+    """The power side, the spectral potential of the k-step system, has the
+    bits of the modular orbit arithmetic on the map's own cycles in every
+    row of a stack."""
+    gen = np.random.default_rng(61)
+    for s in system_pool + large_pool + [long_cycles()]:
+        phis = gen.uniform(-3.0, 3.0, size=(4, s.n))
+        for k in range(1, 8):
+            want = [reference_power_rate(s, k * phi, k) for phi in phis]
+            assert power_gap(s, phis, k).power.tolist() == want, (s.n, k)
 
 
 def test_stacked_power_gap_rows_match_single_calls(system_pool, large_pool):

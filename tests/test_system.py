@@ -1,5 +1,7 @@
 """Construction, validation and cycle structure of finite systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from tentropy.sampling import random_invariant, random_partition_members, random
 from tentropy.system import (
     ESSENTIAL,
     FULL,
+    CycleDecomposition,
     InvalidSystemError,
     PartitionOfUnity,
     _pairings,
@@ -31,6 +34,8 @@ from tentropy.system import (
     trivial_partition,
     validate,
 )
+
+from oracles import decompose_walk
 
 
 def orbit_decomposition(alpha):
@@ -168,6 +173,54 @@ def test_cycle_relation_is_rotation(system_pool):
         for cyc in s.decomposition.cycles:
             for i, x in enumerate(cyc):
                 assert s.alpha[x] == cyc[(i + 1) % len(cyc)]
+
+
+def shape_maps():
+    """Maps whose cycles and tails are set by hand: a single atom; n-cycles
+    and n-chains into a fixed point; the single 60-cycle; a 30-cycle with 6
+    tails of 1 to 6 atoms; a fixed point under a 39-atom chain; and a
+    2-cycle under 28 atoms mapping k to k - 2."""
+    maps = [np.array([0])]
+    for n in (2, 3, 8, 60, 1000):
+        maps.append(np.roll(np.arange(n), -1))
+        maps.append(np.maximum(np.arange(n) - 1, 0))
+    hung = [np.roll(np.arange(30), -1)]
+    start = 30
+    for j in range(6):
+        # tail j: j + 1 atoms ending on cycle atom 5j
+        hung.append(np.append(np.arange(start + 1, start + j + 1), 5 * j))
+        start += j + 1
+    maps.append(np.concatenate(hung))
+    maps.append(np.maximum(np.arange(40) - 1, 0))
+    maps.append(np.concatenate([[1, 0], np.arange(28)]))
+    return maps
+
+
+def test_pointer_jumping_decomposition_matches_the_walk(
+    system_pool, large_pool, chunk_systems
+):
+    """The decomposition by pointer jumping equals the atom-by-atom walk,
+    field for field: on the random pools, on maps of set shapes, each with
+    every atom supported and with every third atom null, and on a
+    10^5-atom random map whose null fifth is closed under preimage."""
+    gen = np.random.default_rng(2727)
+    systems = system_pool + large_pool + chunk_systems
+    for alpha in shape_maps():
+        m = np.ones(alpha.size)
+        systems.append(make_system(m, alpha))
+        m[1::3] = 0.0
+        systems.append(make_system(m, alpha))
+    n = 10**5
+    null = np.zeros(n, dtype=bool)
+    null[gen.choice(n, n // 5, replace=False)] = True
+    sup = np.flatnonzero(~null)
+    alpha = gen.integers(0, n, size=n)
+    alpha[sup] = gen.choice(sup, sup.size)
+    systems.append(make_system(np.where(null, 0.0, gen.uniform(0.5, 2.0, n)), alpha))
+    for s in systems:
+        got, want = s.decomposition, decompose_walk(s)
+        for field in dataclasses.fields(CycleDecomposition):
+            assert getattr(got, field.name) == getattr(want, field.name), (s.n, field)
 
 
 def test_alpha_power_examples():

@@ -430,6 +430,14 @@ def test_subgradient_draws_must_be_a_count(bad):
         subgradient(cycle3(), np.zeros(3), draws=bad)
 
 
+@pytest.mark.parametrize("bad", [True, -1, 2**64, 1.0, "3"])
+def test_subgradient_seed_must_be_a_64_bit_integer(bad):
+    """A bool, a negative or 65-bit integer, a float or a string seed raises
+    ``ValueError``, the rule of ``CertifyConfig`` and the CLI."""
+    with pytest.raises(ValueError, match="seed"):
+        subgradient(cycle3(), np.zeros(3), seed=bad)
+
+
 def test_chunked_subgradient_keeps_the_bits_of_one_sweep(monkeypatch, chunk_systems):
     """Draws swept in 8-row chunks give ``worst_violation`` the bits of one
     sweep over all of them, for draw counts around and well above a chunk.
