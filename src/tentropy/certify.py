@@ -7,15 +7,16 @@ the worst case.  A claim is an ``(observed, bound)`` pair that holds when
 ``observed <= bound``; tolerance bounds are the named constants of
 ``claims``, the same names the library's own assertions of those laws read,
 and go through ``CertifyConfig.threshold`` (so ``--tolerance`` overrides
-them); structural bounds are literal.  ``make_record`` derives every
-record's verdict (pass when all claims hold), residual (the largest excess
-over a bound, 0 exactly when the record passes) and repro (failing records
-only); the CLI builds its own records with it too.  The runner turns a
-``CertificateError`` (a failed claim) or ``ValueError`` raised by a check
-into a failed record with an infinite residual instead of a crash; any
-other exception propagates, and so does numpy's ``LinAlgError``: it
-subclasses ``ValueError``, but a singular linear system is a failure of the
-library, not bad input.
+them); structural bounds are literal.  A check reduces its observations
+with ``claims.max_of`` and ``min_of``, which keep a NaN.  ``make_record``
+derives every record's verdict (pass when all claims hold), residual (the
+largest excess over a bound, 0 exactly when the record passes) and repro
+(failing records only); the CLI builds its own records with it too.  The
+runner turns a ``CertificateError`` (a failed claim) or ``ValueError``
+raised by a check into a failed record with an infinite residual instead
+of a crash; any other exception propagates, and so does numpy's
+``LinAlgError``: it subclasses ``ValueError``, but a singular linear system
+is a failure of the library, not bad input.
 
 Draws are addressed by (seed, check, block) (``_Draws``): draw i is row
 i % 8 of block i // 8, so any draw is re-derived from (seed, check, i)
@@ -60,6 +61,8 @@ from .claims import (
     SLACK_TOL,
     SOLVER_SLACK_TOL,
     CertificateError,
+    max_of,
+    min_of,
 )
 from .entropy import (
     _horizon_problems,
@@ -235,7 +238,7 @@ def _check_young_global(system, cfg, draws):
     for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
         phis, weights = draws.fields(start, stop, _wide_potentials, random_invariant_weights)
         slacks = young_checks(system, phis, weights)
-        worst = min(worst, float(slacks.min()))
+        worst = min_of(worst, float(slacks.min()))
         tight += int((slacks <= SLACK_TOL).sum())
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
@@ -257,7 +260,7 @@ def _check_young_local(system, cfg, draws):
             _integers(1, 7), _integers(0, eps.size),
         )
         lhs, rhs = local_young_checks(system, phis, weights, ns, eps[picks])
-        worst = min(worst, min((lhs - rhs).tolist()))
+        worst = min_of(worst, float((lhs - rhs).min()))
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
         "claims": [(-worst, cfg.threshold(SOLVER_SLACK_TOL))],
@@ -269,7 +272,7 @@ def _check_vp_gap(system, cfg, draws):
     for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
         phis = draws.field(0, start, stop, _wide_potentials)
         gaps = variational_principle(system, phis).gap
-        worst = max(worst, float(np.abs(gaps).max()))
+        worst = max_of(worst, float(np.abs(gaps).max()))
     return {
         "values": {"draws": cfg.draws, "worst_gap": worst},
         "claims": [(worst, cfg.threshold(SLACK_TOL))],
@@ -284,8 +287,8 @@ def _check_vp_subgradient(system, cfg, draws):
         phis, seeds = draws.fields(start, stop, random_potentials, _integers(0, 2**63))
         for phi, seed in zip(phis, seeds.tolist()):
             res = subgradient(system, phi, draws=cfg.draws, seed=seed)
-            worst = max(worst, res.worst_violation)
-            identity = max(identity, res.tau_identity_residual)
+            worst = max_of(worst, res.worst_violation)
+            identity = max_of(identity, res.tau_identity_residual)
     tol = cfg.threshold(SLACK_TOL)
     return {
         "values": {
@@ -354,14 +357,15 @@ def _check_op_norm_oracle(system, cfg, draws):
             indicators = np.zeros((atoms.size, system.n))
             indicators[np.arange(atoms.size), atoms] = 1.0 / system.m[atoms]
             norms = _l1_norms(system, iterate(system, phi, indicators, n))
-            # an atom with no n-step preimage grows an indicator to zero
-            best = max(best, float(np.log(norms[norms > 0.0]).max(initial=-np.inf)))
-        worst_gap = max(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
+            # an atom with no n-step preimage grows an indicator to zero; a
+            # NaN norm is kept, so that the check fails
+            best = max_of(best, float(np.log(norms[norms != 0.0]).max(initial=-np.inf)))
+        worst_gap = max_of(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = np.exp(norm_log)
         for start, stop in _chunks(max(1, cfg.draws // 5), _chunk_rows(system.n)):
             grown = iterate(system, phi, draws.field(n, start, stop, random_unit_stack), n)
             excess = _l1_norms(system, grown) - value * (1.0 + SLACK_TOL)
-            worst_excess = max(worst_excess, float(excess.max()))
+            worst_excess = max_of(worst_excess, float(excess.max()))
     return {
         "values": {
             "indicator_gap": worst_gap,
@@ -381,8 +385,8 @@ def _check_gelfand(system, cfg, draws):
         phis = draws.field(0, start, stop, random_potentials)
         res = spectral_potential(system, phis, n_max=max(8, cfg.n_max))
         seq = res.norm_sequence
-        worst_below = min(worst_below, float((seq - res.value[:, None]).min()))
-        final_gap = max(final_gap, float(np.abs(seq[:, -1] - res.value).max()))
+        worst_below = min_of(worst_below, float((seq - res.value[:, None]).min()))
+        final_gap = max_of(final_gap, float(np.abs(seq[:, -1] - res.value).max()))
         flagged += int(res.flagged.sum())
     return {
         "values": {
@@ -402,7 +406,7 @@ def _check_power(system, cfg, draws):
         phis, ks = draws.fields(start, stop, random_potentials, _integers(1, 6))
         for k, rows in _horizon_rows(ks):
             res = power_gap(system, phis[rows], k)
-            worst = max(worst, float((res.scaled - res.power).max()))
+            worst = max_of(worst, float((res.scaled - res.power).max()))
             strict += int((res.gap > SLACK_TOL).sum())
     return {
         "values": {"draws": cfg.draws, "worst_excess": worst, "strict_gaps": strict},
@@ -417,7 +421,7 @@ def _check_properties(system, cfg, draws):
             start, stop, random_potentials, random_potentials, _uniform(), _uniform(-3.0, 3.0)
         )
         props = property_residuals(system, phis, psis, t=ts, shift=shifts)
-        worst = max(
+        worst = max_of(
             worst,
             float(props.monotonicity.max()),
             float(props.additive_homogeneity.max()),
@@ -437,7 +441,7 @@ def _check_coboundary(system, cfg, draws):
         phis, psis = draws.fields(start, stop, random_potentials, random_potentials)
         twisted = log_spectral_radius_batch(system, phis + psis[:, system.alpha] - psis)
         plain = log_spectral_radius_batch(system, phis)
-        worst = max(worst, float(np.abs(twisted - plain).max()))
+        worst = max_of(worst, float(np.abs(twisted - plain).max()))
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -452,7 +456,7 @@ def _check_submultiplicative(system, cfg, draws):
         phis, ns, ks = draws.fields(start, stop, random_potentials, horizon, horizon)
         # each draw's horizons n + k, n and k
         logs = _norm_logs(system, phis, np.stack([ns + ks, ns, ks]))
-        worst = max(worst, float((logs[0] - (logs[1] + logs[2])).max()))
+        worst = max_of(worst, float((logs[0] - (logs[1] + logs[2])).max()))
     return {
         "values": {"draws": rounds, "worst_log_excess": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -481,7 +485,7 @@ def _check_inner_certificate(system, cfg, draws):
             if sol.value == -np.inf:
                 divergent += 1
                 continue
-            worst = max(worst, abs(certificate_sup(problem, sol) - 1.0))
+            worst = max_of(worst, abs(certificate_sup(problem, sol) - 1.0))
             solved += 1
     return {
         "values": {"solved": solved, "divergent": divergent, "worst_sup_gap": worst},
@@ -506,7 +510,7 @@ def _check_near_minimizer(system, cfg, draws):
         members = _partition_members(draws, 4, start, stop, atomic, split)
         _require_partitions(members)
         bounds = near_minimizer_checks(system, members, weights, ns, widths[picks])
-        worst = min(
+        worst = min_of(
             worst, float(bounds.growth_slack.min()), float(bounds.pairing_slack.min())
         )
     return {
@@ -528,8 +532,8 @@ def _check_tau_routes(system, cfg, draws):
             dual = tau_dual(system, mu, cross_check=False)
             direct = tau_direct(system, mu, n_max=4, seed=seed)
             gap = direct.value - dual.value
-            low = min(low, gap)
-            high = max(high, gap)
+            low = min_of(low, gap)
+            high = max_of(high, gap)
     return {
         "values": {"draws": rounds, "smallest_gap": low, "largest_gap": high},
         "claims": [(-low, 0.0), (high, cfg.threshold(ROUTE_GAP_TOL))],
@@ -550,7 +554,7 @@ def _check_empirical(system, cfg, draws):
         for n, s, _ in orbit_sums(system, phis, int(ns.max())):
             rows = np.flatnonzero(ns == n)
             rhs[rows] = s[rows, xs[rows]] / n
-        worst = max(
+        worst = max_of(
             worst,
             float(np.abs(lhs - rhs).max()),
             float(np.abs(weights.sum(axis=1) - 1.0).max()),
@@ -563,28 +567,25 @@ def _check_empirical(system, cfg, draws):
 
 def _check_tv(system, cfg, draws):
     dec = system.decomposition
-    terminal = np.array(dec.terminal)
-    entry_time = np.array(dec.entry_time)
-    lengths = np.array([len(cyc) for cyc in dec.cycles])
-    cycle_of = np.array([-1 if c is None else c for c in dec.cycle_of])
+    lengths = np.bincount(dec.cycle_of[dec.cycle_of >= 0])
     worst_exact = 0.0
     worst_bound = -np.inf
     for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
         xs, ns = draws.fields(
             start, stop, _integers(0, system.n), _integers(1, 4 * system.n + 1)
         )
-        cycle = terminal[xs]
+        cycle = dec.terminal[xs]
         length = lengths[cycle]
-        entry = entry_time[xs]
+        entry = dec.entry_time[xs]
         # the uniform measure of each row's terminal cycle
-        uniform = np.where(cycle_of == cycle[:, None], 1.0 / length[:, None], 0.0)
+        uniform = np.where(dec.cycle_of == cycle[:, None], 1.0 / length[:, None], 0.0)
         weights = empirical_weights(system, xs, ns)
         tv = 0.5 * np.abs(weights - uniform).sum(axis=1)
         # on a cycle atom the distance has a closed form in n mod length
         r = ns % length
         exact = np.abs(tv - r * (length - r) / (ns * length))[entry == 0]
-        worst_exact = max(worst_exact, float(exact.max(initial=0.0)))
-        worst_bound = max(worst_bound, float((tv - (entry + length) / ns).max()))
+        worst_exact = max_of(worst_exact, float(exact.max(initial=0.0)))
+        worst_bound = max_of(worst_bound, float((tv - (entry + length) / ns).max()))
     return {
         "values": {
             "draws": cfg.draws,
@@ -611,7 +612,7 @@ def _check_estimate(system, cfg, draws):
             rep = verify_estimate(system, mu, float(eps), range(1, cfg.n_max + 1))
             branches.add(rep.branch)
             rows += len(rep.rows)
-            worst = max(worst, rep.worst_ratio)
+            worst = max_of(worst, rep.worst_ratio)
             if not rep.all_hold:
                 all_hold = False
                 if witness is None:
@@ -648,7 +649,7 @@ def _check_reduction(system, cfg, draws):
             cap = float(rel.max())
             fs = draws.field(i * cfg.n_max + n, 0, per_cell, random_unit_stack)
             vals = _hit_integrals(system, hits, an, fs)
-            worst = max(worst, float((vals - cap).max()))
+            worst = max_of(worst, float((vals - cap).max()))
     return {
         "values": {"worst_excess": worst, "per_cell": per_cell},
         "claims": [(worst, cfg.threshold(SLACK_TOL))],

@@ -136,6 +136,22 @@ class FiniteSystem:
         )
 
     @cached_property
+    def cycle_columns(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """The supported-cycle atoms in increasing order, and
+        ``cycle_groups`` with each atom replaced by its place in that list:
+        the groups of a stack that holds one column per supported-cycle
+        atom and no other.  A mask gives the order: a first ``np.sort``
+        call pages in about 0.26 MB of numpy's sort kernels."""
+        on = np.zeros(self.n, dtype=bool)
+        on[self.cycle_atom_index[0]] = True
+        atoms = np.flatnonzero(on)
+        place = np.empty(self.n, dtype=np.intp)
+        place[atoms] = np.arange(atoms.size)
+        return _frozen(atoms, dtype=np.intp), tuple(
+            (pos, _frozen(place[rows], dtype=np.intp)) for pos, rows in self.cycle_groups
+        )
+
+    @cached_property
     def validation(self) -> "ValidationReport":
         return validate(self)
 
@@ -205,16 +221,21 @@ def _pairings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CycleDecomposition:
     """Cycles of the endomap, each rotated to start at its smallest atom.
 
-    ``cycle_of`` is the cycle id for atoms sitting on a cycle and None for
-    tail atoms; ``terminal`` is the id of the cycle the orbit eventually
-    enters, and ``entry_time`` the number of steps until it does.
+    The per-atom fields are frozen intp arrays: ``cycle_of`` is the cycle id
+    for atoms sitting on a cycle and -1 for tail atoms; ``terminal`` is the
+    id of the cycle the orbit eventually enters, and ``entry_time`` the
+    number of steps until it does.
     """
 
     cycles: tuple[tuple[int, ...], ...]
-    cycle_of: tuple[int | None, ...]
-    entry_time: tuple[int, ...]
-    terminal: tuple[int, ...]
+    cycle_of: np.ndarray
+    entry_time: np.ndarray
+    terminal: np.ndarray
     supported: tuple[bool, ...]
+
+    def __post_init__(self):
+        for name in ("cycle_of", "entry_time", "terminal"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype=np.intp))
 
 
 def _decompose(system: FiniteSystem) -> CycleDecomposition:
@@ -249,9 +270,9 @@ def _decompose(system: FiniteSystem) -> CycleDecomposition:
     unsupported = np.bincount(cyc_id[~system.support[cyc]], minlength=lengths.size)
     return CycleDecomposition(
         cycles=tuple(tuple(listed[e - size : e]) for e, size in zip(ends, lengths.tolist())),
-        cycle_of=tuple(None if c < 0 else c for c in cycle_of.tolist()),
-        entry_time=tuple(entry.tolist()),
-        terminal=tuple(cycle_of[root].tolist()),
+        cycle_of=cycle_of,
+        entry_time=entry,
+        terminal=cycle_of[root],
         supported=tuple((unsupported == 0).tolist()),
     )
 
@@ -436,6 +457,15 @@ def _require_positive(values, what: str) -> None:
         raise ValueError(f"{what} must be finite and positive")
 
 
+def _require_potentials(values) -> np.ndarray:
+    """``values`` as a float array: ``ValueError`` if any value is NaN or
+    +inf.  A potential may be -inf, the log of a weight that vanishes."""
+    a = np.asarray(values, dtype=float)
+    if not np.all(a < np.inf):
+        raise ValueError("potential values must not be NaN or +inf")
+    return a
+
+
 def _columns(a: np.ndarray, idx) -> np.ndarray:
     """``a[..., idx]`` for one row or a (k, n) stack: entries idx of each row.
 
@@ -603,8 +633,24 @@ def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.shape[-1:] != (system.n,):
         raise ValueError("potential needs one value per atom")
+    return _group_means(system, phi, system.cycle_groups)
+
+
+def _cycle_column_lambdas(system: FiniteSystem, psis: np.ndarray) -> np.ndarray:
+    """``log_spectral_radius_batch`` of each row of a (k, C) stack given on
+    the C columns of ``system.cycle_columns`` alone, the supported-cycle
+    atoms in increasing order.  A cycle mean reads no other atom, so each
+    value has the bits of the call on any full-width row that agrees with
+    the row of ``psis`` on those atoms."""
+    return _group_means(system, psis, system.cycle_columns[1]).max(axis=1)
+
+
+def _group_means(system: FiniteSystem, phi: np.ndarray, groups) -> np.ndarray:
+    """The means of ``cycle_means`` from the (positions, index rows) pairs
+    of ``groups``: ``system.cycle_groups`` on full-width rows, or their
+    columns on rows that hold the cycle atoms alone."""
     out = np.empty(phi.shape[:-1] + (len(system.supported_cycle_arrays),))
-    for pos, rows in system.cycle_groups:
+    for pos, rows in groups:
         out[..., pos] = _index_sums(phi, rows) / rows.shape[1]
     return out
 

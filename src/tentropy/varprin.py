@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import SLACK_TOL, TIE_TOL, CertificateError
+from .claims import SLACK_TOL, TIE_TOL, CertificateError, max_of
 from .spectral import log_spectral_radius_batch
 from .system import (
     FULL,
@@ -23,10 +23,12 @@ from .system import (
     Functional,
     PartitionOfUnity,
     _chunk_rows,
+    _cycle_column_lambdas,
     _horizon,
     _pairings,
     _polytope_constraints,
     _require_invariant,
+    _require_potentials,
     _seed,
     cycle_means,
     cycle_measure,
@@ -232,12 +234,13 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
     and face, ``tau_dual`` runs once per distinct maximizing cycle (its
     value is a function of that vertex alone), and the pairing is
     ``w @ phi`` per row, so each gap keeps the bits of a call on its row
-    alone.
+    alone.  ``ValueError`` if a potential value is NaN or +inf
+    (``system._require_potentials``).
     """
     from .entropy import tau_dual
 
     require_valid(system)
-    phi = np.asarray(phi, dtype=float)
+    phi = _require_potentials(phi)
     phis = phi.reshape(-1, phi.shape[-1])
     vals = cycle_means(system, phis)
     lams = vals.max(axis=1)
@@ -307,33 +310,53 @@ def subgradient(
     """Subgradient of the spectral potential at phi, verified on random moves.
 
     The attainment identity tau(mu) = lambda(phi) - mu[phi] at the maximizer
-    mu is the gap ``variational_principle`` has just certified.  The draws
-    are swept in chunks of ``system._chunk_rows`` rows, each drawn from the
-    one generator stream and turned into its moves in place, so the sweep
-    holds O(``system._CHUNK_ENTRIES`` + N) floats and, with one BLAS
-    thread, every draw keeps the bits of one sweep over all of them.
-    ``ValueError`` unless draws is an integer of at least 0 and the seed
-    an integer (not a bool) in [0, 2**64) (``system._seed``).
+    mu is the gap ``variational_principle`` has just certified.  lambda(psi)
+    is the best mean of psi over the supported cycles and mu, the uniform
+    measure on one of them, charges no other atom, so a move psi ~ N(0, 4)
+    is drawn on the C supported-cycle atoms alone (``system.cycle_columns``,
+    in increasing order), and one exact count checks that mu charges
+    nothing off them.  Where every atom lies on a supported cycle, C = N
+    and the draws are those of one normal per atom.  The draws are swept
+    in chunks of ``system._chunk_rows(2 * C)`` rows (a draw holds its row
+    and the copy of its cycle atoms that the means gather), each drawn
+    from the one generator stream and turned into its moves in place, so
+    the sweep holds O(``system._CHUNK_ENTRIES`` + C) floats and, with one
+    BLAS thread, every draw keeps the bits of one sweep over all of them.
+    ``ValueError``
+    unless draws is an integer of at least 0, the seed an integer (not a
+    bool) in [0, 2**64) (``system._seed``) and no value of phi NaN or +inf;
+    ``CertificateError`` if the inequality fails or its worst violation or
+    the identity residual is NaN.
     """
     draws = _horizon(draws, least=0, what="draws")
     rng = np.random.default_rng(_seed(seed))
-    phi = np.asarray(phi, dtype=float)
+    phi = _require_potentials(phi)
     cert = variational_principle(system, phi)
     mu = cert.maximizer
     w = effective_weights(system, mu)
+    cols = system.cycle_columns[0]
+    w_cols = w[cols]
+    if np.count_nonzero(w) != np.count_nonzero(w_cols):
+        raise CertificateError("maximizer charges an atom off the supported cycles")
+    phi_cols = phi[cols]
     worst = -np.inf
-    step = _chunk_rows(system.n)
+    step = _chunk_rows(2 * cols.size)
     for start in range(0, draws, step):
-        psis = rng.normal(0.0, 2.0, size=(min(step, draws - start), system.n))
-        gains = log_spectral_radius_batch(system, psis) - cert.lambda_value
-        paired = np.subtract(psis, phi, out=psis) @ w
-        worst = max(worst, float((paired - gains).max()))
+        psis = rng.normal(0.0, 2.0, size=(min(step, draws - start), cols.size))
+        gains = _cycle_column_lambdas(system, psis) - cert.lambda_value
+        paired = np.subtract(psis, phi_cols, out=psis) @ w_cols
+        worst = max_of(worst, float((paired - gains).max()))
+    residual = abs(cert.gap)
+    if np.isnan(worst) or np.isnan(residual):
+        raise CertificateError(
+            f"subgradient check is NaN: violation {worst}, residual {residual}"
+        )
     if worst > SLACK_TOL:
         raise CertificateError(f"subgradient inequality violated by {worst}")
     return SubgradientResult(
         measure=mu,
         worst_violation=worst,
-        tau_identity_residual=abs(cert.gap),
+        tau_identity_residual=residual,
         draws=draws,
     )
 

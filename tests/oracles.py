@@ -7,6 +7,8 @@ squaring, at a memory cost of k**3 floats for k supported atoms;
 ``reference_power_rate`` the power side of ``power_gap`` read from the
 map's cycles by modular orbit arithmetic;
 ``empirical_walk`` walks one orbit step by step;
+``full_width_subgradient`` is ``subgradient``'s sweep with one normal drawn
+per atom;
 ``dual_descent_full_steps`` is the dual descent that rebuilds every cycle
 value and the tie set over all cycles at each step;
 ``log_preimage_mass_all_terms`` is the log push that takes every term,
@@ -19,15 +21,19 @@ import math
 import numpy as np
 
 from tentropy.claims import SLACK_TOL, TIE_TOL
+from tentropy.spectral import log_spectral_radius_batch
 from tentropy.system import (
     CycleDecomposition,
     FiniteSystem,
+    _chunk_rows,
     _columns,
     _stacked_bins,
     alpha_power,
+    effective_weights,
     require_valid,
     restrict_to_support,
 )
+from tentropy.varprin import variational_principle
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,7 +85,7 @@ def decompose_walk(system: FiniteSystem) -> CycleDecomposition:
     n = system.n
     alpha = system.alpha
     color = [0] * n  # 0 unseen, 1 on current path, 2 finished
-    cycle_of: list[int | None] = [None] * n
+    cycle_of = [-1] * n
     entry = [0] * n
     terminal = [0] * n
     raw_cycles: list[tuple[int, ...]] = []
@@ -114,19 +120,19 @@ def decompose_walk(system: FiniteSystem) -> CycleDecomposition:
             nxt = int(alpha[a])
             entry[a] = entry[nxt] + 1
             terminal[a] = terminal[nxt]
-            cycle_of[a] = None
+            cycle_of[a] = -1
 
     order = sorted(range(len(raw_cycles)), key=lambda c: raw_cycles[c][0])
     remap = {old: new for new, old in enumerate(order)}
     cycles = tuple(raw_cycles[old] for old in order)
-    cycle_of = [None if c is None else remap[c] for c in cycle_of]
+    cycle_of = [-1 if c < 0 else remap[c] for c in cycle_of]
     terminal = [remap[c] for c in terminal]
     supported = tuple(bool(all(system.support[a] for a in cyc)) for cyc in cycles)
     return CycleDecomposition(
         cycles=cycles,
-        cycle_of=tuple(cycle_of),
-        entry_time=tuple(entry),
-        terminal=tuple(terminal),
+        cycle_of=cycle_of,
+        entry_time=entry,
+        terminal=terminal,
         supported=supported,
     )
 
@@ -146,6 +152,38 @@ def reference_power_rate(system: FiniteSystem, psi, k: int) -> float:
         orbits = np.take_along_axis(orbits, (start + np.arange(size)) % size, axis=-1)
         best = max(best, float((psi[orbits].sum(axis=-1) / size).max()))
     return best
+
+
+def full_width_subgradient(
+    system: FiniteSystem, phi, draws: int, seed: int, background=None
+) -> float:
+    """``worst_violation`` of ``subgradient`` by the sweep that draws a
+    normal for every atom, in chunks of ``_chunk_rows(N)`` rows.
+
+    With ``background``, each chunk is drawn as ``subgradient`` draws it,
+    on the supported-cycle atoms alone, and scattered into the full-width
+    rows ``background(rows)`` returns; the sweep is the same.  A stream of
+    normals has the same values in any chunks.
+    """
+    rng = np.random.default_rng(seed)
+    phi = np.asarray(phi, dtype=float)
+    cert = variational_principle(system, phi)
+    mu = cert.maximizer
+    w = effective_weights(system, mu)
+    worst = -np.inf
+    cols = system.cycle_columns[0]
+    step = _chunk_rows(system.n)
+    for start in range(0, draws, step):
+        rows = min(step, draws - start)
+        if background is None:
+            psis = rng.normal(0.0, 2.0, size=(rows, system.n))
+        else:
+            psis = background(rows)
+            psis[:, cols] = rng.normal(0.0, 2.0, size=(rows, cols.size))
+        gains = log_spectral_radius_batch(system, psis) - cert.lambda_value
+        paired = np.subtract(psis, phi, out=psis) @ w
+        worst = max(worst, float((paired - gains).max()))
+    return worst
 
 
 def empirical_walk(system: FiniteSystem, x: int, n: int) -> np.ndarray:

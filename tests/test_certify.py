@@ -802,6 +802,51 @@ def test_certify_records_have_zero_residual_exactly_when_they_pass(system_pool):
             )
 
 
+def nan_at(values, i):
+    """A float copy of ``values`` with a NaN at index i."""
+    out = np.array(values, dtype=float)
+    out[i] = np.nan
+    return out
+
+
+def test_a_nan_in_one_draw_fails_its_check(monkeypatch):
+    """A NaN observed in one draw, not the first, fails the check and shows
+    in its values: the running reductions keep it, where built-in ``max``
+    and ``min`` keep their first argument against a NaN."""
+    s = twocyc()
+    cfg = CertifyConfig(seed=2)
+    young_checks = certify.young_checks
+    principle = certify.variational_principle
+    subgradient = certify.subgradient
+    seen = []
+
+    def nan_slack(system, phis, weights):
+        return nan_at(young_checks(system, phis, weights), 417)
+
+    def nan_gap(system, phis):
+        cert = principle(system, phis)
+        return dataclasses.replace(cert, gap=nan_at(cert.gap, 417))
+
+    def nan_violation(system, phi, draws, seed):
+        res = subgradient(system, phi, draws=draws, seed=seed)
+        seen.append(seed)
+        nan = float("nan") if len(seen) == 4 else res.worst_violation
+        return dataclasses.replace(res, worst_violation=nan)
+
+    for name, target, planted in (
+        ("young.global", "young_checks", nan_slack),
+        ("vp.gap", "variational_principle", nan_gap),
+        ("vp.subgradient", "subgradient", nan_violation),
+    ):
+        assert run_check(s, name, cfg)["verdict"] == "pass"
+        monkeypatch.setattr(certify, target, planted)
+        record = run_check(s, name, cfg)
+        monkeypatch.undo()
+        assert record["verdict"] == "fail", name
+        assert record["residual"] == np.inf
+        assert any(math.isnan(v) for v in record["values"].values() if isinstance(v, float))
+
+
 def test_a_failing_record_repros_the_suite_that_ran():
     """The repro of a failing record names ``cfg.suite``, the suite
     ``run_suite`` ran, so running it repeats that suite."""

@@ -5,7 +5,10 @@ import, no unread private name, and no call that a cheaper route replaces
 bit for bit."""
 
 import ast
+import math
 from pathlib import Path
+
+import numpy as np
 
 import tentropy
 from tentropy import claims
@@ -47,6 +50,21 @@ def test_the_table_imports_nothing():
     tree = ast.parse((SRC / "claims.py").read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert imports == []
+
+
+def test_running_reductions_keep_a_nan():
+    """``max_of`` and ``min_of`` give NaN when any value is NaN, in any
+    position, and otherwise the first of the equal extremes, as built-in
+    ``max`` and ``min`` do."""
+    nan = float("nan")
+    for values in ((nan, 1.0), (1.0, nan), (-np.inf, 2.0, nan), (np.inf, np.float64(nan))):
+        assert math.isnan(claims.max_of(*values))
+        assert math.isnan(claims.min_of(*values))
+    assert claims.max_of(-np.inf, 2.0, 1.0) == 2.0
+    assert claims.min_of(np.inf, 2.0, 1.0) == 1.0
+    assert math.copysign(1.0, claims.max_of(0.0, -0.0)) == 1.0
+    assert math.copysign(1.0, claims.min_of(-0.0, 0.0)) == -1.0
+    assert type(claims.max_of(np.float64(3.0))) is float
 
 
 def test_certificate_error_is_exported():

@@ -1,5 +1,6 @@
 """Divergence witnesses, Young-type inequality, and the dual principle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tentropy import entropy, system, varprin
 from tentropy.claims import CertificateError
-from tentropy.fixtures import cycle3, null_pair, twocyc
+from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import (
     perturbed_invariant,
     random_functional,
@@ -43,6 +44,8 @@ from tentropy.varprin import (
     young_check,
     young_checks,
 )
+
+from oracles import full_width_subgradient
 
 
 def ray_decays(system, mu, witness, ts=(1.0, 10.0, 100.0, 1000.0)):
@@ -451,17 +454,17 @@ def test_chunked_subgradient_keeps_the_bits_of_one_sweep(monkeypatch, chunk_syst
         for draws in (0, 1, 7, 8, 9, 100)
     ]
     assert max(s.n * draws for s, _, draws, _ in cases) == 6000
-    assert all(system._chunk_rows(s.n) >= 100 for s, *_ in cases)
+    assert all(system._chunk_rows(2 * s.cycle_columns[0].size) >= 100 for s, *_ in cases)
     want = [subgradient(s, phi, draws=d, seed=seed) for s, phi, d, seed in cases]
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
     sizes = []
-    batch = varprin.log_spectral_radius_batch
+    lambdas = varprin._cycle_column_lambdas
 
-    def sized_batch(s, phis):
-        sizes.append(len(phis))
-        return batch(s, phis)
+    def sized_lambdas(s, psis):
+        sizes.append(len(psis))
+        return lambdas(s, psis)
 
-    monkeypatch.setattr(varprin, "log_spectral_radius_batch", sized_batch)
+    monkeypatch.setattr(varprin, "_cycle_column_lambdas", sized_lambdas)
     for (s, phi, draws, seed), unchunked in zip(cases, want):
         sizes.clear()
         got = subgradient(s, phi, draws=draws, seed=seed)
@@ -469,6 +472,96 @@ def test_chunked_subgradient_keeps_the_bits_of_one_sweep(monkeypatch, chunk_syst
         assert got.worst_violation.hex() == unchunked.worst_violation.hex()
         assert got.draws == draws
     assert want[0].worst_violation == -np.inf
+
+
+def test_subgradient_on_cycle_atoms_keeps_the_bits_of_the_full_width_sweep(
+    chunk_systems,
+):
+    """Where every atom lies on a supported cycle, the draws on the cycle
+    atoms are the full-width draws: ``worst_violation`` has the bits of the
+    sweep that drew one normal per atom, for draw counts below, at and
+    above a chunk, on fixtures and on random permutations."""
+    gen = np.random.default_rng(2829)
+    systems = [twocyc(), cycle3(), *chunk_systems[:2]]
+    systems += [
+        make_system(gen.uniform(0.5, 2.0, n), gen.permutation(n)) for n in (1, 2, 5, 13, 40)
+    ]
+    for s in systems:
+        assert s.cycle_columns[0].size == s.n
+        for draws in (0, 1, 9, 100, 700):
+            phi = random_potential(gen, s)
+            seed = int(gen.integers(2**32))
+            got = subgradient(s, phi, draws=draws, seed=seed).worst_violation
+            want = full_width_subgradient(s, phi, draws, seed)
+            assert got.hex() == want.hex(), (s.n, draws)
+
+
+def test_subgradient_reads_no_value_off_the_supported_cycles(
+    chunk_systems, system_pool, large_pool
+):
+    """On systems with tails and null atoms, the cycle-atom draws scattered
+    into a background of +-1e6 on every other atom give the full-width
+    sweep the same ``worst_violation`` within 1e-15: no value off the
+    supported cycles is read."""
+    gen = np.random.default_rng(2830)
+
+    def background(rows, n):
+        return gen.choice([-1e6, 1e6], size=(rows, n))
+
+    systems = [tail(), null_pair(), chunk_systems[2], *system_pool, *large_pool]
+    systems = [s for s in systems if s.cycle_columns[0].size < s.n]
+    assert len(systems) >= 10
+    for s in systems:
+        for draws in (1, 100):
+            phi = random_potential(gen, s)
+            seed = int(gen.integers(2**32))
+            got = subgradient(s, phi, draws=draws, seed=seed).worst_violation
+            want = full_width_subgradient(
+                s, phi, draws, seed, background=lambda rows: background(rows, s.n)
+            )
+            assert abs(got - want) <= 1e-15, (s.n, draws, got, want)
+
+
+def test_subgradient_rejects_a_maximizer_off_the_supported_cycles(monkeypatch):
+    """A maximizer charging a tail atom fails the exact count of the
+    cycle-column check, with ``CertificateError``."""
+    s = tail()
+    subgradient(s, np.zeros(3), draws=5)
+    principle = varprin.variational_principle
+
+    def off_cycle(system, phi):
+        off = Functional(np.array([0.5, 0.5, 0.0]))
+        return dataclasses.replace(principle(system, phi), maximizer=off)
+
+    monkeypatch.setattr(varprin, "variational_principle", off_cycle)
+    with pytest.raises(CertificateError, match="off the supported cycles"):
+        subgradient(s, np.zeros(3), draws=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_potentials_reject_nan_and_plus_inf(bad):
+    """NaN and +inf at one atom raise ``ValueError`` in
+    ``variational_principle`` (on a single potential and in a stack) and in
+    ``subgradient``."""
+    s = twocyc()
+    phi = np.array([bad, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="potential"):
+        variational_principle(s, phi)
+    with pytest.raises(ValueError, match="potential"):
+        variational_principle(s, np.stack([np.zeros(4), phi]))
+    with pytest.raises(ValueError, match="potential"):
+        subgradient(s, phi, draws=3)
+
+
+def test_subgradient_fails_a_nan_claim():
+    """-inf is a valid potential value, but a maximizer's pairing with it
+    is 0 * -inf = NaN, and a NaN residual or violation fails the claim."""
+    s = twocyc()
+    phi = np.array([-np.inf, 0.0, 0.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(variational_principle(s, phi).gap)
+        with pytest.raises(CertificateError, match="NaN"):
+            subgradient(s, phi, draws=3)
 
 
 def test_subgradient_sweep_holds_one_chunk_of_draws(traced_peak):
