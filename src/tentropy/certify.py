@@ -113,6 +113,7 @@ from .system import (
     _require_partitions,
     _require_positive,
     _seed,
+    _transport,
     atomic_partition,
     functional,
     orbit_sums,
@@ -551,9 +552,9 @@ def _check_empirical(system, cfg, draws):
         # Birkhoff average of that potential read at the row's own horizon
         lhs = _pairings(weights, phis)
         rhs = np.empty(stop - start)
-        for n, s, _ in orbit_sums(system, phis, int(ns.max())):
-            rows = np.flatnonzero(ns == n)
-            rhs[rows] = s[rows, xs[rows]] / n
+        for n, rows in _horizon_rows(ns):
+            s, _ = _transport(system, phis[rows], n)
+            rhs[rows] = s[np.arange(rows.size), xs[rows]] / n
         worst = max_of(
             worst,
             float(np.abs(lhs - rhs).max()),

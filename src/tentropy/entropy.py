@@ -36,6 +36,7 @@ from .claims import (
     SOLVER_SLACK_TOL,
     TIE_TOL,
     CertificateError,
+    min_of,
 )
 from .spectral import _norm_log, log_spectral_radius_batch, op_norm
 from .system import (
@@ -492,7 +493,8 @@ def tau_direct(
     the fixed two are member arrays, validated by one stacked
     ``system._require_partitions`` test; only the achieving one is built
     as a ``PartitionOfUnity``.  ``ValueError`` unless the seed is an
-    integer (not a bool) in [0, 2**64) (``system._seed``).
+    integer (not a bool) in [0, 2**64) (``system._seed``);
+    ``CertificateError`` if a candidate bound is NaN.
     """
     require_valid(system)
     n_max = _horizon(n_max)
@@ -524,7 +526,9 @@ def tau_direct(
                 achieving_partition=PartitionOfUnity(members),
             )
         bounds.append((sol.value + sol.optimality_gap) / n + ROUNDOFF_TOL)
-    best = min(bounds)
+    best = min_of(*bounds)
+    if best != best:
+        raise CertificateError("a candidate bound of the direct route is NaN")
     # Bounds closer than the solver tolerance are ties, so report the first
     # of them rather than whichever one sub-tolerance noise put lowest.
     first = next(i for i, bound in enumerate(bounds) if bound <= best + DIRECT_TOL)

@@ -10,12 +10,11 @@ All norms are handled in log space so that potentials of size 10 and horizons
 in the hundreds stay finite.  A direct norm is one call to
 ``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
 pushes the e^(Birkhoff sum)-weighted masses of the supported atoms forward
-along alpha^n in linear time;
-one horizon reads its Birkhoff sums and alpha^n from one ``system._transport``
-call, in O(N log n) beyond ``system._WALK_HORIZON``.
-``norm_log_sequence`` gives the norms at every horizon up to n_max from one
-``system.orbit_sums`` walk, at one map step per horizon, for one potential
-or a stack of them.
+along alpha^n in linear time.
+One horizon reads its Birkhoff sums and alpha^n from the doubling tables of
+one ``system._transport`` call, in O(N log n); ``norm_log_sequence`` gives
+the norms at every horizon up to n_max from one ``system.orbit_sums`` walk,
+at one map step per horizon, for one potential or a stack of them.
 The spectral potential itself is the largest of ``system.cycle_means``, one
 gather over the cycle atoms per distinct cycle length.
 """
@@ -28,12 +27,12 @@ import numpy as np
 
 from .claims import ROUNDOFF_TOL, SLACK_TOL, TIE_TOL, CertificateError
 from .system import (
-    _WALK_HORIZON,
     FiniteSystem,
     _columns,
     _horizon,
     _horizon_rows,
     _pairings,
+    _require_potentials,
     _transport,
     alpha_power,
     cycle_means,
@@ -78,10 +77,11 @@ def apply(system: FiniteSystem, phi, f: L1Vector) -> L1Vector:
     """One application of the shift: e^phi times f after the map.
 
     It keeps its own step, independent of ``iterate``, which is checked
-    against repeated calls of it.
+    against repeated calls of it.  ``ValueError`` if a potential value is
+    NaN or +inf (``system._require_potentials``).
     """
     require_valid(system)
-    phi = np.asarray(phi, dtype=float)
+    phi = _require_potentials(phi)
     # an overflow leaves a non-finite entry, which l1_vector rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(phi) * f.values[system.alpha]
@@ -97,7 +97,8 @@ def iterate(system: FiniteSystem, phi, f, n: int) -> L1Vector | np.ndarray:
     leaves a non-finite entry raises ``ValueError``, as ``L1Vector`` does.
     ``CertificateError`` when some row misses the closed form e^(S_n phi)
     (f o alpha^n), read from one ``system._transport`` call, by more than
-    ``ROUNDOFF_TOL``; ``ValueError`` unless n is an integer of at least 1.
+    ``ROUNDOFF_TOL``; ``ValueError`` unless n is an integer of at least 1
+    and phi is a potential (``system._require_potentials``).
     """
     require_valid(system)
     phi = np.asarray(phi, dtype=float)
@@ -128,10 +129,10 @@ def op_norm_log(system: FiniteSystem, phi, n: int) -> float:
     The norm is the largest ratio, over supported atoms y, of the
     e^(Birkhoff sum)-weighted mass of the n-step preimage of y to the mass
     of y; the maximizing f is the normalized indicator of the best y.
-    Both arrays come from one ``system._transport`` call: up to
-    ``_WALK_HORIZON`` the value has the bits of ``norm_log_sequence``, and
-    beyond it doubling tables give it within roundoff in O(N log n).
-    ``ValueError`` unless n is an integer of at least 1.
+    Both arrays come from the doubling tables of one ``system._transport``
+    call, in O(N log n); ``norm_log_sequence``, read from the orbit walk,
+    agrees with it within roundoff.  ``ValueError`` unless n is an integer
+    of at least 1 and phi is a potential (``system._require_potentials``).
     """
     require_valid(system)
     return float(_norm_log(system, *_transport(system, phi, n)))
@@ -152,7 +153,8 @@ def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray):
 
 
 def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:
-    """``op_norm_log`` at n = 1..n_max, with its bits, from one orbit walk.
+    """The log norms of ``op_norm_log`` at n = 1..n_max from one orbit walk,
+    within roundoff of its doubling route.
 
     ``phi`` is one potential, giving an (n_max,) sequence, or a (k, n_atoms)
     stack walked together, giving a (k, n_max) array whose rows keep the
@@ -175,25 +177,16 @@ def _norm_logs(
     each horizon in that row's column of a (j, k) integer array, each value
     with the bits of its own call.
 
-    As in ``op_norm_log``, the horizons up to ``_WALK_HORIZON`` are read
-    from the steps of one ``orbit_sums`` walk of the stack and each longer
-    one from one ``_transport`` call; each horizon pushes only the rows
-    that need it.
+    As in ``op_norm_log``, each distinct horizon is read from one
+    ``_transport`` call on the rows that need it.
     """
     require_valid(system)
     out = np.empty(horizons.shape)
-    walk = orbit_sums(system, phis, min(int(horizons.max()), _WALK_HORIZON))
     for n, _ in _horizon_rows(horizons.ravel()):
         at = horizons == n
         rows = at.any(axis=0)
-        if n <= _WALK_HORIZON:
-            # the horizons come in increasing order, as the walk's steps do
-            s, an = next(step[1:] for step in walk if step[0] == n)
-            s = s[rows]
-        else:
-            s, an = _transport(system, phis[rows], n)
         norms = np.empty(rows.size)
-        norms[rows] = _norm_log(system, s, an)
+        norms[rows] = _norm_log(system, *_transport(system, phis[rows], n))
         np.copyto(out, norms, where=at)
     return out
 

@@ -6,16 +6,14 @@ operators to entropy functionals, runs on these systems, so this module also
 exposes the functional-graph structure of the map: every atom falls onto a
 unique terminal cycle, and the invariant probability functionals form the
 convex hull of the uniform measures sitting on cycles inside the support.
-Sweeps over consecutive horizons read the Birkhoff sums and the powers of
-the map from one walk, ``orbit_sums``, which takes one step per horizon.
-One horizon alone is read from ``_transport``: the walk up to
-``_WALK_HORIZON``, doubling tables in O(N log n) beyond it.
+One horizon reads its Birkhoff sums and power of the map from doubling
+tables, ``_transport``, in O(N log n); a sweep over every horizon 1..n_max
+reads them from one walk, ``orbit_sums``, which takes one step per horizon.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -327,8 +325,7 @@ def alpha_power(system: FiniteSystem, n: int) -> np.ndarray:
     """Index array of the n-fold composition of the map: the index half of
     the transport at horizon n, built by doubling in O(N log n) for every
     n >= 0.  Indices are exact, so it equals the ``alpha^n`` of the
-    ``orbit_sums`` walk at every horizon.  ``ValueError`` unless n is an
-    integer."""
+    ``orbit_sums`` walk.  ``ValueError`` unless n is an integer."""
     return _transport(system, None, n)[1]
 
 
@@ -461,7 +458,8 @@ def _require_potentials(values) -> np.ndarray:
     """``values`` as a float array: ``ValueError`` if any value is NaN or
     +inf.  A potential may be -inf, the log of a weight that vanishes."""
     a = np.asarray(values, dtype=float)
-    if not np.all(a < np.inf):
+    # the method form costs about 1 us less than np.all on a small array
+    if not (a < np.inf).all():
         raise ValueError("potential values must not be NaN or +inf")
     return a
 
@@ -477,17 +475,19 @@ def _columns(a: np.ndarray, idx) -> np.ndarray:
 
 
 def orbit_sums(system: FiniteSystem, phi, n_max: int):
-    """Yield (n, S_n phi, alpha^n) for n = 1..n_max, one map step per horizon.
+    """Yield (n, S_n phi, alpha^n) for n = 1..n_max, one map step per horizon:
+    the route of a sweep over every horizon.
 
-    S_n phi adds the orbit terms left to right; ``birkhoff`` has these bits
-    up to ``_WALK_HORIZON`` and agrees within roundoff beyond it.  The
-    yielded arrays are never written to afterwards, so callers may keep them.
-    ``phi`` is one potential or a (k, n_atoms) stack walked together, each
-    row with the bits of its own walk.  ``ValueError`` unless n_max is an
-    integer, raised when the walk starts.
+    S_n phi adds the orbit terms left to right, and ``birkhoff``, which
+    reads one horizon from doubling tables, agrees with it within roundoff.
+    The yielded arrays are never written to afterwards, so callers may keep
+    them.  ``phi`` is one potential or a (k, n_atoms) stack walked
+    together, each row with the bits of its own walk.  ``ValueError``
+    unless n_max is an integer and phi is a potential
+    (``_require_potentials``), raised when the walk starts.
     """
     n_max = _horizon(n_max, least=0)
-    phi = np.asarray(phi, dtype=float)
+    phi = _require_potentials(phi)
     s = phi.astype(float, copy=True)
     an = system.alpha
     for n in range(1, n_max + 1):
@@ -498,39 +498,28 @@ def orbit_sums(system: FiniteSystem, phi, n_max: int):
 
 
 def birkhoff(system: FiniteSystem, phi, n: int) -> np.ndarray:
-    """Sum of the potential along the first n orbit points of each atom.
-
-    Up to ``_WALK_HORIZON`` this is the last Birkhoff sum of ``orbit_sums``,
-    with its bits; beyond it the sums come from doubling tables and agree
-    with the walk within roundoff.  ``ValueError`` unless n is an integer
-    of at least 1.
+    """Sum of the potential along the first n orbit points of each atom,
+    from the doubling tables of ``_transport``; the ``orbit_sums`` walk
+    agrees with it within roundoff.  ``ValueError`` unless n is an integer
+    of at least 1 and phi is a potential (``_require_potentials``).
     """
     return _transport(system, phi, n)[0]
 
 
-# Horizons up to this one are read from the orbit walk and keep its bits;
-# longer ones are built by doubling.  Every certify horizon at default
-# settings lies below it.
-_WALK_HORIZON = 64
-
-
 def _transport(system: FiniteSystem, phi, n) -> tuple[np.ndarray | None, np.ndarray]:
-    """(S_n phi, alpha^n) at one horizon n, the route set by n alone.
+    """(S_n phi, alpha^n) at one horizon n, by doubling in O(N log n).
 
-    Up to ``_WALK_HORIZON`` both come from the last item of the
-    ``orbit_sums`` walk, with its bits.  Beyond it, binary lifting carries
-    the tables (S_(2^k) phi, alpha^(2^k)) and folds in one of them per set
-    bit of n, in O(N log n): S_(m+2^k) = S_m + S_(2^k) o alpha^m.  ``phi``
-    is one potential or a (k, n_atoms) stack read through ``_columns``, so
-    each row keeps the bits of its own call on either route; ``phi=None``
-    builds the index half alone, by doubling at every n >= 0.  The
-    returned arrays are never written to afterwards.
+    Binary lifting carries the tables (S_(2^k) phi, alpha^(2^k)) and folds
+    in one of them per set bit of n: S_(m+2^k) = S_m + S_(2^k) o alpha^m.
+    ``phi`` is one potential or a (k, n_atoms) stack read through
+    ``_columns``, so each row keeps the bits of its own call; ``phi=None``
+    builds the index half alone, at every n >= 0.  ``ValueError`` unless
+    phi is a potential (``_require_potentials``).  The returned arrays are
+    new and never written to afterwards.
     """
     n = _horizon(n, least=0 if phi is None else 1)
     if phi is not None:
-        phi = np.asarray(phi, dtype=float)
-        if n <= _WALK_HORIZON:
-            return deque(orbit_sums(system, phi, n), maxlen=1)[0][1:]
+        phi = _require_potentials(phi)
     s = None
     an = np.arange(system.n, dtype=np.intp)
     table, step = phi, system.alpha
@@ -544,6 +533,8 @@ def _transport(system: FiniteSystem, phi, n) -> tuple[np.ndarray | None, np.ndar
             if phi is not None:
                 table = table + _columns(table, step)
             step = step[step]
+    if phi is not None and s is phi:
+        s = phi.copy()  # n = 1: hand back S_1 phi, not the caller's array
     return s, an
 
 
@@ -628,9 +619,10 @@ def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
     such mean, so this costs one gather over the cycle atoms per distinct
     cycle length.  Each mean adds its cycle's terms in the order of
     ``phi[idx].mean()`` and gives the same bits, in every row of a batch.
-    ``ValueError`` unless phi has one value per atom.
+    ``ValueError`` unless phi has one value per atom and is a potential
+    (``_require_potentials``).
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _require_potentials(phi)
     if phi.shape[-1:] != (system.n,):
         raise ValueError("potential needs one value per atom")
     return _group_means(system, phi, system.cycle_groups)

@@ -28,7 +28,6 @@ from .system import (
     _pairings,
     _polytope_constraints,
     _require_invariant,
-    _require_potentials,
     _seed,
     cycle_means,
     cycle_measure,
@@ -234,13 +233,13 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
     and face, ``tau_dual`` runs once per distinct maximizing cycle (its
     value is a function of that vertex alone), and the pairing is
     ``w @ phi`` per row, so each gap keeps the bits of a call on its row
-    alone.  ``ValueError`` if a potential value is NaN or +inf
-    (``system._require_potentials``).
+    alone.  ``ValueError`` if a potential value is NaN or +inf, as
+    ``cycle_means`` tests (``system._require_potentials``).
     """
     from .entropy import tau_dual
 
     require_valid(system)
-    phi = _require_potentials(phi)
+    phi = np.asarray(phi, dtype=float)
     phis = phi.reshape(-1, phi.shape[-1])
     vals = cycle_means(system, phis)
     lams = vals.max(axis=1)
@@ -330,7 +329,7 @@ def subgradient(
     """
     draws = _horizon(draws, least=0, what="draws")
     rng = np.random.default_rng(_seed(seed))
-    phi = _require_potentials(phi)
+    phi = np.asarray(phi, dtype=float)
     cert = variational_principle(system, phi)
     mu = cert.maximizer
     w = effective_weights(system, mu)

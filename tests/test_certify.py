@@ -555,8 +555,9 @@ def test_property_and_power_checks_make_no_scalar_lambda_calls(monkeypatch):
 def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
     """young.global runs no scalar tau_dual or lambda on essential draws;
     vp.gap runs tau_dual at most once per supported cycle; and
-    local_young_checks walks once per horizon of a call, with no other
-    orbit walk, and builds that horizon's inner problems with one call."""
+    local_young_checks makes one ``_transport`` call per horizon of a call,
+    with no orbit walk, and builds that horizon's inner problems with one
+    call."""
     s = twelve_atoms()
     cfg = CertifyConfig(seed=5)
     duals = counting(monkeypatch, entropy, "tau_dual")
@@ -568,12 +569,13 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
     assert len({id(args[1]) for args in duals}) == len(duals)
 
     walks = counting(monkeypatch, system, "orbit_sums")
+    transports = counting(monkeypatch, entropy, "_transport")
     births = counting(monkeypatch, entropy, "birkhoff")
     norms = counting(monkeypatch, entropy, "_norm_log")
     stacks = counting(monkeypatch, entropy, "inner_problems")
     gen = np.random.default_rng(73)
     for horizons in ([1, 3, 3, 5, 1, 6, 3], [2], [4, 4]):
-        walks.clear()
+        transports.clear()
         norms.clear()
         stacks.clear()
         phis = np.empty((len(horizons), s.n))
@@ -582,9 +584,9 @@ def test_young_and_vp_checks_make_no_per_draw_calls(monkeypatch):
             phis[i] = random_potential(gen, s)
             weights[i] = random_invariant(gen, s).weights
         local_young_checks(s, phis, weights, horizons, np.full(len(horizons), 0.5))
-        assert sorted(args[2] for args in walks) == sorted(set(horizons))
-        assert len(norms) == len(stacks) == len(walks)
-    assert len(births) == 0
+        assert [args[2] for args in transports] == sorted(set(horizons))
+        assert len(norms) == len(stacks) == len(transports)
+    assert len(births) == len(walks) == 0
 
 
 def test_dichotomy_and_oracle_checks_evaluate_stacks(monkeypatch):
@@ -717,9 +719,13 @@ def test_near_minimizer_and_orbit_checks_evaluate_stacks(monkeypatch):
 
     calls = counting(monkeypatch, entstat, "empirical")
     walks = counting(monkeypatch, certify, "orbit_sums")
+    transports = counting(monkeypatch, certify, "_transport")
     cfg = CertifyConfig(seed=5)
     assert run_check(s, "entstat.empirical", cfg)["verdict"] == "pass"
-    assert [args[1].shape for args in walks] == [(1000, s.n)]
+    # one transport per distinct horizon of the one chunk, and no walk
+    assert walks == []
+    assert [args[2] for args in transports] == list(range(1, cfg.n_max + 1))
+    assert sum(len(args[1]) for args in transports) == 1000
     assert run_check(s, "entstat.tv", cfg)["verdict"] == "pass"
     assert calls == [] and "empirical" not in vars(certify)
 
@@ -745,10 +751,10 @@ def test_inner_certificate_builds_its_problems_per_horizon(monkeypatch):
 
 def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
     """lemma.gelfand makes one stacked ``spectral_potential`` call and
-    lemma.submultiplicative no ``op_norm_log`` call per chunk of
-    ``system._chunk_rows`` draws, rather than one per draw; with 8-row
-    chunks both records keep their bytes, at the default horizons and at
-    ``n_max`` 40, whose sums n + k reach past ``system._WALK_HORIZON``."""
+    lemma.submultiplicative no ``op_norm_log`` call, but one ``_transport``
+    call per distinct horizon, per chunk of ``system._chunk_rows`` draws,
+    rather than one per draw; with 8-row chunks both records keep their
+    bytes, at the default horizons and at ``n_max`` 40."""
     s = twelve_atoms()
     # 100 draws of each check
     configs = [
@@ -763,10 +769,14 @@ def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
     potentials = counting(monkeypatch, certify, "spectral_potential")
     norms = [counting(monkeypatch, m, "op_norm_log") for m in (certify, spectral)]
     walks = counting(monkeypatch, spectral, "orbit_sums")
+    transports = counting(monkeypatch, spectral, "_transport")
+    grids = counting(monkeypatch, certify, "_norm_logs")
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
     for cfg in configs:
         potentials.clear()
         walks.clear()
+        transports.clear()
+        grids.clear()
         for name in names:
             record = run_check(s, name, cfg)
             assert record["verdict"] == "pass", (name, record)
@@ -774,9 +784,17 @@ def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
         chunks = [(8, s.n)] * 12 + [(4, s.n)]
         assert [args[1].shape for args in potentials] == chunks
         assert norms == [[], []]
-        # one walk per chunk in each check
-        assert [args[1].shape for args in walks] == chunks * 2
-    assert max(args[2] for args in walks[13:]) == spectral._WALK_HORIZON
+        # one walk per chunk of gelfand's stacked spectral potential
+        assert [args[1].shape for args in walks] == chunks
+        # one transport per distinct horizon of each submultiplicative chunk,
+        # on the rows that need it
+        assert [args[1].shape for args in grids] == chunks
+        want_calls = [
+            (n, int((horizons == n).any(axis=0).sum()))
+            for _, _, horizons in grids
+            for n in sorted(set(horizons.ravel().tolist()))
+        ]
+        assert [(args[2], len(args[1])) for args in transports] == want_calls
 
 
 def test_make_record_derives_verdict_residual_and_repro():

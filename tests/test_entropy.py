@@ -1,5 +1,6 @@
 """Inner maximization, t-entropy routes, and the near-minimizing potential."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -391,6 +392,23 @@ def test_tau_direct_reports_first_candidate_within_tol(monkeypatch, system_pool)
         )
         assert bounds[first] <= r.value + tol
         assert all(bound > r.value + tol for bound in bounds[:first])
+
+
+@pytest.mark.parametrize("planted", [0, 5])
+def test_tau_direct_fails_a_nan_bound(monkeypatch, planted):
+    """A NaN inner value makes its candidate bound NaN, which fails the
+    direct route whether it is the first candidate or a later one."""
+    solve = entropy.maximize_inner_batch
+
+    def planting_solve(problems, tol):
+        solutions = solve(problems, tol)
+        solutions[planted] = dataclasses.replace(solutions[planted], value=math.nan)
+        return solutions
+
+    monkeypatch.setattr(entropy, "maximize_inner_batch", planting_solve)
+    s = twocyc()
+    with pytest.raises(CertificateError, match="NaN"):
+        tau_direct(s, functional(s, np.full(4, 0.25)), n_max=3)
 
 
 def test_tau_direct_diverges_on_null_charge():

@@ -29,7 +29,6 @@ from tentropy.spectral import (
 )
 from tentropy.spectral import _norm_log, _norm_logs
 from tentropy.system import (
-    _WALK_HORIZON,
     _transport,
     alpha_power,
     birkhoff,
@@ -270,26 +269,33 @@ def test_spectral_potential_sequence_approaches_from_above(system_pool, large_po
         assert not r.flagged
         seq = np.asarray(r.norm_sequence)
         assert np.all(seq >= r.value - 1e-9), "Gelfand sequence dipped below limit"
-        # one orbit walk gives the bits of the one-horizon routes, and its
-        # sums add the orbit terms left to right
+        # the orbit walk adds the orbit terms left to right and has the
+        # exact powers of the map; the one-horizon routes read doubling
+        # tables, agree with it within roundoff and, as it does, hand back
+        # new arrays
         walk = list(orbit_sums(s, phi, 20))
         assert [n for n, _, _ in walk] == list(range(1, 21))
+        logs = norm_log_sequence(s, phi, 20)
         total, pos = phi.copy(), s.alpha
         for n, sums, an in walk:
             assert np.array_equal(sums, total) and np.array_equal(an, pos)
-            assert np.array_equal(sums, birkhoff(s, phi, n))
             assert np.array_equal(an, alpha_power(s, n))
-            assert seq[n - 1] == op_norm_log(s, phi, n) / n
+            one = birkhoff(s, phi, n)
+            assert not np.shares_memory(one, phi)
+            scale = np.maximum(1.0, np.abs(sums))
+            assert np.all(np.abs(one - sums) <= ROUNDOFF_TOL * scale)
+            want = logs[n - 1]
+            assert abs(op_norm_log(s, phi, n) - want) <= ROUNDOFF_TOL * max(1.0, abs(want))
             total = total + phi[pos]
             pos = s.alpha[pos]
-        assert np.array_equal(norm_log_sequence(s, phi, 20) / np.arange(1, 21), seq)
+        assert np.array_equal(logs / np.arange(1, 21), seq)
 
 
 def test_stacked_spectral_potential_and_norms_keep_row_bits(system_pool, large_pool):
     """``spectral_potential`` and ``norm_log_sequence`` on a (k, N) stack
     give every row the fields and bits of its own call, and ``_norm_logs``
-    reads each row's horizons, up to ``_WALK_HORIZON`` and beyond it, with
-    the bits of ``op_norm_log``."""
+    reads each row's horizons, short and long, with the bits of
+    ``op_norm_log``."""
     gen = np.random.default_rng(2301)
     for s in system_pool[::3] + large_pool:
         phis = gen.uniform(-2.0, 2.0, size=(5, s.n))
@@ -305,9 +311,8 @@ def test_stacked_spectral_potential_and_norms_keep_row_bits(system_pool, large_p
             assert bool(stack.flagged[r]) == one.flagged
             assert stack.norm_sequence[r].tobytes() == one.norm_sequence.tobytes()
             assert seqs[r].tobytes() == norm_log_sequence(s, phi, 12).tobytes()
-        longest = _WALK_HORIZON + 1
-        horizons = gen.choice([1, 5, 24, _WALK_HORIZON, longest, 100], size=(3, 5))
-        horizons[0, :2] = longest, 100
+        horizons = gen.choice([1, 5, 24, 64, 65, 100], size=(3, 5))
+        horizons[0, :2] = 65, 100
         logs = _norm_logs(s, phis, horizons)
         for (j, r), n in np.ndenumerate(horizons):
             assert logs[j, r] == op_norm_log(s, phis[r], int(n))
@@ -334,11 +339,9 @@ FAR_HORIZONS = (64, 65, 100, 1024)
 
 
 def test_far_horizons_agree_with_the_walk(system_pool, large_pool):
-    """One horizon alone keeps the walk's bits up to the walk horizon and
-    agrees with it within roundoff beyond, where doubling tables build it;
-    the powers of the map are exact at every horizon, and a stacked row
-    keeps the bits of its own call on both routes."""
-    assert _WALK_HORIZON == 64
+    """One horizon alone, built from doubling tables, agrees with the walk
+    within roundoff; the powers of the map are exact at every horizon, and
+    a stacked row keeps the bits of its own call."""
     gen = np.random.default_rng(1717)
     for s in system_pool + large_pool + [random_map(gen, 10_000)]:
         phis = gen.uniform(-2, 2, size=(3, s.n))
@@ -352,13 +355,9 @@ def test_far_horizons_agree_with_the_walk(system_pool, large_pool):
                 assert row.tobytes() == single.tobytes()
                 norm = op_norm_log(s, phi, n)
                 want = walk_norm_log(s, walked, an)
-                if n <= _WALK_HORIZON:
-                    assert single.tobytes() == walked.tobytes()
-                    assert norm == want
-                else:
-                    scale = np.maximum(1.0, np.abs(walked))
-                    assert np.all(np.abs(single - walked) <= ROUNDOFF_TOL * scale)
-                    assert abs(norm - want) <= ROUNDOFF_TOL * max(1.0, abs(want))
+                scale = np.maximum(1.0, np.abs(walked))
+                assert np.all(np.abs(single - walked) <= ROUNDOFF_TOL * scale)
+                assert abs(norm - want) <= ROUNDOFF_TOL * max(1.0, abs(want))
 
 
 def test_the_norm_pushes_supported_terms_with_the_bits_of_every_term(large_pool):
@@ -366,7 +365,8 @@ def test_the_norm_pushes_supported_terms_with_the_bits_of_every_term(large_pool)
     push of every atom, in which a null atom's term is -inf and adds an
     exact zero: on null atoms that map onto supported ones, on supported
     atoms reached only from null ones, on (k, N) stacks, on potentials
-    scaled by 300, at horizons 1..24 and at 100 (the doubling route)."""
+    scaled by 300: on the walk's sums at horizons 1..24, and in
+    ``op_norm_log`` on the doubling sums at those horizons and at 100."""
     # null 3 -> supported 0 and null 4 -> null 3; supported 5 is reached
     # only from null 6
     feed = make_system([1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0], [1, 2, 0, 0, 3, 1, 5])
@@ -380,12 +380,12 @@ def test_the_norm_pushes_supported_terms_with_the_bits_of_every_term(large_pool)
             for n, sums, an in orbit_sums(s, phis, 24):
                 want = norm_log_all_terms(s, sums, an)
                 assert _norm_log(s, sums, an).tobytes() == want.tobytes()
-                for r, phi in enumerate(phis):
+                for r in range(len(phis)):
                     assert seqs[r][n - 1] == want[r]
-                    assert op_norm_log(s, phi, n) == want[r]
             for phi in phis:
-                want = norm_log_all_terms(s, *_transport(s, phi, 100))
-                assert op_norm_log(s, phi, 100) == want
+                for n in (*range(1, 25), 100):
+                    want = norm_log_all_terms(s, *_transport(s, phi, n))
+                    assert op_norm_log(s, phi, n) == want
 
 
 def test_a_horizon_no_walk_can_reach():

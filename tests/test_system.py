@@ -1,12 +1,14 @@
 """Construction, validation and cycle structure of finite systems."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tentropy as tp
 from tentropy.fixtures import cycle3, null_pair, tail, twocyc
 from tentropy.sampling import random_invariant, random_partition_members, random_system
 from tentropy.system import (
@@ -545,3 +547,52 @@ def test_random_system_always_valid(seed):
     s = random_system(gen)
     assert validate(s).valid
     assert 1 <= s.n <= 8
+
+
+def _uniform(s):
+    return functional(s, np.full(s.n, 1.0 / s.n))
+
+
+# Every export that takes a potential, called with ``phi`` on twocyc.
+POTENTIAL_EXPORTS = {
+    "orbit_sums": lambda s, phi: list(tp.orbit_sums(s, phi, 2)),
+    "birkhoff": lambda s, phi: tp.birkhoff(s, phi, 2),
+    "cycle_means": lambda s, phi: tp.cycle_means(s, phi),
+    "apply": lambda s, phi: tp.apply(s, phi, tp.l1_vector(s, np.ones(s.n))),
+    "iterate": lambda s, phi: tp.iterate(s, phi, tp.l1_vector(s, np.ones(s.n)), 2),
+    "op_norm_log": lambda s, phi: tp.op_norm_log(s, phi, 2),
+    "op_norm": lambda s, phi: tp.op_norm(s, phi, 2),
+    "norm_log_sequence": lambda s, phi: tp.norm_log_sequence(s, phi, 2),
+    "log_spectral_radius": lambda s, phi: tp.log_spectral_radius(s, phi),
+    "log_spectral_radius_batch": lambda s, phi: tp.log_spectral_radius_batch(s, phi[None]),
+    "spectral_potential": lambda s, phi: tp.spectral_potential(s, phi, n_max=2),
+    "power_gap": lambda s, phi: tp.power_gap(s, phi, 2),
+    "property_residuals": lambda s, phi: tp.property_residuals(s, np.zeros(s.n), phi),
+    "oscillation_partition": lambda s, phi: tp.oscillation_partition(s, phi, 2, 0.5),
+    "local_young_check": lambda s, phi: tp.local_young_check(s, phi, _uniform(s), 2, 0.5),
+    "local_young_checks": lambda s, phi: tp.local_young_checks(
+        s, phi[None], _uniform(s).weights[None], [2], [0.5]
+    ),
+    "growth_constant": lambda s, phi: tp.growth_constant(s, phi, 0.5),
+    "young_check": lambda s, phi: tp.young_check(s, phi, _uniform(s)),
+    "young_checks": lambda s, phi: tp.young_checks(s, phi[None], _uniform(s).weights[None]),
+    "variational_principle": lambda s, phi: tp.variational_principle(s, phi),
+    "subgradient": lambda s, phi: tp.subgradient(s, phi, draws=3),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(POTENTIAL_EXPORTS))
+def test_every_export_takes_potentials_from_one_domain(name, bad):
+    """Every export that takes a potential raises ``ValueError`` on a NaN
+    or +inf value, through ``_transport``, ``orbit_sums`` or
+    ``cycle_means``, and never a numpy warning first; -inf is a potential
+    value, the log of a vanishing weight."""
+    s = twocyc()
+    with pytest.raises(ValueError, match="potential"):
+        POTENTIAL_EXPORTS[name](s, np.array([0.0, bad, 0.0, 0.0]))
+    phi = np.array([0.3, -np.inf, -np.inf, 0.1])
+    assert tp.op_norm_log(s, phi, 1) == 0.3
+    assert all(tp.op_norm_log(s, phi, n) == -np.inf for n in (2, 3, 64, 100))
+    assert tp.log_spectral_radius(s, phi) == -np.inf
