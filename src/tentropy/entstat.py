@@ -7,9 +7,11 @@ when tau diverges).  The atoms whose horizon-n empirical measures land in
 O(mu) form the hitting set X_n, and the mass that X_n contributes to n-step
 preimages obeys an exponential bound with the t-entropy in the exponent.
 Everything here is exact enumeration; the only analytic input is the growth
-constant of the shift norms.  Horizon sweeps (the growth constant and the
-estimate grid) read one ``system.orbit_sums`` walk, and the grid comes back
-as one NumPy record (structured) array with a row per (horizon, atom).
+constant of the shift norms.  The growth constant reads its norms from the
+transfer sweep of ``spectral.norm_log_sequence``; the estimate grid needs
+the per-atom Birkhoff sums at every horizon and reads them from one
+``system.orbit_sums`` walk, and it comes back as one NumPy record
+(structured) array with a row per (horizon, atom).
 """
 
 from __future__ import annotations

@@ -7,14 +7,15 @@ the exponential growth rate of the norms, the spectral potential, is a
 maximum of plain averages of phi over cycles inside the support.
 
 All norms are handled in log space so that potentials of size 10 and horizons
-in the hundreds stay finite.  A direct norm is one call to
-``system.log_preimage_mass``, the log form of ``system.preimage_mass``, which
-pushes the e^(Birkhoff sum)-weighted masses of the supported atoms forward
-along alpha^n in linear time.
-One horizon reads its Birkhoff sums and alpha^n from the doubling tables of
-one ``system._transport`` call, in O(N log n); ``norm_log_sequence`` gives
-the norms at every horizon up to n_max from one ``system.orbit_sums`` walk,
-at one map step per horizon, for one potential or a stack of them.
+in the hundreds stay finite.  Every norm has two routes.  One horizon reads
+its Birkhoff sums and alpha^n from the doubling tables of one
+``system._transport`` call, in O(N log n), and pushes the e^(Birkhoff
+sum)-weighted masses of the supported atoms forward along alpha^n with one
+call to ``system.log_preimage_mass``, the log form of
+``system.preimage_mass``.  ``norm_log_sequence`` gives the norms at every
+horizon up to n_max from the transfer operator, the adjoint of the shift:
+it pushes the masses one map step per horizon over the image of alpha^n,
+which shrinks with n, for one potential or a stack of them.
 The spectral potential itself is the largest of ``system.cycle_means``, one
 gather over the cycle atoms per distinct cycle length.
 """
@@ -31,13 +32,13 @@ from .system import (
     _columns,
     _horizon,
     _horizon_rows,
+    _log_push,
     _pairings,
     _require_potentials,
     _transport,
     alpha_power,
     cycle_means,
     log_preimage_mass,
-    orbit_sums,
     require_valid,
 )
 
@@ -130,9 +131,10 @@ def op_norm_log(system: FiniteSystem, phi, n: int) -> float:
     e^(Birkhoff sum)-weighted mass of the n-step preimage of y to the mass
     of y; the maximizing f is the normalized indicator of the best y.
     Both arrays come from the doubling tables of one ``system._transport``
-    call, in O(N log n); ``norm_log_sequence``, read from the orbit walk,
-    agrees with it within roundoff.  ``ValueError`` unless n is an integer
-    of at least 1 and phi is a potential (``system._require_potentials``).
+    call, in O(N log n); ``norm_log_sequence``, read from the transfer
+    operator, agrees with it within roundoff.  ``ValueError`` unless n is
+    an integer of at least 1 and phi is a potential
+    (``system._require_potentials``).
     """
     require_valid(system)
     return float(_norm_log(system, *_transport(system, phi, n)))
@@ -153,20 +155,46 @@ def _norm_log(system: FiniteSystem, s: np.ndarray, an: np.ndarray):
 
 
 def norm_log_sequence(system: FiniteSystem, phi, n_max: int) -> np.ndarray:
-    """The log norms of ``op_norm_log`` at n = 1..n_max from one orbit walk,
-    within roundoff of its doubling route.
+    """The log norms of ``op_norm_log`` at n = 1..n_max from the transfer
+    operator, within roundoff of its doubling route.
+
+    The transfer step (L u)(z) = sum over alpha(y) = z of e^phi(y) u(y),
+    from u_0 = m, gives u_n(y) = the e^(S_n phi)-weighted mass of the
+    n-step preimage of y, so ||A^n|| = max over y of u_n(y) / m(y).  u_n
+    lives on the image of the support under alpha^n, which shrinks with n.
+    Each step pushes the log-masses of that image one map step with the
+    arithmetic of ``system.log_preimage_mass``, in bins compacted to the
+    next image, so it costs O(|image|) and not O(n_atoms); a marker array
+    of atom places, reused from step to step, compacts the bins.
 
     ``phi`` is one potential, giving an (n_max,) sequence, or a (k, n_atoms)
-    stack walked together, giving a (k, n_max) array whose rows keep the
-    bits of their own calls.  ``ValueError`` unless n_max is an integer of
-    at least 0.
+    stack pushed together, giving a (k, n_max) array whose rows keep the
+    bits of their own calls.  A -inf potential value adds an exact zero,
+    as in ``_norm_log``.  ``ValueError`` unless n_max is an integer of at
+    least 0 and phi is a potential with one value per atom
+    (``system._require_potentials``).
     """
     require_valid(system)
     n_max = _horizon(n_max, least=0)
-    phi = np.asarray(phi, dtype=float)
+    phi = _require_potentials(phi)
+    if phi.shape[-1:] != (system.n,):
+        raise ValueError("potential needs one value per atom")
     seq = np.empty(phi.shape[:-1] + (n_max,))
-    for n, s, an in orbit_sums(system, phi, n_max):
-        seq[..., n - 1] = _norm_log(system, s, an)
+    # u_0 = m vanishes off the support, which the map keeps (a valid
+    # system), so every image is a set of supported atoms
+    image = system.supported_indices
+    mass, weight = system.log_m[image], _columns(phi, image)
+    place = np.empty(system.n, dtype=np.intp)
+    for n in range(n_max):
+        to = system.alpha[image]
+        order = np.arange(to.size)
+        # one term per target wins its place; the winners are the image
+        place[to] = order
+        image = to[place[to] == order]
+        place[image] = np.arange(image.size)
+        mass = _log_push(weight + mass, place[to], image.size)
+        weight, log_m = _columns(phi, image), system.log_m[image]
+        seq[..., n] = np.max(mass - log_m, axis=-1)
     return seq
 
 
@@ -231,15 +259,15 @@ def spectral_potential(system: FiniteSystem, phi, n_max: int = 24) -> SpectralRe
     cycle value within the coarse a-priori envelope, which only happens for
     pathological n_max choices.  ``phi`` is one potential or a (k, n_atoms)
     stack; a single potential is the stack of one.  A stack takes one
-    ``cycle_means`` call and one ``norm_log_sequence`` walk, and each row
-    keeps the bits of its own call.  ``ValueError`` unless n_max is an
-    integer of at least 1.
+    ``cycle_means`` call and one ``norm_log_sequence`` transfer sweep, and
+    each row keeps the bits of its own call.  ``ValueError`` unless n_max
+    is an integer of at least 1.
     """
     require_valid(system)
     n_max = _horizon(n_max)
     phi = np.asarray(phi, dtype=float)
     phis = phi.reshape(-1, phi.shape[-1])
-    # one potential is walked and gathered as one row, with the bits of a
+    # one potential is swept and gathered as one row, with the bits of a
     # stack of one at less cost
     means = cycle_means(system, phi).reshape(len(phis), -1)
     value = means.max(axis=1)

@@ -7,8 +7,10 @@ exposes the functional-graph structure of the map: every atom falls onto a
 unique terminal cycle, and the invariant probability functionals form the
 convex hull of the uniform measures sitting on cycles inside the support.
 One horizon reads its Birkhoff sums and power of the map from doubling
-tables, ``_transport``, in O(N log n); a sweep over every horizon 1..n_max
-reads them from one walk, ``orbit_sums``, which takes one step per horizon.
+tables, ``_transport``, in O(N log n).  A sweep that needs the per-atom sums
+at every horizon 1..n_max reads them from one walk, ``orbit_sums``, which
+takes one step per horizon; a sweep of norms pushes masses over the
+shrinking image of alpha^n instead (``spectral.norm_log_sequence``).
 """
 
 from __future__ import annotations
@@ -341,21 +343,22 @@ def preimage_mass(system: FiniteSystem, weights, an=None) -> np.ndarray:
     """
     an = system.alpha if an is None else an
     weights = np.asarray(weights, dtype=float)
-    bins, size = _stacked_bins(system, an, weights)
+    bins, size = _stacked_bins(system.n, an, weights)
     push = np.bincount(bins, weights=weights.ravel(), minlength=size)
     return push.reshape(weights.shape[:-1] + (system.n,))
 
 
-def _stacked_bins(system: FiniteSystem, an, weights: np.ndarray):
-    """The bin of each term of ``weights`` flattened, and the bin count.
+def _stacked_bins(size: int, to, weights: np.ndarray):
+    """The bin of each term of ``weights`` flattened, and the bin count,
+    when column i of each row moves to bin ``to[i]`` of ``size``.
 
-    Row r's term moving to atom y lands in bin y + n_atoms r, so one row's
-    bins are the atoms themselves, and so are those of a stack of one.
+    Row r's term moving to bin y lands in bin y + size r, so one row's
+    bins are ``to`` itself, and so are those of a stack of one.
     """
     if weights.ndim == 1 or weights.shape[0] == 1:
-        return an, system.n
+        return to, size
     rows = weights.shape[0]
-    return (an + system.n * np.arange(rows)[:, None]).ravel(), rows * system.n
+    return (to + size * np.arange(rows)[:, None]).ravel(), rows * size
 
 
 def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
@@ -366,19 +369,26 @@ def log_preimage_mass(system: FiniteSystem, log_weights, an) -> np.ndarray:
     (k, len(an)) stack gives each row the bits of its own call, with the
     bins of ``preimage_mass``.
     """
-    log_weights = np.asarray(log_weights, dtype=float)
-    bins, size = _stacked_bins(system, an, log_weights)
+    return _log_push(np.asarray(log_weights, dtype=float), an, system.n)
+
+
+def _log_push(log_weights: np.ndarray, to: np.ndarray, size: int) -> np.ndarray:
+    """The arithmetic of ``log_preimage_mass`` into ``size`` bins, column i
+    of each row moving to bin ``to[i]``: the bins are the atoms, or the
+    places of a compacted image in the transfer sweep of
+    ``spectral.norm_log_sequence``."""
+    bins, total_size = _stacked_bins(size, to, log_weights)
     terms = log_weights.ravel()
-    top = np.full(size, -np.inf)
+    top = np.full(total_size, -np.inf)
     np.maximum.at(top, bins, terms)
     # only the bins where mass landed are shifted and take a log; a -inf
     # term adds an exact zero to its bin
     landed = np.flatnonzero(np.isfinite(top))
-    shift = np.zeros(size)
+    shift = np.zeros(total_size)
     shift[landed] = top[landed]
-    total = np.bincount(bins, weights=np.exp(terms - shift[bins]), minlength=size)
+    total = np.bincount(bins, weights=np.exp(terms - shift[bins]), minlength=total_size)
     top[landed] += np.log(total[landed])
-    return top.reshape(log_weights.shape[:-1] + (system.n,))
+    return top.reshape(log_weights.shape[:-1] + (size,))
 
 
 # Float64 entries in one chunk of a stack of draws: 1 MiB.
@@ -468,15 +478,14 @@ def _columns(a: np.ndarray, idx) -> np.ndarray:
     """``a[..., idx]`` for one row or a (k, n) stack: entries idx of each row.
 
     Plain indexing of one row costs a third of the ``...`` form, which adds
-    up over the steps of a long orbit walk and the horizons of a norm
-    sequence.
+    up over the steps of a long orbit walk and of a norm sequence.
     """
     return a[idx] if a.ndim == 1 else a[:, idx]
 
 
 def orbit_sums(system: FiniteSystem, phi, n_max: int):
     """Yield (n, S_n phi, alpha^n) for n = 1..n_max, one map step per horizon:
-    the route of a sweep over every horizon.
+    the route of a sweep that reads the per-atom sums at every horizon.
 
     S_n phi adds the orbit terms left to right, and ``birkhoff``, which
     reads one horizon from doubling tables, agrees with it within roundoff.

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tentropy.fixtures import ALL
+from tentropy.fixtures import ALL, twocyc
 from tentropy.sampling import random_potential, random_system
 from tentropy.system import make_system
 
@@ -30,6 +30,35 @@ def system_pool():
 def potential_pool(system_pool):
     gen = np.random.default_rng(991)
     return [random_potential(gen, s) for s in system_pool]
+
+
+@pytest.fixture(scope="session")
+def standard_panel():
+    """The systems of the pinned certify reports, built in-process: twocyc
+    and the six of ``random-systems 6 --max-atoms 12 --seed 7``."""
+    gen = np.random.default_rng(7)
+    return [twocyc()] + [random_system(gen, max_atoms=12) for _ in range(6)]
+
+
+@pytest.fixture(scope="session")
+def stress_panel():
+    """Valid shapes the standard panel lacks, every atom supported with a
+    mass in [0.2, 2]: the single 30-cycle; a 30-cycle with 6 tails of 1 to
+    6 atoms, tail j ending on cycle atom 5j; a fixed point under a 39-atom
+    chain; and a 2-cycle under 28 atoms mapping k to k - 2."""
+    hung = [np.roll(np.arange(30), -1)]
+    start = 30
+    for j in range(6):
+        hung.append(np.append(np.arange(start + 1, start + j + 1), 5 * j))
+        start += j + 1
+    maps = [
+        np.roll(np.arange(30), -1),
+        np.concatenate(hung),
+        np.maximum(np.arange(40) - 1, 0),
+        np.concatenate([[1, 0], np.arange(28)]),
+    ]
+    gen = np.random.default_rng(3030)
+    return [make_system(gen.uniform(0.2, 2.0, alpha.size), alpha) for alpha in maps]
 
 
 @pytest.fixture(scope="session")

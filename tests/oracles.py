@@ -226,7 +226,7 @@ def log_preimage_mass_all_terms(system: FiniteSystem, log_weights, an) -> np.nda
     landed, a shift of 0 and a total of exact zeros on every other bin, and
     a log taken through the mask."""
     log_weights = np.asarray(log_weights, dtype=float)
-    bins, size = _stacked_bins(system, an, log_weights)
+    bins, size = _stacked_bins(system.n, an, log_weights)
     terms = log_weights.ravel()
     top = np.full(size, -np.inf)
     np.maximum.at(top, bins, terms)

@@ -750,8 +750,9 @@ def test_inner_certificate_builds_its_problems_per_horizon(monkeypatch):
 
 
 def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
-    """lemma.gelfand makes one stacked ``spectral_potential`` call and
-    lemma.submultiplicative no ``op_norm_log`` call, but one ``_transport``
+    """lemma.gelfand makes one stacked ``spectral_potential`` call, with one
+    ``norm_log_sequence`` sweep, and lemma.submultiplicative no
+    ``op_norm_log`` call, but one ``_transport``
     call per distinct horizon, per chunk of ``system._chunk_rows`` draws,
     rather than one per draw; with 8-row chunks both records keep their
     bytes, at the default horizons and at ``n_max`` 40."""
@@ -768,13 +769,13 @@ def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
         assert json.dumps(values) == json.dumps(reference_submultiplicative(s, cfg))
     potentials = counting(monkeypatch, certify, "spectral_potential")
     norms = [counting(monkeypatch, m, "op_norm_log") for m in (certify, spectral)]
-    walks = counting(monkeypatch, spectral, "orbit_sums")
+    sweeps = counting(monkeypatch, spectral, "norm_log_sequence")
     transports = counting(monkeypatch, spectral, "_transport")
     grids = counting(monkeypatch, certify, "_norm_logs")
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
     for cfg in configs:
         potentials.clear()
-        walks.clear()
+        sweeps.clear()
         transports.clear()
         grids.clear()
         for name in names:
@@ -784,8 +785,8 @@ def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
         chunks = [(8, s.n)] * 12 + [(4, s.n)]
         assert [args[1].shape for args in potentials] == chunks
         assert norms == [[], []]
-        # one walk per chunk of gelfand's stacked spectral potential
-        assert [args[1].shape for args in walks] == chunks
+        # one transfer sweep per chunk of gelfand's stacked spectral potential
+        assert [args[1].shape for args in sweeps] == chunks
         # one transport per distinct horizon of each submultiplicative chunk,
         # on the rows that need it
         assert [args[1].shape for args in grids] == chunks

@@ -360,6 +360,15 @@ def test_far_horizons_agree_with_the_walk(system_pool, large_pool):
                 assert abs(norm - want) <= ROUNDOFF_TOL * max(1.0, abs(want))
 
 
+def feeding_system():
+    """Null 3 maps onto supported 0 and null 4 onto null 3; supported 5 is
+    reached only from null 6."""
+    feed = make_system([1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0], [1, 2, 0, 0, 3, 1, 5])
+    assert (~feed.support & feed.support[feed.alpha]).any()
+    assert list(np.flatnonzero(feed.alpha == 5)) == [6] and not feed.support[6]
+    return feed
+
+
 def test_the_norm_pushes_supported_terms_with_the_bits_of_every_term(large_pool):
     """The norm pushes only the supported atoms and keeps the bits of the
     push of every atom, in which a null atom's term is -inf and adds an
@@ -367,25 +376,88 @@ def test_the_norm_pushes_supported_terms_with_the_bits_of_every_term(large_pool)
     atoms reached only from null ones, on (k, N) stacks, on potentials
     scaled by 300: on the walk's sums at horizons 1..24, and in
     ``op_norm_log`` on the doubling sums at those horizons and at 100."""
-    # null 3 -> supported 0 and null 4 -> null 3; supported 5 is reached
-    # only from null 6
-    feed = make_system([1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0], [1, 2, 0, 0, 3, 1, 5])
-    assert (~feed.support & feed.support[feed.alpha]).any()
-    assert list(np.flatnonzero(feed.alpha == 5)) == [6] and not feed.support[6]
     gen = np.random.default_rng(2207)
-    for s in [feed, random_map(gen, 60)] + large_pool:
+    for s in [feeding_system(), random_map(gen, 60)] + large_pool:
         for scale in (1.0, 300.0):
             phis = scale * gen.uniform(-1.0, 1.0, size=(3, s.n))
-            seqs = [norm_log_sequence(s, phi, 24) for phi in phis]
             for n, sums, an in orbit_sums(s, phis, 24):
                 want = norm_log_all_terms(s, sums, an)
                 assert _norm_log(s, sums, an).tobytes() == want.tobytes()
-                for r in range(len(phis)):
-                    assert seqs[r][n - 1] == want[r]
             for phi in phis:
                 for n in (*range(1, 25), 100):
                     want = norm_log_all_terms(s, *_transport(s, phi, n))
                     assert op_norm_log(s, phi, n) == want
+
+
+def assert_routes_agree(s, phi, n_max):
+    """``norm_log_sequence`` (the transfer sweep) against ``op_norm_log``
+    (the doubling push) at every n <= n_max: -inf at the same horizons and
+    elsewhere within ``ROUNDOFF_TOL * max(1, |v|)``.  Returns the sweep."""
+    seq = norm_log_sequence(s, phi, n_max)
+    want = np.array([op_norm_log(s, phi, n) for n in range(1, n_max + 1)])
+    assert np.array_equal(np.isneginf(seq), np.isneginf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.isfinite(seq[fin]))
+    gap = np.abs(seq[fin] - want[fin])
+    assert np.all(gap <= ROUNDOFF_TOL * np.maximum(1.0, np.abs(want[fin])))
+    return seq
+
+
+def test_the_transfer_sweep_agrees_with_the_doubling_route(
+    standard_panel, stress_panel, large_pool
+):
+    """The two routes to every norm agree at every horizon up to 40, with
+    potentials scaled by 1 and by 300: on the standard and stress panels,
+    on the system whose null atoms feed supported ones, and on random maps
+    of 10^3 and 10^4 atoms whose null fifth is closed under preimage (the
+    recipe of perfbench's ``transport_arrays``).  The sweep also agrees
+    with the push of the walk's sums at every horizon, and each row of a
+    stack has the bytes of its own call."""
+    gen = np.random.default_rng(3001)
+    maps = [random_map(gen, 1000), random_map(gen, 10_000)]
+    systems = standard_panel + stress_panel + [feeding_system()] + large_pool + maps
+    for s in systems:
+        for scale in (1.0, 300.0):
+            phis = scale * gen.uniform(-1.0, 1.0, size=(3, s.n))
+            stack = norm_log_sequence(s, phis, 40)
+            for phi, row in zip(phis, stack):
+                seq = assert_routes_agree(s, phi, 40)
+                assert row.tobytes() == seq.tobytes()
+            for n, sums, an in orbit_sums(s, phis, 40):
+                want = norm_log_all_terms(s, sums, an)
+                gap = np.abs(stack[:, n - 1] - want)
+                assert np.all(gap <= ROUNDOFF_TOL * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_vanishing_weights_vanish_at_the_same_horizons_on_both_routes(
+    standard_panel, stress_panel
+):
+    """With -inf on random atoms, both routes give -inf at exactly the same
+    horizons and agree elsewhere, with no numpy warning.  With -inf on one
+    atom of every supported cycle the shift is nilpotent: the norm is -inf
+    from some horizon n0 on, finite before it, and lambda is -inf.  Every
+    orbit meets the zero set within its entry time and one lap, so n0 is
+    at most the largest entry time plus the longest cycle, at most N."""
+    gen = np.random.default_rng(1414)
+    systems = standard_panel + stress_panel + [feeding_system(), random_map(gen, 1000)]
+    for s in systems:
+        dec = s.decomposition
+        reach = int(dec.entry_time.max()) + max(map(len, dec.cycles))
+        assert reach <= s.n
+        n_max = max(40, reach + 1)
+        for share in (0.2, 0.5):
+            phi = gen.uniform(-1.0, 1.0, s.n)
+            phi[gen.uniform(size=s.n) < share] = -np.inf
+            assert_routes_agree(s, phi, n_max)
+        phi = gen.uniform(-1.0, 1.0, s.n)
+        for cycle in s.supported_cycle_arrays:
+            phi[gen.choice(cycle)] = -np.inf
+        seq = assert_routes_agree(s, phi, n_max)
+        n0 = int(np.argmax(np.isneginf(seq))) + 1
+        assert np.isneginf(seq[n0 - 1 :]).all() and np.isfinite(seq[: n0 - 1]).all()
+        assert n0 <= reach
+        assert log_spectral_radius(s, phi) == -np.inf
 
 
 def test_a_horizon_no_walk_can_reach():

@@ -181,36 +181,25 @@ def test_cycle_relation_is_rotation(system_pool):
 
 def shape_maps():
     """Maps whose cycles and tails are set by hand: a single atom; n-cycles
-    and n-chains into a fixed point; the single 60-cycle; a 30-cycle with 6
-    tails of 1 to 6 atoms; a fixed point under a 39-atom chain; and a
-    2-cycle under 28 atoms mapping k to k - 2."""
+    and n-chains into a fixed point; the single 60-cycle."""
     maps = [np.array([0])]
     for n in (2, 3, 8, 60, 1000):
         maps.append(np.roll(np.arange(n), -1))
         maps.append(np.maximum(np.arange(n) - 1, 0))
-    hung = [np.roll(np.arange(30), -1)]
-    start = 30
-    for j in range(6):
-        # tail j: j + 1 atoms ending on cycle atom 5j
-        hung.append(np.append(np.arange(start + 1, start + j + 1), 5 * j))
-        start += j + 1
-    maps.append(np.concatenate(hung))
-    maps.append(np.maximum(np.arange(40) - 1, 0))
-    maps.append(np.concatenate([[1, 0], np.arange(28)]))
     return maps
 
 
 def test_pointer_jumping_decomposition_matches_the_walk(
-    system_pool, large_pool, chunk_systems
+    system_pool, large_pool, chunk_systems, stress_panel
 ):
     """The decomposition by pointer jumping equals the atom-by-atom walk,
     field for field (the per-atom arrays entry by entry): on the random
-    pools, on maps of set shapes, each with every atom supported and with
-    every third atom null, and on a 10^5-atom random map whose null fifth
-    is closed under preimage."""
+    pools, on maps of set shapes and of the stress panel, each with every
+    atom supported and with every third atom null, and on a 10^5-atom
+    random map whose null fifth is closed under preimage."""
     gen = np.random.default_rng(2727)
     systems = system_pool + large_pool + chunk_systems
-    for alpha in shape_maps():
+    for alpha in shape_maps() + [s.alpha for s in stress_panel]:
         m = np.ones(alpha.size)
         systems.append(make_system(m, alpha))
         m[1::3] = 0.0
@@ -586,9 +575,9 @@ POTENTIAL_EXPORTS = {
 @pytest.mark.parametrize("name", sorted(POTENTIAL_EXPORTS))
 def test_every_export_takes_potentials_from_one_domain(name, bad):
     """Every export that takes a potential raises ``ValueError`` on a NaN
-    or +inf value, through ``_transport``, ``orbit_sums`` or
-    ``cycle_means``, and never a numpy warning first; -inf is a potential
-    value, the log of a vanishing weight."""
+    or +inf value, through ``_require_potentials``, and never a numpy
+    warning first; -inf is a potential value, the log of a vanishing
+    weight."""
     s = twocyc()
     with pytest.raises(ValueError, match="potential"):
         POTENTIAL_EXPORTS[name](s, np.array([0.0, bad, 0.0, 0.0]))
