@@ -7,8 +7,8 @@ the worst case.  A claim is an ``(observed, bound)`` pair that holds when
 ``observed <= bound``; tolerance bounds are the named constants of
 ``claims``, the same names the library's own assertions of those laws read,
 and go through ``CertifyConfig.threshold`` (so ``--tolerance`` overrides
-them); structural bounds are literal.  A check reduces its observations
-with ``claims.max_of`` and ``min_of``, which keep a NaN.  ``make_record``
+them); structural bounds are literal.  A check keeps its observations as
+arrays and reduces each once with numpy, which keeps a NaN.  ``make_record``
 derives every record's verdict (pass when all claims hold), residual (the
 largest excess over a bound, 0 exactly when the record passes) and repro
 (failing records only); the CLI builds its own records with it too.  The
@@ -35,14 +35,15 @@ keep every bit, but perfbench's ``certify-small`` workload counts these
 ``maximize_inner`` calls and traces no batch solve, so they stay per draw
 until it does.
 
-Every chunk is sized by one memory budget: ``system._chunk_rows`` applied
-to the entries that one draw adds, so that a chunk holds about
-``system._CHUNK_ENTRIES`` floats (1 MiB) at any N, and whole blocks.  A
-draw of a (draws, N) stack adds N entries.  A draw of ``young.local``,
-``lemma.near_minimizer`` or ``lemma.inner_certificate`` adds (N + 1) * N
-entries (the largest partition's members) for each array of that size it
-holds at once, a count each check states where it sizes its chunks.  At
-N <= 12 the 1,000 draws of a quick profile are one (draws, N) chunk.
+A check sweeps its draws in chunks with ``_Draws.sweep``, which sizes every
+chunk by one memory budget: ``system._chunk_rows`` applied to the entries
+that one draw adds, so that a chunk holds about ``system._CHUNK_ENTRIES``
+floats (1 MiB) at any N, and whole blocks.  A draw of a (draws, N) stack
+adds N entries.  A draw of ``young.local``, ``lemma.near_minimizer`` or
+``lemma.inner_certificate`` adds (N + 1) * N entries (the largest
+partition's members) for each array of that size it holds at once, a count
+each check states where it sizes its chunks.  At N <= 12 the 1,000 draws
+of a quick profile are one (draws, N) chunk.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ from .claims import (
     SLACK_TOL,
     SOLVER_SLACK_TOL,
     CertificateError,
-    max_of,
-    min_of,
 )
 from .entropy import (
     _horizon_problems,
@@ -174,6 +173,12 @@ class _Draws:
     (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as
     1, 2, 3", SC 2011).  Setting the state of one generator per field and
     block costs a quarter of building a generator.
+
+    That cost cannot shrink without moving bits: each block of 8 draws is
+    its own counter stream, so each field of a block takes one state reset
+    (1.2 to 2.0 us, timeit) and one sampler call (``rng.integers(lo, hi,
+    size=8)`` 4.8 to 5.3 us, ``rng.uniform(size=8)`` 1.7 to 2.0 us), which
+    checks with few draws per field feel most.
     """
 
     def __init__(self, seed: int, name: str, system: FiniteSystem):
@@ -202,15 +207,13 @@ class _Draws:
             return [item for part in parts for item in part]
         return np.concatenate(parts)
 
-    def fields(self, start: int, stop: int, *samples) -> list:
-        """Fields 0, 1, ... of draws ``start:stop``, one per sampler."""
-        return [self.field(f, start, stop, sample) for f, sample in enumerate(samples)]
-
-
-def _chunks(draws: int, size: int):
-    """(start, stop) of the consecutive chunks of ``size`` draws."""
-    for start in range(0, draws, size):
-        yield start, min(start + size, draws)
+    def sweep(self, rows: int, entries: int, *samples):
+        """Per chunk of ``_chunk_rows(entries)`` draws of ``0:rows`` (a draw
+        adds ``entries`` floats): ``start, stop`` and one field per sampler."""
+        size = _chunk_rows(entries)
+        for start in range(0, rows, size):
+            stop = min(start + size, rows)
+            yield start, stop, *(self.field(f, start, stop, s) for f, s in enumerate(samples))
 
 
 def _integers(low: int, high: int):
@@ -234,13 +237,10 @@ def _partition_members(draws, f, start, stop, atomic, split):
 
 
 def _check_young_global(system, cfg, draws):
-    worst = np.inf
-    tight = 0
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis, weights = draws.fields(start, stop, _wide_potentials, random_invariant_weights)
-        slacks = young_checks(system, phis, weights)
-        worst = min_of(worst, float(slacks.min()))
-        tight += int((slacks <= SLACK_TOL).sum())
+    chunks = draws.sweep(cfg.draws, system.n, _wide_potentials, random_invariant_weights)
+    slacks = np.concatenate([young_checks(system, p, w) for _, _, p, w in chunks])
+    worst = float(slacks.min())
+    tight = int((slacks <= SLACK_TOL).sum())
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst, "tight_count": tight},
         "claims": [(-worst, cfg.threshold(SLACK_TOL))],
@@ -249,19 +249,19 @@ def _check_young_global(system, cfg, draws):
 
 def _check_young_local(system, cfg, draws):
     eps = np.array(cfg.eps, dtype=float)
-    worst = np.inf
+    slacks = []
     # A draw holds arrays of up to (N + 1) x N entries: its level partition,
     # its pushed members and inner problem, and its share of the batched
     # solver's padded matrices.  tracemalloc measured 5.1 such arrays per
     # draw at N = 12 and 2.6 at N = 100 (level partitions have fewer
     # members than atoms), so a draw counts as 4.
-    for start, stop in _chunks(cfg.draws, _chunk_rows(4 * system.n * (system.n + 1))):
-        phis, weights, ns, picks = draws.fields(
-            start, stop, random_potentials, random_invariant_weights,
-            _integers(1, 7), _integers(0, eps.size),
-        )
+    for _, _, phis, weights, ns, picks in draws.sweep(
+        cfg.draws, 4 * system.n * (system.n + 1),
+        random_potentials, random_invariant_weights, _integers(1, 7), _integers(0, eps.size),
+    ):
         lhs, rhs = local_young_checks(system, phis, weights, ns, eps[picks])
-        worst = min_of(worst, float((lhs - rhs).min()))
+        slacks.append(lhs - rhs)
+    worst = float(np.concatenate(slacks).min())
     return {
         "values": {"draws": cfg.draws, "worst_slack": worst},
         "claims": [(-worst, cfg.threshold(SOLVER_SLACK_TOL))],
@@ -269,11 +269,9 @@ def _check_young_local(system, cfg, draws):
 
 
 def _check_vp_gap(system, cfg, draws):
-    worst = 0.0
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis = draws.field(0, start, stop, _wide_potentials)
-        gaps = variational_principle(system, phis).gap
-        worst = max_of(worst, float(np.abs(gaps).max()))
+    chunks = draws.sweep(cfg.draws, system.n, _wide_potentials)
+    gaps = np.concatenate([variational_principle(system, p).gap for _, _, p in chunks])
+    worst = float(np.abs(gaps).max())
     return {
         "values": {"draws": cfg.draws, "worst_gap": worst},
         "claims": [(worst, cfg.threshold(SLACK_TOL))],
@@ -281,15 +279,15 @@ def _check_vp_gap(system, cfg, draws):
 
 
 def _check_vp_subgradient(system, cfg, draws):
-    worst = -np.inf
-    identity = 0.0
     rounds = max(1, cfg.draws // 100)
-    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
-        phis, seeds = draws.fields(start, stop, random_potentials, _integers(0, 2**63))
-        for phi, seed in zip(phis, seeds.tolist()):
-            res = subgradient(system, phi, draws=cfg.draws, seed=seed)
-            worst = max_of(worst, res.worst_violation)
-            identity = max_of(identity, res.tau_identity_residual)
+    chunks = draws.sweep(rounds, system.n, random_potentials, _integers(0, 2**63))
+    results = [
+        subgradient(system, phi, draws=cfg.draws, seed=seed)
+        for _, _, phis, seeds in chunks
+        for phi, seed in zip(phis, seeds.tolist())
+    ]
+    worst = float(np.max([res.worst_violation for res in results]))
+    identity = float(np.max([res.tau_identity_residual for res in results]))
     tol = cfg.threshold(SLACK_TOL)
     return {
         "values": {
@@ -311,10 +309,9 @@ def _check_vp_dichotomy(system, cfg, draws):
         perturbed_invariant_weights,
         random_null_charging_weights,
     )
-    zeros = divergent = bad = 0
-    witness = None
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        pick, charge = draws.fields(start, stop, _integers(0, 3), _uniform())
+    diverged = []
+    wrong = []
+    for start, stop, pick, charge in draws.sweep(cfg.draws, system.n, _integers(0, 3), _uniform()):
         # a third pick charges a null atom with probability 0.3, if any
         law = np.where((pick == 2) & has_nulls & (charge < 0.3), 3, pick)
         weights = np.empty((stop - start, system.n))
@@ -327,46 +324,49 @@ def _check_vp_dichotomy(system, cfg, draws):
         rays = divergence_witnesses(system, weights)
         diverges = np.array([ray is not None for ray in rays], dtype=bool)
         hull_means(system, weights[~diverges])
-        zeros += int((~diverges).sum())
-        divergent += int(diverges.sum())
-        wrong = np.flatnonzero((law == 0) & diverges)
-        if wrong.size and witness is None:
-            witness = {
-                "weights": [float(v) for v in weights[wrong[0]]],
-                # an invariant draw is ESSENTIAL
-                "mode": ESSENTIAL,
-                "value": -np.inf,
-            }
-        bad += int(wrong.size)
+        diverged.append(diverges)
+        wrong.append(weights[(law == 0) & diverges])
+    diverges = np.concatenate(diverged)
+    wrong = np.concatenate(wrong)
+    witness = None
+    if len(wrong):
+        # an invariant draw is ESSENTIAL
+        witness = {"weights": [float(v) for v in wrong[0]], "mode": ESSENTIAL, "value": -np.inf}
     return {
-        "values": {"draws": cfg.draws, "zeros": zeros, "divergent": divergent},
-        "claims": [(bad, 0)],
+        "values": {
+            "draws": cfg.draws,
+            "zeros": int((~diverges).sum()),
+            "divergent": int(diverges.sum()),
+        },
+        "claims": [(len(wrong), 0)],
         "witness": witness,
     }
 
 
 def _check_op_norm_oracle(system, cfg, draws):
-    worst_gap = 0.0
-    worst_excess = -np.inf
+    gaps = []
+    excess = []
     sup = system.supported_indices
     # field 0 holds the potential of each horizon n, field n its unit-ball draws
     for n, phi in enumerate(draws.field(0, 0, 5, random_potentials), start=1):
         norm_log = op_norm_log(system, phi, n)
-        best = -np.inf
-        for start, stop in _chunks(sup.size, _chunk_rows(system.n)):
+        norms = []
+        for start, stop in draws.sweep(sup.size, system.n):
             atoms = sup[start:stop]
             indicators = np.zeros((atoms.size, system.n))
             indicators[np.arange(atoms.size), atoms] = 1.0 / system.m[atoms]
-            norms = _l1_norms(system, iterate(system, phi, indicators, n))
-            # an atom with no n-step preimage grows an indicator to zero; a
-            # NaN norm is kept, so that the check fails
-            best = max_of(best, float(np.log(norms[norms != 0.0]).max(initial=-np.inf)))
-        worst_gap = max_of(worst_gap, abs(best - norm_log) / max(1.0, abs(norm_log)))
+            norms.append(_l1_norms(system, iterate(system, phi, indicators, n)))
+        norms = np.concatenate(norms)
+        # an atom with no n-step preimage grows an indicator to zero; a NaN
+        # norm is kept, so that the check fails
+        best = float(np.log(norms[norms != 0.0]).max(initial=-np.inf))
+        gaps.append(abs(best - norm_log) / max(1.0, abs(norm_log)))
         value = np.exp(norm_log)
-        for start, stop in _chunks(max(1, cfg.draws // 5), _chunk_rows(system.n)):
+        for start, stop in draws.sweep(max(1, cfg.draws // 5), system.n):
             grown = iterate(system, phi, draws.field(n, start, stop, random_unit_stack), n)
-            excess = _l1_norms(system, grown) - value * (1.0 + SLACK_TOL)
-            worst_excess = max_of(worst_excess, float(excess.max()))
+            excess.append(_l1_norms(system, grown) - value * (1.0 + SLACK_TOL))
+    worst_gap = float(np.max(gaps))
+    worst_excess = float(np.concatenate(excess).max())
     return {
         "values": {
             "indicator_gap": worst_gap,
@@ -378,22 +378,22 @@ def _check_op_norm_oracle(system, cfg, draws):
 
 
 def _check_gelfand(system, cfg, draws):
-    worst_below = np.inf
-    final_gap = 0.0
-    flagged = 0
     rounds = max(1, cfg.draws // 20)
-    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
-        phis = draws.field(0, start, stop, random_potentials)
+    below = []
+    final = []
+    flagged = []
+    for _, _, phis in draws.sweep(rounds, system.n, random_potentials):
         res = spectral_potential(system, phis, n_max=max(8, cfg.n_max))
-        seq = res.norm_sequence
-        worst_below = min_of(worst_below, float((seq - res.value[:, None]).min()))
-        final_gap = max_of(final_gap, float(np.abs(seq[:, -1] - res.value).max()))
-        flagged += int(res.flagged.sum())
+        below.append(res.norm_sequence - res.value[:, None])
+        final.append(np.abs(res.norm_sequence[:, -1] - res.value))
+        flagged.append(res.flagged)
+    worst_below = float(np.concatenate(below).min())
+    flagged = int(np.concatenate(flagged).sum())
     return {
         "values": {
             "draws": rounds,
             "worst_approach_slack": worst_below,
-            "final_gap": final_gap,
+            "final_gap": float(np.concatenate(final).max()),
             "flagged": flagged,
         },
         "claims": [(-worst_below, cfg.threshold(SLACK_TOL)), (flagged, 0)],
@@ -401,14 +401,15 @@ def _check_gelfand(system, cfg, draws):
 
 
 def _check_power(system, cfg, draws):
-    worst = -np.inf
-    strict = 0
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis, ks = draws.fields(start, stop, random_potentials, _integers(1, 6))
+    excess = []
+    gaps = []
+    for _, _, phis, ks in draws.sweep(cfg.draws, system.n, random_potentials, _integers(1, 6)):
         for k, rows in _horizon_rows(ks):
             res = power_gap(system, phis[rows], k)
-            worst = max_of(worst, float((res.scaled - res.power).max()))
-            strict += int((res.gap > SLACK_TOL).sum())
+            excess.append(res.scaled - res.power)
+            gaps.append(res.gap)
+    worst = float(np.concatenate(excess).max())
+    strict = int((np.concatenate(gaps) > SLACK_TOL).sum())
     return {
         "values": {"draws": cfg.draws, "worst_excess": worst, "strict_gaps": strict},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -416,20 +417,20 @@ def _check_power(system, cfg, draws):
 
 
 def _check_properties(system, cfg, draws):
-    worst = -np.inf
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis, psis, ts, shifts = draws.fields(
-            start, stop, random_potentials, random_potentials, _uniform(), _uniform(-3.0, 3.0)
-        )
+    residuals = []
+    for _, _, phis, psis, ts, shifts in draws.sweep(
+        cfg.draws, system.n,
+        random_potentials, random_potentials, _uniform(), _uniform(-3.0, 3.0),
+    ):
         props = property_residuals(system, phis, psis, t=ts, shift=shifts)
-        worst = max_of(
-            worst,
-            float(props.monotonicity.max()),
-            float(props.additive_homogeneity.max()),
-            float(props.lipschitz.max()),
-            float(props.convexity.max()),
-            float(props.strong_invariance.max()),
-        )
+        residuals += [
+            props.monotonicity,
+            props.additive_homogeneity,
+            props.lipschitz,
+            props.convexity,
+            props.strong_invariance,
+        ]
+    worst = float(np.concatenate(residuals).max())
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -437,12 +438,12 @@ def _check_properties(system, cfg, draws):
 
 
 def _check_coboundary(system, cfg, draws):
-    worst = 0.0
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        phis, psis = draws.fields(start, stop, random_potentials, random_potentials)
+    residuals = []
+    for _, _, phis, psis in draws.sweep(cfg.draws, system.n, random_potentials, random_potentials):
         twisted = log_spectral_radius_batch(system, phis + psis[:, system.alpha] - psis)
         plain = log_spectral_radius_batch(system, phis)
-        worst = max_of(worst, float(np.abs(twisted - plain).max()))
+        residuals.append(np.abs(twisted - plain))
+    worst = float(np.concatenate(residuals).max())
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -451,13 +452,13 @@ def _check_coboundary(system, cfg, draws):
 
 def _check_submultiplicative(system, cfg, draws):
     horizon = _integers(1, cfg.n_max + 1)
-    worst = -np.inf
     rounds = max(1, cfg.draws // 20)
-    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
-        phis, ns, ks = draws.fields(start, stop, random_potentials, horizon, horizon)
+    excess = []
+    for _, _, phis, ns, ks in draws.sweep(rounds, system.n, random_potentials, horizon, horizon):
         # each draw's horizons n + k, n and k
         logs = _norm_logs(system, phis, np.stack([ns + ks, ns, ks]))
-        worst = max_of(worst, float((logs[0] - (logs[1] + logs[2])).max()))
+        excess.append(logs[0] - (logs[1] + logs[2]))
+    worst = float(np.concatenate(excess).max())
     return {
         "values": {"draws": rounds, "worst_log_excess": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -465,16 +466,16 @@ def _check_submultiplicative(system, cfg, draws):
 
 
 def _check_inner_certificate(system, cfg, draws):
-    worst = 0.0
-    solved = divergent = 0
     rounds = max(1, cfg.draws // 20)
     atomic = atomic_partition(system).members
+    gaps = []
     # A draw holds its partition's members and its inner problem, arrays of
     # up to (N + 1) x N entries, until its lone solve.  tracemalloc measured
     # 2.0 such arrays per draw at N = 12 and 1.5 at N = 100, so a draw
     # counts as 2.
-    for start, stop in _chunks(rounds, _chunk_rows(2 * system.n * (system.n + 1))):
-        law, split, ns = draws.fields(start, stop, _uniform(), _uniform(), _integers(1, 5))
+    for start, stop, law, split, ns in draws.sweep(
+        rounds, 2 * system.n * (system.n + 1), _uniform(), _uniform(), _integers(1, 5)
+    ):
         weights = np.empty((stop - start, system.n))
         rows = law < 0.5
         weights[rows] = draws.field(3, start, stop, random_invariant_weights, rows)
@@ -483,37 +484,35 @@ def _check_inner_certificate(system, cfg, draws):
         _require_partitions(members)
         for problem in _horizon_problems(system, members, weights, _horizon_rows(ns)):
             sol = maximize_inner(problem, tol=INNER_TOL)
-            if sol.value == -np.inf:
-                divergent += 1
-                continue
-            worst = max_of(worst, abs(certificate_sup(problem, sol) - 1.0))
-            solved += 1
+            if sol.value != -np.inf:
+                gaps.append(abs(certificate_sup(problem, sol) - 1.0))
+    worst = float(np.max(gaps, initial=0.0))
+    solved = len(gaps)
     return {
-        "values": {"solved": solved, "divergent": divergent, "worst_sup_gap": worst},
+        "values": {"solved": solved, "divergent": rounds - solved, "worst_sup_gap": worst},
         "claims": [(worst, cfg.threshold(CERTIFICATE_TOL)), (-solved, -1)],
     }
 
 
 def _check_near_minimizer(system, cfg, draws):
     widths = np.array([1.0, 0.1, 0.01])
-    worst = np.inf
     rounds = max(1, cfg.draws // 20)
     atomic = atomic_partition(system).members
+    slacks = []
     # A draw holds arrays of up to (N + 1) x N entries: its partition, its
     # pushed members and inner problem, and its share of the batched
     # solver's padded matrices and Newton systems.  tracemalloc measured
     # 7.4 to 8.6 such arrays per draw at N = 12 and 5.1 to 6.7 at N = 100,
     # so a draw counts as 8.
-    for start, stop in _chunks(rounds, _chunk_rows(8 * system.n * (system.n + 1))):
-        weights, split, ns, picks = draws.fields(
-            start, stop, random_invariant_weights, _uniform(), _integers(1, 5), _integers(0, 3)
-        )
+    for start, stop, weights, split, ns, picks in draws.sweep(
+        rounds, 8 * system.n * (system.n + 1),
+        random_invariant_weights, _uniform(), _integers(1, 5), _integers(0, 3),
+    ):
         members = _partition_members(draws, 4, start, stop, atomic, split)
         _require_partitions(members)
         bounds = near_minimizer_checks(system, members, weights, ns, widths[picks])
-        worst = min_of(
-            worst, float(bounds.growth_slack.min()), float(bounds.pairing_slack.min())
-        )
+        slacks += [bounds.growth_slack, bounds.pairing_slack]
+    worst = float(np.concatenate(slacks).min())
     return {
         "values": {"draws": rounds, "worst_slack": worst},
         "claims": [(-worst, cfg.threshold(SOLVER_SLACK_TOL))],
@@ -521,20 +520,18 @@ def _check_near_minimizer(system, cfg, draws):
 
 
 def _check_tau_routes(system, cfg, draws):
-    low = np.inf
-    high = -np.inf
     rounds = max(1, cfg.draws // 100)
-    for start, stop in _chunks(rounds, _chunk_rows(system.n)):
-        weights, seeds = draws.fields(
-            start, stop, random_invariant_weights, _integers(0, 2**63)
-        )
+    gaps = []
+    for _, _, weights, seeds in draws.sweep(
+        rounds, system.n, random_invariant_weights, _integers(0, 2**63)
+    ):
         for w, seed in zip(weights, seeds.tolist()):
             mu = functional(system, w)
             dual = tau_dual(system, mu, cross_check=False)
             direct = tau_direct(system, mu, n_max=4, seed=seed)
-            gap = direct.value - dual.value
-            low = min_of(low, gap)
-            high = max_of(high, gap)
+            gaps.append(direct.value - dual.value)
+    low = float(np.min(gaps))
+    high = float(np.max(gaps))
     return {
         "values": {"draws": rounds, "smallest_gap": low, "largest_gap": high},
         "claims": [(-low, 0.0), (high, cfg.threshold(ROUTE_GAP_TOL))],
@@ -542,11 +539,11 @@ def _check_tau_routes(system, cfg, draws):
 
 
 def _check_empirical(system, cfg, draws):
-    worst = 0.0
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        xs, ns, phis = draws.fields(
-            start, stop, _integers(0, system.n), _integers(1, cfg.n_max + 1), random_potentials
-        )
+    residuals = []
+    for start, stop, xs, ns, phis in draws.sweep(
+        cfg.draws, system.n,
+        _integers(0, system.n), _integers(1, cfg.n_max + 1), random_potentials,
+    ):
         weights = empirical_weights(system, xs, ns)
         # the pairing of each empirical measure with its potential, and the
         # Birkhoff average of that potential read at the row's own horizon
@@ -555,11 +552,8 @@ def _check_empirical(system, cfg, draws):
         for n, rows in _horizon_rows(ns):
             s, _ = _transport(system, phis[rows], n)
             rhs[rows] = s[np.arange(rows.size), xs[rows]] / n
-        worst = max_of(
-            worst,
-            float(np.abs(lhs - rhs).max()),
-            float(np.abs(weights.sum(axis=1) - 1.0).max()),
-        )
+        residuals += [np.abs(lhs - rhs), np.abs(weights.sum(axis=1) - 1.0)]
+    worst = float(np.concatenate(residuals).max())
     return {
         "values": {"draws": cfg.draws, "worst_residual": worst},
         "claims": [(worst, cfg.threshold(ROUNDOFF_TOL))],
@@ -569,12 +563,11 @@ def _check_empirical(system, cfg, draws):
 def _check_tv(system, cfg, draws):
     dec = system.decomposition
     lengths = np.bincount(dec.cycle_of[dec.cycle_of >= 0])
-    worst_exact = 0.0
-    worst_bound = -np.inf
-    for start, stop in _chunks(cfg.draws, _chunk_rows(system.n)):
-        xs, ns = draws.fields(
-            start, stop, _integers(0, system.n), _integers(1, 4 * system.n + 1)
-        )
+    exact = []
+    bound = []
+    for _, _, xs, ns in draws.sweep(
+        cfg.draws, system.n, _integers(0, system.n), _integers(1, 4 * system.n + 1)
+    ):
         cycle = dec.terminal[xs]
         length = lengths[cycle]
         entry = dec.entry_time[xs]
@@ -584,9 +577,10 @@ def _check_tv(system, cfg, draws):
         tv = 0.5 * np.abs(weights - uniform).sum(axis=1)
         # on a cycle atom the distance has a closed form in n mod length
         r = ns % length
-        exact = np.abs(tv - r * (length - r) / (ns * length))[entry == 0]
-        worst_exact = max_of(worst_exact, float(exact.max(initial=0.0)))
-        worst_bound = max_of(worst_bound, float((tv - (entry + length) / ns).max()))
+        exact.append(np.abs(tv - r * (length - r) / (ns * length))[entry == 0])
+        bound.append(tv - (entry + length) / ns)
+    worst_exact = float(np.concatenate(exact).max(initial=0.0))
+    worst_bound = float(np.concatenate(bound).max())
     return {
         "values": {
             "draws": cfg.draws,
@@ -601,31 +595,31 @@ def _check_estimate(system, cfg, draws):
     # one draw of each family; null charging only on a system with nulls
     laws = (random_invariant_weights, perturbed_invariant_weights, random_null_charging_weights)
     modes = (ESSENTIAL, ESSENTIAL, FULL)[: 3 if (~system.support).any() else 2]
-    drawn = draws.fields(0, 1, *laws[: len(modes)])
-    families = [functional(system, w[0], mode=mode) for w, mode in zip(drawn, modes)]
-    worst = 0.0
+    families = [
+        functional(system, draws.field(f, 0, 1, law)[0], mode=mode)
+        for f, (law, mode) in enumerate(zip(laws, modes))
+    ]
+    ratios = []
     rows = 0
     branches: set[str] = set()
     witness = None
-    all_hold = True
     for mu in families:
         for eps in cfg.eps:
             rep = verify_estimate(system, mu, float(eps), range(1, cfg.n_max + 1))
             branches.add(rep.branch)
             rows += len(rep.rows)
-            worst = max_of(worst, rep.worst_ratio)
-            if not rep.all_hold:
-                all_hold = False
-                if witness is None:
-                    n_bad, atom_bad = rep.worst_at
-                    witness = {
-                        "mode": mu.mode,
-                        "weights": [float(v) for v in mu.weights],
-                        "eps": float(eps),
-                        "n": n_bad,
-                        "atom": atom_bad,
-                        "ratio": rep.worst_ratio,
-                    }
+            ratios.append(rep.worst_ratio)
+            if not rep.all_hold and witness is None:
+                n_bad, atom_bad = rep.worst_at
+                witness = {
+                    "mode": mu.mode,
+                    "weights": [float(v) for v in mu.weights],
+                    "eps": float(eps),
+                    "n": n_bad,
+                    "atom": atom_bad,
+                    "ratio": rep.worst_ratio,
+                }
+    worst = float(np.max(ratios, initial=0.0))
     return {
         "values": {
             "rows": rows,
@@ -633,24 +627,23 @@ def _check_estimate(system, cfg, draws):
             "branches": sorted(branches),
             "measures": len(families),
         },
-        "claims": [(0.0 if all_hold else worst, 1.0)],
+        "claims": [(worst if witness else 0.0, 1.0)],
         "witness": witness,
     }
 
 
 def _check_reduction(system, cfg, draws):
-    worst = -np.inf
     # field 0 holds mu, field i * n_max + n the unit-ball draws of cell (i, n)
     mu = functional(system, draws.field(0, 0, 1, random_invariant_weights)[0])
-    per_cell = max(1, cfg.draws // (cfg.n_max * max(1, len(cfg.eps))))
+    per_cell = max(1, cfg.draws // (cfg.n_max * len(cfg.eps)))
+    excess = []
     for i, eps in enumerate(cfg.eps):
         nbhd = build_neighborhood(system, mu, float(eps))
         for n, s, an in orbit_sums(system, nbhd.phi, cfg.n_max):
             hits, rel = _hitting_mass(system, nbhd, n, s, an)
-            cap = float(rel.max())
             fs = draws.field(i * cfg.n_max + n, 0, per_cell, random_unit_stack)
-            vals = _hit_integrals(system, hits, an, fs)
-            worst = max_of(worst, float((vals - cap).max()))
+            excess.append(_hit_integrals(system, hits, an, fs) - float(rel.max()))
+    worst = float(np.concatenate(excess).max())
     return {
         "values": {"worst_excess": worst, "per_cell": per_cell},
         "claims": [(worst, cfg.threshold(SLACK_TOL))],

@@ -4,9 +4,9 @@ Each tolerance is named by its role, and a claim's library assertion and the
 bound its ``certify`` check states read the same name, so every decision of
 how close is close enough lives here.  ``CertificateError`` is raised when a
 computed value misses the law it is checked against: a failed claim, never
-bad input (``ValueError``).  ``max_of`` and ``min_of`` are the running
-reductions of observed values, which never drop a NaN.  This module imports
-nothing.
+bad input (``ValueError``).  A check reduces its observations with
+whole-array numpy reductions, which keep a NaN, so a claim that cannot be
+evaluated fails.  This module imports nothing.
 """
 
 # Defects that must vanish exactly up to float noise: invariance, positivity
@@ -71,25 +71,3 @@ NORM_FLOOR = 1e-9
 
 class CertificateError(RuntimeError):
     """A computed value failed the law it is checked against."""
-
-
-def max_of(*values) -> float:
-    """The largest of the values, or NaN if any is NaN.
-
-    Built-in ``max`` keeps its first argument against a NaN, so a running
-    ``worst = max(worst, x)`` would drop a NaN observation and a claim that
-    cannot be evaluated would read as held.  Equal values keep the first,
-    as ``max`` does.
-    """
-    for v in values:
-        if v != v:
-            return float("nan")
-    return float(max(values))
-
-
-def min_of(*values) -> float:
-    """The smallest of the values, or NaN if any is NaN: ``max_of``'s rule."""
-    for v in values:
-        if v != v:
-            return float("nan")
-    return float(min(values))

@@ -36,7 +36,6 @@ from .claims import (
     SOLVER_SLACK_TOL,
     TIE_TOL,
     CertificateError,
-    min_of,
 )
 from .spectral import _norm_log, log_spectral_radius_batch, op_norm
 from .system import (
@@ -526,7 +525,7 @@ def tau_direct(
                 achieving_partition=PartitionOfUnity(members),
             )
         bounds.append((sol.value + sol.optimality_gap) / n + ROUNDOFF_TOL)
-    best = min_of(*bounds)
+    best = float(np.min(bounds))
     if best != best:
         raise CertificateError("a candidate bound of the direct route is NaN")
     # Bounds closer than the solver tolerance are ties, so report the first

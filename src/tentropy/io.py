@@ -5,8 +5,9 @@ System files hold an object with "measure" and "map" arrays and optional
 arrays (essential mode) or objects with "weights" and an optional "mode".
 
 Reports serialize through dump_report, which keeps insertion order and
-encodes infinities as the strings "inf" / "-inf" so the output is plain
-JSON.  The encoding is canonical: parsing a report and serializing it
+encodes infinities and NaN as the strings "inf" / "-inf" / "nan" so the
+output is plain JSON: a check whose observation is NaN fails, and its
+report still records the NaN.  The encoding is canonical: parsing a report and serializing it
 again reproduces the bytes exactly.
 """
 
@@ -147,7 +148,7 @@ def _jsonable(value):
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if value != value:
-            raise ValueError("reports must not contain NaN")
+            return "nan"
         if value == np.inf:
             return "inf"
         if value == -np.inf:

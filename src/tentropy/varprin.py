@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import SLACK_TOL, TIE_TOL, CertificateError, max_of
+from .claims import SLACK_TOL, TIE_TOL, CertificateError
 from .spectral import log_spectral_radius_batch
 from .system import (
     FULL,
@@ -338,13 +338,14 @@ def subgradient(
     if np.count_nonzero(w) != np.count_nonzero(w_cols):
         raise CertificateError("maximizer charges an atom off the supported cycles")
     phi_cols = phi[cols]
-    worst = -np.inf
+    peaks = []
     step = _chunk_rows(2 * cols.size)
     for start in range(0, draws, step):
         psis = rng.normal(0.0, 2.0, size=(min(step, draws - start), cols.size))
         gains = _cycle_column_lambdas(system, psis) - cert.lambda_value
         paired = np.subtract(psis, phi_cols, out=psis) @ w_cols
-        worst = max_of(worst, float((paired - gains).max()))
+        peaks.append((paired - gains).max())
+    worst = float(np.max(peaks, initial=-np.inf))
     residual = abs(cert.gap)
     if np.isnan(worst) or np.isnan(residual):
         raise CertificateError(

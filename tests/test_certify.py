@@ -71,7 +71,8 @@ from oracles import empirical_walk, reference_power_rate
 def stream(name, cfg, s, count, *samples):
     """Fields 0, 1, ... of the first ``count`` draws of check ``name`` on
     ``s``, taken from the block addressing as one chunk."""
-    return _Draws(cfg.seed, name, s).fields(0, count, *samples)
+    draws = _Draws(cfg.seed, name, s)
+    return [draws.field(f, 0, count, sample) for f, sample in enumerate(samples)]
 
 
 def wide_potentials(rng, s, k):
@@ -237,7 +238,8 @@ def reference_vp_dichotomy(s, cfg):
     charging where a third pick has a charge under 0.3 on a system with
     null atoms, and each law is drawn for the draws that take it."""
     draws = _Draws(cfg.seed, "vp.dichotomy", s)
-    picks, charges = draws.fields(0, cfg.draws, integers(0, 3), uniforms())
+    picks = draws.field(0, 0, cfg.draws, integers(0, 3))
+    charges = draws.field(1, 0, cfg.draws, uniforms())
     zeros = divergent = 0
     has_nulls = bool((~s.support).any())
     laws = [
@@ -341,7 +343,9 @@ def reference_inner_certificate(s, cfg):
     ``inner_problem`` and one lone solve per draw."""
     rounds = max(1, cfg.draws // 20)
     draws = _Draws(cfg.seed, "lemma.inner_certificate", s)
-    coins, splits, ns = draws.fields(0, rounds, uniforms(), uniforms(), integers(1, 5))
+    coins = draws.field(0, 0, rounds, uniforms())
+    splits = draws.field(1, 0, rounds, uniforms())
+    ns = draws.field(2, 0, rounds, integers(1, 5))
     invariant = coins < 0.5
     weights = np.empty((rounds, s.n))
     weights[invariant] = draws.field(3, 0, rounds, random_invariant_weights, where=invariant)
@@ -456,9 +460,10 @@ def reference_near_minimizer(s, cfg):
     ``near_minimizer_bounds``, and so one lone inner solve, per draw."""
     rounds = max(1, cfg.draws // 20)
     draws = _Draws(cfg.seed, "lemma.near_minimizer", s)
-    weights, splits, ns, picks = draws.fields(
-        0, rounds, random_invariant_weights, uniforms(), integers(1, 5), integers(0, 3)
-    )
+    weights = draws.field(0, 0, rounds, random_invariant_weights)
+    splits = draws.field(1, 0, rounds, uniforms())
+    ns = draws.field(2, 0, rounds, integers(1, 5))
+    picks = draws.field(3, 0, rounds, integers(0, 3))
     drawn = iter(draws.field(4, 0, rounds, random_partition_members, where=splits >= 0.5))
     worst = np.inf
     for w, split, n, pick in zip(weights, splits.tolist(), ns.tolist(), picks.tolist()):
@@ -828,42 +833,116 @@ def nan_at(values, i):
     return out
 
 
+def planted(original, call, plant):
+    """``original``, but with ``plant`` applied to what its call number
+    ``call`` (from 1) returns."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(args)
+        return plant(out) if len(calls) == call else out
+
+    return wrapper
+
+
+def replaced(field, i):
+    """A plant that puts a NaN at index i of the result's ``field``."""
+    return lambda res: dataclasses.replace(res, **{field: nan_at(getattr(res, field), i)})
+
+
+def replaced_by_nan(field):
+    """A plant that sets the result's ``field`` to NaN."""
+    return lambda res: dataclasses.replace(res, **{field: math.nan})
+
+
+# per case: the check, the certify name of the call its observations come
+# from, the call whose result gets the NaN, the plant, and the values that
+# must read NaN; every plant hits a draw that is not the first
+NAN_PLANTS = [
+    ("young.global", "young_checks", 1, lambda x: nan_at(x, 417), ["worst_slack"]),
+    (
+        "young.local", "local_young_checks", 1,
+        lambda sides: (nan_at(sides[0], 417), sides[1]), ["worst_slack"],
+    ),
+    ("vp.gap", "variational_principle", 1, replaced("gap", 417), ["worst_gap"]),
+    (
+        "vp.subgradient", "subgradient", 4,
+        replaced_by_nan("worst_violation"), ["worst_violation"],
+    ),
+    (
+        "vp.subgradient", "subgradient", 4,
+        replaced_by_nan("tau_identity_residual"), ["tau_identity_residual"],
+    ),
+    (
+        "lemma.coboundary", "log_spectral_radius_batch", 1,
+        lambda x: nan_at(x, 417), ["worst_residual"],
+    ),
+    (
+        "lemma.gelfand", "spectral_potential", 1,
+        replaced("value", 17), ["worst_approach_slack", "final_gap"],
+    ),
+    (
+        "lemma.inner_certificate", "certificate_sup", 2,
+        lambda sup: math.nan, ["worst_sup_gap"],
+    ),
+    (
+        "lemma.near_minimizer", "near_minimizer_checks", 1,
+        replaced("pairing_slack", 17), ["worst_slack"],
+    ),
+    # the second horizon's atom indicators, then its unit-ball draws
+    ("lemma.op_norm_oracle", "_l1_norms", 3, lambda x: nan_at(x, 1), ["indicator_gap"]),
+    ("lemma.op_norm_oracle", "_l1_norms", 4, lambda x: nan_at(x, 17), ["unit_ball_excess"]),
+    ("lemma.power", "power_gap", 2, replaced("scaled", 3), ["worst_excess"]),
+    (
+        "lemma.properties", "property_residuals", 1,
+        replaced("convexity", 417), ["worst_residual"],
+    ),
+    (
+        "lemma.submultiplicative", "_norm_logs", 1,
+        lambda logs: nan_at(logs, (0, 17)), ["worst_log_excess"],
+    ),
+    (
+        "lemma.tau_routes", "tau_direct", 4,
+        replaced_by_nan("value"), ["smallest_gap", "largest_gap"],
+    ),
+    (
+        "entstat.empirical", "empirical_weights", 1,
+        lambda w: nan_at(w, (417, 0)), ["worst_residual"],
+    ),
+    (
+        "entstat.estimate", "verify_estimate", 2,
+        lambda rep: dataclasses.replace(rep, worst_ratio=math.nan, all_hold=False),
+        ["worst_ratio"],
+    ),
+    (
+        "entstat.reduction", "_hitting_mass", 5,
+        lambda out: (out[0], nan_at(out[1], 1)), ["worst_excess"],
+    ),
+    ("entstat.reduction", "_hit_integrals", 5, lambda x: nan_at(x, 3), ["worst_excess"]),
+    (
+        "entstat.tv", "empirical_weights", 1, lambda w: nan_at(w, (417, 0)),
+        ["worst_formula_residual", "worst_decay_excess"],
+    ),
+]
+
+
 def test_a_nan_in_one_draw_fails_its_check(monkeypatch):
-    """A NaN observed in one draw, not the first, fails the check and shows
-    in its values: the running reductions keep it, where built-in ``max``
-    and ``min`` keep their first argument against a NaN."""
+    """A NaN observed in one draw, not the first, fails the check with an
+    infinite residual and shows in every value reduced from it: each
+    reduction keeps it, where built-in ``max`` and ``min`` keep their first
+    argument against a NaN.  vp.dichotomy only counts draws."""
     s = twocyc()
     cfg = CertifyConfig(seed=2)
-    young_checks = certify.young_checks
-    principle = certify.variational_principle
-    subgradient = certify.subgradient
-    seen = []
-
-    def nan_slack(system, phis, weights):
-        return nan_at(young_checks(system, phis, weights), 417)
-
-    def nan_gap(system, phis):
-        cert = principle(system, phis)
-        return dataclasses.replace(cert, gap=nan_at(cert.gap, 417))
-
-    def nan_violation(system, phi, draws, seed):
-        res = subgradient(system, phi, draws=draws, seed=seed)
-        seen.append(seed)
-        nan = float("nan") if len(seen) == 4 else res.worst_violation
-        return dataclasses.replace(res, worst_violation=nan)
-
-    for name, target, planted in (
-        ("young.global", "young_checks", nan_slack),
-        ("vp.gap", "variational_principle", nan_gap),
-        ("vp.subgradient", "subgradient", nan_violation),
-    ):
+    assert {case[0] for case in NAN_PLANTS} == set(certify.CHECKS) - {"vp.dichotomy"}
+    for name, target, call, plant, keys in NAN_PLANTS:
         assert run_check(s, name, cfg)["verdict"] == "pass"
-        monkeypatch.setattr(certify, target, planted)
+        monkeypatch.setattr(certify, target, planted(getattr(certify, target), call, plant))
         record = run_check(s, name, cfg)
         monkeypatch.undo()
-        assert record["verdict"] == "fail", name
-        assert record["residual"] == np.inf
-        assert any(math.isnan(v) for v in record["values"].values() if isinstance(v, float))
+        assert record["verdict"] == "fail", (name, target)
+        assert record["residual"] == np.inf, (name, target)
+        assert all(math.isnan(record["values"][key]) for key in keys), (name, target)
 
 
 def test_a_failing_record_repros_the_suite_that_ran():

@@ -5,10 +5,7 @@ import, no unread private name, and no call that a cheaper route replaces
 bit for bit."""
 
 import ast
-import math
 from pathlib import Path
-
-import numpy as np
 
 import tentropy
 from tentropy import claims
@@ -50,21 +47,6 @@ def test_the_table_imports_nothing():
     tree = ast.parse((SRC / "claims.py").read_text())
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert imports == []
-
-
-def test_running_reductions_keep_a_nan():
-    """``max_of`` and ``min_of`` give NaN when any value is NaN, in any
-    position, and otherwise the first of the equal extremes, as built-in
-    ``max`` and ``min`` do."""
-    nan = float("nan")
-    for values in ((nan, 1.0), (1.0, nan), (-np.inf, 2.0, nan), (np.inf, np.float64(nan))):
-        assert math.isnan(claims.max_of(*values))
-        assert math.isnan(claims.min_of(*values))
-    assert claims.max_of(-np.inf, 2.0, 1.0) == 2.0
-    assert claims.min_of(np.inf, 2.0, 1.0) == 1.0
-    assert math.copysign(1.0, claims.max_of(0.0, -0.0)) == 1.0
-    assert math.copysign(1.0, claims.min_of(-0.0, 0.0)) == -1.0
-    assert type(claims.max_of(np.float64(3.0))) is float
 
 
 def test_certificate_error_is_exported():
@@ -156,23 +138,37 @@ def test_no_unused_import_or_private_name():
 
 
 def test_certify_sizes_every_chunk_by_the_memory_budget():
-    """Every ``_chunks`` call in ``certify`` takes its size from
-    ``system._chunk_rows``, applied to the entries one draw adds, and the
-    module binds no integer constant that could stand in for it."""
+    """In ``certify``, only ``_Draws.sweep`` calls ``system._chunk_rows``,
+    every ``sweep`` call states the entries one draw adds as an expression,
+    and the module binds no integer constant that could stand in for it."""
     tree = ast.parse((SRC / "certify.py").read_text())
-    calls = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_chunks"
+    helper = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Draws"
+    )
+    sweep = next(
+        node for node in helper.body
+        if isinstance(node, ast.FunctionDef) and node.name == "sweep"
+    )
+    assert [arg.arg for arg in sweep.args.args] == ["self", "rows", "entries"]
+    assert sweep.args.defaults == []
+    in_sweep = {id(node) for node in ast.walk(sweep)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    sized = [
+        node for node in calls
+        if isinstance(node.func, ast.Name) and node.func.id == "_chunk_rows"
     ]
-    assert calls
+    assert sized
+    assert [node.lineno for node in sized if id(node) not in in_sweep] == []
+    sweeps = [
+        node for node in calls
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "sweep"
+    ]
+    assert sweeps
     unsized = [
-        node.lineno for node in calls
-        if len(node.args) != 2
-        or not isinstance(node.args[1], ast.Call)
-        or not isinstance(node.args[1].func, ast.Name)
-        or node.args[1].func.id != "_chunk_rows"
+        node.lineno for node in sweeps
+        if len(node.args) < 2
+        or node.keywords
+        or any(isinstance(arg, (ast.Starred, ast.Constant)) for arg in node.args[:2])
     ]
     assert unsized == []
     constants = [
@@ -182,11 +178,6 @@ def test_certify_sizes_every_chunk_by_the_memory_budget():
         and isinstance(node.value.value, int)
     ]
     assert constants == []
-    chunks = next(
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_chunks"
-    )
-    assert chunks.args.defaults == []
 
 
 def _per_iteration(node):

@@ -269,6 +269,28 @@ def test_certify_check_that_raises_becomes_a_failed_record(files, capsys, monkey
     assert_claim_contract(rep)
 
 
+def test_certify_reports_a_nan_observation_and_exits_3(files, capsys, monkeypatch):
+    """A NaN observed in one draw fails its check: certify writes the
+    report, with the NaN as the string "nan", and exits 3."""
+    real = certify.young_checks
+
+    def nan_slack(system, phis, weights):
+        slacks = np.array(real(system, phis, weights))
+        slacks[417] = math.nan
+        return slacks
+
+    monkeypatch.setattr(certify, "young_checks", nan_slack)
+    out = files / "nan.json"
+    two = str(files / "two.json")
+    code = cli.main(["certify", two, "--suite", "young", "--seed", "2", "--out", str(out)])
+    assert code == 3
+    rep = json.loads(out.read_text())
+    record = {c["name"]: c for c in rep["checks"]}["young.global"]
+    assert (record["verdict"], record["residual"]) == ("fail", "inf")
+    assert record["values"]["worst_slack"] == "nan"
+    assert rep["summary"] == {"total": 2, "passed": 1, "failed": 1}
+
+
 @pytest.mark.parametrize(
     "name, command, inputs, options",
     [

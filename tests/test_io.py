@@ -132,9 +132,13 @@ def test_dump_report_canonical_infinities():
     assert text.endswith("\n")
 
 
-def test_dump_report_rejects_nan():
-    with pytest.raises(ValueError):
-        dump_report({"x": math.nan})
+def test_dump_report_writes_nan_as_a_string():
+    """A NaN is written as the string "nan", like the infinities, and the
+    text parses and serializes again to the same bytes."""
+    text = dump_report({"x": math.nan, "y": [np.float64("nan"), 1.0]})
+    obj = json.loads(text)
+    assert obj == {"x": "nan", "y": ["nan", 1.0]}
+    assert dump_report(obj) == text
 
 
 def test_dump_report_handles_numpy_scalars_and_arrays():

@@ -564,6 +564,27 @@ def test_subgradient_fails_a_nan_claim():
             subgradient(s, phi, draws=3)
 
 
+def test_subgradient_fails_a_nan_move_in_a_later_chunk(monkeypatch):
+    """A NaN gain of one move, in a chunk that is not the first, fails the
+    claim: the chunks' maxima are reduced with numpy, which keeps it."""
+    s = twocyc()
+    gains = varprin._cycle_column_lambdas
+    sizes = []
+
+    def planted(on, psis):
+        out = gains(on, psis)
+        sizes.append(out.size)
+        if len(sizes) == 2:
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(varprin, "_cycle_column_lambdas", planted)
+    monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
+    with pytest.raises(CertificateError, match="NaN"):
+        subgradient(s, np.array([0.3, 0.1, -0.2, 0.4]), draws=20)
+    assert sizes == [8, 8, 4]
+
+
 def test_subgradient_sweep_holds_one_chunk_of_draws(traced_peak):
     """At N = 10^4 a sweep of 100 draws stays under 2 MB traced; holding
     every draw and its move at once took 16.2 MB on this map."""
