@@ -21,9 +21,10 @@ TIE_TOL = 1e-12
 
 # Roundoff of identities and inequalities exact in real arithmetic: power_gap
 # and lemma.power, lemma.properties, lemma.coboundary,
-# lemma.submultiplicative, entstat.empirical, entstat.tv, the indicator gap
-# of lemma.op_norm_oracle, iterate's closed form, growth_constant's decay
-# test and the pad that keeps tau_direct's bounds upper bounds.
+# lemma.submultiplicative (relative), entstat.empirical, entstat.tv, the
+# indicator gap of lemma.op_norm_oracle (relative), iterate's closed form,
+# growth_constant's decay test and the pad that keeps tau_direct's bounds
+# upper bounds.
 ROUNDOFF_TOL = 1e-12
 
 # Slack of the laws whose sides carry no solver tolerance: young_checks and

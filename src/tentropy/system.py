@@ -105,50 +105,47 @@ class FiniteSystem:
         )
 
     @cached_property
-    def cycle_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def cycle_places(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Supported cycles grouped by length, shortest first.
 
         Each group is a pair: the positions of its cycles in
         ``supported_cycle_arrays`` and a (cycles, length) matrix whose rows
-        are those cycles' atoms.
+        hold the places of those cycles' atoms in ``cycle_atom_index[0]``,
+        not the atoms themselves.
         """
         arrays = self.supported_cycle_arrays
+        listing = self.cycle_atom_index[0]
         by_size: dict[int, list[int]] = {}
         for i, c in enumerate(arrays):
             by_size.setdefault(c.size, []).append(i)
         return tuple(
-            (_frozen(pos, dtype=np.intp), _frozen([arrays[i] for i in pos], dtype=np.intp))
+            (
+                _frozen(pos, dtype=np.intp),
+                _frozen(np.searchsorted(listing, [arrays[i] for i in pos]), dtype=np.intp),
+            )
             for _, pos in sorted(by_size.items())
         )
 
     @cached_property
     def cycle_atom_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every atom of a supported cycle, the position of its cycle in
-        ``supported_cycle_arrays`` and the reciprocal of that cycle's length:
-        one scatter spreads a value per cycle uniformly over its atoms."""
+        """Every atom of a supported cycle, in increasing order, the position
+        of its cycle in ``supported_cycle_arrays`` and the reciprocal of
+        that cycle's length: one scatter spreads a value per cycle
+        uniformly over its atoms.  The atoms are the one listing of the
+        supported-cycle atoms, which the places of ``cycle_places`` point
+        into.  A mask, not ``np.sort``, gives the order: a first sort call
+        pages in about 0.26 MB of numpy's sort kernels."""
         arrays = self.supported_cycle_arrays
         sizes = np.array([c.size for c in arrays], dtype=np.intp)
-        atoms = np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+        position = np.full(self.n, -1, dtype=np.intp)
+        on = np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+        position[on] = np.repeat(np.arange(sizes.size), sizes)
+        atoms = np.flatnonzero(position >= 0)
+        cycle = position[atoms]
         return (
             _frozen(atoms, dtype=np.intp),
-            _frozen(np.repeat(np.arange(sizes.size), sizes), dtype=np.intp),
-            _frozen(np.repeat(1.0 / sizes, sizes)),
-        )
-
-    @cached_property
-    def cycle_columns(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """The supported-cycle atoms in increasing order, and
-        ``cycle_groups`` with each atom replaced by its place in that list:
-        the groups of a stack that holds one column per supported-cycle
-        atom and no other.  A mask gives the order: a first ``np.sort``
-        call pages in about 0.26 MB of numpy's sort kernels."""
-        on = np.zeros(self.n, dtype=bool)
-        on[self.cycle_atom_index[0]] = True
-        atoms = np.flatnonzero(on)
-        place = np.empty(self.n, dtype=np.intp)
-        place[atoms] = np.arange(atoms.size)
-        return _frozen(atoms, dtype=np.intp), tuple(
-            (pos, _frozen(place[rows], dtype=np.intp)) for pos, rows in self.cycle_groups
+            _frozen(cycle, dtype=np.intp),
+            _frozen(1.0 / sizes[cycle]),
         )
 
     @cached_property
@@ -625,8 +622,9 @@ def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
 
     ``phi`` is one potential or a (k, n_atoms) batch; the means fill the
     last axis.  Pairing phi with a vertex of the invariant polytope is one
-    such mean, so this costs one gather over the cycle atoms per distinct
-    cycle length.  Each mean adds its cycle's terms in the order of
+    such mean, so this costs one gather of the cycle atoms
+    (``cycle_atom_index[0]``) and one sum per distinct cycle length
+    (``_listed_means``).  Each mean adds its cycle's terms in the order of
     ``phi[idx].mean()`` and gives the same bits, in every row of a batch.
     ``ValueError`` unless phi has one value per atom and is a potential
     (``_require_potentials``).
@@ -634,31 +632,26 @@ def cycle_means(system: FiniteSystem, phi) -> np.ndarray:
     phi = _require_potentials(phi)
     if phi.shape[-1:] != (system.n,):
         raise ValueError("potential needs one value per atom")
-    return _group_means(system, phi, system.cycle_groups)
+    return _listed_means(system, phi[..., system.cycle_atom_index[0]])
 
 
-def _cycle_column_lambdas(system: FiniteSystem, psis: np.ndarray) -> np.ndarray:
-    """``log_spectral_radius_batch`` of each row of a (k, C) stack given on
-    the C columns of ``system.cycle_columns`` alone, the supported-cycle
-    atoms in increasing order.  A cycle mean reads no other atom, so each
-    value has the bits of the call on any full-width row that agrees with
-    the row of ``psis`` on those atoms."""
-    return _group_means(system, psis, system.cycle_columns[1]).max(axis=1)
-
-
-def _group_means(system: FiniteSystem, phi: np.ndarray, groups) -> np.ndarray:
-    """The means of ``cycle_means`` from the (positions, index rows) pairs
-    of ``groups``: ``system.cycle_groups`` on full-width rows, or their
-    columns on rows that hold the cycle atoms alone."""
-    out = np.empty(phi.shape[:-1] + (len(system.supported_cycle_arrays),))
-    for pos, rows in groups:
-        out[..., pos] = _index_sums(phi, rows) / rows.shape[1]
+def _listed_means(system: FiniteSystem, listed: np.ndarray) -> np.ndarray:
+    """The means of ``cycle_means`` from values given on the supported-cycle
+    atoms alone, one per place of ``system.cycle_atom_index[0]`` on the
+    last axis: each group of ``system.cycle_places`` summed over its
+    places.  A cycle mean reads no other atom, so each has the bits of
+    ``cycle_means`` on any full-width row that agrees with ``listed`` on
+    the cycle atoms."""
+    out = np.empty(listed.shape[:-1] + (len(system.supported_cycle_arrays),))
+    for pos, places in system.cycle_places:
+        out[..., pos] = _index_sums(listed, places) / places.shape[1]
     return out
 
 
-def _index_sums(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum of phi over each row of the atom-index array ``rows``, for one
-    potential or a (k, n_atoms) batch, every row of a batch adding its
+def _index_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum of values over each row of ``rows``, an index array into the
+    last axis of values (the places of a ``cycle_places`` group), for one
+    row of values or a (k, C) batch, every row of a batch adding its
     terms in the order of the call on that row alone.
 
     numpy sums 8 or more contiguous terms pairwise, and the fancy gather of
@@ -668,8 +661,8 @@ def _index_sums(phi: np.ndarray, rows: np.ndarray) -> np.ndarray:
     the faster one on a batch.
     """
     if rows.shape[-1] >= 8:
-        return np.take(phi, rows, axis=-1).sum(axis=-1)
-    return phi[..., rows].sum(axis=-1)
+        return np.take(values, rows, axis=-1).sum(axis=-1)
+    return values[..., rows].sum(axis=-1)
 
 
 def cycle_measure(system: FiniteSystem, idx) -> Functional:

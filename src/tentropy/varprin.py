@@ -23,8 +23,8 @@ from .system import (
     Functional,
     PartitionOfUnity,
     _chunk_rows,
-    _cycle_column_lambdas,
     _horizon,
+    _listed_means,
     _pairings,
     _polytope_constraints,
     _require_invariant,
@@ -230,7 +230,7 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
 
     ``phi`` is one potential or a (k, n_atoms) stack; a single potential is
     the stack of one.  One ``cycle_means`` call gives every row's lambda
-    and face, ``tau_dual`` runs once per distinct maximizing cycle (its
+    and face, ``tau_dual`` runs once per distinct first tied cycle (its
     value is a function of that vertex alone), and the pairing is
     ``w @ phi`` per row, so each gap keeps the bits of a call on its row
     alone.  ``ValueError`` if a potential value is NaN or +inf, as
@@ -245,26 +245,17 @@ def variational_principle(system: FiniteSystem, phi) -> VPCertificate:
     lams = vals.max(axis=1)
     ties = vals >= (lams - TIE_TOL)[:, None]
     cycles = system.supported_cycle_arrays
-    vertices: dict[int, Functional] = {}
-    taus: dict[Functional, float] = {}
-
-    def vertex(c: int) -> Functional:
-        if c not in vertices:
-            vertices[c] = cycle_measure(system, cycles[c])
-        return vertices[c]
-
-    faces = []
-    tau = np.empty(len(phis))
-    pairs = np.empty(len(phis))
-    for i, row in enumerate(ties):
-        face = tuple(vertex(c) for c in np.flatnonzero(row).tolist())
-        first = face[0]
-        if first not in taus:
-            taus[first] = tau_dual(system, first, cross_check=False).value
-        tau[i] = taus[first]
-        # a cycle measure is its own effective weights
-        pairs[i] = first.weights @ phis[i]
-        faces.append(face)
+    in_face = np.flatnonzero(ties.any(axis=0)).tolist()
+    vertices = {c: cycle_measure(system, cycles[c]) for c in in_face}
+    firsts = ties.argmax(axis=1).tolist()
+    taus = {
+        c: tau_dual(system, vertices[c], cross_check=False).value
+        for c in dict.fromkeys(firsts)
+    }
+    faces = [tuple(vertices[c] for c in np.flatnonzero(row).tolist()) for row in ties]
+    tau = np.array([taus[c] for c in firsts], dtype=float)
+    # a cycle measure is its own effective weights
+    pairs = np.array([vertices[c].weights @ row for c, row in zip(firsts, phis)], dtype=float)
     gaps = lams - tau - pairs
     bad = np.flatnonzero(np.abs(gaps) > SLACK_TOL)
     if bad.size:
@@ -312,15 +303,17 @@ def subgradient(
     mu is the gap ``variational_principle`` has just certified.  lambda(psi)
     is the best mean of psi over the supported cycles and mu, the uniform
     measure on one of them, charges no other atom, so a move psi ~ N(0, 4)
-    is drawn on the C supported-cycle atoms alone (``system.cycle_columns``,
-    in increasing order), and one exact count checks that mu charges
-    nothing off them.  Where every atom lies on a supported cycle, C = N
-    and the draws are those of one normal per atom.  The draws are swept
-    in chunks of ``system._chunk_rows(2 * C)`` rows (a draw holds its row
-    and the copy of its cycle atoms that the means gather), each drawn
-    from the one generator stream and turned into its moves in place, so
-    the sweep holds O(``system._CHUNK_ENTRIES`` + C) floats and, with one
-    BLAS thread, every draw keeps the bits of one sweep over all of them.
+    is drawn on the C supported-cycle atoms alone, listed in increasing
+    order by ``system.cycle_atom_index[0]``, and its lambda is read from
+    them by ``system._listed_means``, as ``cycle_means`` reads it; one
+    exact count checks that mu charges nothing off them.  Where every atom
+    lies on a supported cycle, C = N and the draws are those of one
+    normal per atom.  The draws are swept in chunks of
+    ``system._chunk_rows(2 * C)`` rows (a draw holds its row and the copy
+    of its places that the means gather), each drawn from the one
+    generator stream and turned into its moves in place, so the sweep
+    holds O(``system._CHUNK_ENTRIES`` + C) floats and, with one BLAS
+    thread, every draw keeps the bits of one sweep over all of them.
     ``ValueError``
     unless draws is an integer of at least 0, the seed an integer (not a
     bool) in [0, 2**64) (``system._seed``) and no value of phi NaN or +inf;
@@ -333,17 +326,17 @@ def subgradient(
     cert = variational_principle(system, phi)
     mu = cert.maximizer
     w = effective_weights(system, mu)
-    cols = system.cycle_columns[0]
-    w_cols = w[cols]
-    if np.count_nonzero(w) != np.count_nonzero(w_cols):
+    listing = system.cycle_atom_index[0]
+    w_listed = w[listing]
+    if np.count_nonzero(w) != np.count_nonzero(w_listed):
         raise CertificateError("maximizer charges an atom off the supported cycles")
-    phi_cols = phi[cols]
+    phi_listed = phi[listing]
     peaks = []
-    step = _chunk_rows(2 * cols.size)
+    step = _chunk_rows(2 * listing.size)
     for start in range(0, draws, step):
-        psis = rng.normal(0.0, 2.0, size=(min(step, draws - start), cols.size))
-        gains = _cycle_column_lambdas(system, psis) - cert.lambda_value
-        paired = np.subtract(psis, phi_cols, out=psis) @ w_cols
+        psis = rng.normal(0.0, 2.0, size=(min(step, draws - start), listing.size))
+        gains = _listed_means(system, psis).max(axis=1) - cert.lambda_value
+        paired = np.subtract(psis, phi_listed, out=psis) @ w_listed
         peaks.append((paired - gains).max())
     worst = float(np.max(peaks, initial=-np.inf))
     residual = abs(cert.gap)

@@ -143,7 +143,9 @@ def reference_power_rate(system: FiniteSystem, psi, k: int) -> float:
     d = gcd(L, k) cycles of alpha^k, the atoms at positions r, r + k,
     r + 2k, ... (mod L) for r < d, each summed from its smallest atom on."""
     best = -np.inf
-    for _, rows in system.cycle_groups:
+    listing = system.cycle_atom_index[0]
+    for _, places in system.cycle_places:
+        rows = listing[places]
         length = rows.shape[1]
         d = math.gcd(length, k)
         size = length // d
@@ -161,9 +163,10 @@ def full_width_subgradient(
     normal for every atom, in chunks of ``_chunk_rows(N)`` rows.
 
     With ``background``, each chunk is drawn as ``subgradient`` draws it,
-    on the supported-cycle atoms alone, and scattered into the full-width
-    rows ``background(rows)`` returns; the sweep is the same.  A stream of
-    normals has the same values in any chunks.
+    on the supported-cycle atoms of ``cycle_atom_index[0]`` alone, and
+    scattered at those atoms into the full-width rows ``background(rows)``
+    returns; the sweep is the same.  A stream of normals has the same
+    values in any chunks.
     """
     rng = np.random.default_rng(seed)
     phi = np.asarray(phi, dtype=float)
@@ -171,7 +174,7 @@ def full_width_subgradient(
     mu = cert.maximizer
     w = effective_weights(system, mu)
     worst = -np.inf
-    cols = system.cycle_columns[0]
+    cols = system.cycle_atom_index[0]
     step = _chunk_rows(system.n)
     for start in range(0, draws, step):
         rows = min(step, draws - start)

@@ -803,6 +803,31 @@ def test_gelfand_and_submultiplicative_checks_evaluate_stacks(monkeypatch):
         assert [(args[2], len(args[1])) for args in transports] == want_calls
 
 
+def test_submultiplicative_claims_its_roundoff_relative_to_the_log_norm():
+    """lemma.submultiplicative bounds the log excess relative to
+    max(1, |log ||A^(n+k)|||): at horizons up to 10^4 the log norms lie in
+    [8192, 16384], where one float spacing, 2^-39, exceeds ROUNDOFF_TOL.
+    On the sixth system of ``random-systems 6 --max-atoms 12 --seed 7`` the
+    excess is that one spacing; the record passes and still reports the
+    absolute excess, and a zero tolerance still fails it."""
+    s = make_system(
+        [
+            1.194187677801075,
+            0.5249944972080409,
+            1.7913024095536458,
+            1.3548290694004654,
+            1.2254496940528543,
+        ],
+        [1, 0, 2, 0, 3],
+    )
+    cfg = CertifyConfig(seed=0, n_max=5000, suite="lemmas")
+    record = run_check(s, "lemma.submultiplicative", cfg)
+    assert record["values"]["worst_log_excess"] == 2.0**-39
+    assert record["verdict"] == "pass", record
+    strict = dataclasses.replace(cfg, tolerance=0.0)
+    assert run_check(s, "lemma.submultiplicative", strict)["verdict"] == "fail"
+
+
 def test_make_record_derives_verdict_residual_and_repro():
     passing = make_record("x", "in", {"a": 1}, [(0.5, 1.0), (-2.0, 0.0)], repro="r")
     keys = ["name", "inputs", "values", "verdict", "residual", "witness"]

@@ -38,8 +38,9 @@ def reference_invariant(rng, s):
     cycles, spread over their atoms by a loop over the cycle groups."""
     coef = rng.dirichlet(np.ones(len(s.supported_cycle_arrays)))
     weights = np.zeros(s.n)
-    for pos, rows in s.cycle_groups:
-        weights[rows] = coef[pos, None] * (1.0 / rows.shape[1])
+    listing = s.cycle_atom_index[0]
+    for pos, places in s.cycle_places:
+        weights[listing[places]] = coef[pos, None] * (1.0 / places.shape[1])
     return functional(s, weights)
 
 

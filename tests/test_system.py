@@ -179,6 +179,25 @@ def test_cycle_relation_is_rotation(system_pool):
                 assert s.alpha[x] == cyc[(i + 1) % len(cyc)]
 
 
+def test_cycle_places_point_into_the_one_listing(system_pool):
+    """``cycle_atom_index`` lists each supported-cycle atom once, in
+    increasing order, with its cycle and 1 / length, and the rows of
+    ``cycle_places`` are places in that listing that read each supported
+    cycle's atoms in cycle order."""
+    for s in [tail(), null_pair(), twocyc(), *system_pool]:
+        atoms, cycle, inverse_length = s.cycle_atom_index
+        arrays = s.supported_cycle_arrays
+        on = np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+        assert np.array_equal(atoms, np.sort(on))
+        for a, c, inv in zip(atoms, cycle, inverse_length):
+            assert a in arrays[c] and inv == 1.0 / arrays[c].size
+        positions = np.concatenate([pos for pos, _ in s.cycle_places])
+        assert sorted(positions) == list(range(len(arrays)))
+        for pos, places in s.cycle_places:
+            for p, row in zip(pos, places):
+                assert np.array_equal(atoms[row], arrays[p])
+
+
 def shape_maps():
     """Maps whose cycles and tails are set by hand: a single atom; n-cycles
     and n-chains into a fixed point; the single 60-cycle."""

@@ -20,7 +20,7 @@ from tentropy.sampling import (
     random_simplex_functional,
     random_system,
 )
-from tentropy.spectral import log_spectral_radius
+from tentropy.spectral import log_spectral_radius, log_spectral_radius_batch
 from tentropy.system import (
     FULL,
     Functional,
@@ -454,17 +454,19 @@ def test_chunked_subgradient_keeps_the_bits_of_one_sweep(monkeypatch, chunk_syst
         for draws in (0, 1, 7, 8, 9, 100)
     ]
     assert max(s.n * draws for s, _, draws, _ in cases) == 6000
-    assert all(system._chunk_rows(2 * s.cycle_columns[0].size) >= 100 for s, *_ in cases)
+    assert all(
+        system._chunk_rows(2 * s.cycle_atom_index[0].size) >= 100 for s, *_ in cases
+    )
     want = [subgradient(s, phi, draws=d, seed=seed) for s, phi, d, seed in cases]
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
     sizes = []
-    lambdas = varprin._cycle_column_lambdas
+    means = varprin._listed_means
 
-    def sized_lambdas(s, psis):
+    def sized_means(s, psis):
         sizes.append(len(psis))
-        return lambdas(s, psis)
+        return means(s, psis)
 
-    monkeypatch.setattr(varprin, "_cycle_column_lambdas", sized_lambdas)
+    monkeypatch.setattr(varprin, "_listed_means", sized_means)
     for (s, phi, draws, seed), unchunked in zip(cases, want):
         sizes.clear()
         got = subgradient(s, phi, draws=draws, seed=seed)
@@ -478,7 +480,8 @@ def test_subgradient_on_cycle_atoms_keeps_the_bits_of_the_full_width_sweep(
     chunk_systems,
 ):
     """Where every atom lies on a supported cycle, the draws on the cycle
-    atoms are the full-width draws: ``worst_violation`` has the bits of the
+    atoms are the full-width draws, since ``cycle_atom_index[0]`` lists
+    them in increasing order: ``worst_violation`` has the bits of the
     sweep that drew one normal per atom, for draw counts below, at and
     above a chunk, on fixtures and on random permutations."""
     gen = np.random.default_rng(2829)
@@ -487,13 +490,34 @@ def test_subgradient_on_cycle_atoms_keeps_the_bits_of_the_full_width_sweep(
         make_system(gen.uniform(0.5, 2.0, n), gen.permutation(n)) for n in (1, 2, 5, 13, 40)
     ]
     for s in systems:
-        assert s.cycle_columns[0].size == s.n
+        assert s.cycle_atom_index[0].size == s.n
         for draws in (0, 1, 9, 100, 700):
             phi = random_potential(gen, s)
             seed = int(gen.integers(2**32))
             got = subgradient(s, phi, draws=draws, seed=seed).worst_violation
             want = full_width_subgradient(s, phi, draws, seed)
             assert got.hex() == want.hex(), (s.n, draws)
+
+
+def test_listed_means_give_the_bits_of_the_full_width_lambdas(
+    chunk_systems, system_pool, large_pool
+):
+    """On systems with tails and null atoms, the largest of
+    ``_listed_means`` on the columns of ``cycle_atom_index[0]`` is
+    ``log_spectral_radius_batch`` of the full-width rows, bit for bit, for
+    one row and for stacks whose cycles are long enough to be summed
+    pairwise."""
+    gen = np.random.default_rng(2831)
+    systems = [tail(), null_pair(), *chunk_systems, *system_pool, *large_pool]
+    assert sum(s.cycle_atom_index[0].size < s.n for s in systems) >= 10
+    assert any(places.shape[1] >= 8 for s in systems for _, places in s.cycle_places)
+    for s in systems:
+        listing = s.cycle_atom_index[0]
+        for rows in (1, 9):
+            psis = gen.normal(0.0, 2.0, size=(rows, s.n))
+            got = system._listed_means(s, psis[:, listing]).max(axis=1)
+            want = log_spectral_radius_batch(s, psis)
+            assert got.tobytes() == want.tobytes(), s.n
 
 
 def test_subgradient_reads_no_value_off_the_supported_cycles(
@@ -509,7 +533,7 @@ def test_subgradient_reads_no_value_off_the_supported_cycles(
         return gen.choice([-1e6, 1e6], size=(rows, n))
 
     systems = [tail(), null_pair(), chunk_systems[2], *system_pool, *large_pool]
-    systems = [s for s in systems if s.cycle_columns[0].size < s.n]
+    systems = [s for s in systems if s.cycle_atom_index[0].size < s.n]
     assert len(systems) >= 10
     for s in systems:
         for draws in (1, 100):
@@ -524,7 +548,7 @@ def test_subgradient_reads_no_value_off_the_supported_cycles(
 
 def test_subgradient_rejects_a_maximizer_off_the_supported_cycles(monkeypatch):
     """A maximizer charging a tail atom fails the exact count of the
-    cycle-column check, with ``CertificateError``."""
+    supported-cycle check, with ``CertificateError``."""
     s = tail()
     subgradient(s, np.zeros(3), draws=5)
     principle = varprin.variational_principle
@@ -568,17 +592,17 @@ def test_subgradient_fails_a_nan_move_in_a_later_chunk(monkeypatch):
     """A NaN gain of one move, in a chunk that is not the first, fails the
     claim: the chunks' maxima are reduced with numpy, which keeps it."""
     s = twocyc()
-    gains = varprin._cycle_column_lambdas
+    means = varprin._listed_means
     sizes = []
 
     def planted(on, psis):
-        out = gains(on, psis)
-        sizes.append(out.size)
+        out = means(on, psis)
+        sizes.append(len(out))
         if len(sizes) == 2:
             out[3] = np.nan
         return out
 
-    monkeypatch.setattr(varprin, "_cycle_column_lambdas", planted)
+    monkeypatch.setattr(varprin, "_listed_means", planted)
     monkeypatch.setattr(system, "_CHUNK_ENTRIES", 1)
     with pytest.raises(CertificateError, match="NaN"):
         subgradient(s, np.array([0.3, 0.1, -0.2, 0.4]), draws=20)
